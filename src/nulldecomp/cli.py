@@ -7,7 +7,8 @@ Subcommands:
   fixtures  recheck the bundled examples against their frozen values
 
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
-input did not parse, 3 the input is unsupported (wrong shape, no
+input did not parse, NULLDECOMP_MAX_N is not an integer, or the --dot
+file cannot be written, 3 the input is unsupported (wrong shape, no
 vertices, or past the size guard for oracle cross-checks).
 """
 
@@ -29,14 +30,12 @@ from .graphs import (
     parse_graph6,
 )
 from .linalg import nullity
-from .oracles import eg_set, max_independent_set, max_matching
+from .oracles import eg_set, max_independent_set, max_matching, size_limit
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import (
     decompose,
     independent_set_certificate,
     matching_certificate,
-    tree_alpha,
-    tree_nu,
 )
 from .unicyclic import analyze
 
@@ -67,20 +66,20 @@ def _roles_from(supp, core, n_vertices):
     return roles
 
 
-def _forest_report(g, shape, d, eta):
+def _forest_report(g, shape, d):
     return {
         "shape": shape.value,
         "vertex_count": g.n,
         "edge_count": len(g.edges),
-        "nullity": eta,
-        "singular": eta > 0,
-        "alpha": tree_alpha(g),
-        "nu": tree_nu(g),
+        "nullity": d.nullity,
+        "singular": d.nullity > 0,
+        "alpha": d.alpha,
+        "nu": d.nu,
         "supp": _names(g, d.supp),
         "core": _names(g, d.core),
         "n_vertices": _names(g, d.n_forest_vertices),
-        "independent_set": _names(g, independent_set_certificate(g)),
-        "matching": _pairs(g, matching_certificate(g)),
+        "independent_set": _names(g, independent_set_certificate(g, d)),
+        "matching": _pairs(g, matching_certificate(g, d)),
     }
 
 
@@ -115,7 +114,19 @@ def _unicyclic_report(g, shape, a):
     }
 
 
+def _bad_size_limit():
+    """Report a NULLDECOMP_MAX_N that is not an integer; True if it is not."""
+    try:
+        size_limit()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_analyze(args):
+    if args.verify and _bad_size_limit():
+        return 2
     try:
         text = _read_input(args.path)
     except OSError as exc:
@@ -141,7 +152,7 @@ def cmd_analyze(args):
 
     if shape in (Shape.TREE, Shape.FOREST):
         d = decompose(g)
-        report = _forest_report(g, shape, d, nullity(g))
+        report = _forest_report(g, shape, d)
         roles = _roles_from(d.supp, d.core, d.n_forest_vertices)
 
         def verification():
@@ -180,8 +191,12 @@ def cmd_analyze(args):
             code = 1
 
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(g, roles))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(export_dot(g, roles))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
@@ -202,6 +217,8 @@ def cmd_verify(args, parser):
         parser.error("--max-n must be at least --min-n")
     if args.count < 1:
         parser.error("--count must be positive")
+    if _bad_size_limit():
+        return 2
 
     if kind == "tree":
         outcome = tree_sweep(args.count, min_n, max_n, args.seed)

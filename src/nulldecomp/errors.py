@@ -49,9 +49,5 @@ class NotATree(NullDecompError):
     """Expected a connected acyclic graph."""
 
 
-class WrongType(NullDecompError):
-    """A type I routine called on a type II graph, or vice versa."""
-
-
 class TooLarge(NullDecompError):
     """Instance exceeds the brute-force size guard (see NULLDECOMP_MAX_N)."""

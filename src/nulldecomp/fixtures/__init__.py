@@ -19,7 +19,7 @@ from importlib import resources
 from ..graphs import Shape, classify_shape, parse_edge_list, pendant_trees
 from ..linalg import nullity, support
 from ..oracles import eg_set
-from ..trees import decompose, tree_alpha, tree_nu
+from ..trees import decompose
 from ..unicyclic import analyze
 
 
@@ -149,8 +149,8 @@ def check_fixture(name):
         _decomposition_rows(
             g, row, "decomposition", d.supp, d.core, d.n_forest_vertices, exp
         )
-        row("alpha", tree_alpha(g), exp["alpha"])
-        row("nu", tree_nu(g), exp["nu"])
+        row("alpha", d.alpha, exp["alpha"])
+        row("nu", d.nu, exp["nu"])
         if "eg" in exp:
             row("mismatched vertices", _names(g, eg_set(g)), sorted(exp["eg"]))
         if "max_independent_sets" in exp:

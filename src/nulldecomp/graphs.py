@@ -17,6 +17,7 @@ from .errors import (
     DuplicateEdge,
     EmptyGraph,
     MalformedLine,
+    NotAForest,
     NotUnicyclic,
     SelfLoop,
     TruncatedPayload,
@@ -148,7 +149,8 @@ def parse_edge_list(text):
 
     Lines are "u v" integer pairs.  Blank lines and "#" comments are
     ignored.  Optional headers: "n=<count>" fixes the vertex count (else
-    max label + 1 is used) and "labels=a,b,c" attaches display names.
+    max label + 1 is used) and "labels=a,b,c" attaches display names,
+    which must be distinct.
     """
     n_header = None
     labels = None
@@ -169,6 +171,8 @@ def parse_edge_list(text):
             continue
         if line.startswith("labels="):
             labels = [s.strip() for s in line[len("labels="):].split(",")]
+            if len(set(labels)) != len(labels):
+                raise MalformedLine(f"line {lineno}: duplicate vertex name in {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -290,6 +294,13 @@ def _component_count(g):
                     seen[w] = True
                     queue.append(w)
     return count
+
+
+def _require_forest(t, op):
+    if t.n == 0:
+        return
+    if len(t.edges) != t.n - _component_count(t):
+        raise NotAForest(f"{op} needs an acyclic graph")
 
 
 def classify_shape(g):

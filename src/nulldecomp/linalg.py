@@ -100,6 +100,16 @@ class NullBasis:
     def nullity(self):
         return len(self.vectors)
 
+    @property
+    def support(self):
+        """Coordinates that are nonzero in some basis vector."""
+        out = set()
+        for vec in self.vectors:
+            for i, x in enumerate(vec):
+                if x:
+                    out.add(i)
+        return frozenset(out)
+
 
 def adjacency_matrix(g):
     """0/1 adjacency matrix of a graph, as Fractions."""
@@ -233,10 +243,4 @@ def support(g):
     Basis-independent: a vertex coordinate vanishes on one basis of the
     kernel iff it vanishes on the whole kernel.
     """
-    basis = null_basis(g)
-    out = set()
-    for vec in basis.vectors:
-        for i, x in enumerate(vec):
-            if x:
-                out.add(i)
-    return frozenset(out)
+    return null_basis(g).support

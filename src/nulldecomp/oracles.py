@@ -14,10 +14,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import NotAForest, NotATree, TooLarge, UnknownVertex
+from .errors import NotATree, TooLarge, UnknownVertex
 from .graphs import (
     Shape,
-    _component_count,
+    _require_forest,
     classify_shape,
     connected_components,
     find_cycle,
@@ -29,7 +29,12 @@ _DEFAULT_MAX_N = 32
 
 
 def size_limit():
-    return int(os.environ.get("NULLDECOMP_MAX_N", str(_DEFAULT_MAX_N)))
+    """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an integer."""
+    raw = os.environ.get("NULLDECOMP_MAX_N", str(_DEFAULT_MAX_N))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _guard(g, op):
@@ -237,13 +242,6 @@ def has_augmenting_path(g, matching):
     return any(search(s) for s in free)
 
 
-def _check_forest(t, op):
-    if t.n == 0:
-        return
-    if len(t.edges) != t.n - _component_count(t):
-        raise NotAForest(f"{op} needs an acyclic graph")
-
-
 def has_perfect_matching(t):
     """Perfect-matching test on forests by the greedy leaf rule.
 
@@ -251,7 +249,7 @@ def has_perfect_matching(t):
     vertex goes isolated while unmatched.  Exact on forests; the empty
     forest counts as perfectly matched, a single vertex does not.
     """
-    _check_forest(t, "has_perfect_matching")
+    _require_forest(t, "has_perfect_matching")
     n = t.n
     if n == 0:
         return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graphs import Graph, find_cycle, pendant_trees
+from .graphs import Graph, find_cycle, pendant_trees, remove_vertices
 from .trees import _greedy_forest_matching
 
 
@@ -76,12 +76,7 @@ def _probe_is_type1(g):
         if pt.tree.n < 2:
             continue
         whole = len(_greedy_forest_matching(pt.tree))
-        sub_edges = [
-            (u if u < pt.root_local else u - 1, v if v < pt.root_local else v - 1)
-            for u, v in pt.tree.edges
-            if pt.root_local not in (u, v)
-        ]
-        sub = Graph(pt.tree.n - 1, sub_edges)
+        sub, _ = remove_vertices(pt.tree, {pt.root_local})
         if len(_greedy_forest_matching(sub)) < whole:
             return True  # root saturated by every maximum matching
     return False

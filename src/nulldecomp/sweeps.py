@@ -26,7 +26,7 @@ from .oracles import (
     mismatched_in,
 )
 from .randgraphs import tree_corpus, unicyclic_corpus
-from .trees import decompose, tree_alpha, tree_nu
+from .trees import decompose
 from .unicyclic import analyze
 
 TREE_INVARIANTS = (
@@ -85,12 +85,10 @@ def kernel_vectors_exact(g):
 def check_tree_instance(t):
     checks = {}
     d = decompose(t)
-    alpha = tree_alpha(t)
-    nu = tree_nu(t)
     oracle_alpha, _ = max_independent_set(t)
     oracle_nu = max_matching(t).size
-    checks["alpha formula vs oracle"] = alpha == oracle_alpha
-    checks["nu formula vs oracle"] = nu == oracle_nu
+    checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
+    checks["nu formula vs oracle"] = d.nu == oracle_nu
     checks["EG set equals support"] = eg_set(t) == d.supp
     checks["support is independent"] = not any(
         u in d.supp and v in d.supp for u, v in t.edges
@@ -100,7 +98,7 @@ def check_tree_instance(t):
     for c in d.core:
         sub, _ = remove_vertices(t, {c} | set(t.neighbors(c)))
         forced, _ = max_independent_set(sub)
-        if 1 + forced == alpha:  # c would fit into some maximum independent set
+        if 1 + forced == d.alpha:  # c would fit into some maximum independent set
             ok = False
             break
     checks["core exclusion"] = ok
@@ -111,14 +109,15 @@ def check_tree_instance(t):
         with_u, _ = max_independent_set(
             remove_vertices(t, {u} | set(t.neighbors(u)))[0]
         )
-        if without != alpha or 1 + with_u != alpha:
+        if without != d.alpha or 1 + with_u != d.alpha:
             ok = False
             break
     checks["N-vertex flexibility"] = ok
 
     ok = True
-    if d.s_forest_vertices:
-        s_sub, _ = induced_subgraph(t, d.s_forest_vertices)
+    s_part = d.supp | d.core
+    if s_part:
+        s_sub, _ = induced_subgraph(t, s_part)
         for comp, _ in connected_components(s_sub):
             if has_perfect_matching(comp):
                 ok = False  # S components are singular trees
@@ -129,7 +128,7 @@ def check_tree_instance(t):
                 ok = False
     checks["S components singular, N components matched"] = ok
 
-    checks["alpha + nu = n"] = alpha + nu == t.n
+    checks["alpha + nu = n"] = d.alpha + d.nu == t.n
 
     # Dual route for the root test: matching oracle vs kernel support.
     ok = True
@@ -244,28 +243,20 @@ def tree_sweep(count, n_min, n_max, seed):
 
 
 def unicyclic_sweep(count, n_min, n_max, seed):
-    corpus = unicyclic_corpus(count, n_min, n_max, seed)
-    tallies = {name: [0, 0] for name in UNICYCLIC_INVARIANTS}
-    failures = {}
     stats = {}
-    for g in corpus:
+
+    def checker(g):
         analysis = analyze(g)
         kind = f"type {analysis.kind}"
         stats[kind] = stats.get(kind, 0) + 1
         verdict = "singular" if analysis.singular else "nonsingular"
         stats[verdict] = stats.get(verdict, 0) + 1
-        for name, passed in _unicyclic_checks(g, analysis).items():
-            row = tallies[name]
-            if passed:
-                row[0] += 1
-            else:
-                row[1] += 1
-                failures.setdefault(name, g)
-    return SweepOutcome(
-        tallies={k: (p, f) for k, (p, f) in tallies.items()},
-        failures=failures,
-        stats=stats,
-    )
+        return _unicyclic_checks(g, analysis)
+
+    corpus = unicyclic_corpus(count, n_min, n_max, seed)
+    outcome = run_sweep(corpus, checker, UNICYCLIC_INVARIANTS)
+    outcome.stats = stats
+    return outcome
 
 
 def cycle_graph(n):

@@ -17,39 +17,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAForest, NotATree, UnknownVertex
+from .errors import NotATree, UnknownVertex
 from .graphs import (
     Shape,
-    _component_count,
+    _require_forest,
     classify_shape,
     connected_components,
     induced_subgraph,
     remove_vertices,
     two_coloring,
 )
-from .linalg import support
+from .linalg import null_basis
 
 
 @dataclass(frozen=True)
 class NullDecomposition:
     """Partition of a forest's vertices by kernel role.
 
-    s_forest_vertices is Supp together with Core and always equals the
-    closed neighborhood of Supp; n_forest_vertices is the rest and has
-    even cardinality.
+    Supp together with Core always equals the closed neighborhood of
+    Supp; n_forest_vertices is the rest and has even cardinality.
+    nullity is the dimension of the kernel the partition was read from.
     """
 
     supp: frozenset
     core: frozenset
-    s_forest_vertices: frozenset
     n_forest_vertices: frozenset
+    nullity: int
 
+    @property
+    def alpha(self):
+        """Independence number: |Supp| + |V(N-forest)| / 2."""
+        return len(self.supp) + len(self.n_forest_vertices) // 2
 
-def _require_forest(t, op):
-    if t.n == 0:
-        return
-    if len(t.edges) != t.n - _component_count(t):
-        raise NotAForest(f"{op} needs an acyclic graph")
+    @property
+    def nu(self):
+        """Matching number: |Core| + |V(N-forest)| / 2."""
+        return len(self.core) + len(self.n_forest_vertices) // 2
 
 
 def decompose(t):
@@ -60,7 +63,8 @@ def decompose(t):
     returning; a violation would mean a kernel bug.
     """
     _require_forest(t, "decompose")
-    supp = support(t)
+    basis = null_basis(t)
+    supp = basis.support
     core = set()
     for v in supp:
         core.update(t.neighbors(v))
@@ -74,21 +78,9 @@ def decompose(t):
     return NullDecomposition(
         supp=supp,
         core=core,
-        s_forest_vertices=frozenset(s_part),
         n_forest_vertices=n_part,
+        nullity=basis.nullity,
     )
-
-
-def tree_alpha(t):
-    """Independence number of a forest from its null decomposition."""
-    d = decompose(t)
-    return len(d.supp) + len(d.n_forest_vertices) // 2
-
-
-def tree_nu(t):
-    """Matching number of a forest from its null decomposition."""
-    d = decompose(t)
-    return len(d.core) + len(d.n_forest_vertices) // 2
 
 
 def root_is_matched(t, v):
@@ -101,7 +93,7 @@ def root_is_matched(t, v):
         raise NotATree("root_is_matched expects a tree")
     if not 0 <= v < t.n:
         raise UnknownVertex(f"vertex {v} outside 0..{t.n - 1}")
-    return v not in support(t)
+    return v not in decompose(t).supp
 
 
 def _n_component_sides(t, d):
@@ -118,15 +110,14 @@ def _n_component_sides(t, d):
     return out
 
 
-def independent_set_certificate(t, avoid=None):
-    """A maximum independent set of a forest, built from the decomposition.
+def independent_set_certificate(t, d, avoid=None):
+    """A maximum independent set of a forest, built from its decomposition d.
 
     Takes all of Supp plus one bipartition side of each N-component (the
     sides tie in size, so either works).  With avoid set, that vertex is
     kept out of the result; this needs avoid outside Supp, since Supp
     lies in every maximum independent set.
     """
-    d = decompose(t)
     if avoid is not None and avoid in d.supp:
         raise ValueError("cannot avoid a support vertex in a maximum independent set")
     chosen = set(d.supp)
@@ -140,6 +131,14 @@ def independent_set_certificate(t, avoid=None):
     if avoid is not None and avoid in chosen:
         raise AssertionError("avoided vertex slipped into the certificate")
     return frozenset(chosen)
+
+
+def _map_edges(edge_set, label_map):
+    out = set()
+    for u, v in edge_set:
+        a, b = label_map[u], label_map[v]
+        out.add((min(a, b), max(a, b)))
+    return out
 
 
 def _greedy_forest_matching(t):
@@ -167,21 +166,17 @@ def _greedy_forest_matching(t):
     return edges
 
 
-def matching_certificate(t, avoid=None):
+def matching_certificate(t, d, avoid=None):
     """A maximum matching of a forest by the greedy leaf rule.
 
     With avoid set, returns a maximum matching of t leaving that vertex
-    unsaturated; this needs avoid inside Supp, the vertices some maximum
-    matching misses.
+    unsaturated; this needs avoid inside Supp of t's decomposition d,
+    the vertices some maximum matching misses.
     """
     _require_forest(t, "matching_certificate")
     if avoid is None:
         return frozenset(_greedy_forest_matching(t))
-    if avoid not in support(t):
+    if avoid not in d.supp:
         raise ValueError("can only leave a support vertex unsaturated")
     sub, label_map = remove_vertices(t, {avoid})
-    out = set()
-    for u, v in _greedy_forest_matching(sub):
-        a, b = label_map[u], label_map[v]
-        out.add((min(a, b), max(a, b)))
-    return frozenset(out)
+    return frozenset(_map_edges(_greedy_forest_matching(sub), label_map))

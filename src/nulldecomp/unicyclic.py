@@ -19,23 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotUnicyclic, WrongType
 from .graphs import (
     CycleInfo,
-    Shape,
-    classify_shape,
     connected_components,
     find_cycle,
     pendant_trees,
     remove_vertices,
 )
-from .linalg import nullity
-from .oracles import has_perfect_matching
 from .trees import (
+    _map_edges,
     decompose,
     independent_set_certificate,
     matching_certificate,
-    root_is_matched,
 )
 
 
@@ -82,36 +77,29 @@ class UnicyclicAnalysis:
     matching: frozenset
 
 
-def _cycle_or_raise(g):
-    shape = classify_shape(g)
-    if shape not in (Shape.UNICYCLIC, Shape.CYCLE):
-        raise NotUnicyclic(f"graph is {shape.value}, expected exactly one cycle")
-    return find_cycle(g)
-
-
 def _classify(g, cycle):
-    """Smallest-id matched cycle vertex, with the pendant trees reused."""
+    """Smallest-id matched cycle vertex, with the pendant trees and the
+    decompositions of those tested (up to the witness) reused, by root."""
     pts = {pt.root: pt for pt in pendant_trees(g, cycle)}
+    tested = {}
     for v in sorted(cycle.vertices):
         pt = pts[v]
-        if root_is_matched(pt.tree, pt.root_local):
-            return TypeVerdict("I", v), pts
-    return TypeVerdict("II", None), pts
+        tested[v] = decompose(pt.tree)
+        if pt.root_local not in tested[v].supp:
+            return TypeVerdict("I", v), pts, tested
+    return TypeVerdict("II", None), pts, tested
 
 
 def classify_type(g):
     """Type I with its smallest matched witness, or type II."""
-    cycle = _cycle_or_raise(g)
-    verdict, _ = _classify(g, cycle)
-    return verdict
+    return _classify(g, find_cycle(g))[0]
 
 
 def _map_back(vertex_set, label_map):
     return frozenset(label_map[v] for v in vertex_set)
 
 
-def _part_from(kind, root, graph, label_map):
-    d = decompose(graph)
+def _part_from(kind, root, d, label_map):
     return PartAnalysis(
         kind=kind,
         root=root,
@@ -122,104 +110,16 @@ def _part_from(kind, root, graph, label_map):
     )
 
 
-def _type1_pieces(g, cycle, witness, pts=None):
-    if pts is None:
-        pts = {pt.root: pt for pt in pendant_trees(g, cycle)}
-    pt = pts[witness]
-    if not root_is_matched(pt.tree, pt.root_local):
-        raise WrongType(f"cycle vertex {witness} is not matched in its pendant tree")
-    rest, rest_map = remove_vertices(g, pt.vertex_set())
-    return pt, rest, rest_map
+def _singularity(g, cycle, verdict, pieces):
+    """Verdict and reason from the pieces' decompositions.
 
-
-def _require_witness(g, v, cycle):
-    if v not in cycle.vertices:
-        raise WrongType(f"vertex {v} is not on the cycle")
-
-
-def alpha_type1(g, witness):
-    """Independence number of a type I graph via its matched witness."""
-    cycle = _cycle_or_raise(g)
-    _require_witness(g, witness, cycle)
-    pt, rest, _ = _type1_pieces(g, cycle, witness)
-    d1 = decompose(pt.tree)
-    d2 = decompose(rest)
-    return (
-        len(d1.supp)
-        + len(d2.supp)
-        + (len(d1.n_forest_vertices) + len(d2.n_forest_vertices)) // 2
-    )
-
-
-def nu_type1(g, witness):
-    """Matching number of a type I graph via its matched witness."""
-    cycle = _cycle_or_raise(g)
-    _require_witness(g, witness, cycle)
-    pt, rest, _ = _type1_pieces(g, cycle, witness)
-    d1 = decompose(pt.tree)
-    d2 = decompose(rest)
-    return (
-        len(d1.core)
-        + len(d2.core)
-        + (len(d1.n_forest_vertices) + len(d2.n_forest_vertices)) // 2
-    )
-
-
-def _require_type2(g, cycle):
-    verdict, pts = _classify(g, cycle)
-    if verdict.kind != "II":
-        raise WrongType(f"graph is type I (witness {verdict.witness}), not type II")
-    return pts
-
-
-def alpha_type2(g):
-    """Independence number of a type II graph: cycle floor plus tree terms."""
-    cycle = _cycle_or_raise(g)
-    _require_type2(g, cycle)
-    forest, fmap = remove_vertices(g, cycle.vertices)
-    total = cycle.length // 2
-    for comp, cmap in connected_components(forest):
-        d = decompose(comp)
-        total += len(d.supp) + len(d.n_forest_vertices) // 2
-    return total
-
-
-def nu_type2(g):
-    """Matching number of a type II graph: cycle floor plus tree terms."""
-    cycle = _cycle_or_raise(g)
-    _require_type2(g, cycle)
-    forest, fmap = remove_vertices(g, cycle.vertices)
-    total = cycle.length // 2
-    for comp, cmap in connected_components(forest):
-        d = decompose(comp)
-        total += len(d.core) + len(d.n_forest_vertices) // 2
-    return total
-
-
-def unicyclic_nullity(g):
-    """Nullity by composition instead of elimination.
-
-    Type I: the pendant tree at the witness and the rest contribute
-    independently.  Type II: the forest off the cycle plus the cycle
-    itself, whose nullity is 2 when 4 divides its length and 0 otherwise.
+    A forest has a perfect matching exactly when its Supp is empty.
+    Type I pieces are the pendant tree at the witness and the rest;
+    type II pieces are the trees off the cycle.
     """
-    cycle = _cycle_or_raise(g)
-    verdict, pts = _classify(g, cycle)
     if verdict.kind == "I":
-        pt, rest, _ = _type1_pieces(g, cycle, verdict.witness, pts)
-        return nullity(pt.tree) + nullity(rest)
-    forest, _ = remove_vertices(g, cycle.vertices)
-    cycle_term = 2 if cycle.length % 4 == 0 else 0
-    return nullity(forest) + cycle_term
-
-
-def _singularity(g, cycle, verdict, pts):
-    if verdict.kind == "I":
-        v = verdict.witness
-        name = g.name_of(v)
-        pt, rest, _ = _type1_pieces(g, cycle, v, pts)
-        pm_pendant = has_perfect_matching(pt.tree)
-        pm_rest = has_perfect_matching(rest)
+        name = g.name_of(verdict.witness)
+        pm_pendant, pm_rest = (not d.supp for d in pieces)
         if pm_pendant and pm_rest:
             return False, (
                 f"type I at witness {name}: the pendant tree and the rest both "
@@ -233,8 +133,7 @@ def _singularity(g, cycle, verdict, pts):
                 f"the rest after removing the pendant tree at {name} has no perfect matching"
             )
         return True, "type I: " + "; ".join(missing)
-    forest, _ = remove_vertices(g, cycle.vertices)
-    pm_forest = has_perfect_matching(forest)
+    pm_forest = not any(d.supp for d in pieces)
     div4 = cycle.length % 4 == 0
     if pm_forest and not div4:
         return False, (
@@ -247,17 +146,6 @@ def _singularity(g, cycle, verdict, pts):
     if div4:
         reasons.append(f"the cycle length {cycle.length} is divisible by 4")
     return True, "type II: " + "; ".join(reasons)
-
-
-def is_singular(g):
-    """(singular?, which clause fired), decided combinatorially.
-
-    No linear algebra is involved; the verdict must agree with
-    nullity(g) > 0, which the test sweeps check.
-    """
-    cycle = _cycle_or_raise(g)
-    verdict, pts = _classify(g, cycle)
-    return _singularity(g, cycle, verdict, pts)
 
 
 def _cycle_alternating_vertices(cycle):
@@ -286,14 +174,6 @@ def _attachment_vertex(g, comp_vertices, cycle_set):
     return hits[0]
 
 
-def _map_edges(edge_set, label_map):
-    out = set()
-    for u, v in edge_set:
-        a, b = label_map[u], label_map[v]
-        out.add((min(a, b), max(a, b)))
-    return out
-
-
 def _validate_certificates(g, independent, matching, alpha, nu):
     if len(independent) != alpha:
         raise AssertionError(
@@ -319,64 +199,66 @@ def _validate_certificates(g, independent, matching, alpha, nu):
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
-    Computes the type, the composed nullity, the combinatorial
-    singularity verdict, alpha and nu by the closed formulas, the null
-    decomposition of every piece (in original vertex ids), and explicit
-    certificates: an independent set of size alpha and a matching of
-    size nu, assembled from the pieces exactly as the formulas compose
-    and validated against the graph before returning.
+    Decomposes each piece once and reads off the type, the composed
+    nullity, the combinatorial singularity verdict, alpha and nu by the
+    closed formulas, the null decomposition of every piece (in original
+    vertex ids), and explicit certificates: an independent set of size
+    alpha and a matching of size nu, assembled from the pieces exactly
+    as the formulas compose and validated against the graph before
+    returning.
     """
-    cycle = _cycle_or_raise(g)
+    cycle = find_cycle(g)
     pure = cycle.length == g.n
-    verdict, pts = _classify(g, cycle)
+    verdict, pts, tested = _classify(g, cycle)
 
     if verdict.kind == "I":
         v = verdict.witness
-        pt, rest, rest_map = _type1_pieces(g, cycle, v, pts)
+        pt = pts[v]
+        rest, rest_map = remove_vertices(g, pt.vertex_set())
+        d_pt, d_rest = tested[v], decompose(rest)
+        pieces = (d_pt, d_rest)
         parts = (
-            _part_from("pendant", v, pt.tree, pt.label_map),
-            _part_from("rest", None, rest, rest_map),
+            _part_from("pendant", v, d_pt, pt.label_map),
+            _part_from("rest", None, d_rest, rest_map),
         )
-        alpha = sum(len(p.supp) for p in parts) + sum(len(p.n_vertices) for p in parts) // 2
-        nu = sum(len(p.core) for p in parts) + sum(len(p.n_vertices) for p in parts) // 2
-        nullity_val = nullity(pt.tree) + nullity(rest)
+        cycle_alpha = cycle_nu = cycle_nullity = 0
         independent = _map_back(
-            independent_set_certificate(pt.tree, avoid=pt.root_local), pt.label_map
-        ) | _map_back(independent_set_certificate(rest), rest_map)
-        matching = _map_edges(matching_certificate(pt.tree), pt.label_map) | _map_edges(
-            matching_certificate(rest), rest_map
+            independent_set_certificate(pt.tree, d_pt, avoid=pt.root_local), pt.label_map
+        ) | _map_back(independent_set_certificate(rest, d_rest), rest_map)
+        matching = _map_edges(matching_certificate(pt.tree, d_pt), pt.label_map) | _map_edges(
+            matching_certificate(rest, d_rest), rest_map
         )
     else:
         cycle_set = set(cycle.vertices)
         forest, fmap = remove_vertices(g, cycle.vertices)
-        part_list = []
+        pieces = []
+        parts = []
         independent = set(_cycle_alternating_vertices(cycle))
         for comp, cmap in connected_components(forest):
             full_map = tuple(fmap[x] for x in cmap)
             u_orig, v_orig = _attachment_vertex(g, full_map, cycle_set)
-            part_list.append(_part_from("component", v_orig, comp, full_map))
+            d = decompose(comp)
+            pieces.append(d)
+            parts.append(_part_from("component", v_orig, d, full_map))
             u_local = full_map.index(u_orig)
             independent |= _map_back(
-                independent_set_certificate(comp, avoid=u_local), full_map
+                independent_set_certificate(comp, d, avoid=u_local), full_map
             )
-        parts = tuple(part_list)
-        alpha = cycle.length // 2 + sum(len(p.supp) for p in parts) + sum(
-            len(p.n_vertices) for p in parts
-        ) // 2
-        nu = cycle.length // 2 + sum(len(p.core) for p in parts) + sum(
-            len(p.n_vertices) for p in parts
-        ) // 2
-        nullity_val = nullity(forest) + (2 if cycle.length % 4 == 0 else 0)
+        cycle_alpha = cycle_nu = cycle.length // 2
+        cycle_nullity = 2 if cycle.length % 4 == 0 else 0
         matching = set(_cycle_alternating_edges(cycle))
         for w in cycle.vertices:
             pt = pts[w]
             if pt.tree.n >= 2:
                 matching |= _map_edges(
-                    matching_certificate(pt.tree, avoid=pt.root_local), pt.label_map
+                    matching_certificate(pt.tree, tested[w], avoid=pt.root_local),
+                    pt.label_map,
                 )
-        independent = frozenset(independent)
 
-    singular, reason = _singularity(g, cycle, verdict, pts)
+    alpha = cycle_alpha + sum(d.alpha for d in pieces)
+    nu = cycle_nu + sum(d.nu for d in pieces)
+    nullity = cycle_nullity + sum(d.nullity for d in pieces)
+    singular, reason = _singularity(g, cycle, verdict, pieces)
     independent = frozenset(independent)
     matching = frozenset(matching)
     _validate_certificates(g, independent, matching, alpha, nu)
@@ -387,10 +269,10 @@ def analyze(g):
         pure_cycle=pure,
         singular=singular,
         singular_reason=reason,
-        nullity=nullity_val,
+        nullity=nullity,
         alpha=alpha,
         nu=nu,
-        parts=parts,
+        parts=tuple(parts),
         independent_set=independent,
         matching=matching,
     )

@@ -118,8 +118,8 @@ def test_criterion_6_certificates_all_valid(unicyclic_run, cycle_run):
         d = decompose(t)
         alpha = len(d.supp) + len(d.n_forest_vertices) // 2
         nu = len(d.core) + len(d.n_forest_vertices) // 2
-        chosen = independent_set_certificate(t)
-        matching = matching_certificate(t)
+        chosen = independent_set_certificate(t, d)
+        matching = matching_certificate(t, d)
         ok = len(chosen) == alpha and len(matching) == nu
         ok = ok and not any(u in chosen and v in chosen for u, v in t.edges)
         seen = set()

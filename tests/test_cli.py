@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import nulldecomp.linalg
 from nulldecomp.cli import main
 
 FIG3 = str(resources.files("nulldecomp.fixtures") / "fig3.edges")
@@ -75,6 +76,38 @@ class TestAnalyze:
         assert text.startswith("graph nulldecomp {")
         assert "shape=box" in text  # support vertices present
 
+    def test_forest_report_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        rref = nulldecomp.linalg.rref
+
+        def counted(m):
+            calls.append(m.rows)
+            return rref(m)
+
+        monkeypatch.setattr(nulldecomp.linalg, "rref", counted)
+        code, _, _ = run(capsys, "analyze", FIG1)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_unwritable_dot_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        code, out, err = run(capsys, "analyze", FIG1, "--dot", str(target))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_duplicate_labels_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("labels=a,a,b\n0 1\n1 2\n"))
+        code, out, err = run(capsys, "analyze")
+        assert code == 2 and not out
+        assert "duplicate vertex name" in err
+
+    def test_non_integer_size_guard_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
+        code, out, err = run(capsys, "analyze", "--verify", FIG1)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "NULLDECOMP_MAX_N" in err
+
     def test_parse_error_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
         code, out, err = run(capsys, "analyze")
@@ -127,6 +160,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--kind", "cycle")
         assert code == 0
         assert "singular iff length divisible by 4: 22 pass, 0 fail" in out
+
+    def test_non_integer_size_guard_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
+        code, out, err = run(capsys, "verify", "--kind", "tree", "--count", "3")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "NULLDECOMP_MAX_N" in err
 
     def test_bad_ranges_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -122,6 +122,10 @@ class TestEdgeListFormat:
         with pytest.raises(MalformedLine, match="labels"):
             parse_edge_list("n=3\nlabels=a,b\n0 1\n")
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(MalformedLine, match="line 1: duplicate vertex name"):
+            parse_edge_list("labels=a,a,b\n0 1\n1 2\n")
+
     def test_round_trip(self):
         rng = random.Random(11)
         for _ in range(25):

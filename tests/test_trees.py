@@ -16,8 +16,6 @@ from nulldecomp import (
     max_matching,
     random_tree,
     root_is_matched,
-    tree_alpha,
-    tree_nu,
     tree_sweep,
 )
 from nulldecomp.fixtures import load_fixture
@@ -48,7 +46,8 @@ class TestDecompose:
         d = decompose(path_graph(3))
         assert d.supp == {0, 2}
         assert d.core == {1}
-        assert d.s_forest_vertices == {0, 1, 2}
+        assert not d.n_forest_vertices
+        assert d.nullity == 1
 
     def test_star_leaves_are_support(self):
         d = decompose(star(3))
@@ -84,22 +83,24 @@ class TestDecompose:
 class TestCounts:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_paths(self, n):
-        t = path_graph(n)
-        assert tree_alpha(t) == (n + 1) // 2
-        assert tree_nu(t) == n // 2
+        d = decompose(path_graph(n))
+        assert d.alpha == (n + 1) // 2
+        assert d.nu == n // 2
+        assert d.nullity == n % 2
 
     def test_example_values(self):
-        g = load_fixture("fig2_tree")
-        assert tree_alpha(g) == 14
-        assert tree_nu(g) == 8
-        t1 = load_fixture("fig1_T1")
-        assert tree_alpha(t1) == 4 and tree_nu(t1) == 2
+        d = decompose(load_fixture("fig2_tree"))
+        assert d.alpha == 14
+        assert d.nu == 8
+        d1 = decompose(load_fixture("fig1_T1"))
+        assert d1.alpha == 4 and d1.nu == 2
 
     def test_gallai_identity_on_random_trees(self):
         rng = random.Random(31)
         for _ in range(60):
             t = random_tree(rng.randrange(1, 16), rng)
-            assert tree_alpha(t) + tree_nu(t) == t.n
+            d = decompose(t)
+            assert d.alpha + d.nu == t.n
 
 
 class TestRootIsMatched:
@@ -125,8 +126,9 @@ class TestIndependentSetCertificate:
         rng = random.Random(37)
         for _ in range(50):
             t = random_tree(rng.randrange(1, 16), rng)
-            chosen = independent_set_certificate(t)
-            assert len(chosen) == tree_alpha(t)
+            d = decompose(t)
+            chosen = independent_set_certificate(t, d)
+            assert len(chosen) == d.alpha
             assert not any(u in chosen and v in chosen for u, v in t.edges)
 
     def test_avoid_honored_for_every_non_support_vertex(self):
@@ -137,16 +139,16 @@ class TestIndependentSetCertificate:
             for v in range(t.n):
                 if v in d.supp:
                     with pytest.raises(ValueError):
-                        independent_set_certificate(t, avoid=v)
+                        independent_set_certificate(t, d, avoid=v)
                 else:
-                    chosen = independent_set_certificate(t, avoid=v)
+                    chosen = independent_set_certificate(t, d, avoid=v)
                     assert v not in chosen
-                    assert len(chosen) == tree_alpha(t)
+                    assert len(chosen) == d.alpha
 
     def test_support_always_included(self):
         t = load_fixture("fig1_T1")
         d = decompose(t)
-        assert d.supp <= independent_set_certificate(t)
+        assert d.supp <= independent_set_certificate(t, d)
 
 
 class TestMatchingCertificate:
@@ -154,7 +156,7 @@ class TestMatchingCertificate:
         rng = random.Random(59)
         for _ in range(50):
             t = random_tree(rng.randrange(1, 16), rng)
-            m = matching_certificate(t)
+            m = matching_certificate(t, decompose(t))
             seen = set()
             for u, v in m:
                 assert t.has_edge(u, v)
@@ -169,22 +171,23 @@ class TestMatchingCertificate:
             t = random_tree(rng.randrange(2, 13), rng)
             d = decompose(t)
             for v in d.supp:
-                m = matching_certificate(t, avoid=v)
-                assert len(m) == tree_nu(t)
+                m = matching_certificate(t, d, avoid=v)
+                assert len(m) == d.nu
                 assert all(v not in pair for pair in m)
 
     def test_avoid_requires_support_membership(self):
         t = path_graph(3)
         with pytest.raises(ValueError):
-            matching_certificate(t, avoid=1)  # the middle is always saturated
+            matching_certificate(t, decompose(t), avoid=1)  # the middle is always saturated
 
     def test_disconnected_input(self):
         g = Graph(5, [(0, 1), (2, 3)])
-        assert len(matching_certificate(g)) == 2
+        assert len(matching_certificate(g, decompose(g))) == 2
 
     def test_rejects_cycles(self):
+        # The forest check comes before d is read, so any decomposition will do.
         with pytest.raises(NotAForest):
-            matching_certificate(cycle_graph(4))
+            matching_certificate(cycle_graph(4), decompose(Graph(4)))
 
 
 class TestTreeSweep:
@@ -198,5 +201,6 @@ class TestTreeSweep:
         rng = random.Random(67)
         for _ in range(40):
             t = random_tree(rng.randrange(1, 15), rng)
-            assert tree_alpha(t) == max_independent_set(t)[0]
-            assert tree_nu(t) == max_matching(t).size
+            d = decompose(t)
+            assert d.alpha == max_independent_set(t)[0]
+            assert d.nu == max_matching(t).size

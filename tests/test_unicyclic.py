@@ -5,23 +5,20 @@ from itertools import combinations, product
 
 import pytest
 
+import nulldecomp.linalg
 from nulldecomp import (
     Graph,
     NotUnicyclic,
-    WrongType,
-    alpha_type1,
-    alpha_type2,
     analyze,
     classify_type,
     cycle_graph,
-    is_singular,
+    decompose,
     max_independent_set,
     max_matching,
-    nu_type1,
-    nu_type2,
     nullity,
+    pendant_trees,
     random_unicyclic,
-    unicyclic_nullity,
+    remove_vertices,
     unicyclic_sweep,
 )
 from nulldecomp.fixtures import load_fixture
@@ -58,13 +55,20 @@ def prufer_tree(seq, n):
 
 
 def all_unicyclic(n):
-    """Every labeled unicyclic graph on n vertices, duplicates included."""
+    """Every labeled unicyclic graph on n vertices, each once.
+
+    A graph whose cycle has length k arises from k spanning trees, so
+    repeats are skipped by edge set.
+    """
+    seen = set()
     seqs = product(range(n), repeat=n - 2) if n > 2 else [()]
     for seq in seqs:
         t = prufer_tree(list(seq), n)
         for u, v in combinations(range(n), 2):
-            if not t.has_edge(u, v):
-                yield Graph(n, list(t.edges) + [(u, v)])
+            edges = t.edges | {(u, v)}
+            if not t.has_edge(u, v) and edges not in seen:
+                seen.add(edges)
+                yield Graph(n, edges)
 
 
 class TestClassify:
@@ -105,70 +109,62 @@ class TestClassify:
 
 class TestSingularity:
     def test_paw_is_nonsingular(self):
-        singular, reason = is_singular(paw())
-        assert not singular
-        assert "both have perfect matchings" in reason
+        a = analyze(paw())
+        assert not a.singular
+        assert "both have perfect matchings" in a.singular_reason
         assert nullity(paw()) == 0
 
     def test_smallest_type1_singular(self):
         g = smallest_type1_singular()
-        singular, reason = is_singular(g)
-        assert singular
-        assert "no perfect matching" in reason
+        a = analyze(g)
+        assert a.singular
+        assert "no perfect matching" in a.singular_reason
         assert nullity(g) == 1
 
     def test_type2_singular_by_cycle_length(self):
         g = square_with_tail()
-        assert classify_type(g).kind == "II"
-        singular, reason = is_singular(g)
-        assert singular
-        assert "divisible by 4" in reason
+        a = analyze(g)
+        assert a.kind == "II"
+        assert a.singular
+        assert "divisible by 4" in a.singular_reason
         assert nullity(g) == 2
 
     def test_type2_singular_by_unmatched_component(self):
-        g = load_fixture("fig7")
-        singular, reason = is_singular(g)
-        assert singular
-        assert "no perfect matching" in reason
+        a = analyze(load_fixture("fig7"))
+        assert a.singular
+        assert "no perfect matching" in a.singular_reason
 
     def test_agrees_with_kernel_exhaustively_small(self):
         kinds = set()
         for n in range(3, 7):
             for g in all_unicyclic(n):
-                singular, _ = is_singular(g)
-                assert singular == (nullity(g) > 0), g.edges
-                assert unicyclic_nullity(g) == nullity(g), g.edges
-                kinds.add(classify_type(g).kind)
+                a = analyze(g)
+                direct = nullity(g)
+                assert a.singular == (direct > 0), g.edges
+                assert a.nullity == direct, g.edges
+                kinds.add(a.kind)
         assert kinds == {"I", "II"}
 
 
 class TestCountsByWitness:
     def test_any_matched_witness_gives_the_same_answer(self):
+        # analyze splits fig3 at its smallest matched witness v; the
+        # split at the other matched cycle vertex u gives the same counts.
         g = load_fixture("fig3")
-        v = next(i for i in range(g.n) if g.name_of(i) == "v")
+        a = analyze(g)
         u = next(i for i in range(g.n) if g.name_of(i) == "u")
-        assert alpha_type1(g, v) == alpha_type1(g, u) == 9
-        assert nu_type1(g, v) == nu_type1(g, u) == 4
-
-    def test_wrong_witness_rejected(self):
-        g = load_fixture("fig3")
-        c = next(i for i in range(g.n) if g.name_of(i) == "c")
-        with pytest.raises(WrongType):
-            alpha_type1(g, c)  # c hangs alone, so it is mismatched
-        off_cycle = next(i for i in range(g.n) if g.name_of(i) == "a")
-        with pytest.raises(WrongType):
-            nu_type1(g, off_cycle)
-
-    def test_type2_formulas_reject_type1_graphs(self):
-        with pytest.raises(WrongType):
-            alpha_type2(paw())
-        with pytest.raises(WrongType):
-            nu_type2(load_fixture("fig6"))
+        assert g.name_of(a.witness) == "v"
+        pt = next(p for p in pendant_trees(g, a.cycle) if p.root == u)
+        d_pt = decompose(pt.tree)
+        assert pt.root_local not in d_pt.supp  # u is matched in its pendant tree
+        d_rest = decompose(remove_vertices(g, pt.vertex_set())[0])
+        assert d_pt.alpha + d_rest.alpha == a.alpha == 9
+        assert d_pt.nu + d_rest.nu == a.nu == 4
 
     def test_type2_values(self):
-        g = load_fixture("fig7")
-        assert alpha_type2(g) == 13
-        assert nu_type2(g) == 8
+        a = analyze(load_fixture("fig7"))
+        assert a.kind == "II"
+        assert (a.alpha, a.nu) == (13, 8)
 
     def test_exhaustive_agreement_with_oracles(self):
         for n in range(3, 6):
@@ -227,6 +223,21 @@ class TestAnalyze:
     def test_deterministic(self):
         g = load_fixture("fig2_G")
         assert analyze(g) == analyze(g)
+
+    def test_decomposes_each_piece_once(self, monkeypatch):
+        calls = []
+        rref = nulldecomp.linalg.rref
+
+        def counted(m):
+            calls.append(m.rows)
+            return rref(m)
+
+        monkeypatch.setattr(nulldecomp.linalg, "rref", counted)
+        g = load_fixture("fig6")
+        a = analyze(g)
+        assert a.kind == "I"
+        tested = [c for c in sorted(a.cycle.vertices) if c <= a.witness]
+        assert len(calls) == len(tested) + 1  # each pendant tree tested, then the rest
 
     def test_witness_is_smallest_matched_cycle_vertex(self):
         # a single leaf saturates its cycle vertex, so 0 and 1 are both
