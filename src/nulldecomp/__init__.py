@@ -1,8 +1,10 @@
 """Kernel-based structure of trees, forests and unicyclic graphs.
 
-The adjacency kernel of a forest, computed exactly over the rationals,
-splits the vertices into support, core and N-vertices; the independence
-number and the matching number then fall out by counting.  Graphs with
+The adjacency kernel of a forest splits the vertices into support, core
+and N-vertices; the support is found in linear time as the vertices some
+maximum matching misses, and the kernel, computed exactly over the
+rationals, checks it.  The independence number and the matching number
+then fall out by counting.  Graphs with
 exactly one cycle reduce to the forest case through a two-way type split
 keyed on whether some cycle vertex is saturated by every maximum
 matching of its own pendant tree.  Everything ships with brute-force

@@ -29,7 +29,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .linalg import nullity
+from .linalg import null_basis, nullity
 from .oracles import eg_set, max_independent_set, max_matching, size_limit
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import (
@@ -157,11 +157,15 @@ def cmd_analyze(args):
 
         def verification():
             oracle_alpha, _ = max_independent_set(g)
-            return {
+            checks = {
                 "alpha vs oracle": report["alpha"] == oracle_alpha,
                 "nu vs oracle": report["nu"] == max_matching(g).size,
                 "mismatched vertices equal support": eg_set(g) == d.supp,
             }
+            basis = null_basis(g)  # after the oracles, so past their size guard
+            checks["support vs kernel"] = basis.support == d.supp
+            checks["nullity vs elimination"] = basis.nullity == d.nullity
+            return checks
     else:
         a = analyze(g)
         report = _unicyclic_report(g, shape, a)

@@ -365,7 +365,9 @@ def induced_subgraph(g, vertices):
     """Induced subgraph on the given vertices (returned densely relabeled).
 
     Returns (subgraph, label_map) with label_map[i] the old id of new
-    vertex i; old ids are kept in increasing order.
+    vertex i; old ids are kept in increasing order.  The edges come from
+    the kept vertices' adjacency, so the cost is proportional to the
+    kept part, not to all of g.
     """
     keep = sorted(set(vertices))
     for v in keep:
@@ -373,9 +375,10 @@ def induced_subgraph(g, vertices):
             raise UnknownVertex(f"vertex {v} outside 0..{g.n - 1}")
     new_id = {old: i for i, old in enumerate(keep)}
     edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges
-        if u in new_id and v in new_id
+        (i, new_id[w])
+        for i, u in enumerate(keep)
+        for w in g.neighbors(u)
+        if w > u and w in new_id
     ]
     labels = [g.labels[old] for old in keep] if g.labels is not None else None
     return Graph(len(keep), edges, labels=labels), tuple(keep)

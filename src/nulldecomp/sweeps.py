@@ -33,6 +33,7 @@ TREE_INVARIANTS = (
     "alpha formula vs oracle",
     "nu formula vs oracle",
     "EG set equals support",
+    "support equals kernel support",
     "support is independent",
     "core exclusion",
     "N-vertex flexibility",
@@ -72,9 +73,9 @@ class SweepOutcome:
         return all(fails == 0 for _, fails in self.tallies.values())
 
 
-def kernel_vectors_exact(g):
-    """Re-verify A x = 0 for every basis vector, via the generic product."""
-    basis = null_basis(g)
+def kernel_vectors_exact(g, basis):
+    """Re-verify A x = 0 for every vector of g's kernel basis, via the
+    generic matrix product."""
     a = adjacency_matrix(g)
     for vec in basis.vectors:
         if any(x != 0 for x in a.apply(vec)):
@@ -87,9 +88,11 @@ def check_tree_instance(t):
     d = decompose(t)
     oracle_alpha, _ = max_independent_set(t)
     oracle_nu = max_matching(t).size
+    basis = null_basis(t)
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
     checks["nu formula vs oracle"] = d.nu == oracle_nu
     checks["EG set equals support"] = eg_set(t) == d.supp
+    checks["support equals kernel support"] = basis.support == d.supp
     checks["support is independent"] = not any(
         u in d.supp and v in d.supp for u, v in t.edges
     )
@@ -130,7 +133,7 @@ def check_tree_instance(t):
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n
 
-    # Dual route for the root test: matching oracle vs kernel support.
+    # Dual route for the root test: matching oracle vs the decomposed support.
     ok = True
     if len(t.edges) == t.n - 1 and t.n >= 1:  # connected, i.e. a tree
         for v in range(t.n):
@@ -139,7 +142,7 @@ def check_tree_instance(t):
                 break
     checks["matched root iff outside support"] = ok
 
-    checks["kernel vectors exact"] = kernel_vectors_exact(t)
+    checks["kernel vectors exact"] = kernel_vectors_exact(t, basis)
     return checks
 
 
@@ -147,7 +150,8 @@ def _unicyclic_checks(g, analysis):
     checks = {}
     oracle_alpha, _ = max_independent_set(g)
     oracle_nu = max_matching(g).size
-    direct = nullity(g)
+    basis = null_basis(g)
+    direct = basis.nullity
     checks["alpha formula vs oracle"] = analysis.alpha == oracle_alpha
     checks["nu formula vs oracle"] = analysis.nu == oracle_nu
     checks["singularity verdict vs nullity"] = analysis.singular == (direct > 0)
@@ -190,7 +194,7 @@ def _unicyclic_checks(g, analysis):
                     ok = False
     checks["cycle neighbors avoid component support"] = ok
 
-    checks["kernel vectors exact"] = kernel_vectors_exact(g)
+    checks["kernel vectors exact"] = kernel_vectors_exact(g, basis)
     return checks
 
 

@@ -11,6 +11,12 @@ out by counting:
 
 Both are additive over components, so everything here accepts arbitrary
 forests, the empty graph included.
+
+For a forest, Supp is exactly the set of vertices that some maximum
+matching misses, so it is found by a linear-time matching DP with no
+linear algebra; the nullity follows as |Supp| - |Core| = n - 2 nu.  The
+exact kernel (null_basis) stays an independent check of both: the
+sweeps, `analyze --verify` and the fixtures compare against it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .graphs import (
     remove_vertices,
     two_coloring,
 )
-from .linalg import null_basis
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,9 @@ class NullDecomposition:
 
     Supp together with Core always equals the closed neighborhood of
     Supp; n_forest_vertices is the rest and has even cardinality.
-    nullity is the dimension of the kernel the partition was read from.
+    nullity is the kernel dimension, counted as |Supp| - |Core|, which
+    for a forest equals n - 2 nu; the sweeps, `analyze --verify` and the
+    fixtures check it against the exact kernel.
     """
 
     supp: frozenset
@@ -55,31 +62,75 @@ class NullDecomposition:
         return len(self.core) + len(self.n_forest_vertices) // 2
 
 
+def _matching_support(t):
+    """Vertices of the forest t that some maximum matching misses.
+
+    Rerooting DP, iterative, over each component rooted at its smallest
+    vertex.  Bottom-up, a vertex is missable in its own subtree iff none
+    of its children is; missable_children counts the children that are.
+    Top-down, free_up[c] says whether c's parent p is missable in the
+    tree with c's subtree cut off: p has no missable child besides c and
+    free_up[p] is false.  v is missable in the whole tree, i.e. in Supp,
+    iff it has no missable child and free_up[v] is false.
+    """
+    n = t.n
+    parent = [-1] * n
+    seen = [False] * n
+    order = []  # every vertex after its parent
+    for r in range(n):
+        if seen[r]:
+            continue
+        seen[r] = True
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in t.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    stack.append(w)
+    missable_children = [0] * n
+    for v in reversed(order):
+        if not missable_children[v] and parent[v] >= 0:
+            missable_children[parent[v]] += 1
+    free_up = [False] * n
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            others = missable_children[p] - (not missable_children[v])
+            free_up[v] = not others and not free_up[p]
+    return frozenset(v for v in range(n) if not missable_children[v] and not free_up[v])
+
+
 def decompose(t):
     """Null decomposition of a forest; raises NotAForest on cycles.
 
-    The structural facts the theory guarantees (Supp disjoint from Core,
-    S-part equal to N[Supp], even N-part) are re-checked before
-    returning; a violation would mean a kernel bug.
+    Supp comes from the linear-time matching DP (_matching_support),
+    Core is N(Supp), the N-vertices are the rest, and the nullity is
+    |Supp| - |Core|; no elimination runs.  The sweeps, `analyze
+    --verify` and the fixtures check Supp and the nullity against the
+    exact kernel.  The structural facts the theory guarantees (Supp
+    disjoint from Core, even N-part) are re-checked before returning; a
+    violation would mean a bug in the DP.
     """
     _require_forest(t, "decompose")
-    basis = null_basis(t)
-    supp = basis.support
+    supp = _matching_support(t)
     core = set()
     for v in supp:
         core.update(t.neighbors(v))
     core = frozenset(core)
     if core & supp:
-        raise AssertionError("support touches itself: kernel computation broken")
+        raise AssertionError("support touches itself: matching DP broken")
     s_part = supp | core
     n_part = frozenset(v for v in range(t.n) if v not in s_part)
     if len(n_part) % 2:
-        raise AssertionError("N-forest has odd order: kernel computation broken")
+        raise AssertionError("N-forest has odd order: matching DP broken")
     return NullDecomposition(
         supp=supp,
         core=core,
         n_forest_vertices=n_part,
-        nullity=basis.nullity,
+        nullity=len(supp) - len(core),
     )
 
 

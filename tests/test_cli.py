@@ -87,7 +87,18 @@ class TestAnalyze:
         monkeypatch.setattr(nulldecomp.linalg, "rref", counted)
         code, _, _ = run(capsys, "analyze", FIG1)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == []  # the matching DP needs no elimination
+
+    def test_forest_verify_checks_the_kernel(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--verify", FIG1)
+        assert code == 0
+        assert json.loads(out)["verification"] == {
+            "alpha vs oracle": True,
+            "nu vs oracle": True,
+            "mismatched vertices equal support": True,
+            "support vs kernel": True,
+            "nullity vs elimination": True,
+        }
 
     def test_unwritable_dot_path_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "g.dot"

@@ -38,6 +38,15 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def induced_by_edge_scan(g, vertices):
+    """Reference induced subgraph: keep every edge of g with both ends kept."""
+    keep = sorted(set(vertices))
+    new_id = {old: i for i, old in enumerate(keep)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
+    labels = [g.labels[old] for old in keep] if g.labels is not None else None
+    return Graph(len(keep), edges, labels=labels), tuple(keep)
+
+
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -219,6 +228,22 @@ class TestShapesAndComponents:
         assert sub.edges == {(0, 1), (1, 2)}
         with pytest.raises(UnknownVertex):
             induced_subgraph(g, [9])
+
+    def test_subgraphs_match_the_edge_scan_on_random_graphs(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            g = random_simple_graph(rng.randrange(1, 30), rng.choice((0.05, 0.1, 0.3)), rng)
+            if rng.random() < 0.5:
+                g = Graph(g.n, g.edges, labels=[f"x{i}" for i in range(g.n)])
+            keep = rng.sample(range(g.n), rng.randrange(g.n + 1))
+            # Graph equality covers n, edges and labels
+            assert induced_subgraph(g, keep) == induced_by_edge_scan(g, keep)
+
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            comps = sorted((sorted(c) for c in nx.connected_components(h)), key=min)
+            assert connected_components(g) == [induced_by_edge_scan(g, c) for c in comps]
 
     def test_remove_vertices(self):
         g = cycle(5)

@@ -1,6 +1,7 @@
 """Forest decomposition, the counting formulas, and both certificates."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from nulldecomp import (
     matching_certificate,
     max_independent_set,
     max_matching,
+    null_basis,
     random_tree,
     root_is_matched,
     tree_sweep,
@@ -31,6 +33,38 @@ def star(k):
 
 def names(g, ids):
     return sorted(g.name_of(v) for v in ids)
+
+
+def prufer_tree(seq, n):
+    """The labeled tree on n >= 2 vertices with Pruefer sequence seq."""
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(n) if deg[v] == 1)
+        edges.append((leaf, x))
+        deg[leaf] -= 1
+        deg[x] -= 1
+    u, v = [w for w in range(n) if deg[w] == 1]
+    edges.append((u, v))
+    return Graph(n, edges)
+
+
+def small_trees_and_edge_deletions(n_max):
+    """Every labeled tree on 1..n_max vertices and every forest left by
+    deleting one of its edges, each once by edge set."""
+    seen = set()
+    for n in range(1, n_max + 1):
+        if n == 1:
+            trees = [Graph(1)]
+        else:
+            trees = (prufer_tree(seq, n) for seq in product(range(n), repeat=n - 2))
+        for t in trees:
+            for f in [t, *(t.without_edge(u, v) for u, v in sorted(t.edges))]:
+                if f not in seen:
+                    seen.add(f)
+                    yield f
 
 
 class TestDecompose:
@@ -78,6 +112,47 @@ class TestDecompose:
     def test_empty_graph(self):
         d = decompose(Graph(0))
         assert not d.supp and not d.core and not d.n_forest_vertices
+
+
+class TestMatchingDPAgainstKernel:
+    """decompose reads Supp off a matching DP; the exact kernel is the oracle."""
+
+    def test_every_small_tree_and_its_edge_deletions(self):
+        count = 0
+        for f in small_trees_and_edge_deletions(6):
+            basis = null_basis(f)
+            d = decompose(f)
+            assert d.supp == basis.support, sorted(f.edges)
+            assert d.nullity == basis.nullity, sorted(f.edges)
+            count += 1
+        # 1442 labeled trees on 1..6 vertices, 1209 two-tree forests
+        assert count == 1442 + 1209
+
+    def test_random_forests(self):
+        rng = random.Random(71)
+        for _ in range(500):
+            f = random_tree(rng.randrange(1, 41), rng)
+            for u, v in rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(4))):
+                f = f.without_edge(u, v)
+            basis = null_basis(f)
+            d = decompose(f)
+            assert d.supp == basis.support, sorted(f.edges)
+            assert d.nullity == basis.nullity, sorted(f.edges)
+
+    def test_path_of_100000_vertices(self):
+        # deep enough for a recursive DP to fail, too big for elimination
+        n = 10**5
+        d = decompose(path_graph(n))
+        assert not d.supp and not d.core
+        assert len(d.n_forest_vertices) == n
+        assert d.nullity == 0
+
+    def test_star_of_100000_vertices(self):
+        n = 10**5
+        d = decompose(star(n - 1))
+        assert d.supp == frozenset(range(1, n))
+        assert d.core == {0}
+        assert d.nullity == n - 2
 
 
 class TestCounts:

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import nulldecomp.linalg
+import nulldecomp.unicyclic
 from nulldecomp import (
     Graph,
     NotUnicyclic,
@@ -225,19 +226,28 @@ class TestAnalyze:
         assert analyze(g) == analyze(g)
 
     def test_decomposes_each_piece_once(self, monkeypatch):
-        calls = []
+        eliminations = []
+        decompositions = []
         rref = nulldecomp.linalg.rref
+        piece_decompose = nulldecomp.unicyclic.decompose
 
-        def counted(m):
-            calls.append(m.rows)
+        def counted_rref(m):
+            eliminations.append(m.rows)
             return rref(m)
 
-        monkeypatch.setattr(nulldecomp.linalg, "rref", counted)
+        def counted_decompose(t):
+            decompositions.append(t.n)
+            return piece_decompose(t)
+
+        monkeypatch.setattr(nulldecomp.linalg, "rref", counted_rref)
+        monkeypatch.setattr(nulldecomp.unicyclic, "decompose", counted_decompose)
         g = load_fixture("fig6")
         a = analyze(g)
         assert a.kind == "I"
+        assert eliminations == []  # the matching DP needs no elimination
         tested = [c for c in sorted(a.cycle.vertices) if c <= a.witness]
-        assert len(calls) == len(tested) + 1  # each pendant tree tested, then the rest
+        # each pendant tree tested, then the rest
+        assert len(decompositions) == len(tested) + 1
 
     def test_witness_is_smallest_matched_cycle_vertex(self):
         # a single leaf saturates its cycle vertex, so 0 and 1 are both
