@@ -79,7 +79,7 @@ def _forest_report(g, shape, d):
         "core": _names(g, d.core),
         "n_vertices": _names(g, d.n_forest_vertices),
         "independent_set": _names(g, independent_set_certificate(g, d)),
-        "matching": _pairs(g, matching_certificate(g, d)),
+        "matching": _pairs(g, matching_certificate(g)),
     }
 
 

@@ -257,8 +257,8 @@ def parse_graph6(line):
     return Graph(n, edges)
 
 
-def connected_components(g):
-    """Induced component subgraphs with label maps, by smallest member id."""
+def _components(g):
+    """Vertex lists of g's components, each sorted, by smallest member."""
     seen = [False] * g.n
     out = []
     for s in range(g.n):
@@ -274,32 +274,20 @@ def connected_components(g):
                     seen[w] = True
                     comp.append(w)
                     queue.append(w)
-        out.append(induced_subgraph(g, sorted(comp)))
+        comp.sort()
+        out.append(comp)
     return out
 
 
-def _component_count(g):
-    seen = [False] * g.n
-    count = 0
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return count
+def connected_components(g):
+    """Induced component subgraphs with label maps, by smallest member id."""
+    return [induced_subgraph(g, comp) for comp in _components(g)]
 
 
 def _require_forest(t, op):
     if t.n == 0:
         return
-    if len(t.edges) != t.n - _component_count(t):
+    if len(t.edges) != t.n - len(_components(t)):
         raise NotAForest(f"{op} needs an acyclic graph")
 
 
@@ -312,7 +300,7 @@ def classify_shape(g):
     if g.n == 0:
         raise EmptyGraph("cannot classify a graph with no vertices")
     m = len(g.edges)
-    comps = _component_count(g)
+    comps = len(_components(g))
     connected = comps == 1
     acyclic = m == g.n - comps
     if connected and acyclic:

@@ -3,8 +3,8 @@
 Trees are uniform over labeled trees (Pruefer sequences); a unicyclic
 graph is a tree plus one uniformly chosen non-edge, which always closes
 a single cycle of length at least three.  The corpus builder nudges the
-type I / type II mix toward balance by rejection sampling with a cheap
-matching probe, so downstream sweeps see plenty of both.
+type I / type II mix toward balance by rejection sampling on
+classify_type, so downstream sweeps see plenty of both.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graphs import Graph, find_cycle, pendant_trees, remove_vertices
-from .trees import _greedy_forest_matching
+from .graphs import Graph
+from .unicyclic import classify_type
 
 
 def random_tree(n, rng):
@@ -44,18 +44,27 @@ def random_tree(n, rng):
 
 
 def random_unicyclic(n, rng):
-    """Random unicyclic graph: a tree with one extra non-edge."""
+    """Random unicyclic graph: a tree with one extra non-edge.
+
+    The non-edge is uniform: k is drawn among the n(n-1)/2 - (n-1)
+    non-edges, and the k-th pair u < v in lexicographic order that is
+    not a tree edge is found by walking the rows u, in linear time.
+    """
     if n < 3:
         raise ValueError("unicyclic graphs need at least three vertices")
     t = random_tree(n, rng)
-    non_edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not t.has_edge(u, v)
-    ]
-    extra = non_edges[rng.randrange(len(non_edges))]
-    return Graph(n, list(t.edges) + [extra])
+    k = rng.randrange(n * (n - 1) // 2 - (n - 1))
+    for u in range(n):
+        row = n - 1 - u - sum(1 for w in t.neighbors(u) if w > u)
+        if k < row:
+            break
+        k -= row
+    for v in range(u + 1, n):
+        if not t.has_edge(u, v):
+            if k == 0:
+                break
+            k -= 1
+    return Graph(n, list(t.edges) + [(u, v)])
 
 
 def random_simple_graph(n, p, rng):
@@ -67,19 +76,6 @@ def random_simple_graph(n, p, rng):
         if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def _probe_is_type1(g):
-    """Cheap type probe by greedy matchings; generation only, never verification."""
-    cycle = find_cycle(g)
-    for pt in pendant_trees(g, cycle):
-        if pt.tree.n < 2:
-            continue
-        whole = len(_greedy_forest_matching(pt.tree))
-        sub, _ = remove_vertices(pt.tree, {pt.root_local})
-        if len(_greedy_forest_matching(sub)) < whole:
-            return True  # root saturated by every maximum matching
-    return False
 
 
 def tree_corpus(count, n_min, n_max, seed):
@@ -107,7 +103,7 @@ def unicyclic_corpus(count, n_min, n_max, seed, balance=True, max_tries=25):
         g = None
         for _ in range(max_tries):
             g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
-            if _probe_is_type1(g) == want_type1:
+            if (classify_type(g).kind == "I") == want_type1:
                 break
         out.append(g)
     return out

@@ -24,15 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATree, UnknownVertex
-from .graphs import (
-    Shape,
-    _require_forest,
-    classify_shape,
-    connected_components,
-    induced_subgraph,
-    remove_vertices,
-    two_coloring,
-)
+from .graphs import Shape, _require_forest, classify_shape
 
 
 @dataclass(frozen=True)
@@ -148,52 +140,57 @@ def root_is_matched(t, v):
 
 
 def _n_component_sides(t, d):
-    """Bipartition sides of each N-forest component, in t's vertex ids."""
-    sub, label_map = induced_subgraph(t, d.n_forest_vertices)
+    """Bipartition sides of each N-forest component, in t's vertex ids.
+
+    Each component is 2-colored in place, starting from its smallest
+    vertex, whose side comes first.
+    """
+    n_part = d.n_forest_vertices
+    color = {}
     out = []
-    for comp, comp_map in connected_components(sub):
-        colors = two_coloring(comp)
-        side0 = frozenset(label_map[comp_map[i]] for i in range(comp.n) if colors[i] == 0)
-        side1 = frozenset(label_map[comp_map[i]] for i in range(comp.n) if colors[i] == 1)
-        if len(side0) != len(side1):
+    for s in sorted(n_part):
+        if s in color:
+            continue
+        color[s] = 0
+        sides = ([s], [])
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in t.neighbors(u):
+                if w in n_part and w not in color:
+                    color[w] = 1 - color[u]
+                    sides[color[w]].append(w)
+                    stack.append(w)
+        if len(sides[0]) != len(sides[1]):
             raise AssertionError("N-component bipartition sides differ in size")
-        out.append((side0, side1))
+        out.append((frozenset(sides[0]), frozenset(sides[1])))
     return out
 
 
-def independent_set_certificate(t, d, avoid=None):
+def independent_set_certificate(t, d, avoid=()):
     """A maximum independent set of a forest, built from its decomposition d.
 
     Takes all of Supp plus one bipartition side of each N-component (the
-    sides tie in size, so either works).  With avoid set, that vertex is
-    kept out of the result; this needs avoid outside Supp, since Supp
-    lies in every maximum independent set.
+    sides tie in size, so either works): the side holding the
+    component's smallest vertex, or the other one when that side holds a
+    vertex of avoid.  The vertices in avoid are kept out of the result;
+    this needs them outside Supp, since Supp lies in every maximum
+    independent set, and on one side of each N-component.
     """
-    if avoid is not None and avoid in d.supp:
+    avoid = frozenset(avoid)
+    if avoid & d.supp:
         raise ValueError("cannot avoid a support vertex in a maximum independent set")
     chosen = set(d.supp)
-    for side0, side1 in _n_component_sides(t, d):
-        if avoid in side0:
-            chosen |= side1
-        elif avoid in side1:
-            chosen |= side0
-        else:
-            chosen |= side0 if min(side0) < min(side1) else side1
-    if avoid is not None and avoid in chosen:
-        raise AssertionError("avoided vertex slipped into the certificate")
+    for first, second in _n_component_sides(t, d):
+        chosen |= second if avoid & first else first
+    if avoid & chosen:
+        raise ValueError("cannot avoid both sides of an N-component")
     return frozenset(chosen)
 
 
-def _map_edges(edge_set, label_map):
-    out = set()
-    for u, v in edge_set:
-        a, b = label_map[u], label_map[v]
-        out.add((min(a, b), max(a, b)))
-    return out
-
-
-def _greedy_forest_matching(t):
-    """Maximum matching of a forest by repeatedly pairing a leaf upward."""
+def matching_certificate(t):
+    """A maximum matching of a forest, by repeatedly pairing a leaf upward."""
+    _require_forest(t, "matching_certificate")
     n = t.n
     deg = [t.degree(v) for v in range(n)]
     alive = [True] * n
@@ -214,20 +211,4 @@ def _greedy_forest_matching(t):
                 deg[x] -= 1
                 if deg[x] <= 1:
                     stack.append(x)
-    return edges
-
-
-def matching_certificate(t, d, avoid=None):
-    """A maximum matching of a forest by the greedy leaf rule.
-
-    With avoid set, returns a maximum matching of t leaving that vertex
-    unsaturated; this needs avoid inside Supp of t's decomposition d,
-    the vertices some maximum matching misses.
-    """
-    _require_forest(t, "matching_certificate")
-    if avoid is None:
-        return frozenset(_greedy_forest_matching(t))
-    if avoid not in d.supp:
-        raise ValueError("can only leave a support vertex unsaturated")
-    sub, label_map = remove_vertices(t, {avoid})
-    return frozenset(_map_edges(_greedy_forest_matching(sub), label_map))
+    return frozenset(edges)

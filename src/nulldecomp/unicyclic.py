@@ -1,37 +1,37 @@
 """Type classification, singularity, alpha and nu for unicyclic graphs.
 
-A connected graph with exactly one cycle splits into pendant trees, one
-per cycle vertex.  The dichotomy: the graph is of type I when some cycle
-vertex is matched inside its own pendant tree (saturated by every
+A connected graph with exactly one cycle C splits into pendant trees,
+one per cycle vertex.  The dichotomy: the graph is of type I when some
+cycle vertex is matched inside its own pendant tree (saturated by every
 maximum matching of it), type II when every cycle vertex is mismatched.
 Pure cycles land in type II with nothing hanging off.
 
-Everything downstream keys off that split.  For type I with matched
-witness v, the graph behaves like the disjoint union of the pendant tree
-at v and the rest; for type II it behaves like the cycle plus the forest
-left after deleting the cycle.  Nullity, singularity, the independence
-number and the matching number all compose accordingly, and analyze()
-returns explicit certificates built the same way the composition works,
-then validates them.
+Everything is read off at most two spanning forests of G, both in G's
+own vertex ids:
+
+- off is G minus every edge at a cycle vertex, i.e. the forest G - C
+  with the cycle vertices left isolated.  A cycle vertex is matched in
+  its pendant tree iff one of its neighbors off the cycle lies in
+  Supp(off), so one decomposition of off gives the type, and the
+  witness is the smallest matched cycle vertex.  A type II graph
+  behaves like the cycle plus G - C, so its counts and certificates
+  all come from that same decomposition.
+- f is G minus the two cycle edges at the type I witness v: the pendant
+  tree T_v and G - T_v side by side, which is how a type I graph
+  behaves.  One more decomposition covers both.
+
+Each piece's part is the forest's decomposition restricted to the
+piece.  Nullity, singularity, the independence number and the matching
+number compose over the parts, and analyze() returns explicit
+certificates built from the same forests, then validates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    CycleInfo,
-    connected_components,
-    find_cycle,
-    pendant_trees,
-    remove_vertices,
-)
-from .trees import (
-    _map_edges,
-    decompose,
-    independent_set_certificate,
-    matching_certificate,
-)
+from .graphs import CycleInfo, Graph, _components, find_cycle
+from .trees import decompose, independent_set_certificate, matching_certificate
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class TypeVerdict:
 
 @dataclass(frozen=True)
 class PartAnalysis:
-    """Null decomposition of one piece of the split, in parent-graph ids.
+    """Null decomposition of one piece of the split, in the graph's ids.
 
     kind is "pendant" (the witness's tree, type I), "rest" (everything
     else, type I) or "component" (one tree of G minus the cycle, type
@@ -78,16 +78,18 @@ class UnicyclicAnalysis:
 
 
 def _classify(g, cycle):
-    """Smallest-id matched cycle vertex, with the pendant trees and the
-    decompositions of those tested (up to the witness) reused, by root."""
-    pts = {pt.root: pt for pt in pendant_trees(g, cycle)}
-    tested = {}
-    for v in sorted(cycle.vertices):
-        pt = pts[v]
-        tested[v] = decompose(pt.tree)
-        if pt.root_local not in tested[v].supp:
-            return TypeVerdict("I", v), pts, tested
-    return TypeVerdict("II", None), pts, tested
+    """Type verdict from one decomposition of off, with what analyze reuses.
+
+    Returns (verdict, off, d_off, attach); attach maps each vertex off
+    the cycle that has a cycle neighbor to that neighbor.
+    """
+    on = set(cycle.vertices)
+    off = Graph(g.n, [(u, v) for u, v in g.edges if u not in on and v not in on])
+    d_off = decompose(off)
+    attach = {w: v for v in cycle.vertices for w in g.neighbors(v) if w not in on}
+    matched = [v for w, v in attach.items() if w in d_off.supp]
+    verdict = TypeVerdict("I", min(matched)) if matched else TypeVerdict("II", None)
+    return verdict, off, d_off, attach
 
 
 def classify_type(g):
@@ -95,23 +97,21 @@ def classify_type(g):
     return _classify(g, find_cycle(g))[0]
 
 
-def _map_back(vertex_set, label_map):
-    return frozenset(label_map[v] for v in vertex_set)
-
-
-def _part_from(kind, root, d, label_map):
+def _part(kind, root, vertices, d):
+    """The piece on vertices, with the decomposition d of its forest restricted to it."""
+    vertices = frozenset(vertices)
     return PartAnalysis(
         kind=kind,
         root=root,
-        vertices=frozenset(label_map),
-        supp=_map_back(d.supp, label_map),
-        core=_map_back(d.core, label_map),
-        n_vertices=_map_back(d.n_forest_vertices, label_map),
+        vertices=vertices,
+        supp=d.supp & vertices,
+        core=d.core & vertices,
+        n_vertices=d.n_forest_vertices & vertices,
     )
 
 
-def _singularity(g, cycle, verdict, pieces):
-    """Verdict and reason from the pieces' decompositions.
+def _singularity(g, cycle, verdict, parts):
+    """Verdict and reason from the parts.
 
     A forest has a perfect matching exactly when its Supp is empty.
     Type I pieces are the pendant tree at the witness and the rest;
@@ -119,7 +119,7 @@ def _singularity(g, cycle, verdict, pieces):
     """
     if verdict.kind == "I":
         name = g.name_of(verdict.witness)
-        pm_pendant, pm_rest = (not d.supp for d in pieces)
+        pm_pendant, pm_rest = (not p.supp for p in parts)
         if pm_pendant and pm_rest:
             return False, (
                 f"type I at witness {name}: the pendant tree and the rest both "
@@ -133,7 +133,7 @@ def _singularity(g, cycle, verdict, pieces):
                 f"the rest after removing the pendant tree at {name} has no perfect matching"
             )
         return True, "type I: " + "; ".join(missing)
-    pm_forest = not any(d.supp for d in pieces)
+    pm_forest = not any(p.supp for p in parts)
     div4 = cycle.length % 4 == 0
     if pm_forest and not div4:
         return False, (
@@ -155,23 +155,10 @@ def _cycle_alternating_vertices(cycle):
 
 def _cycle_alternating_edges(cycle):
     verts = cycle.vertices
-    out = set()
-    for k in range(cycle.length // 2):
-        a, b = verts[2 * k], verts[2 * k + 1]
-        out.add((min(a, b), max(a, b)))
-    return frozenset(out)
-
-
-def _attachment_vertex(g, comp_vertices, cycle_set):
-    """The unique vertex of a cycle-deleted component adjacent to the cycle."""
-    hits = []
-    for u in comp_vertices:
-        for w in g.neighbors(u):
-            if w in cycle_set:
-                hits.append((u, w))
-    if len(hits) != 1:
-        raise AssertionError("component attaches to the cycle more than once")
-    return hits[0]
+    return frozenset(
+        (min(verts[i], verts[i + 1]), max(verts[i], verts[i + 1]))
+        for i in range(0, 2 * (cycle.length // 2), 2)
+    )
 
 
 def _validate_certificates(g, independent, matching, alpha, nu):
@@ -199,80 +186,57 @@ def _validate_certificates(g, independent, matching, alpha, nu):
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
-    Decomposes each piece once and reads off the type, the composed
-    nullity, the combinatorial singularity verdict, alpha and nu by the
-    closed formulas, the null decomposition of every piece (in original
-    vertex ids), and explicit certificates: an independent set of size
-    alpha and a matching of size nu, assembled from the pieces exactly
-    as the formulas compose and validated against the graph before
-    returning.
+    Decomposes off, and f for type I, once each and reads off the type,
+    the composed nullity, the combinatorial singularity verdict, alpha
+    and nu by the closed formulas, the null decomposition of every piece
+    (in the graph's vertex ids), and explicit certificates: an
+    independent set of size alpha and a matching of size nu, assembled
+    from the same forests exactly as the formulas compose and validated
+    against the graph before returning.
     """
     cycle = find_cycle(g)
-    pure = cycle.length == g.n
-    verdict, pts, tested = _classify(g, cycle)
+    on = set(cycle.vertices)
+    verdict, off, d_off, attach = _classify(g, cycle)
 
     if verdict.kind == "I":
         v = verdict.witness
-        pt = pts[v]
-        rest, rest_map = remove_vertices(g, pt.vertex_set())
-        d_pt, d_rest = tested[v], decompose(rest)
-        pieces = (d_pt, d_rest)
-        parts = (
-            _part_from("pendant", v, d_pt, pt.label_map),
-            _part_from("rest", None, d_rest, rest_map),
-        )
+        f = Graph(g.n, g.edges - {(min(v, w), max(v, w)) for w in g.neighbors(v) if w in on})
+        d = decompose(f)
+        a, b = _components(f)
+        pendant, rest = (a, b) if v in a else (b, a)
+        parts = (_part("pendant", v, pendant, d), _part("rest", None, rest, d))
         cycle_alpha = cycle_nu = cycle_nullity = 0
-        independent = _map_back(
-            independent_set_certificate(pt.tree, d_pt, avoid=pt.root_local), pt.label_map
-        ) | _map_back(independent_set_certificate(rest, d_rest), rest_map)
-        matching = _map_edges(matching_certificate(pt.tree, d_pt), pt.label_map) | _map_edges(
-            matching_certificate(rest, d_rest), rest_map
-        )
+        independent = independent_set_certificate(f, d, avoid={v})
+        matching = matching_certificate(f)
     else:
-        cycle_set = set(cycle.vertices)
-        forest, fmap = remove_vertices(g, cycle.vertices)
-        pieces = []
-        parts = []
-        independent = set(_cycle_alternating_vertices(cycle))
-        for comp, cmap in connected_components(forest):
-            full_map = tuple(fmap[x] for x in cmap)
-            u_orig, v_orig = _attachment_vertex(g, full_map, cycle_set)
-            d = decompose(comp)
-            pieces.append(d)
-            parts.append(_part_from("component", v_orig, d, full_map))
-            u_local = full_map.index(u_orig)
-            independent |= _map_back(
-                independent_set_certificate(comp, d, avoid=u_local), full_map
-            )
+        parts = tuple(
+            _part("component", attach[next(w for w in comp if w in attach)], comp, d_off)
+            for comp in _components(off)
+            if comp[0] not in on
+        )
         cycle_alpha = cycle_nu = cycle.length // 2
         cycle_nullity = 2 if cycle.length % 4 == 0 else 0
-        matching = set(_cycle_alternating_edges(cycle))
-        for w in cycle.vertices:
-            pt = pts[w]
-            if pt.tree.n >= 2:
-                matching |= _map_edges(
-                    matching_certificate(pt.tree, tested[w], avoid=pt.root_local),
-                    pt.label_map,
-                )
+        independent = _cycle_alternating_vertices(cycle) | (
+            independent_set_certificate(off, d_off, avoid=attach) - on
+        )
+        matching = _cycle_alternating_edges(cycle) | matching_certificate(off)
 
-    alpha = cycle_alpha + sum(d.alpha for d in pieces)
-    nu = cycle_nu + sum(d.nu for d in pieces)
-    nullity = cycle_nullity + sum(d.nullity for d in pieces)
-    singular, reason = _singularity(g, cycle, verdict, pieces)
-    independent = frozenset(independent)
-    matching = frozenset(matching)
+    alpha = cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts)
+    nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)
+    nullity = cycle_nullity + sum(len(p.supp) - len(p.core) for p in parts)
+    singular, reason = _singularity(g, cycle, verdict, parts)
     _validate_certificates(g, independent, matching, alpha, nu)
     return UnicyclicAnalysis(
         cycle=cycle,
         kind=verdict.kind,
         witness=verdict.witness,
-        pure_cycle=pure,
+        pure_cycle=cycle.length == g.n,
         singular=singular,
         singular_reason=reason,
         nullity=nullity,
         alpha=alpha,
         nu=nu,
-        parts=tuple(parts),
+        parts=parts,
         independent_set=independent,
         matching=matching,
     )

@@ -119,7 +119,7 @@ def test_criterion_6_certificates_all_valid(unicyclic_run, cycle_run):
         alpha = len(d.supp) + len(d.n_forest_vertices) // 2
         nu = len(d.core) + len(d.n_forest_vertices) // 2
         chosen = independent_set_certificate(t, d)
-        matching = matching_certificate(t, d)
+        matching = matching_certificate(t)
         ok = len(chosen) == alpha and len(matching) == nu
         ok = ok and not any(u in chosen and v in chosen for u, v in t.edges)
         seen = set()

@@ -30,6 +30,7 @@ from nulldecomp import (
     remove_vertices,
     two_coloring,
 )
+from nulldecomp.graphs import _components
 
 nx = pytest.importorskip("networkx")
 
@@ -243,6 +244,7 @@ class TestShapesAndComponents:
             h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges)
             comps = sorted((sorted(c) for c in nx.connected_components(h)), key=min)
+            assert _components(g) == comps
             assert connected_components(g) == [induced_by_edge_scan(g, c) for c in comps]
 
     def test_remove_vertices(self):

@@ -1,0 +1,44 @@
+"""The formula path stays apart from the oracles and from relabeled subgraphs.
+
+trees and unicyclic compute every count, verdict and certificate on
+forests in the graph's own ids; the exact kernel (linalg), the
+brute-force oracles and the subgraph builders belong to the checks.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nulldecomp
+
+SRC = Path(nulldecomp.__file__).parent
+ORACLE_MODULES = {"linalg", "oracles"}
+SUBGRAPH_BUILDERS = {
+    "induced_subgraph",
+    "remove_vertices",
+    "connected_components",
+    "pendant_trees",
+}
+
+
+def imports(module):
+    """(module, name) for every import in a package module's source."""
+    out = []
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            out.extend((source, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.extend((alias.name.rsplit(".", 1)[-1], None) for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", ["trees", "unicyclic"])
+def test_formula_path_imports_no_oracle_and_no_subgraph_builder(module):
+    found = imports(module)
+    assert found  # the parse saw the imports at all
+    for source, name in found:
+        assert source not in ORACLE_MODULES, (module, source, name)
+        assert name not in ORACLE_MODULES, (module, source, name)
+        assert name not in SUBGRAPH_BUILDERS, (module, source, name)

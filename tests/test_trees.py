@@ -214,11 +214,21 @@ class TestIndependentSetCertificate:
             for v in range(t.n):
                 if v in d.supp:
                     with pytest.raises(ValueError):
-                        independent_set_certificate(t, d, avoid=v)
+                        independent_set_certificate(t, d, avoid={v})
                 else:
-                    chosen = independent_set_certificate(t, d, avoid=v)
+                    chosen = independent_set_certificate(t, d, avoid={v})
                     assert v not in chosen
                     assert len(chosen) == d.alpha
+
+    def test_avoid_takes_a_collection(self):
+        # two P4 components, all N-vertices; sides {0, 2} / {1, 3} and {4, 6} / {5, 7}
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        d = decompose(g)
+        assert independent_set_certificate(g, d) == {0, 2, 4, 6}
+        assert independent_set_certificate(g, d, avoid=[2, 4]) == {1, 3, 5, 7}
+        assert independent_set_certificate(g, d, avoid={7}) == {0, 2, 4, 6}
+        with pytest.raises(ValueError):
+            independent_set_certificate(g, d, avoid={0, 3})  # both sides of one component
 
     def test_support_always_included(self):
         t = load_fixture("fig1_T1")
@@ -231,7 +241,7 @@ class TestMatchingCertificate:
         rng = random.Random(59)
         for _ in range(50):
             t = random_tree(rng.randrange(1, 16), rng)
-            m = matching_certificate(t, decompose(t))
+            m = matching_certificate(t)
             seen = set()
             for u, v in m:
                 assert t.has_edge(u, v)
@@ -240,29 +250,13 @@ class TestMatchingCertificate:
                 seen.add(v)
             assert len(m) == max_matching(t).size
 
-    def test_avoid_leaves_vertex_unsaturated_at_full_size(self):
-        rng = random.Random(61)
-        for _ in range(25):
-            t = random_tree(rng.randrange(2, 13), rng)
-            d = decompose(t)
-            for v in d.supp:
-                m = matching_certificate(t, d, avoid=v)
-                assert len(m) == d.nu
-                assert all(v not in pair for pair in m)
-
-    def test_avoid_requires_support_membership(self):
-        t = path_graph(3)
-        with pytest.raises(ValueError):
-            matching_certificate(t, decompose(t), avoid=1)  # the middle is always saturated
-
     def test_disconnected_input(self):
         g = Graph(5, [(0, 1), (2, 3)])
-        assert len(matching_certificate(g, decompose(g))) == 2
+        assert len(matching_certificate(g)) == 2
 
     def test_rejects_cycles(self):
-        # The forest check comes before d is read, so any decomposition will do.
         with pytest.raises(NotAForest):
-            matching_certificate(cycle_graph(4), decompose(Graph(4)))
+            matching_certificate(cycle_graph(4))
 
 
 class TestTreeSweep:

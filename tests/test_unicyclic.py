@@ -5,15 +5,19 @@ from itertools import combinations, product
 
 import pytest
 
+import nulldecomp.graphs
 import nulldecomp.linalg
 import nulldecomp.unicyclic
 from nulldecomp import (
     Graph,
     NotUnicyclic,
+    TypeVerdict,
     analyze,
     classify_type,
+    connected_components,
     cycle_graph,
     decompose,
+    find_cycle,
     max_independent_set,
     max_matching,
     nullity,
@@ -100,6 +104,21 @@ class TestClassify:
     def test_pure_cycles_are_type2(self):
         for n in (3, 4, 5, 8):
             assert classify_type(cycle_graph(n)).kind == "II"
+
+    def test_agrees_with_the_root_test_per_pendant_tree(self):
+        # The reference route: decompose each pendant tree on its own, in
+        # increasing root order, and stop at the first matched root.
+        kinds = set()
+        for n in range(3, 8):
+            for g in all_unicyclic(n):
+                want = TypeVerdict("II", None)
+                for pt in sorted(pendant_trees(g, find_cycle(g)), key=lambda p: p.root):
+                    if pt.root_local not in decompose(pt.tree).supp:
+                        want = TypeVerdict("I", pt.root)
+                        break
+                assert classify_type(g) == want, g.edges
+                kinds.add(want.kind)
+        assert kinds == {"I", "II"}
 
     def test_rejects_trees_and_multicyclic(self):
         with pytest.raises(NotUnicyclic):
@@ -228,8 +247,10 @@ class TestAnalyze:
     def test_decomposes_each_piece_once(self, monkeypatch):
         eliminations = []
         decompositions = []
+        subgraphs = []
         rref = nulldecomp.linalg.rref
         piece_decompose = nulldecomp.unicyclic.decompose
+        induced_subgraph = nulldecomp.graphs.induced_subgraph
 
         def counted_rref(m):
             eliminations.append(m.rows)
@@ -239,15 +260,56 @@ class TestAnalyze:
             decompositions.append(t.n)
             return piece_decompose(t)
 
+        def counted_induced_subgraph(g, vertices):
+            subgraphs.append(g.n)
+            return induced_subgraph(g, vertices)
+
         monkeypatch.setattr(nulldecomp.linalg, "rref", counted_rref)
         monkeypatch.setattr(nulldecomp.unicyclic, "decompose", counted_decompose)
-        g = load_fixture("fig6")
-        a = analyze(g)
+        monkeypatch.setattr(nulldecomp.graphs, "induced_subgraph", counted_induced_subgraph)
+        # type I: the forest off the cycle, then the witness split
+        a = analyze(load_fixture("fig6"))
         assert a.kind == "I"
+        assert len(decompositions) == 2
+        # type II: the forest off the cycle alone
+        decompositions.clear()
+        a = analyze(load_fixture("fig4"))
+        assert a.kind == "II"
+        assert len(decompositions) == 1
         assert eliminations == []  # the matching DP needs no elimination
-        tested = [c for c in sorted(a.cycle.vertices) if c <= a.witness]
-        # each pendant tree tested, then the rest
-        assert len(decompositions) == len(tested) + 1
+        assert subgraphs == []  # both forests keep the graph's ids
+
+    def test_parts_equal_the_pieces_decomposed_separately(self):
+        # The reference route builds each piece as a relabeled subgraph,
+        # decomposes it and maps the result back.
+        def mapped(d, label_map):
+            def back(vs):
+                return frozenset(label_map[x] for x in vs)
+
+            return (frozenset(label_map), back(d.supp), back(d.core), back(d.n_forest_vertices))
+
+        rng = random.Random(83)
+        kinds = set()
+        for _ in range(300):
+            g = random_unicyclic(rng.randrange(3, 40), rng)
+            a = analyze(g)
+            kinds.add(a.kind)
+            if a.kind == "I":
+                pt = next(p for p in pendant_trees(g, a.cycle) if p.root == a.witness)
+                rest, rest_map = remove_vertices(g, pt.vertex_set())
+                want = [
+                    mapped(decompose(pt.tree), pt.label_map),
+                    mapped(decompose(rest), rest_map),
+                ]
+            else:
+                forest, fmap = remove_vertices(g, a.cycle.vertices)
+                want = [
+                    mapped(decompose(comp), tuple(fmap[x] for x in cmap))
+                    for comp, cmap in connected_components(forest)
+                ]
+            got = [(p.vertices, p.supp, p.core, p.n_vertices) for p in a.parts]
+            assert got == want, g.edges
+        assert kinds == {"I", "II"}
 
     def test_witness_is_smallest_matched_cycle_vertex(self):
         # a single leaf saturates its cycle vertex, so 0 and 1 are both
