@@ -7,9 +7,10 @@ Subcommands:
   fixtures  recheck the bundled examples against their frozen values
 
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
-input did not parse, NULLDECOMP_MAX_N is not an integer, or the --dot
-file cannot be written, 3 the input is unsupported (wrong shape, no
-vertices, or past the size guard for oracle cross-checks).
+input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
+integer, or the --dot file cannot be written, 3 the input is unsupported
+(wrong shape, no vertices, or past the size guard for oracle
+cross-checks).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_analyze(args):
         return 2
     try:
         text = _read_input(args.path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

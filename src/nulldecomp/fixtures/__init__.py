@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ..graphs import Shape, classify_shape, parse_edge_list, pendant_trees
-from ..linalg import nullity, support
+from ..linalg import null_basis, nullity
 from ..oracles import eg_set
 from ..trees import decompose
 from ..unicyclic import analyze
@@ -205,7 +205,7 @@ def check_fixture(name):
             for root_name, want_supp in exp["pendant_supports"].items():
                 pt = pts[ids[root_name]]
                 got_supp = sorted(
-                    g.name_of(pt.label_map[v]) for v in support(pt.tree)
+                    g.name_of(pt.label_map[v]) for v in null_basis(pt.tree).support
                 )
                 row(f"pendant tree at {root_name} supp", got_supp, sorted(want_supp))
 

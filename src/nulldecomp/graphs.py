@@ -2,8 +2,10 @@
 
 Vertices of an n-vertex graph are always 0..n-1.  Subgraph extraction
 relabels densely and reports a label map (new id -> old id) so callers can
-translate results back.  Optional display names ride along for fixtures
-whose vertices carry names like "v1" or "a".
+translate results back; the relabelled subgraphs serve only the oracle
+side (oracles, sweeps, fixtures) and the tests, since the formula path
+works in the graph's own ids.  Optional display names ride along for
+fixtures whose vertices carry names like "v1" or "a".
 """
 
 from __future__ import annotations
@@ -140,17 +142,14 @@ class PendantTree:
     def root_local(self):
         return self.label_map.index(self.root)
 
-    def vertex_set(self):
-        return frozenset(self.label_map)
-
 
 def parse_edge_list(text):
     """Parse the edge-list format into a Graph.
 
     Lines are "u v" integer pairs.  Blank lines and "#" comments are
-    ignored.  Optional headers: "n=<count>" fixes the vertex count (else
-    max label + 1 is used) and "labels=a,b,c" attaches display names,
-    which must be distinct.
+    ignored.  Optional headers, each at most once: "n=<count>" fixes the
+    vertex count (else max label + 1 is used) and "labels=a,b,c" attaches
+    display names, which must be distinct.
     """
     n_header = None
     labels = None
@@ -162,6 +161,8 @@ def parse_edge_list(text):
         if not line or line.startswith("#"):
             continue
         if line.startswith("n="):
+            if n_header is not None:
+                raise MalformedLine(f"line {lineno}: repeated n= header")
             try:
                 n_header = int(line[2:])
             except ValueError:
@@ -170,6 +171,8 @@ def parse_edge_list(text):
                 raise MalformedLine(f"line {lineno}: negative vertex count")
             continue
         if line.startswith("labels="):
+            if labels is not None:
+                raise MalformedLine(f"line {lineno}: repeated labels= header")
             labels = [s.strip() for s in line[len("labels="):].split(",")]
             if len(set(labels)) != len(labels):
                 raise MalformedLine(f"line {lineno}: duplicate vertex name in {line!r}")
@@ -448,7 +451,8 @@ def export_dot(g, roles=None):
     roles = roles or {}
     lines = ["graph nulldecomp {", "  node [shape=circle];"]
     for v in range(g.n):
-        attrs = ['label="{}"'.format(g.name_of(v).replace('"', '\\"'))]
+        name = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{name}"']
         role = roles.get(v)
         if role is not None and role != Role.PLAIN:
             attrs.append(_ROLE_ATTRS[Role(role)])

@@ -1,14 +1,17 @@
-"""Exact rational linear algebra for adjacency matrices.
+"""Exact adjacency kernels, the independent check on the matching DP.
 
 Everything runs over Q with arbitrary-precision integers underneath
 (fractions.Fraction); no floating point appears anywhere.  Support
 membership is a zero-versus-nonzero question, so any epsilon would be
-unsound.
+unsound.  The formula path never comes here: the sweeps, `analyze
+--verify` and the fixtures compare its Supp and nullity with the kernel
+of the adjacency matrix.
 
 rref does fraction-free (Bareiss) forward elimination on integer-scaled
 rows, which keeps intermediate entries to exact minors of the input, then
-normalizes to reduced row-echelon form with rational back-substitution.
-Pivoting is first-nonzero in column order, never by magnitude.
+normalizes to reduced row-echelon form with rational back-substitution,
+and returns the pivot columns it found.  Pivoting is first-nonzero in
+column order, never by magnitude.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,25 +39,6 @@ class RationalMatrix:
         self.cols = cols
         self.entries = entries
 
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
-
-    def entry(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -74,27 +56,12 @@ class RationalMatrix:
             out.append(s)
         return tuple(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
-        )
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
 
 @dataclass(frozen=True)
 class NullBasis:
     """Canonical kernel basis: one vector per free column, unit there."""
 
     vectors: tuple
-    n: int
 
     @property
     def nullity(self):
@@ -122,7 +89,11 @@ def adjacency_matrix(g):
 
 
 def rref(m):
-    """Reduced row-echelon form over Q, exactly.  Returns (matrix, rank)."""
+    """Reduced row-echelon form over Q, exactly.
+
+    Returns (matrix, pivot columns); row i of the result has its leading
+    1 in the i-th pivot column, and the rank is the number of pivots.
+    """
     rows, cols = m.rows, m.cols
     work = []
     for i in range(rows):
@@ -161,12 +132,13 @@ def rref(m):
                 if rem:
                     raise ArithmeticError("fraction-free elimination lost exactness")
                 wi[j] = q
-        pivots.append((r, c))
+        pivots.append(c)
         prev = piv
         r += 1
 
     red = [[Fraction(x) for x in row] for row in work]
-    for pr, pc in reversed(pivots):
+    for pr in reversed(range(len(pivots))):
+        pc = pivots[pr]
         piv = red[pr][pc]
         if piv != 1:
             red[pr] = [x / piv for x in red[pr]]
@@ -176,71 +148,43 @@ def rref(m):
             if f:
                 red[i] = [a - f * b for a, b in zip(red[i], prow)]
     flat = [x for row in red for x in row]
-    return RationalMatrix(rows, cols, flat), len(pivots)
-
-
-def _pivot_columns(reduced, rank):
-    cols = []
-    for i in range(rank):
-        row = reduced.row(i)
-        j = next(k for k, x in enumerate(row) if x != 0)
-        cols.append(j)
-    return cols
-
-
-def kernel_basis(m):
-    """Canonical kernel basis of any rational matrix.
-
-    One vector per free column f, with coordinate 1 at f, the negated
-    reduced-row entries at the pivot columns, and 0 elsewhere; vectors
-    ordered by free column.
-    """
-    reduced, rank = rref(m)
-    pivcols = _pivot_columns(reduced, rank)
-    pivset = set(pivcols)
-    vectors = []
-    for f in range(m.cols):
-        if f in pivset:
-            continue
-        vec = [_ZERO] * m.cols
-        vec[f] = _ONE
-        for i, pc in enumerate(pivcols):
-            x = reduced.entry(i, f)
-            if x:
-                vec[pc] = -x
-        vectors.append(tuple(vec))
-    return vectors, rank
+    return RationalMatrix(rows, cols, flat), pivots
 
 
 def nullity(g):
     """dim ker A(g), exactly."""
-    _, rank = rref(adjacency_matrix(g))
-    return g.n - rank
+    _, pivots = rref(adjacency_matrix(g))
+    return g.n - len(pivots)
 
 
 def null_basis(g):
     """Canonical kernel basis of A(g), verified exactly before returning.
 
-    Each vector is checked to satisfy A x = 0 coordinate by coordinate;
-    a failure would be an internal bug and raises ArithmeticError.
+    One vector per free column f, with coordinate 1 at f, the negated
+    reduced-row entries at the pivot columns, and 0 elsewhere; vectors
+    ordered by free column.  Each vector is checked to satisfy A x = 0
+    coordinate by coordinate; a failure would be an internal bug and
+    raises ArithmeticError.
     """
-    vectors, rank = kernel_basis(adjacency_matrix(g))
+    n = g.n
+    reduced, pivots = rref(adjacency_matrix(g))
+    pivset = set(pivots)
+    vectors = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        vec = [_ZERO] * n
+        vec[f] = _ONE
+        for i, pc in enumerate(pivots):
+            x = reduced.entries[i * n + f]
+            if x:
+                vec[pc] = -x
+        vectors.append(tuple(vec))
     for vec in vectors:
-        for i in range(g.n):
+        for i in range(n):
             s = _ZERO
             for w in g.neighbors(i):
                 s += vec[w]
             if s != 0:
                 raise ArithmeticError("kernel vector fails A x = 0")
-    if len(vectors) != g.n - rank:
-        raise AssertionError("kernel dimension disagrees with rank")
-    return NullBasis(tuple(vectors), g.n)
-
-
-def support(g):
-    """Vertices carrying a nonzero coordinate in some kernel vector.
-
-    Basis-independent: a vertex coordinate vanishes on one basis of the
-    kernel iff it vanishes on the whole kernel.
-    """
-    return null_basis(g).support
+    return NullBasis(tuple(vectors))

@@ -55,13 +55,6 @@ class Matching:
     def size(self):
         return len(self.edges)
 
-    def saturated(self):
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
     def is_valid_for(self, g):
         seen = set()
         for u, v in self.edges:

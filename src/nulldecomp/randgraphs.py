@@ -15,6 +15,8 @@ import random
 from .graphs import Graph
 from .unicyclic import classify_type
 
+_TRIES = 25
+
 
 def random_tree(n, rng):
     """Uniform labeled tree on n >= 1 vertices."""
@@ -84,11 +86,11 @@ def tree_corpus(count, n_min, n_max, seed):
     return [random_tree(rng.randrange(n_min, n_max + 1), rng) for _ in range(count)]
 
 
-def unicyclic_corpus(count, n_min, n_max, seed, balance=True, max_tries=25):
-    """Seeded list of random unicyclic graphs, type-balanced when asked.
+def unicyclic_corpus(count, n_min, n_max, seed):
+    """Seeded list of random unicyclic graphs, type-balanced.
 
-    Alternates the wanted type and rejection-samples up to max_tries per
-    instance, falling back to the last candidate so generation always
+    Alternates the wanted type and rejection-samples up to 25 candidates
+    per instance, falling back to the last one so generation always
     terminates.
     """
     if n_min < 3:
@@ -96,12 +98,8 @@ def unicyclic_corpus(count, n_min, n_max, seed, balance=True, max_tries=25):
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        if not balance:
-            out.append(random_unicyclic(rng.randrange(n_min, n_max + 1), rng))
-            continue
         want_type1 = i % 2 == 0
-        g = None
-        for _ in range(max_tries):
+        for _ in range(_TRIES):
             g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
             if (classify_type(g).kind == "I") == want_type1:
                 break

@@ -39,7 +39,6 @@ TREE_INVARIANTS = (
     "N-vertex flexibility",
     "S components singular, N components matched",
     "alpha + nu = n",
-    "matched root iff outside support",
     "kernel vectors exact",
 )
 
@@ -132,16 +131,6 @@ def check_tree_instance(t):
     checks["S components singular, N components matched"] = ok
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n
-
-    # Dual route for the root test: matching oracle vs the decomposed support.
-    ok = True
-    if len(t.edges) == t.n - 1 and t.n >= 1:  # connected, i.e. a tree
-        for v in range(t.n):
-            if mismatched_in(t, v) != (v in d.supp):
-                ok = False
-                break
-    checks["matched root iff outside support"] = ok
-
     checks["kernel vectors exact"] = kernel_vectors_exact(t, basis)
     return checks
 

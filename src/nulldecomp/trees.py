@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotATree, UnknownVertex
-from .graphs import Shape, _require_forest, classify_shape
+from .graphs import _require_forest
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,6 @@ def decompose(t):
         n_forest_vertices=n_part,
         nullity=len(supp) - len(core),
     )
-
-
-def root_is_matched(t, v):
-    """True iff every maximum matching of the tree t saturates v.
-
-    Equivalent to v lying outside Supp(t).  A single-vertex tree is
-    mismatched at its vertex, so this returns False there.
-    """
-    if classify_shape(t) != Shape.TREE:
-        raise NotATree("root_is_matched expects a tree")
-    if not 0 <= v < t.n:
-        raise UnknownVertex(f"vertex {v} outside 0..{t.n - 1}")
-    return v not in decompose(t).supp
 
 
 def _n_component_sides(t, d):

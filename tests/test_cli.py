@@ -112,6 +112,19 @@ class TestAnalyze:
         assert code == 2 and not out
         assert "duplicate vertex name" in err
 
+    def test_repeated_header_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=2\nn=3\n0 1\n"))
+        code, out, err = run(capsys, "analyze")
+        assert code == 2 and not out
+        assert err == "error: line 2: repeated n= header\n"
+
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "g.edges"
+        target.write_bytes(b"0 1\n\xff\n")
+        code, out, err = run(capsys, "analyze", str(target))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_non_integer_size_guard_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
         code, out, err = run(capsys, "analyze", "--verify", FIG1)

@@ -17,20 +17,22 @@ from nulldecomp import (
     TruncatedPayload,
     UnknownVertex,
     classify_shape,
-    connected_components,
     export_dot,
     find_cycle,
     format_edge_list,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
-    pendant_trees,
-    random_simple_graph,
     random_unicyclic,
+)
+from nulldecomp.graphs import (
+    _components,
+    connected_components,
+    induced_subgraph,
+    pendant_trees,
     remove_vertices,
     two_coloring,
 )
-from nulldecomp.graphs import _components
+from nulldecomp.randgraphs import random_simple_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -131,6 +133,12 @@ class TestEdgeListFormat:
             parse_edge_list("n=2\n0 5\n")
         with pytest.raises(MalformedLine, match="labels"):
             parse_edge_list("n=3\nlabels=a,b\n0 1\n")
+
+    def test_repeated_headers_rejected(self):
+        with pytest.raises(MalformedLine, match="line 2: repeated n= header"):
+            parse_edge_list("n=2\nn=3\n0 1\n")
+        with pytest.raises(MalformedLine, match="line 3: repeated labels= header"):
+            parse_edge_list("labels=a,b\n0 1\nlabels=c,d\n")
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(MalformedLine, match="line 1: duplicate vertex name"):
@@ -311,7 +319,7 @@ class TestPendantTrees:
         total = 0
         for pt in pts:
             assert pt.label_map[pt.root_local] == pt.root
-            union |= pt.vertex_set()
+            union |= set(pt.label_map)
             total += pt.tree.n
         assert union == set(range(7)) and total == 7
 
@@ -322,10 +330,11 @@ class TestPendantTrees:
 
 class TestDotExport:
     def test_roles_and_escaping(self):
-        g = Graph(3, [(0, 1), (1, 2)], labels=['say "hi"', "b", "c"])
+        g = Graph(4, [(0, 1), (1, 2)], labels=['say "hi"', "b", "c", "a\\"])
         out = export_dot(g, {0: Role.SUPPORT, 1: Role.CORE, 2: Role.N_VERTEX})
         assert "shape=box" in out and "shape=doublecircle" in out and "shape=star" in out
         assert '\\"hi\\"' in out
+        assert '  3 [label="a\\\\"];' in out  # a trailing backslash must not escape the quote
         assert "0 -- 1;" in out and "1 -- 2;" in out
 
     def test_plain_default(self):

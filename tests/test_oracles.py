@@ -10,20 +10,22 @@ from nulldecomp import (
     NotATree,
     TooLarge,
     UnknownVertex,
-    cycle_graph,
     eg_set,
     find_cycle,
-    has_augmenting_path,
-    has_perfect_matching,
     max_independent_set,
     max_matching,
-    mismatched_in,
-    pendant_trees,
-    random_simple_graph,
     random_tree,
-    size_limit,
 )
 from nulldecomp.fixtures import load_fixture
+from nulldecomp.graphs import pendant_trees
+from nulldecomp.oracles import (
+    has_augmenting_path,
+    has_perfect_matching,
+    mismatched_in,
+    size_limit,
+)
+from nulldecomp.randgraphs import random_simple_graph
+from nulldecomp.sweeps import cycle_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -120,10 +122,6 @@ class TestMaxMatching:
         )
         assert max_matching(g).size == 4
 
-    def test_saturated_vertices(self):
-        m = max_matching(path_graph(4))
-        assert m.saturated() == {0, 1, 2, 3}
-
     def test_matching_validity_helper(self):
         g = path_graph(3)
         assert Matching(frozenset({(0, 1)})).is_valid_for(g)
@@ -180,6 +178,14 @@ class TestEgSet:
 
     def test_odd_cycle_every_vertex_missable(self):
         assert eg_set(cycle_graph(5)) == frozenset(range(5))
+
+    def test_agrees_with_mismatched_in_on_random_trees(self):
+        # The tree sweep reads Supp against eg_set alone; this keeps the
+        # per-vertex route of mismatched_in pinned to the same set.
+        rng = random.Random(43)
+        for _ in range(200):
+            t = random_tree(rng.randrange(1, 15), rng)
+            assert {v for v in range(t.n) if mismatched_in(t, v)} == eg_set(t)
 
 
 class TestMismatchedIn:

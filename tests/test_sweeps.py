@@ -1,18 +1,17 @@
 """Sweep plumbing: per-instance checkers and failure aggregation."""
 
-from nulldecomp import (
+from nulldecomp import Graph, SweepOutcome, null_basis
+from nulldecomp.sweeps import (
     CYCLE_INVARIANTS,
     TREE_INVARIANTS,
     UNICYCLIC_INVARIANTS,
-    Graph,
-    SweepOutcome,
     check_cycle_instance,
     check_tree_instance,
     check_unicyclic_instance,
     cycle_graph,
-    null_basis,
+    kernel_vectors_exact,
+    run_sweep,
 )
-from nulldecomp.sweeps import kernel_vectors_exact, run_sweep
 
 
 def test_tree_checker_emits_every_invariant():

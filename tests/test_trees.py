@@ -8,8 +8,6 @@ import pytest
 from nulldecomp import (
     Graph,
     NotAForest,
-    NotATree,
-    cycle_graph,
     decompose,
     independent_set_certificate,
     matching_certificate,
@@ -17,10 +15,10 @@ from nulldecomp import (
     max_matching,
     null_basis,
     random_tree,
-    root_is_matched,
     tree_sweep,
 )
 from nulldecomp.fixtures import load_fixture
+from nulldecomp.sweeps import cycle_graph
 
 
 def path_graph(n):
@@ -176,24 +174,6 @@ class TestCounts:
             t = random_tree(rng.randrange(1, 16), rng)
             d = decompose(t)
             assert d.alpha + d.nu == t.n
-
-
-class TestRootIsMatched:
-    def test_path_two_both_matched(self):
-        t = path_graph(2)
-        assert root_is_matched(t, 0) and root_is_matched(t, 1)
-
-    def test_path_three(self):
-        t = path_graph(3)
-        assert not root_is_matched(t, 0)
-        assert root_is_matched(t, 1)
-
-    def test_single_vertex_is_mismatched(self):
-        assert not root_is_matched(Graph(1), 0)
-
-    def test_requires_a_tree(self):
-        with pytest.raises(NotATree):
-            root_is_matched(Graph(4, [(0, 1), (2, 3)]), 0)
 
 
 class TestIndependentSetCertificate:

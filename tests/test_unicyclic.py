@@ -14,19 +14,17 @@ from nulldecomp import (
     TypeVerdict,
     analyze,
     classify_type,
-    connected_components,
-    cycle_graph,
     decompose,
     find_cycle,
     max_independent_set,
     max_matching,
     nullity,
-    pendant_trees,
     random_unicyclic,
-    remove_vertices,
     unicyclic_sweep,
 )
 from nulldecomp.fixtures import load_fixture
+from nulldecomp.graphs import connected_components, pendant_trees, remove_vertices
+from nulldecomp.sweeps import cycle_graph
 
 
 def paw():
@@ -177,7 +175,7 @@ class TestCountsByWitness:
         pt = next(p for p in pendant_trees(g, a.cycle) if p.root == u)
         d_pt = decompose(pt.tree)
         assert pt.root_local not in d_pt.supp  # u is matched in its pendant tree
-        d_rest = decompose(remove_vertices(g, pt.vertex_set())[0])
+        d_rest = decompose(remove_vertices(g, pt.label_map)[0])
         assert d_pt.alpha + d_rest.alpha == a.alpha == 9
         assert d_pt.nu + d_rest.nu == a.nu == 4
 
@@ -296,7 +294,7 @@ class TestAnalyze:
             kinds.add(a.kind)
             if a.kind == "I":
                 pt = next(p for p in pendant_trees(g, a.cycle) if p.root == a.witness)
-                rest, rest_map = remove_vertices(g, pt.vertex_set())
+                rest, rest_map = remove_vertices(g, pt.label_map)
                 want = [
                     mapped(decompose(pt.tree), pt.label_map),
                     mapped(decompose(rest), rest_map),
