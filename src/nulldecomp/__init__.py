@@ -41,11 +41,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .linalg import (
-    NullBasis,
-    null_basis,
-    nullity,
-)
+from .linalg import NullBasis, null_basis
 from .oracles import (
     Matching,
     eg_set,
@@ -119,7 +115,6 @@ __all__ = [
     "max_independent_set",
     "max_matching",
     "null_basis",
-    "nullity",
     "parse_edge_list",
     "parse_graph6",
     "random_tree",

@@ -30,7 +30,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .linalg import null_basis, nullity
+from .linalg import null_basis
 from .oracles import eg_set, max_independent_set, max_matching, size_limit
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import (
@@ -176,7 +176,7 @@ def cmd_analyze(args):
 
         def verification():
             oracle_alpha, _ = max_independent_set(g)
-            direct = nullity(g)
+            direct = null_basis(g).nullity
             return {
                 "alpha vs oracle": a.alpha == oracle_alpha,
                 "nu vs oracle": a.nu == max_matching(g).size,

@@ -19,7 +19,6 @@ from .errors import (
     DuplicateEdge,
     EmptyGraph,
     MalformedLine,
-    NotAForest,
     NotUnicyclic,
     SelfLoop,
     TruncatedPayload,
@@ -86,12 +85,32 @@ class Graph:
     def name_of(self, v):
         return self.labels[v] if self.labels is not None else str(v)
 
-    def without_edge(self, u, v):
-        """Copy with one edge removed (vertex ids unchanged)."""
-        key = (u, v) if u < v else (v, u)
-        if key not in self.edges:
-            raise UnknownVertex(f"edge {key} not in graph")
-        return Graph(self.n, self.edges - {key}, labels=self.labels)
+    def without_edges(self, removed):
+        """Copy with the given edges removed (vertex ids and labels unchanged).
+
+        Edges may come in either endpoint order; one not in the graph
+        raises UnknownVertex.  Only the touched vertices' neighbor sets
+        are rebuilt, and nothing is re-validated, since deleting edges
+        keeps a valid graph valid.
+        """
+        gone = {}
+        keys = set()
+        for u, v in removed:
+            key = (u, v) if u < v else (v, u)
+            if key not in self.edges:
+                raise UnknownVertex(f"edge {key} not in graph")
+            keys.add(key)
+            gone.setdefault(u, set()).add(v)
+            gone.setdefault(v, set()).add(u)
+        adj = list(self._adj)
+        for v, ws in gone.items():
+            adj[v] = adj[v] - ws
+        out = object.__new__(Graph)
+        out.n = self.n
+        out.edges = self.edges - keys
+        out._adj = tuple(adj)
+        out.labels = self.labels
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -285,13 +304,6 @@ def _components(g):
 def connected_components(g):
     """Induced component subgraphs with label maps, by smallest member id."""
     return [induced_subgraph(g, comp) for comp in _components(g)]
-
-
-def _require_forest(t, op):
-    if t.n == 0:
-        return
-    if len(t.edges) != t.n - len(_components(t)):
-        raise NotAForest(f"{op} needs an acyclic graph")
 
 
 def classify_shape(g):

@@ -5,7 +5,9 @@ Everything runs over Q with arbitrary-precision integers underneath
 membership is a zero-versus-nonzero question, so any epsilon would be
 unsound.  The formula path never comes here: the sweeps, `analyze
 --verify` and the fixtures compare its Supp and nullity with the kernel
-of the adjacency matrix.
+of the adjacency matrix.  null_basis is the one route to that kernel:
+callers read its .nullity and .support, and it checks A x = 0 for every
+vector before returning.
 
 rref does fraction-free (Bareiss) forward elimination on integer-scaled
 rows, which keeps intermediate entries to exact minors of the input, then
@@ -41,20 +43,6 @@ class RationalMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def apply(self, vec):
-        """Matrix-vector product, exact."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = _ZERO
-            for j, x in enumerate(vec):
-                if x:
-                    s += self.entries[base + j] * x
-            out.append(s)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -149,12 +137,6 @@ def rref(m):
                 red[i] = [a - f * b for a, b in zip(red[i], prow)]
     flat = [x for row in red for x in row]
     return RationalMatrix(rows, cols, flat), pivots
-
-
-def nullity(g):
-    """dim ker A(g), exactly."""
-    _, pivots = rref(adjacency_matrix(g))
-    return g.n - len(pivots)
 
 
 def null_basis(g):

@@ -2,8 +2,7 @@
 
 These exist to cross-check the closed formulas, so they avoid the null
 decomposition machinery entirely: independence via branch-and-bound over
-bitmasks, matchings via augmenting paths with an odd-cycle case split,
-perfect matchings on forests via the greedy leaf rule.
+bitmasks, matchings via augmenting paths with an odd-cycle case split.
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from .errors import NotATree, TooLarge, UnknownVertex
 from .graphs import (
     Shape,
-    _require_forest,
     classify_shape,
     connected_components,
     find_cycle,
@@ -180,7 +178,7 @@ def _component_matching(comp):
         verts = cyc.vertices
         for k in range(cyc.length):
             a, b = verts[k], verts[(k + 1) % cyc.length]
-            tree = comp.without_edge(a, b)
+            tree = comp.without_edges([(a, b)])
             m = _kuhn_matching(tree, two_coloring(tree))
             if best is None or len(m) > len(best):
                 best = m
@@ -233,40 +231,6 @@ def has_augmenting_path(g, matching):
         return step(start)
 
     return any(search(s) for s in free)
-
-
-def has_perfect_matching(t):
-    """Perfect-matching test on forests by the greedy leaf rule.
-
-    Repeatedly match a leaf to its one live neighbor; fail the moment a
-    vertex goes isolated while unmatched.  Exact on forests; the empty
-    forest counts as perfectly matched, a single vertex does not.
-    """
-    _require_forest(t, "has_perfect_matching")
-    n = t.n
-    if n == 0:
-        return True
-    if n % 2:
-        return False
-    deg = [t.degree(v) for v in range(n)]
-    alive = [True] * n
-    stack = [v for v in range(n) if deg[v] <= 1]
-    matched = 0
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        if deg[v] == 0:
-            return False
-        w = next(x for x in t.neighbors(v) if alive[x])
-        alive[v] = alive[w] = False
-        matched += 2
-        for x in t.neighbors(w):
-            if alive[x]:
-                deg[x] -= 1
-                if deg[x] <= 1:
-                    stack.append(x)
-    return matched == n
 
 
 def eg_set(g):

@@ -10,7 +10,9 @@ out by counting:
     nu(F)    = |Core| + |V(N-forest)| / 2
 
 Both are additive over components, so everything here accepts arbitrary
-forests, the empty graph included.
+forests, the empty graph included.  A graph with a cycle raises
+NotAForest: _forest_order, the walk the DP runs on, counts the
+components, and a forest has exactly n - components edges.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _require_forest
+from .errors import NotAForest
 
 
 @dataclass(frozen=True)
@@ -53,24 +55,23 @@ class NullDecomposition:
         return len(self.core) + len(self.n_forest_vertices) // 2
 
 
-def _matching_support(t):
-    """Vertices of the forest t that some maximum matching misses.
+def _forest_order(t, op):
+    """(order, parent) of a walk over every component of t.
 
-    Rerooting DP, iterative, over each component rooted at its smallest
-    vertex.  Bottom-up, a vertex is missable in its own subtree iff none
-    of its children is; missable_children counts the children that are.
-    Top-down, free_up[c] says whether c's parent p is missable in the
-    tree with c's subtree cut off: p has no missable child besides c and
-    free_up[p] is false.  v is missable in the whole tree, i.e. in Supp,
-    iff it has no missable child and free_up[v] is false.
+    Each component is rooted at its smallest vertex; order lists every
+    vertex after its parent, and a root's parent is -1.  The walk counts
+    the components, so it also checks that t is a forest (n - components
+    edges) and raises NotAForest, naming op, when it is not.
     """
     n = t.n
     parent = [-1] * n
     seen = [False] * n
-    order = []  # every vertex after its parent
+    order = []
+    roots = 0
     for r in range(n):
         if seen[r]:
             continue
+        roots += 1
         seen[r] = True
         stack = [r]
         while stack:
@@ -81,6 +82,25 @@ def _matching_support(t):
                     seen[w] = True
                     parent[w] = u
                     stack.append(w)
+    if len(t.edges) != n - roots:
+        raise NotAForest(f"{op} needs an acyclic graph")
+    return order, parent
+
+
+def _matching_support(t):
+    """Vertices of the forest t that some maximum matching misses.
+
+    Rerooting DP over the walk of _forest_order, which raises
+    NotAForest on a cycle.  Bottom-up, a vertex is missable in its own
+    subtree iff none of its children is; missable_children counts the
+    children that are.  Top-down, free_up[c] says whether c's parent p
+    is missable in the tree with c's subtree cut off: p has no missable
+    child besides c and free_up[p] is false.  v is missable in the whole
+    tree, i.e. in Supp, iff it has no missable child and free_up[v] is
+    false.
+    """
+    n = t.n
+    order, parent = _forest_order(t, "decompose")
     missable_children = [0] * n
     for v in reversed(order):
         if not missable_children[v] and parent[v] >= 0:
@@ -105,7 +125,6 @@ def decompose(t):
     disjoint from Core, even N-part) are re-checked before returning; a
     violation would mean a bug in the DP.
     """
-    _require_forest(t, "decompose")
     supp = _matching_support(t)
     core = set()
     for v in supp:
@@ -175,8 +194,9 @@ def independent_set_certificate(t, d, avoid=()):
 
 
 def matching_certificate(t):
-    """A maximum matching of a forest, by repeatedly pairing a leaf upward."""
-    _require_forest(t, "matching_certificate")
+    """A maximum matching of a forest, by repeatedly pairing a leaf upward;
+    raises NotAForest on cycles."""
+    _forest_order(t, "matching_certificate")
     n = t.n
     deg = [t.degree(v) for v in range(n)]
     alive = [True] * n

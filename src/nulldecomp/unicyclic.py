@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CycleInfo, Graph, _components, find_cycle
+from .graphs import CycleInfo, _components, find_cycle
 from .trees import decompose, independent_set_certificate, matching_certificate
 
 
@@ -84,7 +84,7 @@ def _classify(g, cycle):
     the cycle that has a cycle neighbor to that neighbor.
     """
     on = set(cycle.vertices)
-    off = Graph(g.n, [(u, v) for u, v in g.edges if u not in on and v not in on])
+    off = g.without_edges([(v, w) for v in cycle.vertices for w in g.neighbors(v)])
     d_off = decompose(off)
     attach = {w: v for v in cycle.vertices for w in g.neighbors(v) if w not in on}
     matched = [v for w, v in attach.items() if w in d_off.supp]
@@ -200,7 +200,7 @@ def analyze(g):
 
     if verdict.kind == "I":
         v = verdict.witness
-        f = Graph(g.n, g.edges - {(min(v, w), max(v, w)) for w in g.neighbors(v) if w in on})
+        f = g.without_edges([(v, w) for w in g.neighbors(v) if w in on])
         d = decompose(f)
         a, b = _components(f)
         pendant, rest = (a, b) if v in a else (b, a)

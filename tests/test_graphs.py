@@ -86,12 +86,27 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, labels=["a"])
 
-    def test_without_edge(self):
+    def test_without_edges(self):
         g = cycle(4)
-        t = g.without_edge(3, 0)
-        assert classify_shape(t) == Shape.TREE
-        with pytest.raises(UnknownVertex):
-            g.without_edge(0, 2)
+        assert classify_shape(g.without_edges([(3, 0)])) == Shape.TREE
+        rng = random.Random(29)
+        for _ in range(200):
+            g = random_simple_graph(rng.randrange(0, 14), rng.random(), rng)
+            if rng.random() < 0.5:
+                g = Graph(g.n, g.edges, labels=[f"x{v}" for v in range(g.n)])
+            before = (g.n, g.edges, g.labels, [g.neighbors(v) for v in range(g.n)])
+            removed = rng.sample(sorted(g.edges), rng.randrange(len(g.edges) + 1))
+            given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in removed]
+            got = g.without_edges(given)
+            want = Graph(g.n, g.edges - set(removed), labels=g.labels)
+            assert got == want
+            assert all(got.neighbors(v) == want.neighbors(v) for v in range(g.n))
+            assert (g.n, g.edges, g.labels, [g.neighbors(v) for v in range(g.n)]) == before
+            assert g.without_edges([]) == g
+            absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+            if absent:
+                with pytest.raises(UnknownVertex):
+                    g.without_edges([*removed, rng.choice(absent)])
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])

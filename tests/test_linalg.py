@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nulldecomp import Graph, null_basis, nullity, random_tree
+from nulldecomp import Graph, null_basis, random_tree
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.linalg import RationalMatrix, adjacency_matrix, rref
 from nulldecomp.randgraphs import random_simple_graph
@@ -49,16 +49,15 @@ def matrix(rows):
     return RationalMatrix(len(rows), ncols, [x for r in rows for x in r])
 
 
+def apply(m, vec):
+    """The exact product m vec."""
+    return tuple(sum(a * x for a, x in zip(m.row(i), vec)) for i in range(m.rows))
+
+
 class TestRationalMatrix:
     def test_entry_count_checked(self):
         with pytest.raises(ValueError):
             RationalMatrix(2, 2, [1, 2, 3])
-
-    def test_apply(self):
-        m = RationalMatrix(2, 2, [1, 2, 3, 4])
-        assert m.apply((Fraction(1), Fraction(-1))) == (Fraction(-1), Fraction(-1))
-        with pytest.raises(ValueError):
-            m.apply((1,))
 
 
 class TestRref:
@@ -103,7 +102,7 @@ class TestKernel:
             vectors = null_basis(g).vectors
             assert len(vectors) == g.n - len(pivots)
             for vec in vectors:
-                assert all(x == 0 for x in a.apply(vec))
+                assert all(x == 0 for x in apply(a, vec))
 
     def test_canonical_unit_pattern(self):
         # Star with center 0: A x = 0 reads x1 + x2 + x3 = 0 and x0 = 0,
@@ -136,32 +135,32 @@ class TestAdjacency:
         ],
     )
     def test_small_nullities(self, g, eta):
-        assert nullity(g) == eta
+        assert null_basis(g).nullity == eta
 
     def test_example_tree_kernel_is_the_known_plane(self):
         g = load_fixture("fig1_T1")
-        assert nullity(g) == 2
+        assert null_basis(g).nullity == 2
         a = adjacency_matrix(g)
         u1 = tuple(Fraction(x) for x in (0, 1, 0, -1, 0, 0))
         u2 = tuple(Fraction(x) for x in (0, 0, 1, -1, 0, 0))
-        assert all(x == 0 for x in a.apply(u1))
-        assert all(x == 0 for x in a.apply(u2))
+        assert all(x == 0 for x in apply(a, u1))
+        assert all(x == 0 for x in apply(a, u2))
         # two independent kernel vectors in a two-dimensional kernel span it
         assert null_basis(g).support == {1, 2, 3}
 
     def test_second_example_tree_is_nonsingular(self):
-        assert nullity(load_fixture("fig1_T2")) == 0
+        assert null_basis(load_fixture("fig1_T2")).nullity == 0
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_cycle_nullity_law(self, n):
-        assert nullity(cycle_graph(n)) == (2 if n % 4 == 0 else 0)
+        assert null_basis(cycle_graph(n)).nullity == (2 if n % 4 == 0 else 0)
 
     def test_null_basis_verified_and_sized(self):
         rng = random.Random(9)
         for _ in range(30):
             t = random_tree(rng.randrange(1, 14), rng)
             basis = null_basis(t)
-            assert basis.nullity == nullity(t)
+            assert basis.nullity == t.n - len(rref(adjacency_matrix(t))[1])
             assert all(len(vec) == t.n for vec in basis.vectors)
 
     def test_support_is_basis_independent(self):

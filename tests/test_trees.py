@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import nulldecomp.graphs
 from nulldecomp import (
     Graph,
     NotAForest,
@@ -59,7 +60,7 @@ def small_trees_and_edge_deletions(n_max):
         else:
             trees = (prufer_tree(seq, n) for seq in product(range(n), repeat=n - 2))
         for t in trees:
-            for f in [t, *(t.without_edge(u, v) for u, v in sorted(t.edges))]:
+            for f in [t, *(t.without_edges([e]) for e in sorted(t.edges))]:
                 if f not in seen:
                     seen.add(f)
                     yield f
@@ -106,6 +107,23 @@ class TestDecompose:
     def test_rejects_cycles(self):
         with pytest.raises(NotAForest):
             decompose(cycle_graph(3))
+        with pytest.raises(NotAForest):  # a tree beside a triangle
+            decompose(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]))
+
+    def test_checks_acyclicity_in_its_own_walk(self, monkeypatch):
+        calls = []
+        components = nulldecomp.graphs._components
+
+        def counted_components(g):
+            calls.append(g.n)
+            return components(g)
+
+        monkeypatch.setattr(nulldecomp.graphs, "_components", counted_components)
+        decompose(load_fixture("fig2_tree"))
+        decompose(Graph(5, [(0, 1), (2, 3)]))
+        with pytest.raises(NotAForest):
+            decompose(cycle_graph(4))
+        assert calls == []
 
     def test_empty_graph(self):
         d = decompose(Graph(0))
@@ -130,8 +148,7 @@ class TestMatchingDPAgainstKernel:
         rng = random.Random(71)
         for _ in range(500):
             f = random_tree(rng.randrange(1, 41), rng)
-            for u, v in rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(4))):
-                f = f.without_edge(u, v)
+            f = f.without_edges(rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(4))))
             basis = null_basis(f)
             d = decompose(f)
             assert d.supp == basis.support, sorted(f.edges)

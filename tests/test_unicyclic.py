@@ -18,7 +18,7 @@ from nulldecomp import (
     find_cycle,
     max_independent_set,
     max_matching,
-    nullity,
+    null_basis,
     random_unicyclic,
     unicyclic_sweep,
 )
@@ -130,14 +130,14 @@ class TestSingularity:
         a = analyze(paw())
         assert not a.singular
         assert "both have perfect matchings" in a.singular_reason
-        assert nullity(paw()) == 0
+        assert null_basis(paw()).nullity == 0
 
     def test_smallest_type1_singular(self):
         g = smallest_type1_singular()
         a = analyze(g)
         assert a.singular
         assert "no perfect matching" in a.singular_reason
-        assert nullity(g) == 1
+        assert null_basis(g).nullity == 1
 
     def test_type2_singular_by_cycle_length(self):
         g = square_with_tail()
@@ -145,7 +145,7 @@ class TestSingularity:
         assert a.kind == "II"
         assert a.singular
         assert "divisible by 4" in a.singular_reason
-        assert nullity(g) == 2
+        assert null_basis(g).nullity == 2
 
     def test_type2_singular_by_unmatched_component(self):
         a = analyze(load_fixture("fig7"))
@@ -157,7 +157,7 @@ class TestSingularity:
         for n in range(3, 7):
             for g in all_unicyclic(n):
                 a = analyze(g)
-                direct = nullity(g)
+                direct = null_basis(g).nullity
                 assert a.singular == (direct > 0), g.edges
                 assert a.nullity == direct, g.edges
                 kinds.add(a.kind)
@@ -246,9 +246,11 @@ class TestAnalyze:
         eliminations = []
         decompositions = []
         subgraphs = []
+        builds = []
         rref = nulldecomp.linalg.rref
         piece_decompose = nulldecomp.unicyclic.decompose
         induced_subgraph = nulldecomp.graphs.induced_subgraph
+        graph_init = Graph.__init__
 
         def counted_rref(m):
             eliminations.append(m.rows)
@@ -262,18 +264,26 @@ class TestAnalyze:
             subgraphs.append(g.n)
             return induced_subgraph(g, vertices)
 
+        def counted_graph_init(self, n, *args, **kwargs):
+            builds.append(n)
+            graph_init(self, n, *args, **kwargs)
+
         monkeypatch.setattr(nulldecomp.linalg, "rref", counted_rref)
         monkeypatch.setattr(nulldecomp.unicyclic, "decompose", counted_decompose)
         monkeypatch.setattr(nulldecomp.graphs, "induced_subgraph", counted_induced_subgraph)
+        fig6, fig4 = load_fixture("fig6"), load_fixture("fig4")
+        monkeypatch.setattr(Graph, "__init__", counted_graph_init)
         # type I: the forest off the cycle, then the witness split
-        a = analyze(load_fixture("fig6"))
+        a = analyze(fig6)
         assert a.kind == "I"
         assert len(decompositions) == 2
+        assert builds == []  # both forests are derived from G, not rebuilt
         # type II: the forest off the cycle alone
         decompositions.clear()
-        a = analyze(load_fixture("fig4"))
+        a = analyze(fig4)
         assert a.kind == "II"
         assert len(decompositions) == 1
+        assert builds == []
         assert eliminations == []  # the matching DP needs no elimination
         assert subgraphs == []  # both forests keep the graph's ids
 
