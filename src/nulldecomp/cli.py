@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
 input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
-integer, or the --dot file cannot be written, 3 the input is unsupported
+integer, the --dot file cannot be written, or stdout was closed before
+all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
 cross-checks).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import EmptyGraph, ParseError, TooLarge
@@ -317,11 +319,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    return cmd_fixtures(args)
+    try:
+        if args.command == "analyze":
+            code = cmd_analyze(args)
+        elif args.command == "verify":
+            code = cmd_verify(args, parser)
+        else:
+            code = cmd_fixtures(args)
+        # A reader that left early shows up here, not in the exit flush.
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Whatever is still buffered goes to devnull, so the interpreter's
+        # final flush cannot fail and print a second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

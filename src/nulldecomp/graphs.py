@@ -427,25 +427,6 @@ def pendant_trees(g, c):
     return out
 
 
-def two_coloring(g):
-    """Proper 2-coloring as a list of 0/1, or None if an odd cycle exists."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
-
-
 _ROLE_ATTRS = {
     Role.SUPPORT: "shape=box",
     Role.CORE: "shape=doublecircle",

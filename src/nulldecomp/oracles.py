@@ -2,7 +2,8 @@
 
 These exist to cross-check the closed formulas, so they avoid the null
 decomposition machinery entirely: independence via branch-and-bound over
-bitmasks, matchings via augmenting paths with an odd-cycle case split.
+bitmasks, and matchings by Berge augmentation, which grows a matching
+along augmenting paths until an exhaustive search finds none.
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -14,14 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import NotATree, TooLarge, UnknownVertex
-from .graphs import (
-    Shape,
-    classify_shape,
-    connected_components,
-    find_cycle,
-    remove_vertices,
-    two_coloring,
-)
+from .graphs import Shape, classify_shape, remove_vertices
 
 _DEFAULT_MAX_N = 32
 
@@ -106,131 +100,51 @@ def max_independent_set(g):
     return best[0], witness
 
 
-def _kuhn_matching(g, colors):
-    """Maximum matching of a bipartite graph by augmenting-path search."""
-    match = [-1] * g.n
+def augmenting_path(g, partner):
+    """An augmenting path as a vertex list, or None if there is none.
 
-    def try_augment(u, seen):
-        for w in g.neighbors(u):
-            if w in seen:
-                continue
-            seen.add(w)
-            if match[w] == -1 or try_augment(match[w], seen):
-                match[w] = u
-                match[u] = w
-                return True
-        return False
-
-    for u in range(g.n):
-        if colors[u] == 0 and match[u] == -1:
-            try_augment(u, set())
-    return {(min(u, match[u]), max(u, match[u])) for u in range(g.n) if match[u] != -1}
-
-
-def _exhaustive_matching(g):
-    """Exact matching on arbitrary small graphs: branch on the lowest vertex."""
-    n = g.n
-    nbrs = [sorted(g.neighbors(v)) for v in range(n)]
-    memo = {}
-
-    def best(mask):
-        if mask == 0:
-            return 0
-        got = memo.get(mask)
-        if got is not None:
-            return got[0]
-        v = (mask & -mask).bit_length() - 1
-        size = best(mask & ~(1 << v))
-        choice = None
-        for w in nbrs[v]:
-            if (mask >> w) & 1:
-                s = 1 + best(mask & ~(1 << v) & ~(1 << w))
-                if s > size:
-                    size, choice = s, w
-        memo[mask] = (size, choice)
-        return size
-
-    full = (1 << n) - 1
-    best(full)
-    edges = set()
-    mask = full
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        _, choice = memo[mask]
-        if choice is None:
-            mask &= ~(1 << v)
-        else:
-            edges.add((v, choice))
-            mask &= ~(1 << v) & ~(1 << choice)
-    return edges
-
-
-def _component_matching(comp):
-    colors = two_coloring(comp)
-    if colors is not None:
-        return _kuhn_matching(comp, colors)
-    if len(comp.edges) == comp.n:
-        # Connected, one odd cycle.  Every matching omits at least one
-        # cycle edge, so deleting each in turn and matching the tree is
-        # exact; keep the best.
-        cyc = find_cycle(comp)
-        best = None
-        verts = cyc.vertices
-        for k in range(cyc.length):
-            a, b = verts[k], verts[(k + 1) % cyc.length]
-            tree = comp.without_edges([(a, b)])
-            m = _kuhn_matching(tree, two_coloring(tree))
-            if best is None or len(m) > len(best):
-                best = m
-        return best
-    return _exhaustive_matching(comp)
+    partner maps each matched vertex to its mate.  Every simple
+    alternating path from each free vertex is explored with an explicit
+    stack, so the search is exact on any graph.
+    """
+    for start in range(g.n):
+        if start in partner:
+            continue
+        path = [start]
+        visited = {start}
+        stack = [iter(g.neighbors(start))]
+        while stack:
+            for w in stack[-1]:
+                if w in visited:
+                    continue
+                x = partner.get(w)
+                if x is None:
+                    path.append(w)
+                    return path
+                path.append(w)
+                path.append(x)
+                visited.add(w)
+                visited.add(x)
+                stack.append(iter(g.neighbors(x)))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    visited.discard(path.pop())
+                    visited.discard(path.pop())
+    return None
 
 
 def max_matching(g):
-    """Maximum matching; certified by the absence of augmenting paths."""
+    """Maximum matching: augment until no augmenting path is left (Berge)."""
     _guard(g, "max_matching")
-    pairs = set()
-    for comp, label_map in connected_components(g):
-        for u, v in _component_matching(comp):
-            a, b = label_map[u], label_map[v]
-            pairs.add((min(a, b), max(a, b)))
-    matching = Matching(frozenset(pairs))
-    if has_augmenting_path(g, matching):
-        raise AssertionError("matching is not maximum: augmenting path found")
-    return matching
-
-
-def has_augmenting_path(g, matching):
-    """Exhaustive alternating-path search (Berge's criterion)."""
     partner = {}
-    for u, v in matching.edges:
-        partner[u] = v
-        partner[v] = u
-    free = [v for v in range(g.n) if v not in partner]
-
-    def search(start):
-        visited = {start}
-
-        def step(u):
-            for w in g.neighbors(u):
-                if w in visited or partner.get(u) == w:
-                    continue
-                if w not in partner:
-                    return True
-                x = partner[w]
-                if x in visited:
-                    continue
-                visited.add(w)
-                visited.add(x)
-                if step(x):
-                    return True
-                visited.discard(w)
-                visited.discard(x)
-            return False
-
-        return step(start)
-
-    return any(search(s) for s in free)
+    while (path := augmenting_path(g, partner)) is not None:
+        for i in range(0, len(path), 2):
+            u, v = path[i], path[i + 1]
+            partner[u] = v
+            partner[v] = u
+    return Matching(frozenset((u, v) for u, v in partner.items() if u < v))
 
 
 def eg_set(g):

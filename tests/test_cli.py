@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,27 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(target))
         assert code == 0  # without --verify the formulas alone handle it
         assert json.loads(out)["alpha"] == 21
+
+    def test_closed_stdout_exits_2_without_traceback(self, tmp_path):
+        # The report of a 20,000-vertex path is far larger than a pipe
+        # buffer, so the writer sees the reader go away mid-output.
+        target = tmp_path / "path.edges"
+        target.write_text("".join(f"{i} {i + 1}\n" for i in range(19_999)))
+        env = dict(os.environ)
+        src = str(Path(nulldecomp.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nulldecomp.cli", "analyze", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -30,7 +30,6 @@ from nulldecomp.graphs import (
     induced_subgraph,
     pendant_trees,
     remove_vertices,
-    two_coloring,
 )
 from nulldecomp.randgraphs import random_simple_graph
 
@@ -277,12 +276,6 @@ class TestShapesAndComponents:
         assert label_map == (1, 2, 3, 4)
         empty, _ = remove_vertices(g, range(5))
         assert empty.n == 0
-
-    def test_two_coloring(self):
-        colors = two_coloring(path_graph(4))
-        assert all(colors[u] != colors[v] for u, v in path_graph(4).edges)
-        assert two_coloring(cycle(5)) is None
-        assert two_coloring(cycle(6)) is not None
 
 
 class TestFindCycle:

@@ -12,17 +12,14 @@ from nulldecomp import (
     UnknownVertex,
     eg_set,
     find_cycle,
+    graphs,
     max_independent_set,
     max_matching,
     random_tree,
 )
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import pendant_trees
-from nulldecomp.oracles import (
-    has_augmenting_path,
-    mismatched_in,
-    size_limit,
-)
+from nulldecomp.oracles import augmenting_path, mismatched_in, size_limit
 from nulldecomp.randgraphs import random_simple_graph
 from nulldecomp.sweeps import cycle_graph
 
@@ -42,6 +39,14 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def c5_with_pendants():
+    # C5 plus a path of two hanging off each of two cycle vertices
+    return Graph(
+        9,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7), (7, 8)],
+    )
 
 
 def brute_mis_size(g):
@@ -88,9 +93,10 @@ class TestMaxIndependentSet:
 
 class TestMaxMatching:
     def test_matches_blossom_on_random_graphs(self):
+        # The only check of the non-bipartite case, so dense graphs too.
         rng = random.Random(43)
-        for _ in range(50):
-            g = random_simple_graph(rng.randrange(1, 12), rng.choice([0.2, 0.4]), rng)
+        for _ in range(200):
+            g = random_simple_graph(rng.randrange(1, 17), rng.choice([0.2, 0.4, 0.7]), rng)
             got = max_matching(g)
             assert got.is_valid_for(g)
             h = nx.Graph()
@@ -114,12 +120,24 @@ class TestMaxMatching:
         assert max_matching(g).size == nu
 
     def test_odd_cycle_with_pendants(self):
-        # C5 plus a path of two hanging off each of two cycle vertices
-        g = Graph(
-            9,
-            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7), (7, 8)],
-        )
-        assert max_matching(g).size == 4
+        assert max_matching(c5_with_pendants()).size == 4
+
+    def test_long_path_needs_no_recursion(self, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "5000")
+        assert max_matching(path_graph(2100)).size == 1050
+
+    def test_builds_no_subgraph(self, monkeypatch):
+        calls = []
+        real = graphs.induced_subgraph
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graphs, "induced_subgraph", counting)
+        assert max_matching(load_fixture("fig4")).size > 0
+        assert max_matching(c5_with_pendants()).size == 4
+        assert calls == []
 
     def test_matching_validity_helper(self):
         g = path_graph(3)
@@ -130,12 +148,13 @@ class TestMaxMatching:
 
 class TestAugmentingPaths:
     def test_detects_augmentable_matching(self):
-        g = path_graph(4)
-        assert has_augmenting_path(g, Matching(frozenset({(1, 2)})))
-        assert not has_augmenting_path(g, Matching(frozenset({(0, 1), (2, 3)})))
+        assert augmenting_path(path_graph(4), {1: 2, 2: 1}) == [0, 1, 2, 3]
+
+    def test_none_on_a_perfect_matching(self):
+        assert augmenting_path(path_graph(4), {0: 1, 1: 0, 2: 3, 3: 2}) is None
 
     def test_empty_matching_on_edgeless_graph(self):
-        assert not has_augmenting_path(Graph(3), Matching(frozenset()))
+        assert augmenting_path(Graph(3), {}) is None
 
 
 class TestHasPerfectMatching:
