@@ -66,7 +66,9 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.edges = frozenset(norm)
-        self._adj = tuple(frozenset(s) for s in adj)
+        # A list, not a generator: tuple(<generator>) grows and resizes,
+        # which strands tuples in CPython's free lists and lifts peak RSS.
+        self._adj = tuple([frozenset(s) for s in adj])
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -332,13 +334,12 @@ def classify_shape(g):
 def find_cycle(g):
     """Locate the unique cycle of a unicyclic (or pure cycle) graph.
 
-    Leaves are stripped repeatedly; what survives is the cycle.  The
+    Leaves are stripped repeatedly; what survives is the cycle.  With
+    m = n, g is connected with one cycle iff every survivor keeps degree
+    2 and the walk from the smallest survivor covers them all.  The
     orientation is canonical: start at the smallest cycle vertex, step
     first to the smaller of its two cycle neighbors.
     """
-    shape = classify_shape(g)
-    if shape not in (Shape.UNICYCLIC, Shape.CYCLE):
-        raise NotUnicyclic(f"graph is {shape.value}, expected exactly one cycle")
     deg = [g.degree(v) for v in range(g.n)]
     queue = deque(v for v in range(g.n) if deg[v] == 1)
     while queue:
@@ -352,16 +353,20 @@ def find_cycle(g):
                 if deg[w] == 1:
                     queue.append(w)
     on_cycle = {v for v in range(g.n) if deg[v] >= 2}
-    start = min(on_cycle)
-    first = min(w for w in g.neighbors(start) if w in on_cycle)
-    order = [start, first]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = next(w for w in g.neighbors(cur) if w in on_cycle and w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-    return CycleInfo(tuple(order), len(order))
+    if len(g.edges) == g.n and on_cycle and all(deg[v] == 2 for v in on_cycle):
+        start = min(on_cycle)
+        first = min(w for w in g.neighbors(start) if w in on_cycle)
+        order = [start, first]
+        while True:
+            prev, cur = order[-2], order[-1]
+            nxt = next(w for w in g.neighbors(cur) if w in on_cycle and w != prev)
+            if nxt == start:
+                break
+            order.append(nxt)
+        if len(order) == len(on_cycle):
+            return CycleInfo(tuple(order), len(order))
+    shape = classify_shape(g)
+    raise NotUnicyclic(f"graph is {shape.value}, expected exactly one cycle")
 
 
 def induced_subgraph(g, vertices):

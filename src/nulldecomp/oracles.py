@@ -64,7 +64,7 @@ def max_independent_set(g):
 
     Branches on a maximum-degree vertex: either exclude it, or include it
     and delete its closed neighborhood.  Isolated leftovers are taken
-    wholesale.
+    wholesale.  The search is depth-first on an explicit stack, not recursive.
     """
     _guard(g, "max_independent_set")
     n = g.n
@@ -72,11 +72,14 @@ def max_independent_set(g):
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    best = [0, 0]  # size, chosen mask
-
-    def expand(avail, size, chosen):
-        if size + avail.bit_count() <= best[0]:
-            return
+    best, best_set = 0, 0
+    # Entries are (avail, size, chosen).  The include branch is pushed
+    # last, so it is searched first; the witness depends on that order.
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        avail, size, chosen = stack.pop()
+        if size + avail.bit_count() <= best:
+            continue
         v_best = -1
         d_best = -1
         a = avail
@@ -88,16 +91,14 @@ def max_independent_set(g):
             if d > d_best:
                 v_best, d_best = v, d
         if d_best <= 0:
-            best[0] = size + avail.bit_count()
-            best[1] = chosen | avail
-            return
+            best = size + avail.bit_count()
+            best_set = chosen | avail
+            continue
         bit = 1 << v_best
-        expand(avail & ~(adj[v_best] | bit), size + 1, chosen | bit)
-        expand(avail & ~bit, size, chosen)
-
-    expand((1 << n) - 1 if n else 0, 0, 0)
-    witness = frozenset(v for v in range(n) if (best[1] >> v) & 1)
-    return best[0], witness
+        stack.append((avail & ~bit, size, chosen))
+        stack.append((avail & ~(adj[v_best] | bit), size + 1, chosen | bit))
+    witness = frozenset(v for v in range(n) if (best_set >> v) & 1)
+    return best, witness
 
 
 def augmenting_path(g, partner):

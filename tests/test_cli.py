@@ -82,13 +82,13 @@ class TestAnalyze:
 
     def test_forest_report_decomposes_once(self, capsys, monkeypatch):
         calls = []
-        rref = nulldecomp.linalg.rref
+        eliminate = nulldecomp.linalg._eliminate
 
-        def counted(m):
-            calls.append(m.rows)
-            return rref(m)
+        def counted(work):
+            calls.append(len(work))
+            return eliminate(work)
 
-        monkeypatch.setattr(nulldecomp.linalg, "rref", counted)
+        monkeypatch.setattr(nulldecomp.linalg, "_eliminate", counted)
         code, _, _ = run(capsys, "analyze", FIG1)
         assert code == 0
         assert calls == []  # the matching DP needs no elimination

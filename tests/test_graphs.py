@@ -20,10 +20,12 @@ from nulldecomp import (
     export_dot,
     find_cycle,
     format_edge_list,
+    graphs,
     parse_edge_list,
     parse_graph6,
     random_unicyclic,
 )
+from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import (
     _components,
     connected_components,
@@ -299,6 +301,28 @@ class TestFindCycle:
             find_cycle(path_graph(4))
         with pytest.raises(NotUnicyclic):
             find_cycle(Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]))
+
+    def test_rejects_disconnected_graphs_with_a_cycle(self):
+        # Two triangles have m = n, as a unicyclic graph does, and the walk
+        # covers one of them; a triangle and an isolated vertex has m < n.
+        two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(NotUnicyclic, match="graph is other"):
+            find_cycle(two)
+        with pytest.raises(NotUnicyclic, match="graph is other"):
+            find_cycle(Graph(4, [(0, 1), (1, 2), (2, 0)]))
+
+    def test_checks_its_input_without_a_component_pass(self, monkeypatch):
+        calls = []
+        real = graphs._components
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(graphs, "_components", counting)
+        for g in (load_fixture("fig6"), load_fixture("fig4"), cycle(5)):
+            find_cycle(g)
+        assert calls == []
 
     def test_relabeling_keeps_the_same_cycle_set(self):
         rng = random.Random(5)

@@ -90,6 +90,12 @@ class TestMaxIndependentSet:
     def test_empty_graph(self):
         assert max_independent_set(Graph(0)) == (0, frozenset())
 
+    def test_deep_search_needs_no_recursion(self, monkeypatch):
+        # The exclude branches of K_n nest n deep.
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "5000")
+        k = Graph(1100, [(u, v) for v in range(1100) for u in range(v)])
+        assert max_independent_set(k)[0] == 1
+
 
 class TestMaxMatching:
     def test_matches_blossom_on_random_graphs(self):

@@ -247,14 +247,14 @@ class TestAnalyze:
         decompositions = []
         subgraphs = []
         builds = []
-        rref = nulldecomp.linalg.rref
+        eliminate = nulldecomp.linalg._eliminate
         piece_decompose = nulldecomp.unicyclic.decompose
         induced_subgraph = nulldecomp.graphs.induced_subgraph
         graph_init = Graph.__init__
 
-        def counted_rref(m):
-            eliminations.append(m.rows)
-            return rref(m)
+        def counted_eliminate(work):
+            eliminations.append(len(work))
+            return eliminate(work)
 
         def counted_decompose(t):
             decompositions.append(t.n)
@@ -268,7 +268,7 @@ class TestAnalyze:
             builds.append(n)
             graph_init(self, n, *args, **kwargs)
 
-        monkeypatch.setattr(nulldecomp.linalg, "rref", counted_rref)
+        monkeypatch.setattr(nulldecomp.linalg, "_eliminate", counted_eliminate)
         monkeypatch.setattr(nulldecomp.unicyclic, "decompose", counted_decompose)
         monkeypatch.setattr(nulldecomp.graphs, "induced_subgraph", counted_induced_subgraph)
         fig6, fig4 = load_fixture("fig6"), load_fixture("fig4")
