@@ -2,8 +2,9 @@
 
 Subcommands:
 
-  analyze   read one graph, print its analysis as JSON
-  verify    run seeded random sweeps of the invariant checks
+  analyze   read one graph, print its analysis as JSON; --verify adds the
+            sweep checker's invariants for its shape under "verification"
+  verify    run seeded random sweeps of the same invariant checks
   fixtures  recheck the bundled examples against their frozen values
 
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
@@ -11,7 +12,7 @@ input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
 integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
-cross-checks).
+cross-checks: the graph under analyze --verify, --max-n under verify).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .linalg import null_basis
-from .oracles import eg_set, max_independent_set, max_matching, size_limit
+from .oracles import size_limit
+from .sweeps import check_tree_instance, check_unicyclic_instance
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import (
     decompose,
@@ -117,18 +118,18 @@ def _unicyclic_report(g, shape, a):
     }
 
 
-def _bad_size_limit():
-    """Report a NULLDECOMP_MAX_N that is not an integer; True if it is not."""
+def _checked_size_limit():
+    """The oracle size guard, or None after reporting a NULLDECOMP_MAX_N
+    that is not an integer."""
     try:
-        size_limit()
+        return size_limit()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+        return None
 
 
 def cmd_analyze(args):
-    if args.verify and _bad_size_limit():
+    if args.verify and _checked_size_limit() is None:
         return 2
     try:
         text = _read_input(args.path)
@@ -157,39 +158,19 @@ def cmd_analyze(args):
         d = decompose(g)
         report = _forest_report(g, shape, d)
         roles = _roles_from(d.supp, d.core, d.n_forest_vertices)
-
-        def verification():
-            oracle_alpha, _ = max_independent_set(g)
-            checks = {
-                "alpha vs oracle": report["alpha"] == oracle_alpha,
-                "nu vs oracle": report["nu"] == max_matching(g).size,
-                "mismatched vertices equal support": eg_set(g) == d.supp,
-            }
-            basis = null_basis(g)  # after the oracles, so past their size guard
-            checks["support vs kernel"] = basis.support == d.supp
-            checks["nullity vs elimination"] = basis.nullity == d.nullity
-            return checks
+        checker = check_tree_instance
     else:
         a = analyze(g)
         report = _unicyclic_report(g, shape, a)
         roles = {}
         for p in a.parts:
             roles.update(_roles_from(p.supp, p.core, p.n_vertices))
-
-        def verification():
-            oracle_alpha, _ = max_independent_set(g)
-            direct = null_basis(g).nullity
-            return {
-                "alpha vs oracle": a.alpha == oracle_alpha,
-                "nu vs oracle": a.nu == max_matching(g).size,
-                "nullity composition vs elimination": a.nullity == direct,
-                "singularity verdict vs kernel": a.singular == (direct > 0),
-            }
+        checker = check_unicyclic_instance
 
     code = 0
     if args.verify:
         try:
-            checks = verification()
+            checks = checker(g)
         except TooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -224,8 +205,16 @@ def cmd_verify(args, parser):
         parser.error("--max-n must be at least --min-n")
     if args.count < 1:
         parser.error("--count must be positive")
-    if _bad_size_limit():
+    limit = _checked_size_limit()
+    if limit is None:
         return 2
+    if max_n > limit:
+        print(
+            f"error: verify refuses --max-n {max_n} > {limit}; "
+            "set NULLDECOMP_MAX_N to override",
+            file=sys.stderr,
+        )
+        return 3
 
     if kind == "tree":
         outcome = tree_sweep(args.count, min_n, max_n, args.seed)

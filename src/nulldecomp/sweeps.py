@@ -25,7 +25,7 @@ from .oracles import (
     mismatched_in,
 )
 from .randgraphs import tree_corpus, unicyclic_corpus
-from .trees import decompose
+from .trees import decompose, independent_set_certificate, matching_certificate
 from .unicyclic import analyze
 
 TREE_INVARIANTS = (
@@ -33,11 +33,13 @@ TREE_INVARIANTS = (
     "nu formula vs oracle",
     "EG set equals support",
     "support equals kernel support",
+    "nullity equals kernel nullity",
     "support is independent",
     "core exclusion",
     "N-vertex flexibility",
     "S components singular, N components matched",
     "alpha + nu = n",
+    "certificates valid and sized",
 )
 
 UNICYCLIC_INVARIANTS = (
@@ -69,6 +71,17 @@ class SweepOutcome:
         return all(fails == 0 for _, fails in self.tallies.values())
 
 
+def _certificates_valid(g, independent, matching, alpha, nu):
+    """True when independent is an independent set of g of size alpha and
+    matching is a matching of g of size nu."""
+    return (
+        len(independent) == alpha
+        and not any(u in independent and v in independent for u, v in g.edges)
+        and len(matching) == nu
+        and Matching(frozenset(matching)).is_valid_for(g)
+    )
+
+
 def check_tree_instance(t):
     checks = {}
     d = decompose(t)
@@ -77,7 +90,9 @@ def check_tree_instance(t):
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
     checks["nu formula vs oracle"] = d.nu == oracle_nu
     checks["EG set equals support"] = eg_set(t) == d.supp
-    checks["support equals kernel support"] = null_basis(t).support == d.supp
+    basis = null_basis(t)  # after the oracles, so past their size guard
+    checks["support equals kernel support"] = basis.support == d.supp
+    checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
     checks["support is independent"] = not any(
         u in d.supp and v in d.supp for u, v in t.edges
     )
@@ -117,6 +132,9 @@ def check_tree_instance(t):
     checks["S components singular, N components matched"] = ok
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n
+    checks["certificates valid and sized"] = _certificates_valid(
+        t, independent_set_certificate(t, d), matching_certificate(t), d.alpha, d.nu
+    )
     return checks
 
 
@@ -130,17 +148,9 @@ def _unicyclic_checks(g, analysis):
     checks["singularity verdict vs nullity"] = analysis.singular == (direct > 0)
     checks["composed nullity vs direct nullity"] = analysis.nullity == direct
 
-    ok = len(analysis.independent_set) == analysis.alpha
-    if ok:
-        ok = not any(
-            u in analysis.independent_set and v in analysis.independent_set
-            for u, v in g.edges
-        )
-    if ok:
-        ok = Matching(frozenset(analysis.matching)).is_valid_for(g)
-    if ok:
-        ok = len(analysis.matching) == analysis.nu
-    checks["certificates valid and sized"] = ok
+    checks["certificates valid and sized"] = _certificates_valid(
+        g, analysis.independent_set, analysis.matching, analysis.alpha, analysis.nu
+    )
 
     pts = pendant_trees(g, analysis.cycle)
     ok = True
@@ -185,10 +195,8 @@ def check_cycle_instance(g):
     checks["alpha and nu are floor(n/2)"] = (
         analysis.alpha == n // 2 and analysis.nu == n // 2
     )
-    checks["certificates valid and sized"] = (
-        len(analysis.independent_set) == n // 2
-        and Matching(frozenset(analysis.matching)).is_valid_for(g)
-        and len(analysis.matching) == n // 2
+    checks["certificates valid and sized"] = _certificates_valid(
+        g, analysis.independent_set, analysis.matching, n // 2, n // 2
     )
     return checks
 

@@ -12,6 +12,8 @@ import pytest
 
 import nulldecomp.linalg
 from nulldecomp.cli import main
+from nulldecomp.oracles import Matching
+from nulldecomp.sweeps import TREE_INVARIANTS, UNICYCLIC_INVARIANTS
 
 FIG3 = str(resources.files("nulldecomp.fixtures") / "fig3.edges")
 FIG1 = str(resources.files("nulldecomp.fixtures") / "fig1_T1.edges")
@@ -47,12 +49,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--verify", FIG3)
         assert code == 0
         report = json.loads(out)
-        assert report["verification"] == {
-            "alpha vs oracle": True,
-            "nu vs oracle": True,
-            "nullity composition vs elimination": True,
-            "singularity verdict vs kernel": True,
-        }
+        assert report["verification"] == dict.fromkeys(UNICYCLIC_INVARIANTS, True)
 
     def test_output_is_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "analyze", FIG3)
@@ -96,13 +93,21 @@ class TestAnalyze:
     def test_forest_verify_checks_the_kernel(self, capsys):
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)
         assert code == 0
-        assert json.loads(out)["verification"] == {
-            "alpha vs oracle": True,
-            "nu vs oracle": True,
-            "mismatched vertices equal support": True,
-            "support vs kernel": True,
-            "nullity vs elimination": True,
-        }
+        checks = json.loads(out)["verification"]
+        assert checks == dict.fromkeys(TREE_INVARIANTS, True)
+        assert "support equals kernel support" in checks
+        assert "nullity equals kernel nullity" in checks
+        assert "certificates valid and sized" in checks
+
+    def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "nulldecomp.sweeps.max_matching", lambda g: Matching(frozenset())
+        )
+        code, out, err = run(capsys, "analyze", "--verify", FIG1)
+        assert code == 1 and not err
+        report = json.loads(out)
+        assert report["alpha"] == 4
+        assert report["verification"]["nu formula vs oracle"] is False
 
     def test_unwritable_dot_path_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "g.dot"
@@ -209,6 +214,35 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--kind", "cycle")
         assert code == 0
         assert "singular iff length divisible by 4: 22 pass, 0 fail" in out
+
+    @pytest.mark.parametrize("kind", ["tree", "unicyclic", "cycle"])
+    def test_past_size_guard_exits_3(self, capsys, monkeypatch, kind):
+        monkeypatch.delenv("NULLDECOMP_MAX_N", raising=False)
+        code, out, err = run(
+            capsys, "verify", "--kind", kind, "--min-n", "40", "--max-n", "40",
+            "--count", "1",
+        )
+        assert code == 3 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "NULLDECOMP_MAX_N" in err
+
+    def test_raised_size_guard_lets_cycles_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
+        code, out, _ = run(
+            capsys, "verify", "--kind", "cycle", "--min-n", "40", "--max-n", "40"
+        )
+        assert code == 0
+        assert "singular iff length divisible by 4: 1 pass, 0 fail" in out
+
+    def test_failed_check_prints_first_failing_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "nulldecomp.sweeps.max_matching", lambda g: Matching(frozenset())
+        )
+        code, out, _ = run(capsys, "verify", "--kind", "tree", "--count", "3")
+        assert code == 1
+        assert "nu formula vs oracle: 0 pass, 3 fail" in out
+        header = "\nfirst failing graph for nu formula vs oracle:\nn="
+        assert header in out
 
     def test_non_integer_size_guard_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")

@@ -3,6 +3,7 @@
 trees and unicyclic compute every count, verdict and certificate on
 forests in the graph's own ids; the exact kernel (linalg), the
 brute-force oracles and the subgraph builders belong to the checks.
+cli reaches the checks only through sweeps, which holds each of them once.
 """
 
 import ast
@@ -42,3 +43,12 @@ def test_formula_path_imports_no_oracle_and_no_subgraph_builder(module):
         assert source not in ORACLE_MODULES, (module, source, name)
         assert name not in ORACLE_MODULES, (module, source, name)
         assert name not in SUBGRAPH_BUILDERS, (module, source, name)
+
+
+def test_cli_reaches_the_checks_only_through_sweeps():
+    found = imports("cli")
+    assert ("oracles", "size_limit") in found
+    for source, name in found:
+        assert source != "linalg" and name != "linalg", (source, name)
+        assert source != "oracles" or name == "size_limit", (source, name)
+        assert name != "oracles", (source, name)
