@@ -3,7 +3,8 @@
 Subcommands:
 
   analyze   read one graph, print its analysis as JSON; --verify adds the
-            sweep checker's invariants for its shape under "verification"
+            sweep checker's invariants for its shape, run on that same
+            analysis, under "verification"
   verify    run seeded random sweeps of the same invariant checks
   fixtures  recheck the bundled examples against their frozen values
 
@@ -34,7 +35,7 @@ from .graphs import (
     parse_graph6,
 )
 from .oracles import size_limit
-from .sweeps import check_tree_instance, check_unicyclic_instance
+from .sweeps import _tree_checks, _unicyclic_checks
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import (
     decompose,
@@ -155,22 +156,22 @@ def cmd_analyze(args):
         return 3
 
     if shape in (Shape.TREE, Shape.FOREST):
-        d = decompose(g)
-        report = _forest_report(g, shape, d)
-        roles = _roles_from(d.supp, d.core, d.n_forest_vertices)
-        checker = check_tree_instance
+        analysis = decompose(g)
+        report = _forest_report(g, shape, analysis)
+        roles = _roles_from(analysis.supp, analysis.core, analysis.n_forest_vertices)
+        checker = _tree_checks
     else:
-        a = analyze(g)
-        report = _unicyclic_report(g, shape, a)
+        analysis = analyze(g)
+        report = _unicyclic_report(g, shape, analysis)
         roles = {}
-        for p in a.parts:
+        for p in analysis.parts:
             roles.update(_roles_from(p.supp, p.core, p.n_vertices))
-        checker = check_unicyclic_instance
+        checker = _unicyclic_checks
 
     code = 0
     if args.verify:
         try:
-            checks = checker(g)
+            checks = checker(g, analysis)
         except TooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

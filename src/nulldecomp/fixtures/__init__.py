@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ..graphs import Shape, classify_shape, parse_edge_list, pendant_trees
+from ..graphs import Shape, classify_shape, edge_inside, matching_defect
+from ..graphs import parse_edge_list, pendant_trees
 from ..linalg import null_basis
 from ..oracles import eg_set
 from ..trees import decompose
@@ -66,10 +67,6 @@ def _names(g, ids):
     return sorted(g.name_of(v) for v in ids)
 
 
-def _id_map(g):
-    return {g.name_of(v): v for v in range(g.n)}
-
-
 def _all_max_independent_sets(g):
     """Every maximum independent set, by exhaustion.  Tiny graphs only."""
     adj = [0] * g.n
@@ -102,26 +99,12 @@ def _all_max_independent_sets(g):
 
 
 def _matching_rows(g, row, pairs, want_size, label):
-    ids = _id_map(g)
-    seen = set()
-    valid = True
-    for a, b in pairs:
-        u, v = ids[a], ids[b]
-        if not g.has_edge(u, v) or u in seen or v in seen:
-            valid = False
-        seen.add(u)
-        seen.add(v)
-    row(f"{label} is a matching", valid, True)
+    row(f"{label} is a matching", matching_defect(g, pairs) is None, True)
     row(f"{label} size", len(pairs), want_size)
 
 
-def _independent_rows(g, row, names, want_size, label):
-    ids = _id_map(g)
-    chosen = {ids[x] for x in names}
-    clashing = [
-        (u, v) for u, v in g.edges if u in chosen and v in chosen
-    ]
-    row(f"{label} is independent", clashing, [])
+def _independent_rows(g, row, chosen, want_size, label):
+    row(f"{label} is independent", edge_inside(g, chosen) is None, True)
     row(f"{label} size", len(chosen), want_size)
 
 
@@ -135,6 +118,7 @@ def check_fixture(name):
     """Recompute everything for one fixture and compare to expected.json."""
     exp = expectations()[name]
     g = load_fixture(name)
+    ids = {g.name_of(v): v for v in range(g.n)}
     rows = []
 
     def row(label, got, want):
@@ -172,12 +156,9 @@ def check_fixture(name):
         row("alpha", a.alpha, exp["alpha"])
         row("nu", a.nu, exp["nu"])
         _independent_rows(
-            g, row, _names(g, a.independent_set), exp["alpha"], "computed independent set"
+            g, row, a.independent_set, exp["alpha"], "computed independent set"
         )
-        got_matching = [
-            sorted((g.name_of(u), g.name_of(v))) for u, v in a.matching
-        ]
-        _matching_rows(g, row, got_matching, exp["nu"], "computed matching")
+        _matching_rows(g, row, a.matching, exp["nu"], "computed matching")
         if exp["type"] == "I":
             by_kind = {p.kind: p for p in a.parts}
             for kind in ("pendant", "rest"):
@@ -200,7 +181,6 @@ def check_fixture(name):
                     g, row, label, p.supp, p.core, p.n_vertices, want
                 )
         if "pendant_supports" in exp:
-            ids = _id_map(g)
             pts = {pt.root: pt for pt in pendant_trees(g, a.cycle)}
             for root_name, want_supp in exp["pendant_supports"].items():
                 pt = pts[ids[root_name]]
@@ -210,11 +190,11 @@ def check_fixture(name):
                 row(f"pendant tree at {root_name} supp", got_supp, sorted(want_supp))
 
     if "known_matching" in exp:
-        _matching_rows(g, row, exp["known_matching"], exp["nu"], "known matching")
+        pairs = [(ids[a], ids[b]) for a, b in exp["known_matching"]]
+        _matching_rows(g, row, pairs, exp["nu"], "known matching")
     if "known_independent_set" in exp:
-        _independent_rows(
-            g, row, exp["known_independent_set"], exp["alpha"], "known independent set"
-        )
+        chosen = {ids[x] for x in exp["known_independent_set"]}
+        _independent_rows(g, row, chosen, exp["alpha"], "known independent set")
     return FixtureReport(fixture=name, rows=tuple(rows))
 
 

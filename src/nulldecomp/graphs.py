@@ -6,6 +6,9 @@ translate results back; the relabelled subgraphs serve only the oracle
 side (oracles, sweeps, fixtures) and the tests, since the formula path
 works in the graph's own ids.  Optional display names ride along for
 fixtures whose vertices carry names like "v1" or "a".
+
+edge_inside and matching_defect are the one certificate rule (an
+independent set, a matching) that analyze, the sweeps and the fixtures use.
 """
 
 from __future__ import annotations
@@ -430,6 +433,28 @@ def pendant_trees(g, c):
     if covered != g.n or len(union) != g.n:
         raise AssertionError("pendant trees failed to partition the vertex set")
     return out
+
+
+def edge_inside(g, vertices):
+    """An edge of g with both ends in the set vertices, as (u, v) with
+    u < v, or None when vertices is independent in g."""
+    for v in vertices:
+        for w in g.neighbors(v):
+            if w in vertices:
+                return (min(v, w), max(v, w))
+    return None
+
+
+def matching_defect(g, pairs):
+    """The first pair that is not an edge of g or shares a vertex with an
+    earlier pair, or None when pairs is a matching of g."""
+    seen = set()
+    for u, v in pairs:
+        if not g.has_edge(u, v) or u in seen or v in seen:
+            return (u, v)
+        seen.add(u)
+        seen.add(v)
+    return None
 
 
 _ROLE_ATTRS = {

@@ -3,7 +3,9 @@
 These exist to cross-check the closed formulas, so they avoid the null
 decomposition machinery entirely: independence via branch-and-bound over
 bitmasks, and matchings by Berge augmentation, which grows a matching
-along augmenting paths until an exhaustive search finds none.
+along augmenting paths until an exhaustive search finds none.  Whether
+a set or a matching is valid for a graph is not judged here: that rule
+is graphs.edge_inside and graphs.matching_defect.
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -46,17 +48,6 @@ class Matching:
     @property
     def size(self):
         return len(self.edges)
-
-    def is_valid_for(self, g):
-        seen = set()
-        for u, v in self.edges:
-            if not g.has_edge(u, v):
-                return False
-            if u in seen or v in seen:
-                return False
-            seen.add(u)
-            seen.add(v)
-        return True
 
 
 def max_independent_set(g):

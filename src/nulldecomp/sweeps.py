@@ -1,6 +1,8 @@
 """Random-sweep invariant checks shared by the CLI and the test suite.
 
 Each checker takes one instance and returns {invariant name: bool}.
+_tree_checks and _unicyclic_checks also take its analysis, which
+`analyze --verify` passes in; the check_*_instance wrappers compute it.
 run_sweep aggregates tallies and keeps the first offending graph per
 invariant so failures can be echoed as edge lists and reproduced.
 """
@@ -12,13 +14,14 @@ from dataclasses import dataclass, field
 from .graphs import (
     Graph,
     connected_components,
+    edge_inside,
     induced_subgraph,
+    matching_defect,
     pendant_trees,
     remove_vertices,
 )
 from .linalg import null_basis
 from .oracles import (
-    Matching,
     eg_set,
     max_independent_set,
     max_matching,
@@ -76,15 +79,14 @@ def _certificates_valid(g, independent, matching, alpha, nu):
     matching is a matching of g of size nu."""
     return (
         len(independent) == alpha
-        and not any(u in independent and v in independent for u, v in g.edges)
+        and edge_inside(g, independent) is None
         and len(matching) == nu
-        and Matching(frozenset(matching)).is_valid_for(g)
+        and matching_defect(g, matching) is None
     )
 
 
-def check_tree_instance(t):
+def _tree_checks(t, d):
     checks = {}
-    d = decompose(t)
     oracle_alpha, _ = max_independent_set(t)
     oracle_nu = max_matching(t).size
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
@@ -93,9 +95,7 @@ def check_tree_instance(t):
     basis = null_basis(t)  # after the oracles, so past their size guard
     checks["support equals kernel support"] = basis.support == d.supp
     checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
-    checks["support is independent"] = not any(
-        u in d.supp and v in d.supp for u, v in t.edges
-    )
+    checks["support is independent"] = edge_inside(t, d.supp) is None
 
     ok = True
     for c in d.core:
@@ -136,6 +136,10 @@ def check_tree_instance(t):
         t, independent_set_certificate(t, d), matching_certificate(t), d.alpha, d.nu
     )
     return checks
+
+
+def check_tree_instance(t):
+    return _tree_checks(t, decompose(t))
 
 
 def _unicyclic_checks(g, analysis):

@@ -10,9 +10,10 @@ out by counting:
     nu(F)    = |Core| + |V(N-forest)| / 2
 
 Both are additive over components, so everything here accepts arbitrary
-forests, the empty graph included.  A graph with a cycle raises
-NotAForest: _forest_order, the walk the DP runs on, counts the
+forests, the empty graph included.  decompose raises NotAForest on a
+graph with a cycle: _forest_order, the walk the DP runs on, counts the
 components, and a forest has exactly n - components edges.
+matching_certificate raises it when its leaf pairing cannot finish.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -194,9 +195,13 @@ def independent_set_certificate(t, d, avoid=()):
 
 
 def matching_certificate(t):
-    """A maximum matching of a forest, by repeatedly pairing a leaf upward;
-    raises NotAForest on cycles."""
-    _forest_order(t, "matching_certificate")
+    """A maximum matching of a forest, by repeatedly pairing a leaf upward.
+
+    Cycle vertices keep degree 2 until one of them is paired with a
+    leaf, so on C_4 or a tree beside a triangle some outlive the pairing
+    and NotAForest is raised.  Once all are gone, the leaves' partners
+    cover every edge, one per pair, so the matching is maximum anyway.
+    """
     n = t.n
     deg = [t.degree(v) for v in range(n)]
     alive = [True] * n
@@ -217,4 +222,6 @@ def matching_certificate(t):
                 deg[x] -= 1
                 if deg[x] <= 1:
                     stack.append(x)
+    if any(alive):
+        raise NotAForest("matching_certificate needs an acyclic graph")
     return frozenset(edges)

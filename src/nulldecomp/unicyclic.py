@@ -23,14 +23,17 @@ own vertex ids:
 Each piece's part is the forest's decomposition restricted to the
 piece.  Nullity, singularity, the independence number and the matching
 number compose over the parts, and analyze() returns explicit
-certificates built from the same forests, then validates them.
+certificates built from the same forests.  Before it returns, it holds
+them to the certificate rule of graphs (edge_inside, matching_defect)
+and to the sizes alpha and nu, and raises AssertionError naming the
+offending edge or pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CycleInfo, _components, find_cycle
+from .graphs import CycleInfo, _components, edge_inside, find_cycle, matching_defect
 from .trees import decompose, independent_set_certificate, matching_certificate
 
 
@@ -161,28 +164,6 @@ def _cycle_alternating_edges(cycle):
     )
 
 
-def _validate_certificates(g, independent, matching, alpha, nu):
-    if len(independent) != alpha:
-        raise AssertionError(
-            f"independent-set certificate has size {len(independent)}, formula says {alpha}"
-        )
-    for u, v in g.edges:
-        if u in independent and v in independent:
-            raise AssertionError(f"certificate set contains the edge ({u}, {v})")
-    if len(matching) != nu:
-        raise AssertionError(
-            f"matching certificate has size {len(matching)}, formula says {nu}"
-        )
-    seen = set()
-    for u, v in matching:
-        if not g.has_edge(u, v):
-            raise AssertionError(f"certificate matching uses the non-edge ({u}, {v})")
-        if u in seen or v in seen:
-            raise AssertionError(f"certificate matching reuses a vertex of ({u}, {v})")
-        seen.add(u)
-        seen.add(v)
-
-
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
@@ -225,7 +206,13 @@ def analyze(g):
     nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)
     nullity = cycle_nullity + sum(len(p.supp) - len(p.core) for p in parts)
     singular, reason = _singularity(g, cycle, verdict, parts)
-    _validate_certificates(g, independent, matching, alpha, nu)
+    clash, defect = edge_inside(g, independent), matching_defect(g, matching)
+    if clash or defect or (len(independent), len(matching)) != (alpha, nu):
+        raise AssertionError(
+            f"certificates break the rule: edge inside the set {clash}, bad matching "
+            f"pair {defect}, sizes {len(independent)} and {len(matching)} for alpha "
+            f"{alpha} and nu {nu}"
+        )
     return UnicyclicAnalysis(
         cycle=cycle,
         kind=verdict.kind,

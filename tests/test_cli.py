@@ -10,13 +10,18 @@ from pathlib import Path
 
 import pytest
 
+import nulldecomp.cli
 import nulldecomp.linalg
+import nulldecomp.sweeps
+import nulldecomp.trees
+import nulldecomp.unicyclic
 from nulldecomp.cli import main
 from nulldecomp.oracles import Matching
 from nulldecomp.sweeps import TREE_INVARIANTS, UNICYCLIC_INVARIANTS
 
 FIG3 = str(resources.files("nulldecomp.fixtures") / "fig3.edges")
 FIG1 = str(resources.files("nulldecomp.fixtures") / "fig1_T1.edges")
+FIG6 = str(resources.files("nulldecomp.fixtures") / "fig6.edges")
 
 
 def run(capsys, *argv):
@@ -98,6 +103,28 @@ class TestAnalyze:
         assert "support equals kernel support" in checks
         assert "nullity equals kernel nullity" in checks
         assert "certificates valid and sized" in checks
+
+    @pytest.mark.parametrize(
+        "path, analyze_calls, decompose_calls", [(FIG1, 0, 1), (FIG6, 1, 2)]
+    )
+    def test_verify_checks_the_analysis_it_printed(
+        self, capsys, monkeypatch, path, analyze_calls, decompose_calls
+    ):
+        calls = []
+        for real in (nulldecomp.trees.decompose, nulldecomp.unicyclic.analyze):
+
+            def counted(g, real=real):
+                calls.append(real.__name__)
+                return real(g)
+
+            # Wherever the name was imported: cli, the checkers, and analyze itself.
+            for module in (nulldecomp.cli, nulldecomp.sweeps, nulldecomp.unicyclic):
+                if hasattr(module, real.__name__):
+                    monkeypatch.setattr(module, real.__name__, counted)
+        code, out, _ = run(capsys, "analyze", "--verify", path)
+        assert code == 0 and all(json.loads(out)["verification"].values())
+        assert calls.count("analyze") == analyze_calls
+        assert calls.count("decompose") == decompose_calls
 
     def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(

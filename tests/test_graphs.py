@@ -29,7 +29,9 @@ from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import (
     _components,
     connected_components,
+    edge_inside,
     induced_subgraph,
+    matching_defect,
     pendant_trees,
     remove_vertices,
 )
@@ -358,6 +360,43 @@ class TestPendantTrees:
     def test_single_vertex_pendants_on_pure_cycle(self):
         pts = pendant_trees(cycle(4), find_cycle(cycle(4)))
         assert all(pt.tree.n == 1 for pt in pts)
+
+
+C5 = cycle(5)
+
+
+class TestCertificateRule:
+    @pytest.mark.parametrize(
+        "independent, clash",
+        [
+            ({0, 2}, None),
+            ({0, 1}, (0, 1)),  # the set holds the edge 0-1
+            ({4, 0, 2}, (0, 4)),  # named low end first
+            (set(), None),
+        ],
+        ids=["valid", "edge-in-set", "edge-in-set-ordered", "empty"],
+    )
+    def test_edge_inside_on_c5(self, independent, clash):
+        assert edge_inside(C5, independent) == clash
+
+    @pytest.mark.parametrize(
+        "matching, defect",
+        [
+            ([(0, 1), (2, 3)], None),
+            ([(3, 4), (0, 2)], (0, 2)),  # 0-2 is not an edge
+            ([(0, 1), (1, 2)], (1, 2)),  # vertex 1 is used twice
+            ([(1, 0), (3, 2)], None),  # either endpoint order
+        ],
+        ids=["valid", "non-edge", "reused-vertex", "reversed-pairs"],
+    )
+    def test_matching_defect_on_c5(self, matching, defect):
+        assert matching_defect(C5, matching) == defect
+
+    def test_matching_defect_on_a_path(self):
+        g = path_graph(3)
+        assert matching_defect(g, {(0, 1)}) is None
+        assert matching_defect(g, {(0, 2)}) == (0, 2)
+        assert matching_defect(g, frozenset({(0, 1), (1, 2)})) in {(0, 1), (1, 2)}
 
 
 class TestDotExport:

@@ -6,7 +6,6 @@ import pytest
 
 from nulldecomp import (
     Graph,
-    Matching,
     NotATree,
     TooLarge,
     UnknownVertex,
@@ -18,7 +17,7 @@ from nulldecomp import (
     random_tree,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import pendant_trees
+from nulldecomp.graphs import matching_defect, pendant_trees
 from nulldecomp.oracles import augmenting_path, mismatched_in, size_limit
 from nulldecomp.randgraphs import random_simple_graph
 from nulldecomp.sweeps import cycle_graph
@@ -104,7 +103,7 @@ class TestMaxMatching:
         for _ in range(200):
             g = random_simple_graph(rng.randrange(1, 17), rng.choice([0.2, 0.4, 0.7]), rng)
             got = max_matching(g)
-            assert got.is_valid_for(g)
+            assert matching_defect(g, got.edges) is None
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges)
@@ -144,12 +143,6 @@ class TestMaxMatching:
         assert max_matching(load_fixture("fig4")).size > 0
         assert max_matching(c5_with_pendants()).size == 4
         assert calls == []
-
-    def test_matching_validity_helper(self):
-        g = path_graph(3)
-        assert Matching(frozenset({(0, 1)})).is_valid_for(g)
-        assert not Matching(frozenset({(0, 2)})).is_valid_for(g)
-        assert not Matching(frozenset({(0, 1), (1, 2)})).is_valid_for(g)
 
 
 class TestAugmentingPaths:

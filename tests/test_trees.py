@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import nulldecomp.graphs
+import nulldecomp.trees
 from nulldecomp import (
     Graph,
     NotAForest,
@@ -16,9 +17,11 @@ from nulldecomp import (
     max_matching,
     null_basis,
     random_tree,
+    random_unicyclic,
     tree_sweep,
 )
 from nulldecomp.fixtures import load_fixture
+from nulldecomp.graphs import matching_defect
 from nulldecomp.sweeps import cycle_graph
 
 
@@ -254,6 +257,42 @@ class TestMatchingCertificate:
     def test_rejects_cycles(self):
         with pytest.raises(NotAForest):
             matching_certificate(cycle_graph(4))
+
+    def test_checks_acyclicity_in_its_own_pairing(self, monkeypatch):
+        calls = []
+        walk = nulldecomp.trees._forest_order
+
+        def counted(t, op):
+            calls.append(op)
+            return walk(t, op)
+
+        monkeypatch.setattr(nulldecomp.trees, "_forest_order", counted)
+        t = load_fixture("fig2_tree")
+        assert len(matching_certificate(t)) == max_matching(t).size
+        with pytest.raises(NotAForest, match="matching_certificate needs an acyclic graph"):
+            matching_certificate(cycle_graph(4))
+        with pytest.raises(NotAForest):  # a tree beside a triangle
+            matching_certificate(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]))
+        assert calls == []
+
+    def test_maximum_whenever_the_pairing_finishes_on_a_cycle(self):
+        # Pairing a cycle vertex with a leaf opens the cycle, and the leaves'
+        # partners then cover every edge: the triangle with a pendant edge.
+        paw = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        assert matching_certificate(paw) == {(0, 3), (1, 2)}
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(200):
+            g = random_unicyclic(rng.randrange(3, 14), rng)
+            try:
+                m = matching_certificate(g)
+            except NotAForest:
+                outcomes.add("raised")
+                continue
+            outcomes.add("finished")
+            assert matching_defect(g, m) is None
+            assert len(m) == max_matching(g).size
+        assert outcomes == {"raised", "finished"}
 
 
 class TestTreeSweep:

@@ -214,6 +214,16 @@ class TestAnalyze:
             covered |= p.vertices
         assert covered == set(range(g.n)) - set(a.cycle.vertices)
 
+    def test_a_set_with_an_edge_fails_the_certificate_rule(self, monkeypatch):
+        # paw is type I, so its set comes straight from the certificate builder.
+        monkeypatch.setattr(
+            nulldecomp.unicyclic,
+            "independent_set_certificate",
+            lambda f, d, avoid=(): frozenset({1, 2}),
+        )
+        with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
+            analyze(paw())
+
     def test_pure_cycle(self):
         a = analyze(cycle_graph(8))
         assert a.pure_cycle and a.kind == "II"
