@@ -4,7 +4,7 @@ Subcommands:
 
   analyze   read one graph, print its analysis as JSON; --verify adds the
             sweep checker's invariants for its shape, run on that same
-            analysis, under "verification"
+            analysis and those certificates, under "verification"
   verify    run seeded random sweeps of the same invariant checks
   fixtures  recheck the bundled examples against their frozen values
 
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .fixtures import check_all
@@ -71,7 +72,7 @@ def _roles_from(supp, core, n_vertices):
     return roles
 
 
-def _forest_report(g, shape, d):
+def _forest_report(g, shape, d, independent, matching):
     return {
         "shape": shape.value,
         "vertex_count": g.n,
@@ -83,8 +84,8 @@ def _forest_report(g, shape, d):
         "supp": _names(g, d.supp),
         "core": _names(g, d.core),
         "n_vertices": _names(g, d.n_forest_vertices),
-        "independent_set": _names(g, independent_set_certificate(g, d)),
-        "matching": _pairs(g, matching_certificate(g)),
+        "independent_set": _names(g, independent),
+        "matching": _pairs(g, matching),
     }
 
 
@@ -157,21 +158,23 @@ def cmd_analyze(args):
 
     if shape in (Shape.TREE, Shape.FOREST):
         analysis = decompose(g)
-        report = _forest_report(g, shape, analysis)
+        independent = independent_set_certificate(g, analysis)
+        matching = matching_certificate(g)
+        report = _forest_report(g, shape, analysis, independent, matching)
         roles = _roles_from(analysis.supp, analysis.core, analysis.n_forest_vertices)
-        checker = _tree_checks
+        check = partial(_tree_checks, g, analysis, independent, matching)
     else:
         analysis = analyze(g)
         report = _unicyclic_report(g, shape, analysis)
         roles = {}
         for p in analysis.parts:
             roles.update(_roles_from(p.supp, p.core, p.n_vertices))
-        checker = _unicyclic_checks
+        check = partial(_unicyclic_checks, g, analysis)
 
     code = 0
     if args.verify:
         try:
-            checks = checker(g, analysis)
+            checks = check()
         except TooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -195,7 +198,8 @@ _SWEEP_RANGES = {"tree": (2, 16), "unicyclic": (6, 16), "cycle": (3, 24)}
 _SWEEP_FLOORS = {"tree": 1, "unicyclic": 3, "cycle": 3}
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
+    parser = args.parser  # the verify subparser, so errors show its usage
     kind = args.kind
     lo, hi = _SWEEP_RANGES[kind]
     min_n = args.min_n if args.min_n is not None else lo
@@ -299,6 +303,7 @@ def build_parser():
     p_ver.add_argument("--min-n", type=int, default=None, dest="min_n")
     p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.set_defaults(parser=p_ver)
 
     p_fix = sub.add_parser("fixtures", help="recheck the bundled examples")
     p_fix.add_argument("--verbose", action="store_true", help="print every check row")
@@ -313,7 +318,7 @@ def main(argv=None):
         if args.command == "analyze":
             code = cmd_analyze(args)
         elif args.command == "verify":
-            code = cmd_verify(args, parser)
+            code = cmd_verify(args)
         else:
             code = cmd_fixtures(args)
         # A reader that left early shows up here, not in the exit flush.

@@ -7,6 +7,11 @@ along augmenting paths until an exhaustive search finds none.  Whether
 a set or a matching is valid for a graph is not judged here: that rule
 is graphs.edge_inside and graphs.matching_defect.
 
+The independence search reduces before it branches: a vertex with at
+most one live neighbour is taken at once.  That rule holds on every
+graph (it is not the forest theory under test), and it keeps forests
+and unicyclic graphs cheap well past the size guard.
+
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
 """
@@ -53,9 +58,13 @@ class Matching:
 def max_independent_set(g):
     """(size, one witness set), by branch and bound.
 
-    Branches on a maximum-degree vertex: either exclude it, or include it
-    and delete its closed neighborhood.  Isolated leftovers are taken
-    wholesale.  The search is depth-first on an explicit stack, not recursive.
+    Each search state first takes every vertex with at most one live
+    neighbour and deletes that neighbour: some maximum independent set
+    of any graph contains such a vertex (the degree <= 1 reduction), so
+    a forest never branches.  What is left has minimum degree 2; the
+    search branches on a maximum-degree vertex of it: either exclude it,
+    or include it and delete its closed neighborhood.  The search is
+    depth-first on an explicit stack, not recursive.
     """
     _guard(g, "max_independent_set")
     n = g.n
@@ -69,21 +78,32 @@ def max_independent_set(g):
     stack = [((1 << n) - 1, 0, 0)]
     while stack:
         avail, size, chosen = stack.pop()
+        # Scan until a pass takes no vertex: only then are its degrees,
+        # and so its maximum-degree vertex, those of the final avail.
+        taken = True
+        while taken:
+            taken = False
+            v_best = -1
+            d_best = -1
+            a = avail
+            while a:
+                low = a & -a
+                a ^= low
+                v = low.bit_length() - 1
+                live = adj[v] & avail
+                d = live.bit_count()
+                if d <= 1:
+                    avail &= ~(low | live)
+                    a &= ~live
+                    chosen |= low
+                    size += 1
+                    taken = True
+                elif d > d_best:
+                    v_best, d_best = v, d
         if size + avail.bit_count() <= best:
             continue
-        v_best = -1
-        d_best = -1
-        a = avail
-        while a:
-            low = a & -a
-            v = low.bit_length() - 1
-            a ^= low
-            d = (adj[v] & avail).bit_count()
-            if d > d_best:
-                v_best, d_best = v, d
-        if d_best <= 0:
-            best = size + avail.bit_count()
-            best_set = chosen | avail
+        if not avail:
+            best, best_set = size, chosen
             continue
         bit = 1 << v_best
         stack.append((avail & ~bit, size, chosen))

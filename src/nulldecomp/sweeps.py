@@ -1,8 +1,9 @@
 """Random-sweep invariant checks shared by the CLI and the test suite.
 
 Each checker takes one instance and returns {invariant name: bool}.
-_tree_checks and _unicyclic_checks also take its analysis, which
-`analyze --verify` passes in; the check_*_instance wrappers compute it.
+_tree_checks and _unicyclic_checks also take its analysis (and, for a
+forest, its two certificates), which `analyze --verify` passes in; the
+check_*_instance wrappers compute them.
 run_sweep aggregates tallies and keeps the first offending graph per
 invariant so failures can be echoed as edge lists and reproduced.
 """
@@ -85,7 +86,7 @@ def _certificates_valid(g, independent, matching, alpha, nu):
     )
 
 
-def _tree_checks(t, d):
+def _tree_checks(t, d, independent, matching):
     checks = {}
     oracle_alpha, _ = max_independent_set(t)
     oracle_nu = max_matching(t).size
@@ -133,13 +134,15 @@ def _tree_checks(t, d):
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n
     checks["certificates valid and sized"] = _certificates_valid(
-        t, independent_set_certificate(t, d), matching_certificate(t), d.alpha, d.nu
+        t, independent, matching, d.alpha, d.nu
     )
     return checks
 
 
 def check_tree_instance(t):
-    return _tree_checks(t, decompose(t))
+    d = decompose(t)
+    independent = independent_set_certificate(t, d)
+    return _tree_checks(t, d, independent, matching_certificate(t))
 
 
 def _unicyclic_checks(g, analysis):

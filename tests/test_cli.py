@@ -126,6 +126,21 @@ class TestAnalyze:
         assert calls.count("analyze") == analyze_calls
         assert calls.count("decompose") == decompose_calls
 
+    def test_forest_verify_builds_each_certificate_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("independent_set_certificate", "matching_certificate"):
+            real = getattr(nulldecomp.trees, name)
+
+            def counted(*args, real=real):
+                calls.append(real.__name__)
+                return real(*args)
+
+            for module in (nulldecomp.cli, nulldecomp.sweeps):
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "analyze", "--verify", FIG1)
+        assert code == 0 and all(json.loads(out)["verification"].values())
+        assert sorted(calls) == ["independent_set_certificate", "matching_certificate"]
+
     def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "nulldecomp.sweeps.max_matching", lambda g: Matching(frozenset())
@@ -279,15 +294,17 @@ class TestVerify:
         assert "NULLDECOMP_MAX_N" in err
 
     def test_bad_ranges_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--kind", "unicyclic", "--min-n", "2"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--kind", "tree", "--count", "0"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--kind", "tree", "--min-n", "9", "--max-n", "4"])
-        assert exc.value.code == 2
+        for argv in (
+            ["--kind", "unicyclic", "--min-n", "2"],
+            ["--kind", "tree", "--count", "0"],
+            ["--kind", "tree", "--min-n", "9", "--max-n", "4"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *argv])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: nulldecomp verify ")
+            assert "\nnulldecomp verify: error: " in err
 
 
 class TestFixturesCommand:

@@ -71,14 +71,13 @@ CASES = _cases()
 def run_case(argv, stdin, max_n, workdir):
     """(exit code, stdout, stderr, DOT text or None) of one in-process run in workdir."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.getcwd(), sys.stdin, os.environ.get("NULLDECOMP_MAX_N")
+    # COLUMNS fixes where argparse wraps a usage line, whatever the terminal.
+    env = {"NULLDECOMP_MAX_N": max_n, "COLUMNS": "80"}
+    saved = os.getcwd(), sys.stdin, {k: os.environ.get(k) for k in env}
     os.chdir(workdir)
     (Path(workdir) / "bad.edges").write_bytes(b"0 1\n\xff\n")
     sys.stdin = io.StringIO(stdin or "")
-    if max_n is None:
-        os.environ.pop("NULLDECOMP_MAX_N", None)
-    else:
-        os.environ["NULLDECOMP_MAX_N"] = max_n
+    _set_env(env)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -91,10 +90,16 @@ def run_case(argv, stdin, max_n, workdir):
     finally:
         os.chdir(saved[0])
         sys.stdin = saved[1]
-        if saved[2] is None:
-            os.environ.pop("NULLDECOMP_MAX_N", None)
+        _set_env(saved[2])
+
+
+def _set_env(values):
+    """Set each variable to its value, or unset it where the value is None."""
+    for key, value in values.items():
+        if value is None:
+            os.environ.pop(key, None)
         else:
-            os.environ["NULLDECOMP_MAX_N"] = saved[2]
+            os.environ[key] = value
 
 
 def _golden(case, suffix):

@@ -17,9 +17,9 @@ from nulldecomp import (
     random_tree,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import matching_defect, pendant_trees
+from nulldecomp.graphs import edge_inside, matching_defect, pendant_trees
 from nulldecomp.oracles import augmenting_path, mismatched_in, size_limit
-from nulldecomp.randgraphs import random_simple_graph
+from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
 from nulldecomp.sweeps import cycle_graph
 
 nx = pytest.importorskip("networkx")
@@ -71,13 +71,20 @@ def brute_mis_size(g):
 
 class TestMaxIndependentSet:
     def test_matches_exhaustive_enumeration(self):
+        # Sparse graphs, trees and unicyclic graphs exercise the degree <= 1
+        # reduction, denser ones the branching.
         rng = random.Random(41)
-        for _ in range(50):
-            g = random_simple_graph(rng.randrange(1, 11), rng.choice([0.15, 0.35, 0.6]), rng)
+        cases = [
+            random_simple_graph(rng.randrange(0, 16), rng.choice([0.1, 0.2, 0.35, 0.6]), rng)
+            for _ in range(60)
+        ]
+        cases += [random_tree(rng.randrange(1, 16), rng) for _ in range(10)]
+        cases += [random_unicyclic(rng.randrange(3, 16), rng) for _ in range(10)]
+        for g in cases:
             size, witness = max_independent_set(g)
             assert size == brute_mis_size(g)
             assert len(witness) == size
-            assert not any(u in witness and v in witness for u, v in g.edges)
+            assert edge_inside(g, witness) is None
 
     def test_known_values(self):
         assert max_independent_set(load_fixture("fig1_T1"))[0] == 4
@@ -94,6 +101,12 @@ class TestMaxIndependentSet:
         monkeypatch.setenv("NULLDECOMP_MAX_N", "5000")
         k = Graph(1100, [(u, v) for v in range(1100) for u in range(v)])
         assert max_independent_set(k)[0] == 1
+
+    def test_sparse_graphs_past_the_guard_need_no_branching(self, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "5000")
+        assert max_independent_set(path_graph(2100))[0] == 1050
+        pairs = Graph(2100, [(2 * i, 2 * i + 1) for i in range(1050)])
+        assert max_independent_set(pairs)[0] == 1050
 
 
 class TestMaxMatching:
