@@ -7,13 +7,16 @@ side (oracles, sweeps, fixtures) and the tests, since the formula path
 works in the graph's own ids.  Optional display names ride along for
 fixtures whose vertices carry names like "v1" or "a".
 
+_walk is the one walk over a whole graph.  The components, the shape,
+the cycle and, through the components, the pendant trees are read off
+its order and parent lists, and so is the forest DP in trees.
+
 edge_inside and matching_defect are the one certificate rule (an
 independent set, a matching) that analyze, the sweeps and the fixtures use.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,6 +143,13 @@ class CycleInfo:
     vertices: tuple
     length: int
 
+    @property
+    def edges(self):
+        """The cycle edges as (u, w) with u < w, in cycle order: edge i
+        joins vertex i to vertex i + 1, and the last closes the cycle."""
+        vs = self.vertices
+        return tuple((min(u, w), max(u, w)) for u, w in zip(vs, vs[1:] + vs[:1]))
+
     def __post_init__(self):
         if self.length != len(self.vertices):
             raise ValueError("cycle length disagrees with vertex tuple")
@@ -167,13 +177,21 @@ class PendantTree:
         return self.label_map.index(self.root)
 
 
+def _decimal(s):
+    """The integer an ASCII decimal numeral with an optional leading minus
+    sign spells, or None for anything else (int() would also take "1_0",
+    "+1" and non-ASCII digits)."""
+    digits = s[1:] if s.startswith("-") else s
+    return int(s) if digits.isascii() and digits.isdigit() else None
+
+
 def parse_edge_list(text):
     """Parse the edge-list format into a Graph.
 
-    Lines are "u v" integer pairs.  Blank lines and "#" comments are
-    ignored.  Optional headers, each at most once: "n=<count>" fixes the
-    vertex count (else max label + 1 is used) and "labels=a,b,c" attaches
-    display names, which must be distinct.
+    Lines are "u v" pairs of ASCII decimal integers.  Blank lines and
+    "#" comments are ignored.  Optional headers, each at most once:
+    "n=<count>" fixes the vertex count (else max label + 1 is used) and
+    "labels=a,b,c" attaches display names, which must be distinct.
     """
     n_header = None
     labels = None
@@ -187,10 +205,9 @@ def parse_edge_list(text):
         if line.startswith("n="):
             if n_header is not None:
                 raise MalformedLine(f"line {lineno}: repeated n= header")
-            try:
-                n_header = int(line[2:])
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}") from None
+            n_header = _decimal(line[2:].strip())
+            if n_header is None:
+                raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}")
             if n_header < 0:
                 raise MalformedLine(f"line {lineno}: negative vertex count")
             continue
@@ -204,10 +221,9 @@ def parse_edge_list(text):
         parts = line.split()
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer vertex in {line!r}") from None
+        u, v = _decimal(parts[0]), _decimal(parts[1])
+        if u is None or v is None:
+            raise MalformedLine(f"line {lineno}: non-integer vertex in {line!r}")
         if u < 0 or v < 0:
             raise MalformedLine(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
@@ -284,26 +300,40 @@ def parse_graph6(line):
     return Graph(n, edges)
 
 
-def _components(g):
-    """Vertex lists of g's components, each sorted, by smallest member."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
+def _walk(g):
+    """(order, parent) of a walk over every component of g.
+
+    Each component is rooted at its smallest vertex and listed whole,
+    after the components with smaller roots; order lists every vertex
+    after its parent, and a root's parent is -1.  The walk checks
+    nothing: its callers read the components, the number of roots and
+    the edges off the walk's tree from it.
+    """
+    n = g.n
+    parent = [-1] * n
+    seen = [False] * n
+    order = []
+    for r in range(n):
+        if seen[r]:
             continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        seen[r] = True
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            order.append(u)
             for w in g.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        out.append(comp)
-    return out
+                    parent[w] = u
+                    stack.append(w)
+    return order, parent
+
+
+def _components(g):
+    """Vertex lists of g's components, each sorted, by smallest member."""
+    order, parent = _walk(g)
+    starts = [i for i, v in enumerate(order) if parent[v] < 0]
+    return [sorted(order[a:b]) for a, b in zip(starts, starts[1:] + [g.n])]
 
 
 def connected_components(g):
@@ -320,7 +350,7 @@ def classify_shape(g):
     if g.n == 0:
         raise EmptyGraph("cannot classify a graph with no vertices")
     m = len(g.edges)
-    comps = len(_components(g))
+    comps = _walk(g)[1].count(-1)
     connected = comps == 1
     acyclic = m == g.n - comps
     if connected and acyclic:
@@ -337,39 +367,30 @@ def classify_shape(g):
 def find_cycle(g):
     """Locate the unique cycle of a unicyclic (or pure cycle) graph.
 
-    Leaves are stripped repeatedly; what survives is the cycle.  With
-    m = n, g is connected with one cycle iff every survivor keeps degree
-    2 and the walk from the smallest survivor covers them all.  The
-    orientation is canonical: start at the smallest cycle vertex, step
-    first to the smaller of its two cycle neighbors.
+    g is connected with one cycle iff m = n and the walk has one root.
+    Then exactly one edge (u, v) lies off the walk's tree, and the cycle
+    is that edge closing the tree path from u up to the lowest common
+    ancestor of u and v and down to v, read off the two parent chains.
+    The orientation is canonical: start at the smallest cycle vertex,
+    step first to the smaller of its two cycle neighbors.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if deg[v] != 1:
-            continue
-        deg[v] = 0
-        for w in g.neighbors(v):
-            if deg[w] > 0:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    on_cycle = {v for v in range(g.n) if deg[v] >= 2}
-    if len(g.edges) == g.n and on_cycle and all(deg[v] == 2 for v in on_cycle):
-        start = min(on_cycle)
-        first = min(w for w in g.neighbors(start) if w in on_cycle)
-        order = [start, first]
-        while True:
-            prev, cur = order[-2], order[-1]
-            nxt = next(w for w in g.neighbors(cur) if w in on_cycle and w != prev)
-            if nxt == start:
-                break
-            order.append(nxt)
-        if len(order) == len(on_cycle):
-            return CycleInfo(tuple(order), len(order))
-    shape = classify_shape(g)
-    raise NotUnicyclic(f"graph is {shape.value}, expected exactly one cycle")
+    _, parent = _walk(g)
+    if len(g.edges) != g.n or parent.count(-1) != 1:
+        raise NotUnicyclic(f"graph is {classify_shape(g).value}, expected exactly one cycle")
+    u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
+    up = [u]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    depth = {x: i for i, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    ring = up[: depth[down[-1]]] + down[::-1]
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    if ring[1] > ring[-1]:
+        ring = ring[:1] + ring[:0:-1]
+    return CycleInfo(tuple(ring), len(ring))
 
 
 def induced_subgraph(g, vertices):
@@ -407,32 +428,15 @@ def remove_vertices(g, vs):
 def pendant_trees(g, c):
     """One PendantTree per cycle vertex, in cycle order.
 
-    The tree at cycle vertex v holds everything reachable from v without
-    crossing another cycle vertex.  The vertex sets partition V(g); that
-    is checked before returning.
+    The pendant trees are the components of g without its cycle edges;
+    each holds exactly one cycle vertex, its root.
     """
-    cyc = set(c.vertices)
-    covered = 0
-    out = []
-    for v in c.vertices:
-        verts = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in cyc or w in verts:
-                    continue
-                verts.add(w)
-                stack.append(w)
-        sub, label_map = induced_subgraph(g, verts)
-        out.append(PendantTree(root=v, tree=sub, label_map=label_map))
-        covered += len(verts)
-    union = set()
-    for t in out:
-        union.update(t.label_map)
-    if covered != g.n or len(union) != g.n:
-        raise AssertionError("pendant trees failed to partition the vertex set")
-    return out
+    on = set(c.vertices)
+    by_root = {}
+    for sub, label_map in connected_components(g.without_edges(c.edges)):
+        (root,) = on.intersection(label_map)
+        by_root[root] = PendantTree(root=root, tree=sub, label_map=label_map)
+    return [by_root[v] for v in c.vertices]
 
 
 def edge_inside(g, vertices):

@@ -11,7 +11,7 @@ out by counting:
 
 Both are additive over components, so everything here accepts arbitrary
 forests, the empty graph included.  decompose raises NotAForest on a
-graph with a cycle: _forest_order, the walk the DP runs on, counts the
+graph with a cycle: the DP runs on graphs._walk, whose roots count the
 components, and a forest has exactly n - components edges.
 matching_certificate raises it when its leaf pairing cannot finish.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAForest
+from .graphs import _walk
 
 
 @dataclass(frozen=True)
@@ -56,44 +57,12 @@ class NullDecomposition:
         return len(self.core) + len(self.n_forest_vertices) // 2
 
 
-def _forest_order(t, op):
-    """(order, parent) of a walk over every component of t.
-
-    Each component is rooted at its smallest vertex; order lists every
-    vertex after its parent, and a root's parent is -1.  The walk counts
-    the components, so it also checks that t is a forest (n - components
-    edges) and raises NotAForest, naming op, when it is not.
-    """
-    n = t.n
-    parent = [-1] * n
-    seen = [False] * n
-    order = []
-    roots = 0
-    for r in range(n):
-        if seen[r]:
-            continue
-        roots += 1
-        seen[r] = True
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in t.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    stack.append(w)
-    if len(t.edges) != n - roots:
-        raise NotAForest(f"{op} needs an acyclic graph")
-    return order, parent
-
-
 def _matching_support(t):
     """Vertices of the forest t that some maximum matching misses.
 
-    Rerooting DP over the walk of _forest_order, which raises
-    NotAForest on a cycle.  Bottom-up, a vertex is missable in its own
-    subtree iff none of its children is; missable_children counts the
+    Rerooting DP over graphs._walk; raises NotAForest when t has more
+    than n - components edges.  Bottom-up, a vertex is missable in its
+    own subtree iff none of its children is; missable_children counts the
     children that are.  Top-down, free_up[c] says whether c's parent p
     is missable in the tree with c's subtree cut off: p has no missable
     child besides c and free_up[p] is false.  v is missable in the whole
@@ -101,7 +70,9 @@ def _matching_support(t):
     false.
     """
     n = t.n
-    order, parent = _forest_order(t, "decompose")
+    order, parent = _walk(t)
+    if len(t.edges) != n - parent.count(-1):
+        raise NotAForest("decompose needs an acyclic graph")
     missable_children = [0] * n
     for v in reversed(order):
         if not missable_children[v] and parent[v] >= 0:
@@ -119,12 +90,14 @@ def decompose(t):
     """Null decomposition of a forest; raises NotAForest on cycles.
 
     Supp comes from the linear-time matching DP (_matching_support),
-    Core is N(Supp), the N-vertices are the rest, and the nullity is
-    |Supp| - |Core|; no elimination runs.  The sweeps, `analyze
-    --verify` and the fixtures check Supp and the nullity against the
-    exact kernel.  The structural facts the theory guarantees (Supp
-    disjoint from Core, even N-part) are re-checked before returning; a
-    violation would mean a bug in the DP.
+    which walks t once and raises NotAForest unless t has n - c edges,
+    c being the number of components the walk found.  Core is N(Supp),
+    the N-vertices are the rest, and the nullity is |Supp| - |Core|; no
+    elimination runs.  The sweeps, `analyze --verify` and the fixtures
+    check Supp and the nullity against the exact kernel.  The structural
+    facts the theory guarantees (Supp disjoint from Core, even N-part)
+    are re-checked before returning; a violation would mean a bug in the
+    DP.
     """
     supp = _matching_support(t)
     core = set()

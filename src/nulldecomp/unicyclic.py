@@ -151,19 +151,6 @@ def _singularity(g, cycle, verdict, parts):
     return True, "type II: " + "; ".join(reasons)
 
 
-def _cycle_alternating_vertices(cycle):
-    verts = cycle.vertices
-    return frozenset(verts[i] for i in range(0, 2 * (cycle.length // 2), 2))
-
-
-def _cycle_alternating_edges(cycle):
-    verts = cycle.vertices
-    return frozenset(
-        (min(verts[i], verts[i + 1]), max(verts[i], verts[i + 1]))
-        for i in range(0, 2 * (cycle.length // 2), 2)
-    )
-
-
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
@@ -197,10 +184,11 @@ def analyze(g):
         )
         cycle_alpha = cycle_nu = cycle.length // 2
         cycle_nullity = 2 if cycle.length % 4 == 0 else 0
-        independent = _cycle_alternating_vertices(cycle) | (
+        every_other = slice(0, 2 * cycle_alpha, 2)
+        independent = frozenset(cycle.vertices[every_other]) | (
             independent_set_certificate(off, d_off, avoid=attach) - on
         )
-        matching = _cycle_alternating_edges(cycle) | matching_certificate(off)
+        matching = frozenset(cycle.edges[every_other]) | matching_certificate(off)
 
     alpha = cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts)
     nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)

@@ -23,6 +23,7 @@ from nulldecomp import (
     graphs,
     parse_edge_list,
     parse_graph6,
+    random_tree,
     random_unicyclic,
 )
 from nulldecomp.fixtures import load_fixture
@@ -55,6 +56,83 @@ def induced_by_edge_scan(g, vertices):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def with_extra_edge(g, rng):
+    """g plus one edge it does not have, chosen uniformly."""
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    return Graph(g.n, list(g.edges) + [rng.choice(missing)])
+
+
+def side_by_side(a, b):
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+def random_forest(n, rng):
+    """A random tree on n vertices with each edge dropped with probability 1/5."""
+    t = random_tree(n, rng)
+    return Graph(n, [e for e in sorted(t.edges) if rng.random() < 0.8])
+
+
+def shape_corpus(seed, count):
+    """count seeded graphs with shuffled ids: unicyclic graphs, pure cycles,
+    bicyclic graphs, disconnected graphs with m = n, and forests."""
+    rng = random.Random(seed)
+    makers = [
+        lambda: random_unicyclic(rng.randrange(3, 20), rng),
+        lambda: cycle(rng.randrange(3, 20)),
+        lambda: with_extra_edge(random_unicyclic(rng.randrange(4, 20), rng), rng),
+        # two unicyclic pieces, or a bicyclic piece beside a tree: m = n
+        lambda: side_by_side(
+            random_unicyclic(rng.randrange(3, 10), rng),
+            random_unicyclic(rng.randrange(3, 10), rng),
+        ),
+        lambda: side_by_side(
+            with_extra_edge(random_unicyclic(rng.randrange(4, 10), rng), rng),
+            random_tree(rng.randrange(1, 10), rng),
+        ),
+        lambda: random_forest(rng.randrange(1, 20), rng),
+    ]
+    out = []
+    for i in range(count):
+        g = makers[i % len(makers)]()
+        perm = rng.sample(range(g.n), g.n)
+        out.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    return out
+
+
+def depth_first_walk(g):
+    """(order, parent) of a depth-first walk, each component rooted at its
+    smallest vertex.  Unlike graphs._walk, which claims every unseen
+    neighbor when it leaves a vertex, it claims a vertex only on entering
+    it, so every edge off its tree joins a vertex to an ancestor."""
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order = []
+    for r in range(g.n):
+        stack = [(r, -1)]
+        while stack:
+            u, p = stack.pop()
+            if seen[u]:
+                continue
+            seen[u] = True
+            parent[u] = p
+            order.append(u)
+            stack.extend((w, u) for w in sorted(g.neighbors(u), reverse=True) if not seen[w])
+    return order, parent
+
+
+def is_ancestor(parent, a, v):
+    while v >= 0 and v != a:
+        v = parent[v]
+    return v == a
 
 
 class TestGraph:
@@ -143,10 +221,22 @@ class TestEdgeListFormat:
             parse_edge_list("0 x\n")
         with pytest.raises(MalformedLine, match="negative"):
             parse_edge_list("0 -1\n")
+        # int() would read these as 10, 3, 2 and 1
+        for bad in ("1_0 2", "\u0663 1", "+2 1", "0 \uff11"):
+            with pytest.raises(MalformedLine, match="line 2: non-integer vertex"):
+                parse_edge_list(f"0 1\n{bad}\n")
+        with pytest.raises(MalformedLine, match="line 2: negative vertex id"):
+            parse_edge_list("0 1\n-3 1\n")
 
     def test_header_validation(self):
         with pytest.raises(MalformedLine):
             parse_edge_list("n=abc\n0 1\n")
+        for bad in ("n=1_000_000", "n=\u0663", "n=+3", "n=3.0"):
+            with pytest.raises(MalformedLine, match="line 2: bad vertex count"):
+                parse_edge_list(f"# header\n{bad}\n0 1\n")
+        with pytest.raises(MalformedLine, match="line 1: negative vertex count"):
+            parse_edge_list("n=-2\n")
+        assert parse_edge_list("n= 3 \n0 1\n").n == 3
         with pytest.raises(MalformedLine, match="out of range"):
             parse_edge_list("n=2\n0 5\n")
         with pytest.raises(MalformedLine, match="labels"):
@@ -237,6 +327,24 @@ class TestShapesAndComponents:
     def test_classify(self, g, shape):
         assert classify_shape(g) == shape
 
+    def test_classify_against_networkx_on_random_graphs(self):
+        seen = set()
+        for g in shape_corpus(seed=41, count=360):
+            h = nx_graph(g)
+            connected = nx.is_connected(h)
+            if nx.is_forest(h):
+                expected = Shape.TREE if connected else Shape.FOREST
+            elif connected and len(g.edges) == g.n:
+                cyclic = all(d == 2 for _, d in h.degree())
+                expected = Shape.CYCLE if cyclic else Shape.UNICYCLIC
+            else:
+                expected = Shape.OTHER
+            assert classify_shape(g) == expected, sorted(g.edges)
+            comps = sorted((sorted(c) for c in nx.connected_components(h)), key=min)
+            assert _components(g) == comps
+            seen.add(expected)
+        assert seen == set(Shape)
+
     def test_classify_empty_raises(self):
         with pytest.raises(EmptyGraph):
             classify_shape(Graph(0))
@@ -315,16 +423,55 @@ class TestFindCycle:
 
     def test_checks_its_input_without_a_component_pass(self, monkeypatch):
         calls = []
-        real = graphs._components
+        components, walk = graphs._components, graphs._walk
 
-        def counting(g):
-            calls.append(g.n)
-            return real(g)
+        def counted_components(g):
+            calls.append(("components", g.n))
+            return components(g)
 
-        monkeypatch.setattr(graphs, "_components", counting)
-        for g in (load_fixture("fig6"), load_fixture("fig4"), cycle(5)):
+        def counted_walk(g):
+            calls.append(("walk", g.n))
+            return walk(g)
+
+        monkeypatch.setattr(graphs, "_components", counted_components)
+        monkeypatch.setattr(graphs, "_walk", counted_walk)
+        inputs = (load_fixture("fig6"), load_fixture("fig4"), cycle(5))
+        for g in inputs:
             find_cycle(g)
-        assert calls == []
+        assert calls == [("walk", g.n) for g in inputs]
+
+    @pytest.mark.parametrize("walk", ["own", "depth-first"])
+    def test_against_networkx_on_random_graphs(self, walk, monkeypatch):
+        if walk == "depth-first":
+            monkeypatch.setattr(graphs, "_walk", depth_first_walk)
+        outcomes = set()
+        for g in shape_corpus(seed=43, count=360):
+            h = nx_graph(g)
+            if not (nx.is_connected(h) and len(g.edges) == g.n):
+                with pytest.raises(NotUnicyclic):
+                    find_cycle(g)
+                outcomes.add("rejected")
+                continue
+            c = find_cycle(g)
+            (basis,) = nx.cycle_basis(h)
+            vs = c.vertices
+            assert set(vs) == set(basis) and c.length == len(basis)
+            assert c.edges == tuple(
+                (min(u, w), max(u, w)) for u, w in zip(vs, vs[1:] + vs[:1])
+            )
+            assert all(g.has_edge(u, w) for u, w in c.edges)
+            assert vs[0] == min(vs) and vs[1] < vs[-1]
+            # which kind of edge closed the cycle in the walk find_cycle saw
+            _, parent = graphs._walk(g)
+            u, w = next((u, w) for u, w in g.edges if w != parent[u] and u != parent[w])
+            if is_ancestor(parent, u, w) or is_ancestor(parent, w, u):
+                outcomes.add("closed to an ancestor")
+            else:
+                outcomes.add("closed across")
+        # graphs._walk never leaves an edge to an ancestor off its tree; the
+        # depth-first walk leaves nothing else
+        closing = "closed across" if walk == "own" else "closed to an ancestor"
+        assert outcomes == {"rejected", closing}
 
     def test_relabeling_keeps_the_same_cycle_set(self):
         rng = random.Random(5)

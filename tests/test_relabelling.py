@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nulldecomp import Graph, analyze, decompose, random_tree, random_unicyclic
+from nulldecomp.graphs import pendant_trees
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -50,8 +51,9 @@ def test_forest_decomposition_moves_with_the_relabelling(case):
 @given(unicyclic_and_permutations())
 def test_unicyclic_counts_survive_the_relabelling(case):
     g, p = case
+    h = relabel(g, p)
     a = analyze(g)
-    b = analyze(relabel(g, p))
+    b = analyze(h)
     assert (b.kind, b.singular, b.nullity, b.alpha, b.nu, b.cycle.length) == (
         a.kind,
         a.singular,
@@ -60,3 +62,6 @@ def test_unicyclic_counts_survive_the_relabelling(case):
         a.nu,
         a.cycle.length,
     )
+    assert set(b.cycle.vertices) == {p[v] for v in a.cycle.vertices}
+    moved = {p[t.root]: {p[v] for v in t.label_map} for t in pendant_trees(g, a.cycle)}
+    assert {t.root: set(t.label_map) for t in pendant_trees(h, b.cycle)} == moved

@@ -116,17 +116,24 @@ class TestDecompose:
     def test_checks_acyclicity_in_its_own_walk(self, monkeypatch):
         calls = []
         components = nulldecomp.graphs._components
+        walk = nulldecomp.trees._walk
 
         def counted_components(g):
-            calls.append(g.n)
+            calls.append(("components", g.n))
             return components(g)
 
+        def counted_walk(g):
+            calls.append(("walk", g.n))
+            return walk(g)
+
         monkeypatch.setattr(nulldecomp.graphs, "_components", counted_components)
-        decompose(load_fixture("fig2_tree"))
+        monkeypatch.setattr(nulldecomp.trees, "_walk", counted_walk)
+        tree = load_fixture("fig2_tree")
+        decompose(tree)
         decompose(Graph(5, [(0, 1), (2, 3)]))
         with pytest.raises(NotAForest):
             decompose(cycle_graph(4))
-        assert calls == []
+        assert calls == [("walk", tree.n), ("walk", 5), ("walk", 4)]
 
     def test_empty_graph(self):
         d = decompose(Graph(0))
@@ -260,13 +267,13 @@ class TestMatchingCertificate:
 
     def test_checks_acyclicity_in_its_own_pairing(self, monkeypatch):
         calls = []
-        walk = nulldecomp.trees._forest_order
+        walk = nulldecomp.trees._walk
 
-        def counted(t, op):
-            calls.append(op)
-            return walk(t, op)
+        def counted(t):
+            calls.append(t.n)
+            return walk(t)
 
-        monkeypatch.setattr(nulldecomp.trees, "_forest_order", counted)
+        monkeypatch.setattr(nulldecomp.trees, "_walk", counted)
         t = load_fixture("fig2_tree")
         assert len(matching_certificate(t)) == max_matching(t).size
         with pytest.raises(NotAForest, match="matching_certificate needs an acyclic graph"):
