@@ -29,6 +29,7 @@ from .fixtures import check_all
 from .graphs import (
     Role,
     Shape,
+    _decimal,
     classify_shape,
     export_dot,
     format_edge_list,
@@ -194,6 +195,16 @@ def cmd_analyze(args):
     return code
 
 
+def _int_arg(text):
+    """argparse type for integer options: the edge-list format's ASCII
+    decimal numerals, where int() would also take "1_0", "+1" or
+    non-ASCII digits."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 _SWEEP_RANGES = {"tree": (2, 16), "unicyclic": (6, 16), "cycle": (3, 24)}
 _SWEEP_FLOORS = {"tree": 1, "unicyclic": 3, "cycle": 3}
 
@@ -299,10 +310,10 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="random sweeps of the invariant checks")
     p_ver.add_argument("--kind", choices=("tree", "unicyclic", "cycle"), required=True)
-    p_ver.add_argument("--count", type=int, default=200, help="instances (default 200)")
-    p_ver.add_argument("--min-n", type=int, default=None, dest="min_n")
-    p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--count", type=_int_arg, default=200, help="instances (default 200)")
+    p_ver.add_argument("--min-n", type=_int_arg, default=None, dest="min_n")
+    p_ver.add_argument("--max-n", type=_int_arg, default=None, dest="max_n")
+    p_ver.add_argument("--seed", type=_int_arg, default=0)
     p_ver.set_defaults(parser=p_ver)
 
     p_fix = sub.add_parser("fixtures", help="recheck the bundled examples")

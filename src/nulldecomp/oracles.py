@@ -12,6 +12,13 @@ most one live neighbour is taken at once.  That rule holds on every
 graph (it is not the forest theory under test), and it keeps forests
 and unicyclic graphs cheap well past the size guard.
 
+The deletion test nu(G - v) = nu(G), behind eg_set and mismatched_in,
+takes one maximum matching M of G and at most one alternating search
+per vertex: v passes if M misses it, and otherwise iff M without v's
+edge has an augmenting path in G - v, which by Berge's theorem can only
+start at v's former mate.  No subgraph is built and no second matching
+is grown.
+
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
 """
@@ -22,7 +29,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import NotATree, TooLarge, UnknownVertex
-from .graphs import Shape, classify_shape, remove_vertices
+from .graphs import Shape, _decimal, classify_shape
 
 _DEFAULT_MAX_N = 32
 
@@ -30,10 +37,10 @@ _DEFAULT_MAX_N = 32
 def size_limit():
     """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an integer."""
     raw = os.environ.get("NULLDECOMP_MAX_N", str(_DEFAULT_MAX_N))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}") from None
+    limit = _decimal(raw)
+    if limit is None:
+        raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}")
+    return limit
 
 
 def _guard(g, op):
@@ -112,38 +119,48 @@ def max_independent_set(g):
     return best, witness
 
 
+def _augmenting_path_from(g, partner, start, visited):
+    """An augmenting path from the free vertex start, or None.
+
+    Every simple alternating path from start that avoids the vertices in
+    visited (start among them) is explored with an explicit stack, so the
+    search is exact on any graph.  The search marks its path in visited.
+    """
+    path = [start]
+    stack = [iter(g.neighbors(start))]
+    while stack:
+        for w in stack[-1]:
+            if w in visited:
+                continue
+            x = partner.get(w)
+            if x is None:
+                path.append(w)
+                return path
+            path.append(w)
+            path.append(x)
+            visited.add(w)
+            visited.add(x)
+            stack.append(iter(g.neighbors(x)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                visited.discard(path.pop())
+                visited.discard(path.pop())
+    return None
+
+
 def augmenting_path(g, partner):
     """An augmenting path as a vertex list, or None if there is none.
 
-    partner maps each matched vertex to its mate.  Every simple
-    alternating path from each free vertex is explored with an explicit
-    stack, so the search is exact on any graph.
+    partner maps each matched vertex to its mate.  Each free vertex in
+    turn starts an exhaustive alternating-path search.
     """
     for start in range(g.n):
-        if start in partner:
-            continue
-        path = [start]
-        visited = {start}
-        stack = [iter(g.neighbors(start))]
-        while stack:
-            for w in stack[-1]:
-                if w in visited:
-                    continue
-                x = partner.get(w)
-                if x is None:
-                    path.append(w)
-                    return path
-                path.append(w)
-                path.append(x)
-                visited.add(w)
-                visited.add(x)
-                stack.append(iter(g.neighbors(x)))
-                break
-            else:
-                stack.pop()
-                if stack:
-                    visited.discard(path.pop())
-                    visited.discard(path.pop())
+        if start not in partner:
+            path = _augmenting_path_from(g, partner, start, {start})
+            if path is not None:
+                return path
     return None
 
 
@@ -159,26 +176,57 @@ def max_matching(g):
     return Matching(frozenset((u, v) for u, v in partner.items() if u < v))
 
 
+def _partner(matching):
+    """The mate of each vertex a matching covers."""
+    partner = {}
+    for u, v in matching.edges:
+        partner[u] = v
+        partner[v] = u
+    return partner
+
+
+def _missable(g, partner, v):
+    """nu(G - v) == nu(G), given a maximum matching of g as partner.
+
+    If the matching misses v it is a matching of G - v.  Otherwise v's
+    mate u loses its edge; what is left has size nu(G) - 1 in G - v, and
+    it is maximum there unless an augmenting path exists (Berge).  Such
+    a path ends at u: one between two other free vertices avoids v and
+    u, so it would augment the maximum matching in G.  Its other end is
+    a vertex the matching misses, so a perfect matching rules it out;
+    otherwise one search, from u with v blocked, decides.  The search
+    never reads the mates of u and v, which start out visited, so the
+    edge uv need not be taken out of partner.
+    """
+    u = partner.get(v)
+    if u is None:
+        return True
+    if len(partner) == g.n:
+        return False
+    return _augmenting_path_from(g, partner, u, {u, v}) is not None
+
+
 def eg_set(g):
-    """Vertices missed by some maximum matching, via deletion: nu(G - v) = nu(G)."""
+    """Vertices missed by some maximum matching: those with nu(G - v) = nu(G).
+
+    One maximum matching M of g, then per vertex the test of _missable:
+    a vertex M misses is in the set, and a matched one is in it iff an
+    augmenting path for M minus its edge starts at its mate and avoids it.
+    """
     _guard(g, "eg_set")
-    base = max_matching(g).size
-    out = set()
-    for v in range(g.n):
-        sub, _ = remove_vertices(g, {v})
-        if max_matching(sub).size == base:
-            out.add(v)
-    return frozenset(out)
+    partner = _partner(max_matching(g))
+    return frozenset(v for v in range(g.n) if _missable(g, partner, v))
 
 
 def mismatched_in(t, v):
     """True iff some maximum matching of the tree t misses v.
 
-    A single-vertex tree is mismatched at its vertex.
+    The test of eg_set on one vertex: one maximum matching, then at most
+    one alternating search from v's mate.  A single-vertex tree is
+    mismatched at its vertex.
     """
     if classify_shape(t) != Shape.TREE:
         raise NotATree("mismatched_in expects a tree")
     if not 0 <= v < t.n:
         raise UnknownVertex(f"vertex {v} outside 0..{t.n - 1}")
-    sub, _ = remove_vertices(t, {v})
-    return max_matching(sub).size == max_matching(t).size
+    return _missable(t, _partner(max_matching(t)), v)

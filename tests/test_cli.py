@@ -293,6 +293,36 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "NULLDECOMP_MAX_N" in err
 
+    @pytest.mark.parametrize(
+        "option,text",
+        [
+            ("--count", "1_0"),
+            ("--min-n", "1_0"),
+            ("--max-n", "\u0662\u0660"),  # Arabic-Indic "20"
+            ("--seed", "+7"),
+            ("--seed", " 7"),
+            ("--count", "\uff13"),  # fullwidth "3"
+        ],
+    )
+    def test_integer_options_take_only_ascii_decimals(self, capsys, option, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kind", "tree", option, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nulldecomp verify ")
+        assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+    def test_negative_seed_is_an_integer(self, capsys):
+        code, out, _ = run(capsys, "verify", "--kind", "tree", "--count", "2", "--seed", "-3")
+        assert code == 0 and "seed -3" in out
+
+    @pytest.mark.parametrize("raw", ["\u0663\u0663", "3_3", "+33", " 33"])
+    def test_size_guard_takes_only_ascii_decimals(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", raw)
+        code, out, err = run(capsys, "verify", "--kind", "tree", "--count", "3")
+        assert code == 2 and not out
+        assert err == f"error: NULLDECOMP_MAX_N must be an integer, got {raw!r}\n"
+
     def test_bad_ranges_rejected(self, capsys):
         for argv in (
             ["--kind", "unicyclic", "--min-n", "2"],

@@ -60,6 +60,7 @@ def _cases():
         "verify_bad_size_guard": (["verify", "--kind", "tree"], None, "abc", 2),
         "verify_past_guard": (["verify", "--kind", "tree", "--max-n", "40"], None, None, 3),
         "verify_bad_range": (["verify", "--kind", "unicyclic", "--min-n", "2"], None, None, 2),
+        "verify_bad_int": (["verify", "--kind", "tree", "--min-n", "1_0"], None, None, 2),
     }
     cases.update((f"error.{k}", v) for k, v in errors.items())
     return cases

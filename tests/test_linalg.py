@@ -8,7 +8,7 @@ import pytest
 from nulldecomp import Graph, null_basis, random_tree
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.linalg import _eliminate
-from nulldecomp.randgraphs import random_simple_graph
+from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
 from nulldecomp.sweeps import cycle_graph
 
 
@@ -87,6 +87,26 @@ class TestEliminate:
             for i, pc in enumerate(pivots):
                 assert work[i][pc] == d
                 assert all(x == 0 for x in work[i][:pc])
+
+    def test_matches_plain_gauss_jordan_on_adjacency_matrices(self):
+        # Most row updates on these matrices are the skipped kind: a zero
+        # in the pivot column under a pivot equal to the previous one.
+        rng = random.Random(19)
+        cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(40)]
+        cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
+        cases += [
+            random_simple_graph(rng.randrange(1, 31), rng.choice([0.05, 0.1, 0.3, 0.6]), rng)
+            for _ in range(40)
+        ]
+        for k, g in enumerate(cases):
+            rows = adjacency_rows(g)
+            work = [row[:] for row in rows]
+            pivots, d = _eliminate(work)
+            want_rows, want_rank = reference_rref(rows)
+            assert len(pivots) == want_rank
+            assert [[Fraction(x, d) for x in row] for row in work] == want_rows
+            if k % 4 == 0:
+                assert null_basis(g).vectors == reference_kernel(g)
 
     def test_zero_and_identity(self):
         z = [[0, 0], [0, 0]]

@@ -14,10 +14,11 @@ from nulldecomp import (
     graphs,
     max_independent_set,
     max_matching,
+    oracles,
     random_tree,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import edge_inside, matching_defect, pendant_trees
+from nulldecomp.graphs import edge_inside, matching_defect, pendant_trees, remove_vertices
 from nulldecomp.oracles import augmenting_path, mismatched_in, size_limit
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
 from nulldecomp.sweeps import cycle_graph
@@ -46,6 +47,12 @@ def c5_with_pendants():
         9,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7), (7, 8)],
     )
+
+
+def deletion_set(g):
+    """{v : nu(G - v) = nu(G)}, from a fresh maximum matching of each G - v."""
+    base = max_matching(g).size
+    return {v for v in range(g.n) if max_matching(remove_vertices(g, {v})[0]).size == base}
 
 
 def brute_mis_size(g):
@@ -195,9 +202,62 @@ class TestEgSet:
         assert eg_set(path_graph(3)) == {0, 2}
         assert eg_set(path_graph(2)) == frozenset()
         assert eg_set(Graph(1)) == {0}
+        # Two P3s: the matching leaves one end of each free.  Deleting the
+        # matched end of the second leaves an augmenting path only from
+        # its mate; a search from the first P3's free end finds none.
+        assert eg_set(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])) == {0, 2, 3, 5}
 
     def test_odd_cycle_every_vertex_missable(self):
         assert eg_set(cycle_graph(5)) == frozenset(range(5))
+
+    def test_matches_the_deletion_definition_on_random_graphs(self):
+        # Dense graphs bring odd cycles and blossoms.  The reference grows
+        # n + 1 matchings whose last search is exhaustive, so dense graphs
+        # stop at n = 11 to keep it fast.
+        rng = random.Random(47)
+        cases = []
+        for _ in range(2000):
+            p = rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
+            cases.append(random_simple_graph(rng.randrange(0, 15 if p <= 0.5 else 12), p, rng))
+        cases += [random_tree(rng.randrange(1, 15), rng) for _ in range(150)]
+        cases += [random_unicyclic(rng.randrange(3, 15), rng) for _ in range(150)]
+        searched = 0
+        for g in cases:
+            want = deletion_set(g)
+            assert eg_set(g) == want
+            partner = oracles._partner(max_matching(g))
+            searched += sum(1 for v in want if v in partner)
+        # Some vertices are in the set only through a successful search.
+        assert searched > 0
+
+    def test_one_matching_and_one_search_from_each_matched_vertex_mate(self, monkeypatch):
+        matchings, searches = [], []
+        real_search = oracles._augmenting_path_from
+
+        def spying(g, partner, start, visited):
+            searches.append((start, set(visited)))
+            return real_search(g, partner, start, visited)
+
+        rng = random.Random(53)
+        cases = [random_simple_graph(rng.randrange(1, 12), 0.4, rng) for _ in range(30)]
+        cases += [path_graph(5), c5_with_pendants(), cycle_graph(7), petersen()]
+        cases += [load_fixture("fig4"), random_unicyclic(20, rng)]
+        for g in cases:
+            m = max_matching(g)
+            mate = oracles._partner(m)
+            matchings.clear()
+            searches.clear()
+            # The matching is handed in, so every search seen is eg_set's own.
+            monkeypatch.setattr(oracles, "max_matching", lambda h, m=m: matchings.append(h) or m)
+            monkeypatch.setattr(oracles, "_augmenting_path_from", spying)
+            eg_set(g)
+            monkeypatch.undo()
+            assert matchings == [g]
+            # A perfect matching leaves no free vertex for a path to reach.
+            assert len(searches) == (0 if len(mate) == g.n else len(mate))
+            for start, visited in searches:
+                (blocked,) = visited - {start}
+                assert mate[blocked] == start
 
     def test_agrees_with_mismatched_in_on_random_trees(self):
         # The tree sweep reads Supp against eg_set alone; this keeps the
@@ -225,6 +285,26 @@ class TestMismatchedIn:
         )
         assert mismatched_in(pt.tree, pt.root_local)
 
+    def test_matches_the_deletion_definition_on_random_trees(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            t = random_tree(rng.randrange(1, 20), rng)
+            want = deletion_set(t)
+            assert {v for v in range(t.n) if mismatched_in(t, v)} == want
+
+    def test_one_matching_per_call(self, monkeypatch):
+        calls = []
+        real = oracles.max_matching
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(oracles, "max_matching", counting)
+        t = load_fixture("fig1_T1")
+        assert [mismatched_in(t, v) for v in range(t.n)] == [v in {1, 2, 3} for v in range(t.n)]
+        assert calls == [t] * t.n
+
     def test_input_validation(self):
         with pytest.raises(NotATree):
             mismatched_in(cycle_graph(3), 0)
@@ -244,6 +324,12 @@ class TestSizeGuard:
             max_matching(path_graph(33))
         with pytest.raises(TooLarge):
             eg_set(path_graph(33))
+
+    @pytest.mark.parametrize("raw", ["\u0663_\u0663", "3_3", "+33", "33 ", "", "abc"])
+    def test_only_ascii_decimals_are_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", raw)
+        with pytest.raises(ValueError, match="NULLDECOMP_MAX_N must be an integer"):
+            size_limit()
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
