@@ -14,6 +14,7 @@ integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify).
+main builds its argument parser once per process.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .fixtures import check_all
@@ -274,6 +275,7 @@ def cmd_fixtures(args):
     return 0 if failed == 0 else 1
 
 
+@cache  # parse_args leaves the parser as it was, so main builds it once
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nulldecomp",

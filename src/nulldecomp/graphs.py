@@ -17,8 +17,10 @@ independent set, a matching) that analyze, the sweeps and the fixtures use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from .errors import (
     BadChecksumChar,
@@ -255,48 +257,51 @@ def parse_graph6(line):
     """Decode one graph in graph6 format.
 
     Accepts the optional ">>graph6<<" prefix and all three size headers
-    (1-, 4- and 8-byte).  Trailing bytes beyond the payload raise
+    (1-, 4- and 8-byte).  Trailing bytes or a second line raise
     MalformedLine; bytes outside 63..126 raise BadChecksumChar; a payload
-    shorter than n(n-1)/2 bits raises TruncatedPayload.
+    shorter than n(n-1)/2 bits raises TruncatedPayload.  C-level scans
+    check the range and find the payload bytes other than "?" (no edge),
+    so the Python work is per edge, not per bit.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise TruncatedPayload("empty graph6 string")
-    for ch in s:
-        b = ord(ch)
-        if b < 63 or b > 126:
-            raise BadChecksumChar(f"byte {b} ({ch!r}) outside graph6 range 63..126")
-    vals = [ord(ch) - 63 for ch in s]
-    if vals[0] < 63:
-        n = vals[0]
-        body = vals[1:]
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
+    bad = re.search("[^?-~]", s)
+    if bad:
+        if "\n" in s:
+            raise MalformedLine("input holds more than one graph6 line; analyze reads one graph")
+        ch = bad.group()
+        raise BadChecksumChar(f"byte {ord(ch)} ({ch!r}) outside graph6 range 63..126")
+    head = [ord(ch) - 63 for ch in s[:8]]
+    if head[0] < 63:
+        n, start = head[0], 1
+    elif len(head) >= 2 and head[1] < 63:
+        if len(head) < 4:
             raise TruncatedPayload("long-form size header cut short")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        n, start = (head[1] << 12) | (head[2] << 6) | head[3], 4
     else:
-        if len(vals) < 8:
+        if len(head) < 8:
             raise TruncatedPayload("very-long-form size header cut short")
-        n = 0
-        for v in vals[2:8]:
+        n, start = 0, 8
+        for v in head[2:8]:
             n = (n << 6) | v
-        body = vals[8:]
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(body) < need_bytes:
-        raise TruncatedPayload(f"need {need_bytes} payload bytes for n={n}, got {len(body)}")
-    if len(body) > need_bytes:
-        raise MalformedLine(f"{len(body) - need_bytes} trailing bytes after graph6 payload")
+    got = len(s) - start
+    if got < need_bytes:
+        raise TruncatedPayload(f"need {need_bytes} payload bytes for n={n}, got {got}")
+    if got > need_bytes:
+        raise MalformedLine(f"{got - need_bytes} trailing bytes after graph6 payload")
+    # Payload bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i.
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[k // 6] >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
+    for m in re.finditer("[^?]", s[start:]):
+        sextet = ord(m.group()) - 63
+        for k in range(6 * m.start(), min(6 * m.start() + 6, need_bits)):
+            if sextet >> (5 - k % 6) & 1:
+                j = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -335,6 +336,37 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("usage: nulldecomp verify ")
             assert "\nnulldecomp verify: error: " in err
+
+
+class TestParserOnce:
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        nulldecomp.cli.build_parser.cache_clear()
+        assert run(capsys, "analyze", FIG1)[0] == 0
+        assert run(capsys, "analyze", FIG3)[0] == 0
+        # The root parser and its three subparsers, built in the first call only.
+        assert len(built) == 4 and built[0] == "nulldecomp"
+
+    def test_verify_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--verify", FIG1)
+        assert code == 0 and "verification" in json.loads(out)
+        code, out, _ = run(capsys, "analyze", FIG1)
+        assert code == 0 and "verification" not in json.loads(out)
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        _, before, _ = run(capsys, "analyze", FIG1)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kind", "tree", "--min-n", "5", "--max-n", "2"])
+        assert exc.value.code == 2
+        assert "--max-n must be at least --min-n" in capsys.readouterr().err
+        assert run(capsys, "analyze", FIG1) == (0, before, "")
 
 
 class TestFixturesCommand:

@@ -6,7 +6,9 @@ absent when empty), and <case>.dot is the file `analyze --dot` wrote.
 The inputs are the nine bundled fixtures and three seeded edge lists
 with n = 300 kept next to the outputs: a forest, a type I and a type II
 unicyclic graph.  Past the oracle size guard, `analyze --verify` on the
-seeded inputs is one of the error paths.
+seeded inputs is one of the error paths.  The seeded inputs are also
+encoded as graph6 (by networkx, in the test), and `analyze --format g6`
+must print the edge list's report.
 
 Run `PYTHONPATH=src python tests/test_golden.py` to rewrite the files,
 and only when an output change is intended.
@@ -24,6 +26,7 @@ import pytest
 
 from nulldecomp.cli import main
 from nulldecomp.fixtures import expectations
+from nulldecomp.graphs import parse_edge_list
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = resources.files("nulldecomp.fixtures")
@@ -51,6 +54,7 @@ def _cases():
         "duplicate_labels": (["analyze"], "labels=a,a,b\n0 1\n1 2\n", None, 2),
         "repeated_header": (["analyze"], "n=2\nn=3\n0 1\n", None, 2),
         "bad_graph6": (["analyze", "--format", "g6"], "C~~\n", None, 2),
+        "multi_line_graph6": (["analyze", "--format", "g6"], "Bw\nBw\n", None, 2),
         "missing_file": (["analyze", "no/such/file.edges"], None, None, 2),
         "non_utf8": (["analyze", "bad.edges"], None, None, 2),
         "unwritable_dot": (["analyze", "--dot", "no/such/g.dot"], "0 1\n", None, 2),
@@ -121,6 +125,20 @@ def test_output_matches_golden(case, tmp_path):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_plain_analyze_prints_the_dot_runs_report(name, tmp_path):
     code, out, err, dot = run_case(["analyze", INPUTS[name]], None, None, tmp_path)
+    assert (code, err, dot) == (0, "", None)
+    assert out == _golden(name, "out")
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_graph6_input_prints_the_edge_list_report(name, tmp_path):
+    nx = pytest.importorskip("networkx")
+    g = parse_edge_list((GOLDEN / f"{name}.edges").read_text(encoding="utf-8"))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    line = nx.to_graph6_bytes(h, header=False).decode("ascii")
+    argv = ["analyze", "--format", "g6"]
+    code, out, err, dot = run_case(argv, line, None, tmp_path)
     assert (code, err, dot) == (0, "", None)
     assert out == _golden(name, "out")
 

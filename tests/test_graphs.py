@@ -310,6 +310,69 @@ class TestGraph6:
             line = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert parse_graph6(line) == Graph(n, g.edges)
 
+    @pytest.mark.parametrize("p", [0.03, 0.6])
+    @pytest.mark.parametrize("n", [62, 63, 64, 100, 300])
+    def test_against_networkx_at_the_header_sizes(self, n, p):
+        # n = 62 has the 1-byte size header, the others the 4-byte one.
+        h = nx.gnp_random_graph(n, p, seed=n)
+        line = nx.to_graph6_bytes(h, header=False)
+        assert len(line) - 1 - (n * (n - 1) // 2 + 5) // 6 == (1 if n < 63 else 4)
+        g = parse_graph6(line.decode())
+        assert g == Graph(n, nx.from_graph6_bytes(line.strip()).edges)
+        back = nx.Graph()
+        back.add_nodes_from(range(n))
+        back.add_edges_from(g.edges)
+        assert nx.to_graph6_bytes(back, header=False) == line
+
+    @pytest.mark.parametrize("p", [0.03, 0.6])
+    def test_builds_the_neighbour_order_of_its_edge_sequence(self, p):
+        # The payload lists pair (i, j), i < j, column by column: by j, then i.
+        # Sparse rows hold ids past their set's table size, so the order
+        # in which the edges arrive shows in the iteration order.
+        h = nx.gnp_random_graph(300, p, seed=5)
+        g = parse_graph6(nx.to_graph6_bytes(h, header=False).decode())
+        pairs = sorted(((min(e), max(e)) for e in h.edges), key=lambda e: e[::-1])
+        ref = Graph(300, pairs)
+        assert [list(g.neighbors(v)) for v in range(300)] == [
+            list(ref.neighbors(v)) for v in range(300)
+        ]
+
+    def test_very_long_size_header(self):
+        # "~~" and six bytes of size: the 8-byte form, here for n = 3.
+        assert parse_graph6("~~?????B" + "w") == parse_graph6("Bw")
+
+    def test_padding_bits_are_ignored(self):
+        # n = 3 uses three of the byte's six bits, n = 2 one.
+        assert parse_graph6("B~") == parse_graph6("Bw")
+        assert parse_graph6("A~") == parse_graph6("A_")
+        assert parse_graph6("BF") == Graph(3)
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("", TruncatedPayload, "empty graph6 string"),
+            (">>graph6<<\n", TruncatedPayload, "empty graph6 string"),
+            ("B!", BadChecksumChar, "byte 33 ('!') outside graph6 range 63..126"),
+            ("B\x7f!", BadChecksumChar, "byte 127 ('\\x7f') outside graph6 range 63..126"),
+            ("B\u00e9", BadChecksumChar, "byte 233 ('\u00e9') outside graph6 range 63..126"),
+            (
+                "Bw\nBw\n",
+                MalformedLine,
+                "input holds more than one graph6 line; analyze reads one graph",
+            ),
+            ("~?", TruncatedPayload, "long-form size header cut short"),
+            ("~", TruncatedPayload, "very-long-form size header cut short"),
+            ("~~?????", TruncatedPayload, "very-long-form size header cut short"),
+            ("B", TruncatedPayload, "need 1 payload bytes for n=3, got 0"),
+            ("~?@?" + "?" * 10, TruncatedPayload, "need 336 payload bytes for n=64, got 10"),
+            ("Bw??", MalformedLine, "2 trailing bytes after graph6 payload"),
+        ],
+    )
+    def test_error_messages(self, line, error, message):
+        with pytest.raises(error) as info:
+            parse_graph6(line)
+        assert str(info.value) == message
+
 
 class TestShapesAndComponents:
     @pytest.mark.parametrize(
