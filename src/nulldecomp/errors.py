@@ -46,7 +46,11 @@ class NotAForest(NullDecompError):
 
 
 class NotATree(NullDecompError):
-    """Expected a connected acyclic graph."""
+    """Expected a connected acyclic graph.
+
+    Nothing in the package raises it any more; it stays exported for
+    callers that catch it.
+    """
 
 
 class TooLarge(NullDecompError):

@@ -2,9 +2,10 @@
 
 Vertices of an n-vertex graph are always 0..n-1.  Subgraph extraction
 relabels densely and reports a label map (new id -> old id) so callers can
-translate results back; the relabelled subgraphs serve only the oracle
-side (oracles, sweeps, fixtures) and the tests, since the formula path
-works in the graph's own ids.  Optional display names ride along for
+translate results back; the relabelled subgraphs serve only the check
+side (the S and N parts in sweeps, the pendant trees in fixtures) and
+the tests, since the formula path and the oracles work in the graph's
+own ids.  Optional display names ride along for
 fixtures whose vertices carry names like "v1" or "a".
 
 _walk is the one walk over a whole graph.  The components, the shape,
@@ -187,13 +188,20 @@ def _decimal(s):
     return int(s) if digits.isascii() and digits.isdigit() else None
 
 
+# The most vertices an edge list may declare.  Graph holds one neighbor
+# set per vertex, so a short "n=" line could otherwise ask for gigabytes;
+# at this cap a parse takes a few seconds and under 0.5 GB.
+MAX_EDGE_LIST_N = 10**6
+
+
 def parse_edge_list(text):
     """Parse the edge-list format into a Graph.
 
     Lines are "u v" pairs of ASCII decimal integers.  Blank lines and
     "#" comments are ignored.  Optional headers, each at most once:
     "n=<count>" fixes the vertex count (else max label + 1 is used) and
-    "labels=a,b,c" attaches display names, which must be distinct.
+    "labels=a,b,c" attaches display names, which must be distinct.  A
+    vertex count above MAX_EDGE_LIST_N raises MalformedLine.
     """
     n_header = None
     labels = None
@@ -237,6 +245,8 @@ def parse_edge_list(text):
         edges.append(key)
         max_v = max(max_v, u, v)
     n = n_header if n_header is not None else max_v + 1
+    if n > MAX_EDGE_LIST_N:
+        raise MalformedLine(f"n={n} is above the cap of {MAX_EDGE_LIST_N} vertices")
     if max_v >= n:
         raise MalformedLine(f"vertex {max_v} out of range for declared n={n}")
     if labels is not None and len(labels) != n:

@@ -12,12 +12,16 @@ most one live neighbour is taken at once.  That rule holds on every
 graph (it is not the forest theory under test), and it keeps forests
 and unicyclic graphs cheap well past the size guard.
 
-The deletion test nu(G - v) = nu(G), behind eg_set and mismatched_in,
-takes one maximum matching M of G and at most one alternating search
-per vertex: v passes if M misses it, and otherwise iff M without v's
-edge has an augmenting path in G - v, which by Berge's theorem can only
-start at v's former mate.  No subgraph is built and no second matching
-is grown.
+max_independent_set(g, removed) searches g with the removed vertices
+taken out of the start mask, so alpha(G - S) and alpha(G - N[v]) need
+no subgraph, and its witness is in g's own ids.
+
+The deletion test nu(G - v) = nu(G), behind eg_set, takes one maximum
+matching M of G and at most one alternating search per vertex: v passes
+if M misses it, and otherwise iff M without v's edge has an augmenting
+path in G - v, which by Berge's theorem can only start at v's former
+mate.  No subgraph is built and no second matching is grown.  Whether
+some maximum matching of a tree misses v is the question v in eg_set(t).
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -28,8 +32,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import NotATree, TooLarge, UnknownVertex
-from .graphs import Shape, _decimal, classify_shape
+from .errors import TooLarge, UnknownVertex
+from .graphs import _decimal
 
 _DEFAULT_MAX_N = 32
 
@@ -62,8 +66,9 @@ class Matching:
         return len(self.edges)
 
 
-def max_independent_set(g):
-    """(size, one witness set), by branch and bound.
+def max_independent_set(g, removed=()):
+    """(size, one witness set) of g minus the vertices in removed, by
+    branch and bound.  The witness is in g's ids.
 
     Each search state first takes every vertex with at most one live
     neighbour and deletes that neighbour: some maximum independent set
@@ -79,10 +84,15 @@ def max_independent_set(g):
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    start = (1 << n) - 1
+    for v in removed:
+        if not 0 <= v < n:
+            raise UnknownVertex(f"vertex {v} outside 0..{n - 1}")
+        start &= ~(1 << v)
     best, best_set = 0, 0
     # Entries are (avail, size, chosen).  The include branch is pushed
     # last, so it is searched first; the witness depends on that order.
-    stack = [((1 << n) - 1, 0, 0)]
+    stack = [(start, 0, 0)]
     while stack:
         avail, size, chosen = stack.pop()
         # Scan until a pass takes no vertex: only then are its degrees,
@@ -217,16 +227,3 @@ def eg_set(g):
     partner = _partner(max_matching(g))
     return frozenset(v for v in range(g.n) if _missable(g, partner, v))
 
-
-def mismatched_in(t, v):
-    """True iff some maximum matching of the tree t misses v.
-
-    The test of eg_set on one vertex: one maximum matching, then at most
-    one alternating search from v's mate.  A single-vertex tree is
-    mismatched at its vertex.
-    """
-    if classify_shape(t) != Shape.TREE:
-        raise NotATree("mismatched_in expects a tree")
-    if not 0 <= v < t.n:
-        raise UnknownVertex(f"vertex {v} outside 0..{t.n - 1}")
-    return _missable(t, _partner(max_matching(t)), v)

@@ -87,9 +87,9 @@ class TestAnalyze:
         calls = []
         eliminate = nulldecomp.linalg._eliminate
 
-        def counted(work):
+        def counted(work, cols):
             calls.append(len(work))
-            return eliminate(work)
+            return eliminate(work, cols)
 
         monkeypatch.setattr(nulldecomp.linalg, "_eliminate", counted)
         code, _, _ = run(capsys, "analyze", FIG1)

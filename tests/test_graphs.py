@@ -242,6 +242,18 @@ class TestEdgeListFormat:
         with pytest.raises(MalformedLine, match="labels"):
             parse_edge_list("n=3\nlabels=a,b\n0 1\n")
 
+    def test_vertex_count_cap(self, monkeypatch):
+        assert graphs.MAX_EDGE_LIST_N == 10**6
+        with pytest.raises(MalformedLine, match="n=100000000 is above the cap of 1000000"):
+            parse_edge_list("n=100000000\n0 1\n")
+        monkeypatch.setattr(graphs, "MAX_EDGE_LIST_N", 5)
+        assert parse_edge_list("n=5\n0 1\n").n == 5
+        assert parse_edge_list("0 4\n").n == 5
+        with pytest.raises(MalformedLine, match="n=6 is above the cap of 5 vertices"):
+            parse_edge_list("n=6\n0 1\n")
+        with pytest.raises(MalformedLine, match="n=6 is above the cap"):
+            parse_edge_list("0 5\n")  # no header: max label + 1
+
     def test_repeated_headers_rejected(self):
         with pytest.raises(MalformedLine, match="line 2: repeated n= header"):
             parse_edge_list("n=2\nn=3\n0 1\n")

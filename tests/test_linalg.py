@@ -33,6 +33,40 @@ def reference_rref(rows):
     return rows, r
 
 
+def reference_pivots(reduced, rank):
+    """The column of each nonzero row's leading entry."""
+    return [next(j for j, x in enumerate(row) if x) for row in reduced[:rank]]
+
+
+def reference_det(rows):
+    """The determinant of a square matrix, by plain elimination over Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def sparse(rows):
+    """Integer rows as the {column: nonzero entry} dicts _eliminate takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(work, ncols):
+    """The rows of sparse() back as lists, checking that no zero is stored."""
+    assert all(x for row in work for x in row.values())
+    return [[row.get(j, 0) for j in range(ncols)] for row in work]
+
+
 def random_matrix(rng, nrows, ncols):
     return [
         [0 if rng.random() < 0.35 else rng.randint(-6, 6) for _ in range(ncols)]
@@ -55,7 +89,7 @@ def apply(g, vec):
 def reference_kernel(g):
     """One vector per free column of reference_rref, unit there."""
     red, rank = reference_rref(adjacency_rows(g))
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red[:rank]]
+    pivots = reference_pivots(red, rank)
     vectors = []
     for f in range(g.n):
         if f in pivots:
@@ -79,14 +113,19 @@ class TestEliminate:
                 # plant a dependent row so rank deficiency shows up often
                 k = rng.randrange(1, nrows)
                 rows[k] = [x * 3 for x in rows[0]]
-            work = [row[:] for row in rows]
-            pivots, d = _eliminate(work)
+            work = sparse(rows)
+            pivots, d = _eliminate(work, ncols)
+            reduced = dense(work, ncols)
             want_rows, want_rank = reference_rref(rows)
-            assert len(pivots) == want_rank
-            assert [[Fraction(x, d) for x in row] for row in work] == want_rows
+            assert pivots == reference_pivots(want_rows, want_rank)
+            assert [[Fraction(x, d) for x in row] for row in reduced] == want_rows
+            if nrows == ncols == want_rank:
+                # d is the last Bareiss pivot: the determinant, up to the
+                # sign of the row swaps.
+                assert abs(d) == abs(reference_det(rows))
             for i, pc in enumerate(pivots):
-                assert work[i][pc] == d
-                assert all(x == 0 for x in work[i][:pc])
+                assert reduced[i][pc] == d
+                assert all(x == 0 for x in reduced[i][:pc])
 
     def test_matches_plain_gauss_jordan_on_adjacency_matrices(self):
         # Most row updates on these matrices are the skipped kind: a zero
@@ -100,23 +139,25 @@ class TestEliminate:
         ]
         for k, g in enumerate(cases):
             rows = adjacency_rows(g)
-            work = [row[:] for row in rows]
-            pivots, d = _eliminate(work)
+            work = sparse(rows)
+            pivots, d = _eliminate(work, g.n)
             want_rows, want_rank = reference_rref(rows)
-            assert len(pivots) == want_rank
-            assert [[Fraction(x, d) for x in row] for row in work] == want_rows
+            assert pivots == reference_pivots(want_rows, want_rank)
+            assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
+            if want_rank == g.n:
+                assert abs(d) == abs(reference_det(rows))
             if k % 4 == 0:
                 assert null_basis(g).vectors == reference_kernel(g)
 
     def test_zero_and_identity(self):
-        z = [[0, 0], [0, 0]]
-        assert _eliminate(z) == ([], 1) and z == [[0, 0], [0, 0]]
-        i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert _eliminate(i3) == ([0, 1, 2], 1)
-        assert i3 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        z = sparse([[0, 0], [0, 0]])
+        assert _eliminate(z, 2) == ([], 1) and dense(z, 2) == [[0, 0], [0, 0]]
+        i3 = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert _eliminate(i3, 3) == ([0, 1, 2], 1)
+        assert dense(i3, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_empty_matrix(self):
-        assert _eliminate([]) == ([], 1)
+        assert _eliminate([], 0) == ([], 1)
 
 
 class TestKernel:

@@ -6,7 +6,6 @@ import pytest
 
 from nulldecomp import (
     Graph,
-    NotATree,
     TooLarge,
     UnknownVertex,
     eg_set,
@@ -18,8 +17,14 @@ from nulldecomp import (
     random_tree,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import edge_inside, matching_defect, pendant_trees, remove_vertices
-from nulldecomp.oracles import augmenting_path, mismatched_in, size_limit
+from nulldecomp.graphs import (
+    _components,
+    edge_inside,
+    matching_defect,
+    pendant_trees,
+    remove_vertices,
+)
+from nulldecomp.oracles import augmenting_path, size_limit
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
 from nulldecomp.sweeps import cycle_graph
 
@@ -47,6 +52,12 @@ def c5_with_pendants():
         9,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7), (7, 8)],
     )
+
+
+def random_forest(n, rng):
+    """A random tree on n vertices with about a third of its edges cut."""
+    t = random_tree(n, rng)
+    return t.without_edges(rng.sample(sorted(t.edges), len(t.edges) // 3))
 
 
 def deletion_set(g):
@@ -114,6 +125,42 @@ class TestMaxIndependentSet:
         assert max_independent_set(path_graph(2100))[0] == 1050
         pairs = Graph(2100, [(2 * i, 2 * i + 1) for i in range(1050)])
         assert max_independent_set(pairs)[0] == 1050
+
+    def test_removed_matches_the_relabelled_subgraph(self):
+        rng = random.Random(67)
+        cases = [
+            random_simple_graph(rng.randrange(1, 21), rng.choice([0.1, 0.2, 0.35, 0.6]), rng)
+            for _ in range(60)
+        ]
+        cases += [random_tree(rng.randrange(1, 21), rng) for _ in range(40)]
+        cases += [random_unicyclic(rng.randrange(3, 21), rng) for _ in range(40)]
+        for g in cases:
+            v = rng.randrange(g.n)
+            for removed in ((), (v,), {v} | g.neighbors(v), set(rng.sample(range(g.n), g.n // 3))):
+                size, witness = max_independent_set(g, removed)
+                assert size == max_independent_set(remove_vertices(g, removed)[0])[0]
+                assert not witness & set(removed)
+                assert edge_inside(g, witness) is None
+                assert len(witness) == size
+
+    def test_no_removed_vertex_keeps_the_witness(self):
+        # Witnesses of the search before it took removed vertices.
+        rng = random.Random(61)
+        cases = [
+            (load_fixture("fig1_T1"), [1, 2, 3, 4]),
+            (load_fixture("fig4"), [0, 6, 7, 8, 9, 10, 11, 13, 15, 17]),
+            (petersen(), [0, 2, 8, 9]),
+            (c5_with_pendants(), [0, 2, 6, 8]),
+            (cycle_graph(7), [0, 2, 4]),
+            (random_simple_graph(16, 0.3, rng), [0, 1, 3, 5, 9, 10, 12]),
+            (random_unicyclic(20, rng), [0, 1, 2, 3, 5, 6, 7, 10, 11, 12, 14, 16]),
+        ]
+        for g, want in cases:
+            assert max_independent_set(g) == max_independent_set(g, ()) == (len(want), set(want))
+
+    def test_removed_vertex_outside_the_graph(self):
+        with pytest.raises(UnknownVertex):
+            max_independent_set(path_graph(3), (3,))
 
 
 class TestMaxMatching:
@@ -259,38 +306,46 @@ class TestEgSet:
                 (blocked,) = visited - {start}
                 assert mate[blocked] == start
 
-    def test_agrees_with_mismatched_in_on_random_trees(self):
-        # The tree sweep reads Supp against eg_set alone; this keeps the
-        # per-vertex route of mismatched_in pinned to the same set.
+    def test_agrees_with_each_component_on_random_forests(self):
+        # The sweeps read a component's set off the whole forest's: a
+        # maximum matching of a forest restricts to one of each component.
         rng = random.Random(43)
         for _ in range(200):
-            t = random_tree(rng.randrange(1, 15), rng)
-            assert {v for v in range(t.n) if mismatched_in(t, v)} == eg_set(t)
+            f = random_forest(rng.randrange(1, 15), rng)
+            whole = eg_set(f)
+            for comp in _components(f):
+                sub, label_map = remove_vertices(f, set(range(f.n)) - set(comp))
+                assert {label_map[v] for v in eg_set(sub)} == whole & set(comp)
 
 
 class TestMismatchedIn:
+    """Whether some maximum matching of t misses v, asked as v in eg_set(t)."""
+
     def test_path_endpoints(self):
         t = path_graph(3)
-        assert mismatched_in(t, 0) and mismatched_in(t, 2)
-        assert not mismatched_in(t, 1)
+        assert 0 in eg_set(t) and 2 in eg_set(t)
+        assert 1 not in eg_set(t)
 
     def test_single_vertex(self):
-        assert mismatched_in(Graph(1), 0)
+        assert 0 in eg_set(Graph(1))
 
     def test_pendant_tree_root_from_example(self):
         g = load_fixture("fig2_H")
         v5 = next(v for v in range(g.n) if g.name_of(v) == "v5")
-        pt = next(
-            p for p in pendant_trees(g, find_cycle(g)) if p.root == v5
-        )
-        assert mismatched_in(pt.tree, pt.root_local)
+        cycle = find_cycle(g)
+        pt = next(p for p in pendant_trees(g, cycle) if p.root == v5)
+        assert pt.root_local in eg_set(pt.tree)
+        # The type witness check asks the same of G without its cycle edges.
+        assert v5 in eg_set(g.without_edges(cycle.edges))
 
     def test_matches_the_deletion_definition_on_random_trees(self):
         rng = random.Random(59)
         for _ in range(300):
             t = random_tree(rng.randrange(1, 20), rng)
-            want = deletion_set(t)
-            assert {v for v in range(t.n) if mismatched_in(t, v)} == want
+            assert eg_set(t) == deletion_set(t)
+        for _ in range(150):
+            f = random_forest(rng.randrange(1, 20), rng)
+            assert eg_set(f) == deletion_set(f)
 
     def test_one_matching_per_call(self, monkeypatch):
         calls = []
@@ -302,16 +357,19 @@ class TestMismatchedIn:
 
         monkeypatch.setattr(oracles, "max_matching", counting)
         t = load_fixture("fig1_T1")
-        assert [mismatched_in(t, v) for v in range(t.n)] == [v in {1, 2, 3} for v in range(t.n)]
-        assert calls == [t] * t.n
+        missable = eg_set(t)
+        assert [v in missable for v in range(t.n)] == [v in {1, 2, 3} for v in range(t.n)]
+        assert calls == [t]
 
-    def test_input_validation(self):
-        with pytest.raises(NotATree):
-            mismatched_in(cycle_graph(3), 0)
-        with pytest.raises(NotATree):
-            mismatched_in(Graph(2), 0)  # disconnected
-        with pytest.raises(UnknownVertex):
-            mismatched_in(path_graph(2), 5)
+    def test_input_validation(self, monkeypatch):
+        # Any graph is accepted, not only trees; the size guard is the
+        # one input check.
+        assert eg_set(cycle_graph(3)) == {0, 1, 2}
+        assert eg_set(Graph(2)) == {0, 1}  # disconnected
+        assert 5 not in eg_set(path_graph(2))
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "2")
+        with pytest.raises(TooLarge):
+            eg_set(path_graph(3))
 
 
 class TestSizeGuard:

@@ -262,9 +262,9 @@ class TestAnalyze:
         induced_subgraph = nulldecomp.graphs.induced_subgraph
         graph_init = Graph.__init__
 
-        def counted_eliminate(work):
+        def counted_eliminate(work, cols):
             eliminations.append(len(work))
-            return eliminate(work)
+            return eliminate(work, cols)
 
         def counted_decompose(t):
             decompositions.append(t.n)
