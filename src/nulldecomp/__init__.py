@@ -20,7 +20,6 @@ from .errors import (
     EmptyGraph,
     MalformedLine,
     NotAForest,
-    NotATree,
     NotUnicyclic,
     NullDecompError,
     ParseError,
@@ -85,7 +84,6 @@ __all__ = [
     "MalformedLine",
     "Matching",
     "NotAForest",
-    "NotATree",
     "NotUnicyclic",
     "NullBasis",
     "NullDecompError",

@@ -45,13 +45,5 @@ class NotAForest(NullDecompError):
     """Expected an acyclic graph."""
 
 
-class NotATree(NullDecompError):
-    """Expected a connected acyclic graph.
-
-    Nothing in the package raises it any more; it stays exported for
-    callers that catch it.
-    """
-
-
 class TooLarge(NullDecompError):
     """Instance exceeds the brute-force size guard (see NULLDECOMP_MAX_N)."""

@@ -10,20 +10,30 @@ vector before returning.
 
 Elimination is one fraction-free Gauss-Jordan pass: Bareiss's update is
 applied to the rows above the pivot as well as below.  Every entry stays
-a minor of A, so each division is exact, and at the end every pivot
-equals the last one, d; row i divided by d is row i of the reduced
-row-echelon form.  Pivoting is first-nonzero in column order.
+a minor of A up to sign (see below), so each division is exact, and at
+the end every pivot equals the last one, d; row i divided by d is row i
+of the reduced row-echelon form.  Pivoting is first-nonzero in column
+order.
 
 Rows are dicts of their nonzero entries.  Bareiss's update maps an
 entry that is 0 in both rows to 0, so a step touches only the columns
 where the row or the pivot row is nonzero, and an entry that becomes 0
-is dropped; the integers are those of the dense pass.  A row whose
-entry in the pivot column is 0 is left alone when the new pivot equals
-the previous one: its update (x * piv - 0 * y) / prev is then x itself,
-exactly.  Every entry that is updated is still divided with its
-remainder checked.  The adjacency rows of trees and unicyclic graphs
-start with a few entries each and stay sparse enough that n = 1000
-takes under half a second (2-core Xeon, Python 3.11), where the dense
+is dropped; the integers are those of the same pass on dense rows.  A
+row whose entry in the pivot column is 0 is left alone when the new
+pivot equals the previous one: its update (x * piv - 0 * y) / prev is
+then x itself, exactly, so such a step visits only the rows holding
+the pivot column.  A pivot that is the previous one negated is made
+equal to it by negating the pivot row first.  That is Bareiss on A
+with that row negated: every entry is still a minor of that matrix,
+and the RREF is the same.  On adjacency matrices a pivot mostly equals
+the previous one up to sign, so most steps rescale no row.  Every
+entry that is updated is still divided with its remainder checked.
+
+The A x = 0 check of a kernel vector reads only the rows adjacent to
+its support, since every other row sums zeros; the verdict is that of
+the full product.  The adjacency rows of trees and unicyclic graphs
+start with a few entries each and stay sparse, so null_basis at
+n = 1000 takes 0.05-0.09 s (2-core Xeon, Python 3.11), where the dense
 pass took 13-15 s.
 """
 
@@ -71,22 +81,32 @@ def _eliminate(work, cols):
     for c in range(cols):
         if r == rows:
             break
-        p = next((i for i in range(r, rows) if c in work[i]), None)
+        holders = [i for i in range(rows) if c in work[i]]
+        p = next((i for i in holders if i >= r), None)
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
         wr = work[r]
         piv = wr[c]
-        # Update every other row, even with a zero in column c, or later
-        # divisions break.  The exception is a zero under piv = prev:
-        # x * piv / prev = x.  A column empty in both rows stays empty.
-        for i in range(rows):
-            if i == r:
-                continue
+        if piv == -prev:
+            # Bareiss on A with this row negated: the same RREF, and a
+            # pivot equal to the previous one.
+            for j in wr:
+                wr[j] = -wr[j]
+            piv = prev
+        if piv == prev:
+            # A zero in column c then updates to x * piv / prev = x, so
+            # only the rows holding column c change.  Before the swap,
+            # row r did not hold it unless p == r.
+            targets = [i for i in holders if i != p]
+        else:
+            # Every other row changes, even with a zero in column c, or
+            # later divisions break.
+            targets = [i for i in range(rows) if i != r]
+        for i in targets:
             wi = work[i]
             f = wi.get(c, 0)
-            if not f and piv == prev:
-                continue
+            # A column empty in both rows stays empty.
             for j in wi.keys() | wr.keys() if f else list(wi):
                 q, rem = divmod(wi.get(j, 0) * piv - f * wr.get(j, 0), prev)
                 if rem:
@@ -106,27 +126,35 @@ def null_basis(g):
 
     One vector per free column f, with coordinate 1 at f, the negated
     reduced-row entries at the pivot columns, and 0 elsewhere; vectors
-    ordered by free column.  Each is first formed as d x in integers and
-    checked against A x = 0, where a failure raises ArithmeticError.
+    ordered by free column.  Each is first formed as d x in integers, on
+    its nonzeros only, and checked against A x = 0, where a failure
+    raises ArithmeticError.  The check reads every row adjacent to the
+    support of x: any other row of A x sums only zeros.
     """
     n = g.n
     work = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
     pivots, d = _eliminate(work, n)
     pivset = set(pivots)
+    # column f -> {pivot column: -entry of its reduced row at f}
+    by_free = {}
+    for i, pc in enumerate(pivots):
+        for f, x in work[i].items():
+            if f != pc:
+                by_free.setdefault(f, {})[pc] = -x
     vectors = []
     for f in range(n):
         if f in pivset:
             continue
-        dx = [0] * n
+        dx = by_free.get(f, {})
         dx[f] = d
-        for i, pc in enumerate(pivots):
-            dx[pc] = -work[i].get(f, 0)
-        for v in range(n):
-            if sum(dx[w] for w in g.neighbors(v)):
+        rows = set()
+        for w in dx:
+            rows |= g.neighbors(w)
+        for v in rows:
+            if sum(dx.get(w, 0) for w in g.neighbors(v)):
                 raise ArithmeticError("kernel vector fails A x = 0")
         vec = [_ZERO] * n
-        for j, x in enumerate(dx):
-            if x:
-                vec[j] = Fraction(x, d)
+        for j, x in dx.items():
+            vec[j] = Fraction(x, d)
         vectors.append(tuple(vec))
     return NullBasis(tuple(vectors))

@@ -2,10 +2,11 @@
 
 These exist to cross-check the closed formulas, so they avoid the null
 decomposition machinery entirely: independence via branch-and-bound over
-bitmasks, and matchings by Berge augmentation, which grows a matching
-along augmenting paths until an exhaustive search finds none.  Whether
-a set or a matching is valid for a graph is not judged here: that rule
-is graphs.edge_inside and graphs.matching_defect.
+bitmasks, and matchings by Berge augmentation, which starts from a
+greedy maximal matching and grows it along augmenting paths until an
+exhaustive search finds none.  Whether a set or a matching is valid for
+a graph is not judged here: that rule is graphs.edge_inside and
+graphs.matching_defect.
 
 The independence search reduces before it branches: a vertex with at
 most one live neighbour is taken at once.  That rule holds on every
@@ -14,7 +15,9 @@ and unicyclic graphs cheap well past the size guard.
 
 max_independent_set(g, removed) searches g with the removed vertices
 taken out of the start mask, so alpha(G - S) and alpha(G - N[v]) need
-no subgraph, and its witness is in g's own ids.
+no subgraph, and its witness is in g's own ids.  The bitmask adjacency
+of the last graph searched is kept, so the many searches of one
+instance's checks, all on the same graph, build it once.
 
 The deletion test nu(G - v) = nu(G), behind eg_set, takes one maximum
 matching M of G and at most one alternating search per vertex: v passes
@@ -40,7 +43,9 @@ _DEFAULT_MAX_N = 32
 
 def size_limit():
     """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an integer."""
-    raw = os.environ.get("NULLDECOMP_MAX_N", str(_DEFAULT_MAX_N))
+    raw = os.environ.get("NULLDECOMP_MAX_N")
+    if raw is None:
+        return _DEFAULT_MAX_N
     limit = _decimal(raw)
     if limit is None:
         raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}")
@@ -66,6 +71,20 @@ class Matching:
         return len(self.edges)
 
 
+# (graph, its bitmask adjacency) for the last graph searched, matched by
+# identity; graphs are immutable, so the masks stay valid.
+_last_masks = (None, None)
+
+
+def _masks(g):
+    global _last_masks
+    held, adj = _last_masks
+    if held is not g:
+        adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+        _last_masks = (g, adj)
+    return adj
+
+
 def max_independent_set(g, removed=()):
     """(size, one witness set) of g minus the vertices in removed, by
     branch and bound.  The witness is in g's ids.
@@ -80,10 +99,7 @@ def max_independent_set(g, removed=()):
     """
     _guard(g, "max_independent_set")
     n = g.n
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _masks(g)
     start = (1 << n) - 1
     for v in removed:
         if not 0 <= v < n:
@@ -125,8 +141,12 @@ def max_independent_set(g, removed=()):
         bit = 1 << v_best
         stack.append((avail & ~bit, size, chosen))
         stack.append((avail & ~(adj[v_best] | bit), size + 1, chosen | bit))
-    witness = frozenset(v for v in range(n) if (best_set >> v) & 1)
-    return best, witness
+    witness = []
+    while best_set:
+        low = best_set & -best_set
+        best_set ^= low
+        witness.append(low.bit_length() - 1)
+    return best, frozenset(witness)
 
 
 def _augmenting_path_from(g, partner, start, visited):
@@ -175,9 +195,18 @@ def augmenting_path(g, partner):
 
 
 def max_matching(g):
-    """Maximum matching: augment until no augmenting path is left (Berge)."""
+    """Maximum matching: augment until no augmenting path is left (Berge).
+
+    The search starts from the greedy maximal matching over the sorted
+    edges, which leaves fewer augmentations to find; Berge's theorem
+    certifies the result whatever the start.
+    """
     _guard(g, "max_matching")
     partner = {}
+    for u, v in sorted(g.edges):
+        if u not in partner and v not in partner:
+            partner[u] = v
+            partner[v] = u
     while (path := augmenting_path(g, partner)) is not None:
         for i in range(0, len(path), 2):
             u, v = path[i], path[i + 1]

@@ -1,11 +1,13 @@
 """Exact fraction-free elimination, kernels, and adjacency nullity."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from nulldecomp import Graph, null_basis, random_tree
+from nulldecomp import Graph, linalg, null_basis, random_tree
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.linalg import _eliminate
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
@@ -86,6 +88,35 @@ def apply(g, vec):
     )
 
 
+def lines_run(fn, *args):
+    """The source lines of fn that a call fn(*args) executes."""
+    code = fn.__code__
+    hit = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return hit
+
+
+def line_of(fn, text):
+    """The line number of the one source line of fn that contains text."""
+    lines, first = inspect.getsourcelines(fn)
+    (k,) = [k for k, line in enumerate(lines) if text in line]
+    return first + k
+
+
 def reference_kernel(g):
     """One vector per free column of reference_rref, unit there."""
     red, rank = reference_rref(adjacency_rows(g))
@@ -128,8 +159,13 @@ class TestEliminate:
                 assert all(x == 0 for x in reduced[i][:pc])
 
     def test_matches_plain_gauss_jordan_on_adjacency_matrices(self):
-        # Most row updates on these matrices are the skipped kind: a zero
-        # in the pivot column under a pivot equal to the previous one.
+        # On these matrices a pivot is mostly the previous one up to sign.
+        # A pivot row is negated to make the two equal, which leaves the
+        # RREF as it is; the rows with a zero in the pivot column are then
+        # not touched.  Both must still give the reference's RREF and
+        # kernel exactly, since the RREF is unique.
+        negation = line_of(_eliminate, "wr[j] = -wr[j]")
+        negated = 0
         rng = random.Random(19)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(40)]
         cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
@@ -137,17 +173,19 @@ class TestEliminate:
             random_simple_graph(rng.randrange(1, 31), rng.choice([0.05, 0.1, 0.3, 0.6]), rng)
             for _ in range(40)
         ]
-        for k, g in enumerate(cases):
+        for g in cases:
             rows = adjacency_rows(g)
             work = sparse(rows)
+            if negation in lines_run(_eliminate, sparse(rows), g.n):
+                negated += 1
             pivots, d = _eliminate(work, g.n)
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
             assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
             if want_rank == g.n:
                 assert abs(d) == abs(reference_det(rows))
-            if k % 4 == 0:
-                assert null_basis(g).vectors == reference_kernel(g)
+            assert null_basis(g).vectors == reference_kernel(g)
+        assert negated > 0
 
     def test_zero_and_identity(self):
         z = sparse([[0, 0], [0, 0]])
@@ -171,6 +209,40 @@ class TestKernel:
             assert vectors == reference_kernel(g)
             for vec in vectors:
                 assert all(x == 0 for x in apply(g, vec))
+
+    def test_corrupted_elimination_fails_the_kernel_check(self, monkeypatch):
+        # Each vector is checked only on the rows next to its support.  A
+        # wrong reduced-row entry at a free column, whether changed,
+        # dropped or added, must still be caught there.
+        rng = random.Random(31)
+        cases = [random_tree(rng.randrange(3, 16), rng) for _ in range(10)]
+        cases += [random_unicyclic(rng.randrange(4, 16), rng) for _ in range(10)]
+        cases.append(load_fixture("fig1_T1"))
+        tried = 0
+        for g in cases:
+            work = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
+            pivots, _ = _eliminate(work, g.n)
+            free = [f for f in range(g.n) if f not in pivots]
+            for i in range(len(pivots)):
+                for f in free:
+                    for corrupt in ("add", "drop"):
+                        if corrupt == "drop" and f not in work[i]:
+                            continue
+
+                        def corrupted(rows, cols, i=i, f=f, corrupt=corrupt):
+                            out = _eliminate(rows, cols)
+                            if corrupt == "drop":
+                                del rows[i][f]
+                            else:
+                                rows[i][f] = rows[i].get(f, 0) + 1
+                            return out
+
+                        monkeypatch.setattr(linalg, "_eliminate", corrupted)
+                        with pytest.raises(ArithmeticError, match="A x = 0"):
+                            null_basis(g)
+                        monkeypatch.undo()
+                        tried += 1
+        assert tried > 100
 
     def test_canonical_unit_pattern(self):
         # Star with center 0: A x = 0 reads x1 + x2 + x3 = 0 and x0 = 0,

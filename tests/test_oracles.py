@@ -162,6 +162,41 @@ class TestMaxIndependentSet:
         with pytest.raises(UnknownVertex):
             max_independent_set(path_graph(3), (3,))
 
+    def test_cached_bitmasks_serve_other_queries_and_copies(self):
+        # The first search keeps g's bitmask adjacency.  Later searches of
+        # g with other removed sets, and of a copy without some edges, must
+        # answer as on a freshly built graph, witness included.
+        rng = random.Random(71)
+        cases = [
+            random_simple_graph(rng.randrange(2, 18), rng.choice([0.15, 0.3, 0.5]), rng)
+            for _ in range(30)
+        ]
+        cases += [random_tree(rng.randrange(2, 18), rng) for _ in range(15)]
+        cases += [random_unicyclic(rng.randrange(3, 18), rng) for _ in range(15)]
+        for g in cases:
+            first = max_independent_set(g)
+            assert oracles._last_masks[0] is g
+            v = rng.randrange(g.n)
+            for removed in ((v,), {v} | g.neighbors(v), set(rng.sample(range(g.n), g.n // 3))):
+                want = max_independent_set(Graph(g.n, g.edges), removed)
+                assert max_independent_set(g, removed) == want
+                assert max_independent_set(g, removed) == want  # on the kept masks
+            h = g.without_edges(rng.sample(sorted(g.edges), len(g.edges) // 2))
+            assert max_independent_set(h) == max_independent_set(Graph(h.n, h.edges))
+            assert max_independent_set(h, (v,)) == max_independent_set(Graph(h.n, h.edges), (v,))
+            assert max_independent_set(g) == first
+
+    def test_bitmask_cache_is_by_identity(self):
+        # An equal graph built apart is searched on its own masks; the
+        # cache never answers for a graph that is not the one it holds.
+        g, h = c5_with_pendants(), c5_with_pendants()
+        assert g == h and g is not h
+        max_independent_set(g)
+        assert oracles._last_masks[0] is g
+        assert max_independent_set(h) == max_independent_set(g)
+        max_independent_set(h)
+        assert oracles._last_masks[0] is h
+
 
 class TestMaxMatching:
     def test_matches_blossom_on_random_graphs(self):
@@ -193,6 +228,23 @@ class TestMaxMatching:
 
     def test_odd_cycle_with_pendants(self):
         assert max_matching(c5_with_pendants()).size == 4
+
+    def test_augments_past_the_greedy_seed(self, monkeypatch):
+        # Greedy over the sorted edges takes (0, 1), which blocks the two
+        # others, so the seed has size 1; the path 2-0-1-3 augments it.
+        g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+        seeds = []
+        real = oracles.augmenting_path
+
+        def spying(h, partner):
+            if not seeds:
+                seeds.append(dict(partner))
+            return real(h, partner)
+
+        monkeypatch.setattr(oracles, "augmenting_path", spying)
+        m = max_matching(g)
+        assert seeds == [{0: 1, 1: 0}]
+        assert m.size == 2 and m.edges == {(0, 2), (1, 3)}
 
     def test_long_path_needs_no_recursion(self, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "5000")
@@ -388,6 +440,27 @@ class TestSizeGuard:
         monkeypatch.setenv("NULLDECOMP_MAX_N", raw)
         with pytest.raises(ValueError, match="NULLDECOMP_MAX_N must be an integer"):
             size_limit()
+
+    def test_changed_limit_takes_effect_on_the_same_graph(self, monkeypatch):
+        g = path_graph(3)
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
+        assert max_independent_set(g)[0] == 2
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "2")
+        with pytest.raises(TooLarge):
+            max_independent_set(g)
+        with pytest.raises(TooLarge):
+            max_matching(g)
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
+        assert max_independent_set(g)[0] == 2
+
+    def test_bad_value_raises_on_every_call(self, monkeypatch):
+        g = path_graph(3)
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="NULLDECOMP_MAX_N must be an integer"):
+                size_limit()
+            with pytest.raises(ValueError, match="NULLDECOMP_MAX_N must be an integer"):
+                max_independent_set(g)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
