@@ -56,21 +56,21 @@ def _read_input(path):
 
 
 def _names(g, ids):
-    return [g.name_of(v) for v in sorted(ids)]
+    return list(map(str if g.labels is None else g.labels.__getitem__, sorted(ids)))
 
 
 def _pairs(g, edge_set):
-    return [[g.name_of(u), g.name_of(v)] for u, v in sorted(edge_set)]
+    name = str if g.labels is None else g.labels.__getitem__
+    return [[name(u), name(v)] for u, v in sorted(edge_set)]
 
 
-def _roles_from(supp, core, n_vertices):
+def _roles_from(pieces):
+    """Vertex id -> Role over (supp, core, n_vertices) triples, in order."""
     roles = {}
-    for v in supp:
-        roles[v] = Role.SUPPORT
-    for v in core:
-        roles[v] = Role.CORE
-    for v in n_vertices:
-        roles[v] = Role.N_VERTEX
+    for supp, core, n_vertices in pieces:
+        roles.update(dict.fromkeys(supp, Role.SUPPORT))
+        roles.update(dict.fromkeys(core, Role.CORE))
+        roles.update(dict.fromkeys(n_vertices, Role.N_VERTEX))
     return roles
 
 
@@ -163,14 +163,12 @@ def cmd_analyze(args):
         independent = independent_set_certificate(g, analysis)
         matching = matching_certificate(g)
         report = _forest_report(g, shape, analysis, independent, matching)
-        roles = _roles_from(analysis.supp, analysis.core, analysis.n_forest_vertices)
+        pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
         check = partial(_tree_checks, g, analysis, independent, matching)
     else:
         analysis = analyze(g)
         report = _unicyclic_report(g, shape, analysis)
-        roles = {}
-        for p in analysis.parts:
-            roles.update(_roles_from(p.supp, p.core, p.n_vertices))
+        pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
         check = partial(_unicyclic_checks, g, analysis)
 
     code = 0
@@ -187,7 +185,7 @@ def cmd_analyze(args):
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_dot(g, roles))
+                fh.write(export_dot(g, _roles_from(pieces)))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

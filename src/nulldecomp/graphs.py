@@ -10,7 +10,11 @@ fixtures whose vertices carry names like "v1" or "a".
 
 _walk is the one walk over a whole graph.  The components, the shape,
 the cycle and, through the components, the pendant trees are read off
-its order and parent lists, and so is the forest DP in trees.
+its order and parent lists, and so is the forest DP in trees.  It keeps
+the walk of the last graph, matched by identity, so analyze walks a
+forest once, a type II graph twice and a type I graph three times.
+parse_graph6 reads the set bits of each payload byte other than "?"
+off a 64-entry table: its Python work is one step per edge.
 
 edge_inside and matching_defect are the one certificate rule (an
 independent set, a matching) that analyze, the sweeps and the fixtures use.
@@ -263,15 +267,18 @@ def format_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
+# graph6 byte -> offsets of its set bits, most significant first.
+_SET_BITS = {chr(63 + v): tuple(b for b in range(6) if v >> 5 - b & 1) for v in range(64)}
+
+
 def parse_graph6(line):
     """Decode one graph in graph6 format.
 
     Accepts the optional ">>graph6<<" prefix and all three size headers
     (1-, 4- and 8-byte).  Trailing bytes or a second line raise
     MalformedLine; bytes outside 63..126 raise BadChecksumChar; a payload
-    shorter than n(n-1)/2 bits raises TruncatedPayload.  C-level scans
-    check the range and find the payload bytes other than "?" (no edge),
-    so the Python work is per edge, not per bit.
+    shorter than n(n-1)/2 bits raises TruncatedPayload; set padding
+    bits past n(n-1)/2 are ignored.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -307,12 +314,15 @@ def parse_graph6(line):
     # Payload bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i.
     edges = []
     for m in re.finditer("[^?]", s[start:]):
-        sextet = ord(m.group()) - 63
-        for k in range(6 * m.start(), min(6 * m.start() + 6, need_bits)):
-            if sextet >> (5 - k % 6) & 1:
+        for b in _SET_BITS[m.group()]:
+            k = 6 * m.start() + b
+            if k < need_bits:
                 j = (1 + isqrt(8 * k + 1)) // 2
                 edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
+
+
+_last_walk = (None, None)
 
 
 def _walk(g):
@@ -322,8 +332,19 @@ def _walk(g):
     after the components with smaller roots; order lists every vertex
     after its parent, and a root's parent is -1.  The walk checks
     nothing: its callers read the components, the number of roots and
-    the edges off the walk's tree from it.
+    the edges off the walk's tree from it.  The walk of the last graph
+    is kept and served again while g is that very object (a Graph never
+    changes); it comes as tuples, so no caller can change what the next
+    one reads.
     """
+    global _last_walk
+    if _last_walk[0] is not g:
+        _last_walk = (g, _search(g))
+    return _last_walk[1]
+
+
+def _search(g):
+    """The walk itself, uncached: one stack search per component."""
     n = g.n
     parent = [-1] * n
     seen = [False] * n
@@ -341,7 +362,7 @@ def _walk(g):
                     seen[w] = True
                     parent[w] = u
                     stack.append(w)
-    return order, parent
+    return tuple(order), tuple(parent)
 
 
 def _components(g):

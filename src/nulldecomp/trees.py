@@ -125,10 +125,10 @@ def _n_component_sides(t, d):
     vertex, whose side comes first.
     """
     n_part = d.n_forest_vertices
-    color = {}
+    color = [-1] * t.n
     out = []
     for s in sorted(n_part):
-        if s in color:
+        if color[s] >= 0:
             continue
         color[s] = 0
         sides = ([s], [])
@@ -136,7 +136,7 @@ def _n_component_sides(t, d):
         while stack:
             u = stack.pop()
             for w in t.neighbors(u):
-                if w in n_part and w not in color:
+                if color[w] < 0 and w in n_part:
                     color[w] = 1 - color[u]
                     sides[color[w]].append(w)
                     stack.append(w)
@@ -176,7 +176,8 @@ def matching_certificate(t):
     cover every edge, one per pair, so the matching is maximum anyway.
     """
     n = t.n
-    deg = [t.degree(v) for v in range(n)]
+    nbrs = [t.neighbors(v) for v in range(n)]
+    deg = [len(s) for s in nbrs]  # live neighbours of each live vertex
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] <= 1]
     edges = set()
@@ -187,10 +188,12 @@ def matching_certificate(t):
         if deg[v] == 0:
             alive[v] = False  # stays unmatched
             continue
-        w = next(x for x in t.neighbors(v) if alive[x])
+        for w in nbrs[v]:
+            if alive[w]:
+                break
         alive[v] = alive[w] = False
-        edges.add((min(v, w), max(v, w)))
-        for x in t.neighbors(w):
+        edges.add((v, w) if v < w else (w, v))
+        for x in nbrs[w]:
             if alive[x]:
                 deg[x] -= 1
                 if deg[x] <= 1:

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import nulldecomp.cli
+import nulldecomp.graphs
 import nulldecomp.linalg
 import nulldecomp.sweeps
 import nulldecomp.trees
 import nulldecomp.unicyclic
+from nulldecomp import Graph, format_edge_list
 from nulldecomp.cli import main
 from nulldecomp.oracles import Matching
 from nulldecomp.sweeps import TREE_INVARIANTS, UNICYCLIC_INVARIANTS
@@ -95,6 +97,54 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", FIG1)
         assert code == 0
         assert calls == []  # the matching DP needs no elimination
+
+    @pytest.mark.parametrize(
+        "edges, n, kind, walks",
+        [
+            ([(0, 1), (1, 2), (3, 4)], 5, "forest", 1),
+            ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], 6, "II", 2),
+            ([(i, (i + 1) % 7) for i in range(7)], 7, "II", 2),
+            ([(0, 1), (1, 2), (2, 0), (0, 3)], 4, "I", 3),
+        ],
+    )
+    def test_analyze_walks_each_graph_once(
+        self, capsys, monkeypatch, tmp_path, edges, n, kind, walks
+    ):
+        # One walk of G serves the shape, the cycle and, for a forest, the
+        # DP; one walk of each forest analyze splits off serves its DP and
+        # its components: G - C, and for type I also G minus the witness's
+        # cycle edges.
+        searched = []
+        search = nulldecomp.graphs._search
+
+        def counted(g):
+            searched.append(g)
+            return search(g)
+
+        monkeypatch.setattr(nulldecomp.graphs, "_search", counted)
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(Graph(n, edges)))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert json.loads(out).get("type", "forest") == kind
+        assert len(searched) == walks
+        assert all(g.n == n for g in searched)
+
+    def test_role_map_is_built_only_for_dot(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        roles_from = nulldecomp.cli._roles_from
+
+        def counted(pieces):
+            calls.append(pieces)
+            return roles_from(pieces)
+
+        monkeypatch.setattr(nulldecomp.cli, "_roles_from", counted)
+        for path in (FIG1, FIG3):
+            assert run(capsys, "analyze", path)[0] == 0
+        assert calls == []
+        for path in (FIG1, FIG3):
+            assert run(capsys, "analyze", path, "--dot", str(tmp_path / "g.dot"))[0] == 0
+        assert len(calls) == 2
 
     def test_forest_verify_checks_the_kernel(self, capsys):
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)

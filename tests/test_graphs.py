@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import nulldecomp.trees
+import nulldecomp.unicyclic
 from nulldecomp import (
     DuplicateEdge,
     EmptyGraph,
@@ -322,6 +324,25 @@ class TestGraph6:
             line = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert parse_graph6(line) == Graph(n, g.edges)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 62, 63, 64])
+    def test_set_padding_bits_are_ignored(self, n):
+        # The payload is padded with zeros to whole bytes; a writer that
+        # sets the padding bits must not add edges.
+        h = nx.gnp_random_graph(n, 0.5, seed=n)
+        line = nx.to_graph6_bytes(h, header=False).decode().strip()
+        pad = -(n * (n - 1) // 2) % 6
+        padded = line[:-1] + chr(63 + (ord(line[-1]) - 63 | (1 << pad) - 1))
+        assert (padded != line) == (pad > 0)
+        assert parse_graph6(padded) == parse_graph6(line) == Graph(n, h.edges)
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_every_bit_set_is_the_complete_graph(self, n):
+        # "~" sets all six bits of a byte, the padding bits included.
+        need = (n * (n - 1) // 2 + 5) // 6
+        head = chr(63 + n) if n < 63 else "~" + chr(63) + chr(63 + (n >> 6)) + chr(63 + (n & 63))
+        g = parse_graph6(head + "~" * need)
+        assert g == Graph(n, [(i, j) for j in range(n) for i in range(j)])
+
     @pytest.mark.parametrize("p", [0.03, 0.6])
     @pytest.mark.parametrize("n", [62, 63, 64, 100, 300])
     def test_against_networkx_at_the_header_sizes(self, n, p):
@@ -563,6 +584,87 @@ class TestFindCycle:
             second = relabeled.vertices[1]
             last = relabeled.vertices[-1]
             assert second == min(second, last)
+
+
+class TestWalkCache:
+    """graphs._walk keeps the walk of the last graph, matched by identity."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        seen = []
+        search = graphs._search
+
+        def counted(g):
+            seen.append(g)
+            return search(g)
+
+        monkeypatch.setattr(graphs, "_search", counted)
+        return seen
+
+    def test_walks_a_graph_once_in_a_row(self, searches):
+        g = random_unicyclic(30, random.Random(2))
+        first = graphs._walk(g)
+        assert classify_shape(g) == Shape.UNICYCLIC
+        find_cycle(g)
+        assert _components(g) == [list(range(30))]
+        assert graphs._walk(g) is first
+        assert searches == [g]
+
+    def test_an_equal_but_separate_graph_is_walked_anew(self, searches):
+        g = random_tree(25, random.Random(3))
+        h = Graph(g.n, sorted(g.edges))
+        assert h == g and h is not g
+        graphs._walk(g)
+        assert graphs._walk(h) == graphs._search(h)
+        assert [x is g for x in searches] == [True, False, False]
+        assert searches[1] is h
+
+    def test_a_copy_without_edges_is_walked_anew(self, searches):
+        g = cycle(6)
+        assert classify_shape(g) == Shape.CYCLE
+        cut = g.without_edges([(0, 1)])
+        assert classify_shape(cut) == Shape.TREE
+        forest = cut.without_edges([(3, 4)])
+        assert _components(forest) == [[0, 4, 5], [1, 2, 3]]
+        assert len(searches) == 3
+        assert all(x is y for x, y in zip(searches, (g, cut, forest)))
+        assert graphs._walk(g) == graphs._search(g)
+
+    def test_a_patched_walk_is_neither_cached_nor_served_from_the_cache(self, monkeypatch):
+        g = random_unicyclic(20, random.Random(4))
+        own = graphs._walk(g)
+        monkeypatch.setattr(graphs, "_walk", depth_first_walk)
+        assert graphs._walk(g) == depth_first_walk(g)
+        find_cycle(g)  # on the depth-first walk
+        h = Graph(g.n, g.edges)
+        graphs._walk(h)
+        monkeypatch.undo()
+        assert graphs._walk(g) is own
+        assert graphs._walk(h) == graphs._search(h)
+
+    def test_analyze_is_served_only_walks_of_the_graph_it_passes(self, monkeypatch):
+        # Every walk read during analyze, of either shape, is the walk a
+        # fresh search of that very graph gives.
+        walk = graphs._walk
+        served = []
+
+        def checked(g):
+            out = walk(g)
+            assert out == graphs._search(g)
+            served.append(g)
+            return out
+
+        monkeypatch.setattr(graphs, "_walk", checked)
+        monkeypatch.setattr(nulldecomp.trees, "_walk", checked)
+        rng = random.Random(6)
+        for i in range(60):
+            n = rng.randrange(3, 30)
+            g = random_unicyclic(n, rng) if i % 2 else random_tree(n, rng)
+            if classify_shape(g) == Shape.TREE:
+                nulldecomp.trees.decompose(g)
+            else:
+                nulldecomp.unicyclic.analyze(g)
+        assert len({id(g) for g in served}) > 60
 
 
 class TestPendantTrees:
