@@ -14,7 +14,9 @@ integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify).
-main builds its argument parser once per process.
+main builds its argument parser once per process.  The analyze report
+is written by _dumps, which prints exactly what json.dumps(report,
+indent=2, sort_keys=True) would, with each list joined in one step.
 """
 
 from __future__ import annotations
@@ -122,6 +124,43 @@ def _unicyclic_report(g, shape, a):
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent="\n"):
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the
+    types a report holds: dicts with str keys, lists, str, int, bool and
+    None.  Anything else raises TypeError.  indent is the line break and
+    indentation that come before obj's closing bracket.
+
+    Under indent, json.dumps runs the pure-Python encoder, one generator
+    step per list item; here a list of strings is quoted by the C-level
+    encode_basestring_ascii and joined in one str.join.
+    """
+    if type(obj) is str:
+        return _quote(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if type(obj) is int:
+        return repr(obj)
+    inner = indent + "  "
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_quote, obj))
+        except TypeError:  # not a list of strings
+            body = ("," + inner).join([_dumps(x, inner) for x in obj])
+        return "[" + inner + body + indent + "]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str.
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"a report holds no {type(obj).__name__}")
+
+
 def _checked_size_limit():
     """The oracle size guard, or None after reporting a NULLDECOMP_MAX_N
     that is not an integer."""
@@ -190,7 +229,7 @@ def cmd_analyze(args):
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dumps(report))
     return code
 
 

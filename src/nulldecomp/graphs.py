@@ -14,7 +14,12 @@ its order and parent lists, and so is the forest DP in trees.  It keeps
 the walk of the last graph, matched by identity, so analyze walks a
 forest once, a type II graph twice and a type I graph three times.
 parse_graph6 reads the set bits of each payload byte other than "?"
-off a 64-entry table: its Python work is one step per edge.
+off a 64-entry table: its Python work is one step per edge.  Both
+parsers check each edge once and build the Graph with Graph._checked,
+which skips the checks of the public constructor; parse_edge_list reads
+the common "u v" line with one compiled pattern and every other line
+token by token, and both routes share one self-loop, duplicate and
+range check.
 
 edge_inside and matching_defect are the one certificate rule (an
 independent set, a matching) that analyze, the sweeps and the fixtures use.
@@ -23,6 +28,7 @@ independent set, a matching) that analyze, the sweeps and the fixtures use.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -64,28 +70,46 @@ class Graph:
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [set() for _ in range(n)]
-        norm = set()
+        pairs = []
+        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
-            if key in norm:
+            if key in seen:
                 raise DuplicateEdge(f"duplicate edge {key}")
-            norm.add(key)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.edges = frozenset(norm)
-        # A list, not a generator: tuple(<generator>) grows and resizes,
-        # which strands tuples in CPython's free lists and lifts peak RSS.
-        self._adj = tuple([frozenset(s) for s in adj])
+            seen.add(key)
+            pairs.append(key)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ValueError(f"got {len(labels)} labels for {n} vertices")
+        self._fill(n, pairs, seen, labels)
+
+    @classmethod
+    def _checked(cls, n, pairs, pair_set, labels=None):
+        """The graph on edges its caller has already checked, built with
+        no check of its own: pairs lists distinct (u, v), u < v < n, and
+        pair_set is a set of the same pairs, added in the same order (the
+        parsers keep one for their duplicate check); labels is None or a
+        tuple of n names.  The result is Graph(n, pairs, labels), down to
+        the iteration order of edges and of every neighbor set."""
+        g = object.__new__(cls)
+        g._fill(n, pairs, pair_set, labels)
+        return g
+
+    def _fill(self, n, pairs, pair_set, labels):
+        adj = [set() for _ in range(n)]
+        for u, v in pairs:
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self.edges = frozenset(pair_set)
+        # A list, not a generator: tuple(<generator>) grows and resizes,
+        # which strands tuples in CPython's free lists and lifts peak RSS.
+        self._adj = tuple([frozenset(s) for s in adj])
         self.labels = labels
 
     def neighbors(self, v):
@@ -198,6 +222,12 @@ def _decimal(s):
 MAX_EDGE_LIST_N = 10**6
 
 
+# A "u v" line of ASCII decimal numerals, the common case.  Every other
+# line (a header, a comment, "-0", other whitespace, an error) takes the
+# token route.
+_EDGE_LINE = re.compile(r"([0-9]+)[ \t]+([0-9]+)")
+
+
 def parse_edge_list(text):
     """Parse the edge-list format into a Graph.
 
@@ -205,49 +235,67 @@ def parse_edge_list(text):
     "#" comments are ignored.  Optional headers, each at most once:
     "n=<count>" fixes the vertex count (else max label + 1 is used) and
     "labels=a,b,c" attaches display names, which must be distinct.  A
-    vertex count above MAX_EDGE_LIST_N raises MalformedLine.
+    vertex count above MAX_EDGE_LIST_N, or a numeral longer than int()
+    converts (sys.get_int_max_str_digits()), raises MalformedLine.
+    Each edge is checked once, here, and the Graph is built without
+    checking it again.
     """
     n_header = None
     labels = None
     edges = []
     seen = set()
     max_v = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            if n_header is not None:
-                raise MalformedLine(f"line {lineno}: repeated n= header")
-            n_header = _decimal(line[2:].strip())
-            if n_header is None:
-                raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}")
-            if n_header < 0:
-                raise MalformedLine(f"line {lineno}: negative vertex count")
-            continue
-        if line.startswith("labels="):
-            if labels is not None:
-                raise MalformedLine(f"line {lineno}: repeated labels= header")
-            labels = [s.strip() for s in line[len("labels="):].split(",")]
-            if len(set(labels)) != len(labels):
-                raise MalformedLine(f"line {lineno}: duplicate vertex name in {line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = _decimal(parts[0]), _decimal(parts[1])
-        if u is None or v is None:
-            raise MalformedLine(f"line {lineno}: non-integer vertex in {line!r}")
-        if u < 0 or v < 0:
-            raise MalformedLine(f"line {lineno}: negative vertex id in {line!r}")
-        if u == v:
-            raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-        max_v = max(max_v, u, v)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            m = _EDGE_LINE.fullmatch(line)
+            if m is not None:
+                u, v = int(m[1]), int(m[2])
+            else:
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("n="):
+                    if n_header is not None:
+                        raise MalformedLine(f"line {lineno}: repeated n= header")
+                    n_header = _decimal(line[2:].strip())
+                    if n_header is None:
+                        raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}")
+                    if n_header < 0:
+                        raise MalformedLine(f"line {lineno}: negative vertex count")
+                    continue
+                if line.startswith("labels="):
+                    if labels is not None:
+                        raise MalformedLine(f"line {lineno}: repeated labels= header")
+                    labels = tuple(s.strip() for s in line[len("labels="):].split(","))
+                    if len(set(labels)) != len(labels):
+                        raise MalformedLine(f"line {lineno}: duplicate vertex name in {line!r}")
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
+                u, v = _decimal(parts[0]), _decimal(parts[1])
+                if u is None or v is None:
+                    raise MalformedLine(f"line {lineno}: non-integer vertex in {line!r}")
+                if u < 0 or v < 0:
+                    raise MalformedLine(f"line {lineno}: negative vertex id in {line!r}")
+            if u < v:
+                key = (u, v)
+            elif u > v:
+                key = (v, u)
+            else:
+                raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
+            if key in seen:
+                raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
+            seen.add(key)
+            edges.append(key)
+            if key[1] > max_v:
+                max_v = key[1]
+    except ValueError:
+        # Only int() raises it here: a numeral past the interpreter's
+        # digit limit, on either route.
+        raise MalformedLine(
+            f"line {lineno}: numeral longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
     n = n_header if n_header is not None else max_v + 1
     if n > MAX_EDGE_LIST_N:
         raise MalformedLine(f"n={n} is above the cap of {MAX_EDGE_LIST_N} vertices")
@@ -255,7 +303,7 @@ def parse_edge_list(text):
         raise MalformedLine(f"vertex {max_v} out of range for declared n={n}")
     if labels is not None and len(labels) != n:
         raise MalformedLine(f"labels= lists {len(labels)} names for {n} vertices")
-    return Graph(n, edges, labels=labels)
+    return Graph._checked(n, edges, seen, labels)
 
 
 def format_edge_list(g):
@@ -319,7 +367,7 @@ def parse_graph6(line):
             if k < need_bits:
                 j = (1 + isqrt(8 * k + 1)) // 2
                 edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+    return Graph._checked(n, edges, set(edges))
 
 
 _last_walk = (None, None)
@@ -412,7 +460,8 @@ def find_cycle(g):
     """
     _, parent = _walk(g)
     if len(g.edges) != g.n or parent.count(-1) != 1:
-        raise NotUnicyclic(f"graph is {classify_shape(g).value}, expected exactly one cycle")
+        shape = classify_shape(g).value if g.n else "empty"
+        raise NotUnicyclic(f"graph is {shape}, expected exactly one cycle")
     u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
     up = [u]
     while parent[up[-1]] >= 0:

@@ -18,13 +18,14 @@ import nulldecomp.sweeps
 import nulldecomp.trees
 import nulldecomp.unicyclic
 from nulldecomp import Graph, format_edge_list
-from nulldecomp.cli import main
+from nulldecomp.cli import _dumps, main
 from nulldecomp.oracles import Matching
 from nulldecomp.sweeps import TREE_INVARIANTS, UNICYCLIC_INVARIANTS
 
 FIG3 = str(resources.files("nulldecomp.fixtures") / "fig3.edges")
 FIG1 = str(resources.files("nulldecomp.fixtures") / "fig1_T1.edges")
 FIG6 = str(resources.files("nulldecomp.fixtures") / "fig6.edges")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -240,6 +241,21 @@ class TestAnalyze:
         assert code == 2 and not out
         assert "self-loop" in err
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("0 1\n1 {}\n", 2),  # the "u v" pattern
+            ("0 1\n-0\t{}\n", 2),  # the token route
+            ("# big\nn={}\n0 1\n", 2),  # the n= header
+        ],
+    )
+    def test_numeral_past_the_int_digit_limit_exits_2(self, capsys, monkeypatch, text, lineno):
+        digits = sys.get_int_max_str_digits() + 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.format("9" * digits)))
+        code, out, err = run(capsys, "analyze")
+        assert code == 2 and not out
+        assert err == f"error: line {lineno}: numeral longer than {digits - 1} digits\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "no/such/file.edges")
         assert code == 2 and "error" in err
@@ -374,6 +390,19 @@ class TestVerify:
         assert code == 2 and not out
         assert err == f"error: NULLDECOMP_MAX_N must be an integer, got {raw!r}\n"
 
+    def test_numerals_past_the_int_digit_limit_exit_2_with_one_line(self, capsys, monkeypatch):
+        big = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kind", "tree", "--count", big])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nulldecomp verify ") and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("nulldecomp verify: error: argument --count: ")
+        monkeypatch.setenv("NULLDECOMP_MAX_N", big)
+        code, out, err = run(capsys, "verify", "--kind", "tree", "--count", "3")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_ranges_rejected(self, capsys):
         for argv in (
             ["--kind", "unicyclic", "--min-n", "2"],
@@ -431,3 +460,62 @@ class TestFixturesCommand:
         code, out, _ = run(capsys, "fixtures", "--verbose")
         assert code == 0
         assert "[ok] alpha" in out
+
+
+class TestReportWriter:
+    """cli._dumps against its reference, json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in sorted(GOLDEN.glob("*.out")) if p.read_text(encoding="utf-8").startswith("{")],
+        ids=lambda p: p.name,
+    )
+    def test_rewrites_every_golden_report(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _dumps(json.loads(text)) + "\n" == text
+
+    def test_equals_json_dumps_on_generated_values(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        awkward = ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600"]
+        text = st.text() | st.sampled_from(awkward)
+        ints = st.integers() | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+        scalars = st.none() | st.booleans() | ints | text
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=5)
+            | st.lists(st.lists(text, min_size=2, max_size=2), max_size=4)
+            | st.dictionaries(text, inner, max_size=5),
+            max_leaves=40,
+        )
+
+        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @given(values)
+        @example([])
+        @example({})
+        @example({"a": [], "b": {}, "c": [[], {}, [[]]]})
+        @example([["u", "v"], ["w", "x"]])
+        @example(["a", 1, None, True, "b"])
+        def check(obj):
+            assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            pytest.param(1.5, id="float"),
+            pytest.param({"a": [0.5]}, id="nested float"),
+            pytest.param((1, 2), id="tuple"),
+            pytest.param(["a", ("b", "c")], id="tuple in list"),
+            pytest.param({1, 2}, id="set"),
+            pytest.param({"a": {"b"}}, id="nested set"),
+            pytest.param({1: "a"}, id="int key"),
+            pytest.param({"a": 1, 2: "b"}, id="mixed keys"),
+        ],
+    )
+    def test_rejects_what_a_report_does_not_hold(self, obj):
+        with pytest.raises(TypeError):
+            _dumps(obj)

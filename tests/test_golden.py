@@ -54,6 +54,7 @@ def _cases():
         "duplicate_labels": (["analyze"], "labels=a,a,b\n0 1\n1 2\n", None, 2),
         "repeated_header": (["analyze"], "n=2\nn=3\n0 1\n", None, 2),
         "huge_header": (["analyze"], "n=100000000\n0 1\n", None, 2),
+        "long_numeral": (["analyze"], "0 1\n1 " + "9" * 5000 + "\n", None, 2),
         "bad_graph6": (["analyze", "--format", "g6"], "C~~\n", None, 2),
         "multi_line_graph6": (["analyze", "--format", "g6"], "Bw\nBw\n", None, 2),
         "missing_file": (["analyze", "no/such/file.edges"], None, None, 2),

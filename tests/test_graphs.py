@@ -137,6 +137,52 @@ def is_ancestor(parent, a, v):
     return v == a
 
 
+def same_graph(got, want):
+    """Equal, and equal in the iteration order of edges and of every
+    neighbor set, which the walk and the certificates follow."""
+    return (
+        got == want
+        and list(got.edges) == list(want.edges)
+        and [list(got.neighbors(v)) for v in range(got.n)]
+        == [list(want.neighbors(v)) for v in range(want.n)]
+    )
+
+
+# Separators that str.split() takes and the "u v" line pattern does not,
+# and none that str.splitlines() breaks a line at.
+UNICODE_SPACES = ("\u00a0", "\u2003", "\u3000", "\u2009")
+ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+def scrambled_edge_list(g, rng, labels):
+    """g as an edge list in random line order and edge orientation, with
+    tabs, runs of spaces, Unicode spaces, "-0", leading zeros, comments,
+    blank lines and the headers anywhere; returns (text, pairs in line
+    order)."""
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(pairs)
+
+    def numeral(x):
+        if x == 0 and rng.random() < 0.3:
+            return "-0"
+        return "0" * rng.choice((0, 0, 0, 1, 2)) + str(x)
+
+    lines = [
+        rng.choice(("", "", " ", "\t"))
+        + numeral(u)
+        + rng.choice((" ", " ", "\t", "  ", " \t\t ", *UNICODE_SPACES))
+        + numeral(v)
+        + rng.choice(("", "", " ", "\u2003"))
+        for u, v in pairs
+    ]
+    extra = ["# a comment", "", "   ", f"n={g.n}"]
+    if labels is not None:
+        extra.append("labels=" + ",".join(labels))
+    for line in extra:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    return "\n".join(lines) + rng.choice(("", "\n")), pairs
+
+
 class TestGraph:
     def test_basic_accessors(self):
         g = Graph(4, [(0, 1), (2, 1), (2, 3)])
@@ -407,6 +453,46 @@ class TestGraph6:
         assert str(info.value) == message
 
 
+class TestParsersBuildTheCheckedGraph:
+    """Each parser checks an edge once and builds the Graph without Graph's
+    own checks; the result is Graph(n, edges, labels), iteration orders
+    included."""
+
+    def test_edge_list(self):
+        rng = random.Random(41)
+        for trial in range(300):
+            n = rng.choice((rng.randrange(1, 40), rng.randrange(40, 300)))
+            g = random_simple_graph(n, rng.uniform(0.5, 6) / n, rng)
+            labels = [f"v{i}" for i in range(n)] if rng.random() < 0.3 else None
+            text, pairs = scrambled_edge_list(g, rng, labels)
+            assert same_graph(parse_edge_list(text), Graph(n, pairs, labels)), text
+
+    def test_non_ascii_digits_take_the_token_route_to_its_error(self):
+        rng = random.Random(43)
+        for trial in range(100):
+            g = random_simple_graph(rng.randrange(2, 30), 0.3, rng)
+            if not g.edges:
+                continue
+            text, _ = scrambled_edge_list(g, rng, None)
+            lines = text.split("\n")
+            starts = tuple("-0123456789")  # of an edge line, not of a header
+            k = rng.choice([i for i, line in enumerate(lines) if line.strip().startswith(starts)])
+            lines[k] = lines[k].translate(ARABIC_INDIC)
+            with pytest.raises(MalformedLine) as info:
+                parse_edge_list("\n".join(lines))
+            assert str(info.value) == f"line {k + 1}: non-integer vertex in {lines[k].strip()!r}"
+
+    def test_graph6(self):
+        rng = random.Random(47)
+        for trial in range(80):
+            n = rng.randrange(40, 300) if trial % 4 == 0 else rng.randrange(1, 40)
+            h = nx.gnp_random_graph(n, rng.uniform(0.5, 6) / n, seed=trial)
+            line = nx.to_graph6_bytes(h, header=False).decode()
+            # The payload lists pair (i, j), i < j, by j, then i.
+            pairs = sorted(((min(e), max(e)) for e in h.edges), key=lambda e: e[::-1])
+            assert same_graph(parse_graph6(line), Graph(n, pairs))
+
+
 class TestShapesAndComponents:
     @pytest.mark.parametrize(
         "g,shape",
@@ -507,6 +593,10 @@ class TestFindCycle:
             find_cycle(path_graph(4))
         with pytest.raises(NotUnicyclic):
             find_cycle(Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]))
+
+    def test_rejects_the_empty_graph(self):
+        with pytest.raises(NotUnicyclic, match="graph is empty, expected exactly one cycle"):
+            find_cycle(Graph(0))
 
     def test_rejects_disconnected_graphs_with_a_cycle(self):
         # Two triangles have m = n, as a unicyclic graph does, and the walk

@@ -128,6 +128,13 @@ class TestClassify:
         with pytest.raises(NotUnicyclic):
             classify_type(Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]))
 
+    def test_rejects_the_empty_graph(self):
+        # find_cycle's message names the shape, which classify_shape
+        # refuses to give for no vertices.
+        for f in (classify_type, analyze):
+            with pytest.raises(NotUnicyclic, match="graph is empty"):
+                f(Graph(0))
+
 
 class TestSingularity:
     def test_paw_is_nonsingular(self):
