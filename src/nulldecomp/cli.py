@@ -236,8 +236,14 @@ def cmd_analyze(args):
 def _int_arg(text):
     """argparse type for integer options: the edge-list format's ASCII
     decimal numerals, where int() would also take "1_0", "+1" or
-    non-ASCII digits."""
-    value = _decimal(text)
+    non-ASCII digits.  A numeral past int()'s digit limit is named by
+    its length, not echoed."""
+    try:
+        value = _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"numeral longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return value

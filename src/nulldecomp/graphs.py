@@ -2,10 +2,9 @@
 
 Vertices of an n-vertex graph are always 0..n-1.  Subgraph extraction
 relabels densely and reports a label map (new id -> old id) so callers can
-translate results back; the relabelled subgraphs serve only the check
-side (the S and N parts in sweeps, the pendant trees in fixtures) and
-the tests, since the formula path and the oracles work in the graph's
-own ids.  Optional display names ride along for
+translate results back; the relabelled subgraphs serve only the pendant
+trees in fixtures and the tests, since the formula path, the oracles
+and the sweep checks work in the graph's own ids.  Optional display names ride along for
 fixtures whose vertices carry names like "v1" or "a".
 
 _walk is the one walk over a whole graph.  The components, the shape,

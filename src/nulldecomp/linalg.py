@@ -22,12 +22,15 @@ is dropped; the integers are those of the same pass on dense rows.  A
 row whose entry in the pivot column is 0 is left alone when the new
 pivot equals the previous one: its update (x * piv - 0 * y) / prev is
 then x itself, exactly, so such a step visits only the rows holding
-the pivot column.  A pivot that is the previous one negated is made
+the pivot column, and in each of those rows only the pivot row's
+columns: an entry facing a zero of the pivot row is x * piv / prev = x
+as well.  A pivot that is the previous one negated is made
 equal to it by negating the pivot row first.  That is Bareiss on A
 with that row negated: every entry is still a minor of that matrix,
 and the RREF is the same.  On adjacency matrices a pivot mostly equals
-the previous one up to sign, so most steps rescale no row.  Every
-entry that is updated is still divided with its remainder checked.
+the previous one up to sign, so most steps rescale no row and touch
+only the entries that change.  Every entry that changes is still
+divided with its remainder checked.
 
 The A x = 0 check of a kernel vector reads only the rows adjacent to
 its support, since every other row sums zeros; the verdict is that of
@@ -98,9 +101,11 @@ def _eliminate(work, cols):
             for j in wr:
                 wr[j] = -wr[j]
             piv = prev
-        if piv == prev:
-            # A zero in column c then updates to x * piv / prev = x, so
-            # only the rows holding column c change.
+        same = piv == prev
+        if same:
+            # An entry x facing a zero of the pivot row then updates to
+            # x * piv / prev = x, so only the rows holding column c
+            # change, and in them only the pivot row's columns.
             targets = [o for o in holders if o != lr]
         else:
             # Every other row changes, even with a zero in column c, or
@@ -109,8 +114,13 @@ def _eliminate(work, cols):
         for o in targets:
             wi = work[at[o]]
             f = wi.get(c, 0)
-            # A column empty in both rows stays empty.
-            for j in wi.keys() | wr.keys() if f else list(wi):
+            if same:
+                touched = wr
+            elif f:
+                touched = wi.keys() | wr.keys()  # a column empty in both stays empty
+            else:
+                touched = list(wi)
+            for j in touched:
                 q, rem = divmod(wi.get(j, 0) * piv - f * wr.get(j, 0), prev)
                 if rem:
                     raise ArithmeticError("fraction-free elimination lost exactness")

@@ -25,6 +25,8 @@ if M misses it, and otherwise iff M without v's edge has an augmenting
 path in G - v, which by Berge's theorem can only start at v's former
 mate.  No subgraph is built and no second matching is grown.  Whether
 some maximum matching of a tree misses v is the question v in eg_set(t).
+max_matching keeps the last graph and its matching, matched by identity
+like the bitmasks, so eg_set(t) after max_matching(t) reuses it.
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -33,6 +35,7 @@ TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 
 from .errors import TooLarge, UnknownVertex
@@ -42,11 +45,18 @@ _DEFAULT_MAX_N = 32
 
 
 def size_limit():
-    """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an integer."""
+    """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an
+    integer, or is a numeral too long for int(), which is not echoed."""
     raw = os.environ.get("NULLDECOMP_MAX_N")
     if raw is None:
         return _DEFAULT_MAX_N
-    limit = _decimal(raw)
+    try:
+        limit = _decimal(raw)
+    except ValueError:
+        raise ValueError(
+            "NULLDECOMP_MAX_N is a numeral longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     if limit is None:
         raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}")
     return limit
@@ -194,14 +204,25 @@ def augmenting_path(g, partner):
     return None
 
 
+# (graph, its maximum matching) for the last graph matched, matched by
+# identity like _last_masks; a Matching is frozen, so it is safe to share.
+_last_matching = (None, None)
+
+
 def max_matching(g):
     """Maximum matching: augment until no augmenting path is left (Berge).
 
     The search starts from the greedy maximal matching over the sorted
     edges, which leaves fewer augmentations to find; Berge's theorem
-    certifies the result whatever the start.
+    certifies the result whatever the start.  The matching of the last
+    graph is kept and returned again while g is that very object; the
+    size guard runs on every call.
     """
+    global _last_matching
     _guard(g, "max_matching")
+    held, kept = _last_matching
+    if held is g:
+        return kept
     partner = {}
     for u, v in sorted(g.edges):
         if u not in partner and v not in partner:
@@ -212,7 +233,9 @@ def max_matching(g):
             u, v = path[i], path[i + 1]
             partner[u] = v
             partner[v] = u
-    return Matching(frozenset((u, v) for u, v in partner.items() if u < v))
+    kept = Matching(frozenset((u, v) for u, v in partner.items() if u < v))
+    _last_matching = (g, kept)
+    return kept
 
 
 def _partner(matching):

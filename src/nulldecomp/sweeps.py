@@ -9,12 +9,19 @@ invariant so failures can be echoed as edge lists and reproduced.
 
 The checkers ask the oracles in the instance's own ids and do only the
 work their verdicts need.  alpha(G - S) is max_independent_set(g, S),
-not a search of a rebuilt G - S.  One maximum matching per part decides
-every component of it, since it restricts to a maximum matching of
-each.  The pendant tree of cycle vertex v is v's component of G - E(C),
-so one eg_set of that forest answers the type witness check for every
-cycle vertex.  A forest instance builds its S and N parts, two induced
-subgraphs; nothing else is built.
+not a search of a rebuilt G - S.  A search's witness that checks out
+as a maximum independent set of the forest (independent, and of the
+oracle's size) settles later questions: a Core vertex in one fails
+core exclusion at once, an N-vertex in one needs no search of
+t - N[u], and one left out of one no search of t - u.  Witnesses are
+used only when the decomposition's alpha is the oracle's, so every
+verdict is the one the skipped searches would give.  A forest's S part
+(Supp and Core) and N part are read off one cut forest, the forest
+without the edges between them: one maximum matching of it restricts
+to a maximum matching of each component, and the parts must partition
+the vertices.  The pendant tree of cycle vertex v is v's component of
+G - E(C), so one eg_set of that forest answers the type witness check
+for every cycle vertex.  No checker builds a relabelled subgraph.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .graphs import (
     Graph,
     _components,
     edge_inside,
-    induced_subgraph,
     matching_defect,
 )
 from .linalg import null_basis
@@ -90,7 +96,7 @@ def _certificates_valid(g, independent, matching, alpha, nu):
 
 def _tree_checks(t, d, independent, matching):
     checks = {}
-    oracle_alpha, _ = max_independent_set(t)
+    oracle_alpha, found = max_independent_set(t)
     oracle_nu = max_matching(t).size
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
     checks["nu formula vs oracle"] = d.nu == oracle_nu
@@ -100,34 +106,65 @@ def _tree_checks(t, d, independent, matching):
     checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
     checks["support is independent"] = edge_inside(t, d.supp) is None
 
+    # fits: vertices in some maximum independent set of t seen so far;
+    # avoidable: vertices that some such set leaves out.
+    fits, avoidable = set(), set()
+    everyone = frozenset(range(t.n))
+
+    def note(found, removed, put_back=frozenset()):
+        """Add the oracle's witness for t - removed, with put_back added,
+        to fits and avoidable if it is a maximum independent set of t."""
+        s = found | put_back
+        if (
+            d.alpha == oracle_alpha
+            and len(s) == oracle_alpha
+            and found.isdisjoint(removed)
+            and edge_inside(t, s) is None
+        ):
+            fits.update(s)
+            avoidable.update(everyone - s)
+
+    note(found, ())
+
     ok = True
     for c in d.core:
+        if c in fits:  # c fits into some maximum independent set
+            ok = False
+            break
         forced, _ = max_independent_set(t, {c} | t.neighbors(c))
-        if 1 + forced == d.alpha:  # c would fit into some maximum independent set
+        if 1 + forced == d.alpha:
             ok = False
             break
     checks["core exclusion"] = ok
 
     ok = True
     for u in d.n_forest_vertices:
-        without, _ = max_independent_set(t, (u,))
-        with_u, _ = max_independent_set(t, {u} | t.neighbors(u))
-        if without != d.alpha or 1 + with_u != d.alpha:
-            ok = False
-            break
+        if u not in avoidable:
+            without, found = max_independent_set(t, (u,))
+            if without != d.alpha:
+                ok = False
+                break
+            note(found, (u,))
+        if u not in fits:
+            closed = {u} | t.neighbors(u)
+            with_u, found = max_independent_set(t, closed)
+            if 1 + with_u != d.alpha:
+                ok = False
+                break
+            note(found, closed, frozenset((u,)))
     checks["N-vertex flexibility"] = ok
 
-    ok = True
     s_part = d.supp | d.core
-    if s_part:
-        s_sub, _ = induced_subgraph(t, s_part)
-        covered = {v for edge in max_matching(s_sub).edges for v in edge}
-        for comp in _components(s_sub):
-            if all(v in covered for v in comp):
-                ok = False  # S components are singular trees
-    if ok and d.n_forest_vertices:
-        n_sub, _ = induced_subgraph(t, d.n_forest_vertices)
-        ok = 2 * max_matching(n_sub).size == n_sub.n
+    n_part = d.n_forest_vertices
+    ok = s_part.isdisjoint(n_part) and len(s_part) + len(n_part) == t.n
+    if ok:
+        cut = t.without_edges([(u, v) for u, v in t.edges if (u in s_part) != (v in s_part)])
+        covered = {v for edge in max_matching(cut).edges for v in edge}
+        for comp in _components(cut):
+            # An S component must not be fully covered, an N component must.
+            if all(v in covered for v in comp) == (comp[0] in s_part):
+                ok = False
+                break
     checks["S components singular, N components matched"] = ok
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n

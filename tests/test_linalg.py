@@ -187,6 +187,59 @@ class TestEliminate:
             assert null_basis(g).vectors == reference_kernel(g)
         assert negated > 0
 
+    def test_equal_pivot_steps_rewrite_only_the_pivot_rows_columns(self):
+        # When a step's pivot equals the previous one, an entry x facing a
+        # zero of the pivot row updates to x * piv / prev = x, so the step
+        # must write no entry outside the pivot row's columns.  Rows log
+        # their writes; a tracer closes each step at its last line, where
+        # piv, prev and the pivot row wr are still the step's own.
+        writes = []
+
+        class Logged(dict):
+            def __setitem__(self, j, x):
+                writes.append((self, j))
+                super().__setitem__(j, x)
+
+            def __delitem__(self, j):
+                writes.append((self, j))
+                super().__delitem__(j)
+
+        step_end = line_of(_eliminate, "pivots.append(c)")
+        steps = []
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == step_end:
+                f = frame.f_locals
+                wr = f["wr"]
+                rewritten = {j for row, j in writes if row is not wr}
+                steps.append((f["piv"] == f["prev"], set(wr), rewritten))
+                writes.clear()
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is _eliminate.__code__ else None
+
+        rng = random.Random(23)
+        cases = [random_tree(rng.randrange(2, 31), rng) for _ in range(30)]
+        cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(30)]
+        for g in cases:
+            rows = adjacency_rows(g)
+            work = [Logged(row) for row in sparse(rows)]
+            old = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                pivots, d = _eliminate(work, g.n)
+            finally:
+                sys.settrace(old)
+            want_rows, want_rank = reference_rref(rows)
+            assert pivots == reference_pivots(want_rows, want_rank)
+            assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
+        equal = [(cols, rewritten) for same, cols, rewritten in steps if same]
+        assert all(rewritten <= cols for cols, rewritten in equal)
+        # most steps are such steps, and many rewrite some other row
+        assert 2 * len(equal) > len(steps)
+        assert sum(1 for _, rewritten in equal if rewritten) > 100
+
     def test_zero_and_identity(self):
         z = sparse([[0, 0], [0, 0]])
         assert _eliminate(z, 2) == ([], 1) and dense(z, 2) == [[0, 0], [0, 0]]

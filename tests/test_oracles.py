@@ -26,7 +26,7 @@ from nulldecomp.graphs import (
 )
 from nulldecomp.oracles import augmenting_path, size_limit
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
-from nulldecomp.sweeps import cycle_graph
+from nulldecomp.sweeps import check_tree_instance, cycle_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -263,6 +263,67 @@ class TestMaxMatching:
         assert max_matching(c5_with_pendants()).size == 4
         assert calls == []
 
+    def test_kept_matching_is_by_identity(self, monkeypatch):
+        # Only the very graph last matched gets its kept matching back: an
+        # equal graph built apart and a without_edges copy are each
+        # matched afresh, and each gets its own maximum matching.
+        grown = _spy_grown_matchings(monkeypatch)
+        g, h = c5_with_pendants(), c5_with_pendants()
+        assert g == h and g is not h
+        m = max_matching(g)
+        assert oracles._last_matching[0] is g and oracles._last_matching[1] is m
+        assert max_matching(g) is m
+        assert [x is g for x in grown] == [True]
+        assert max_matching(h) == m
+        assert grown[-1] is h and len(grown) == 2
+        cut = g.without_edges(sorted(m.edges)[:2])  # g's matching is no matching of cut
+        got = max_matching(cut)
+        assert grown[-1] is cut and len(grown) == 3
+        assert matching_defect(cut, got.edges) is None
+        assert got.size == max_matching(Graph(cut.n, cut.edges)).size
+
+    def test_lowered_guard_refuses_a_graph_matched_before(self, monkeypatch):
+        g = path_graph(5)
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
+        assert max_matching(g).size == 2
+        assert oracles._last_matching[0] is g
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "4")
+        with pytest.raises(TooLarge):
+            max_matching(g)
+        with pytest.raises(TooLarge):
+            eg_set(g)
+
+    def test_tree_checks_grow_one_matching_per_graph(self, monkeypatch):
+        # t's matching serves the nu check and eg_set(t); the S/N check
+        # grows one more, of the cut forest.
+        grown = _spy_grown_matchings(monkeypatch)
+        rng = random.Random(61)
+        cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(30)]
+        cases += [random_forest(rng.randrange(1, 31), rng) for _ in range(30)]
+        cases += [load_fixture(f) for f in ("fig1_T1", "fig1_T2", "fig2_tree")]
+        for t in cases:
+            grown.clear()
+            assert all(check_tree_instance(t).values())
+            assert len(grown) == len({id(h) for h in grown}) <= 2
+            assert grown[0] is t
+
+
+def _spy_grown_matchings(monkeypatch):
+    """The list of graphs whose maximum matching max_matching grows from
+    now on, one entry per matching grown: each growth ends with the one
+    augmenting_path call that finds no path."""
+    grown = []
+    real = oracles.augmenting_path
+
+    def spying(h, partner):
+        path = real(h, partner)
+        if path is None:
+            grown.append(h)
+        return path
+
+    monkeypatch.setattr(oracles, "augmenting_path", spying)
+    return grown
+
 
 class TestAugmentingPaths:
     def test_detects_augmentable_matching(self):
@@ -461,6 +522,12 @@ class TestSizeGuard:
                 size_limit()
             with pytest.raises(ValueError, match="NULLDECOMP_MAX_N must be an integer"):
                 max_independent_set(g)
+
+    def test_overlong_numeral_is_named_by_its_length(self, monkeypatch):
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "9" * 4301)
+        with pytest.raises(ValueError, match="NULLDECOMP_MAX_N is a numeral longer than") as info:
+            size_limit()
+        assert "99" not in str(info.value)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("NULLDECOMP_MAX_N", "40")

@@ -3,11 +3,14 @@
 import random
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from nulldecomp import Graph, SweepOutcome, analyze, decompose, graphs, random_tree
+from nulldecomp import Graph, SweepOutcome, analyze, decompose, graphs, random_tree, sweeps
 from nulldecomp.fixtures import load_fixture
+from nulldecomp.graphs import _components, induced_subgraph
+from nulldecomp.oracles import max_independent_set, max_matching
 from nulldecomp.randgraphs import random_unicyclic
 from nulldecomp.sweeps import (
     CYCLE_INVARIANTS,
@@ -88,7 +91,7 @@ def test_outcome_ok_when_no_failures():
     assert outcome.ok
 
 
-def test_checkers_build_at_most_two_subgraphs(monkeypatch):
+def test_checkers_build_no_subgraph(monkeypatch):
     calls = {}
     for name in ("induced_subgraph", "remove_vertices", "connected_components", "pendant_trees"):
         real = getattr(graphs, name)
@@ -105,6 +108,7 @@ def test_checkers_build_at_most_two_subgraphs(monkeypatch):
 
     rng = random.Random(71)
     trees = [random_tree(rng.randrange(1, 31), rng) for _ in range(30)]
+    trees += [random_forest(rng.randrange(1, 31), rng) for _ in range(10)]
     trees += [load_fixture(f) for f in ("fig1_T1", "fig1_T2", "fig2_tree")]
     unicyclic = [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(30)]
     unicyclic += [load_fixture(f) for f in ("fig2_G", "fig2_H", "fig3", "fig4", "fig6", "fig7")]
@@ -113,8 +117,176 @@ def test_checkers_build_at_most_two_subgraphs(monkeypatch):
     ]:
         calls.clear()
         assert all(checker(g).values())
-        assert calls.get("induced_subgraph", 0) <= 2
-        assert set(calls) <= {"induced_subgraph"}
+        assert calls == {}
+
+
+def random_forest(n, rng):
+    """A random tree on n vertices with about a quarter of its edges cut."""
+    t = random_tree(n, rng)
+    return t.without_edges(rng.sample(sorted(t.edges), len(t.edges) // 4))
+
+
+# The per-vertex loops and the induced-subgraph check that _tree_checks
+# replaced, kept here as the reference its three verdicts must equal.
+
+
+def reference_core_exclusion(t, d):
+    for c in d.core:
+        forced, _ = max_independent_set(t, {c} | t.neighbors(c))
+        if 1 + forced == d.alpha:  # c would fit into some maximum independent set
+            return False
+    return True
+
+
+def reference_n_vertex_flexibility(t, d):
+    for u in d.n_forest_vertices:
+        without, _ = max_independent_set(t, (u,))
+        with_u, _ = max_independent_set(t, {u} | t.neighbors(u))
+        if without != d.alpha or 1 + with_u != d.alpha:
+            return False
+    return True
+
+
+def reference_s_and_n_parts(t, d):
+    ok = True
+    s_part = d.supp | d.core
+    if s_part:
+        s_sub, _ = induced_subgraph(t, s_part)
+        covered = {v for edge in max_matching(s_sub).edges for v in edge}
+        for comp in _components(s_sub):
+            if all(v in covered for v in comp):
+                ok = False  # S components are singular trees
+    if ok and d.n_forest_vertices:
+        n_sub, _ = induced_subgraph(t, d.n_forest_vertices)
+        ok = 2 * max_matching(n_sub).size == n_sub.n
+    return ok
+
+
+REFERENCES = {
+    "core exclusion": reference_core_exclusion,
+    "N-vertex flexibility": reference_n_vertex_flexibility,
+    "S components singular, N components matched": reference_s_and_n_parts,
+}
+
+
+def shifted_alpha(d, by):
+    """d with alpha off by `by` and every other field as it is."""
+    return SimpleNamespace(
+        supp=d.supp,
+        core=d.core,
+        n_forest_vertices=d.n_forest_vertices,
+        nullity=d.nullity,
+        alpha=d.alpha + by,
+        nu=d.nu,
+    )
+
+
+def moved(d, rng):
+    """d with one to three vertices moved between Supp, Core and N; the
+    three parts still partition the vertices, and alpha and nu follow."""
+    parts = [set(d.supp), set(d.core), set(d.n_forest_vertices)]
+    for _ in range(rng.randint(1, 3)):
+        src = rng.choice([p for p in parts if p])
+        v = rng.choice(sorted(src))
+        src.remove(v)
+        rng.choice([p for p in parts if p is not src]).add(v)
+    return replace(
+        d,
+        supp=frozenset(parts[0]),
+        core=frozenset(parts[1]),
+        n_forest_vertices=frozenset(parts[2]),
+    )
+
+
+def _cases(seed):
+    """(forest, decomposition) pairs: true, with alpha off by one, and
+    with vertices moved between the parts, on random trees and forests."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(160):
+        n = rng.randrange(1, 31)
+        t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
+        d = decompose(t)
+        cases += [(t, d), (t, shifted_alpha(d, 1)), (t, shifted_alpha(d, -1))]
+        cases += [(t, moved(d, rng)) for _ in range(3)]
+    return cases
+
+
+def test_tree_checks_equal_the_per_vertex_reference():
+    seen = {name: set() for name in REFERENCES}
+    for t, d in _cases(83):
+        checks = _tree_checks(t, d, frozenset(), frozenset())
+        for name, reference in REFERENCES.items():
+            want = reference(t, d)
+            assert checks[name] == want, (name, t.edges, d)
+            seen[name].add(want)
+    # the corrupted decompositions make every reference verdict both ways
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+@pytest.mark.parametrize(
+    "bad", ["every-vertex", "empty", "one-short", "swapped", "ignores-removed"]
+)
+def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
+    # A witness steers which searches run, so one that is not a maximum
+    # independent set of t must never be taken for one.  The sizes stay
+    # the oracle's own, so the reference's verdicts do not change.
+    def lying(g, removed=()):
+        size, witness = max_independent_set(g, removed)
+        if bad == "every-vertex":
+            witness = frozenset(range(g.n))
+        elif bad == "empty":
+            witness = frozenset()
+        elif bad == "one-short" and witness:
+            witness = witness - {min(witness)}
+        elif bad == "swapped" and witness:
+            v = min(witness)
+            witness = (witness - {v}) | {min(g.neighbors(v), default=v)}
+        elif bad == "ignores-removed":
+            witness = max_independent_set(g)[1]
+        return size, witness
+
+    monkeypatch.setattr(sweeps, "max_independent_set", lying)
+    for t, d in _cases(89)[::2]:
+        checks = _tree_checks(t, d, frozenset(), frozenset())
+        for name, reference in REFERENCES.items():
+            assert checks[name] == reference(t, d), (name, t.edges, d)
+
+
+def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
+    calls = []
+
+    def counted(g, removed=()):
+        calls.append(removed)
+        return max_independent_set(g, removed)
+
+    monkeypatch.setattr(sweeps, "max_independent_set", counted)
+    rng = random.Random(97)
+    total = reference = 0
+    for i in range(200):
+        n = rng.randrange(1, 31)
+        t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
+        d = decompose(t)
+        calls.clear()
+        assert check_tree_instance(t)["N-vertex flexibility"]
+        assert len(calls) <= 1 + len(d.core) + len(d.n_forest_vertices)
+        total += len(calls)
+        reference += 1 + len(d.core) + 2 * len(d.n_forest_vertices)
+    # most N-vertices need no search at all
+    assert 2 * total < reference
+
+
+def test_s_and_n_parts_must_partition_the_vertices():
+    # The cut forest holds each vertex once, so parts that overlap or
+    # miss a vertex fail, where the reference may pass them.
+    d = decompose(P4)  # every vertex an N-vertex
+    overlapping = replace(d, supp=frozenset({0}))
+    missing = replace(d, n_forest_vertices=frozenset({0, 1}))
+    name = "S components singular, N components matched"
+    assert reference_s_and_n_parts(P4, overlapping)
+    assert reference_s_and_n_parts(P4, missing)
+    assert not _tree_checks(P4, overlapping, frozenset(), frozenset())[name]
+    assert not _tree_checks(P4, missing, frozenset(), frozenset())[name]
 
 
 def _corrupted_tree_checks(t, name, **fields):
@@ -123,6 +295,15 @@ def _corrupted_tree_checks(t, name, **fields):
     d = decompose(t)
     assert _tree_checks(t, d, frozenset(), frozenset())[name]
     return _tree_checks(t, replace(d, **fields), frozenset(), frozenset())[name]
+
+
+def parts(supp, core, n):
+    """Replacement Supp, Core and N fields for a decomposition."""
+    return {
+        "supp": frozenset(supp),
+        "core": frozenset(core),
+        "n_forest_vertices": frozenset(n),
+    }
 
 
 P3 = Graph(3, [(0, 1), (1, 2)])  # Supp {0, 2}, Core {1}
@@ -154,8 +335,20 @@ def test_n_vertex_flexibility_fails_on_a_vertex_that_is_not_flexible(moved):
             Graph(5, [(0, 1), (1, 2), (3, 4)]),
             {"supp": frozenset({0, 2, 3}), "core": frozenset({1, 4})},
         ),
+        # the same two S faults with the parts partitioning the vertices
+        (P4, parts(supp={0}, core={1}, n={2, 3})),
+        (Graph(5, [(0, 1), (1, 2), (3, 4)]), parts(supp={0, 2, 3}, core={1, 4}, n=())),
+        # singular S component, but an unmatched N component beside it
+        (Graph(4, [(0, 1), (1, 2)]), parts(supp={0, 2}, core={1}, n={3})),
     ],
-    ids=["perfect-s-component", "unmatched-n-part", "second-s-component"],
+    ids=[
+        "perfect-s-component",
+        "unmatched-n-part",
+        "second-s-component",
+        "perfect-s-component-partitioned",
+        "second-s-component-partitioned",
+        "unmatched-n-component",
+    ],
 )
 def test_s_and_n_components_fail_on_the_wrong_matching(t, fields):
     assert not _corrupted_tree_checks(t, "S components singular, N components matched", **fields)
