@@ -2,16 +2,19 @@
 
 Vertices of an n-vertex graph are always 0..n-1.  Subgraph extraction
 relabels densely and reports a label map (new id -> old id) so callers can
-translate results back; the relabelled subgraphs serve only the pendant
-trees in fixtures and the tests, since the formula path, the oracles
-and the sweep checks work in the graph's own ids.  Optional display names ride along for
-fixtures whose vertices carry names like "v1" or "a".
+translate results back; the relabelled subgraphs and the pendant trees
+serve only the tests, since the formula path, the oracles, the sweep
+checks and the fixtures work in the graph's own ids.  Optional display
+names ride along for fixtures whose vertices carry names like "v1" or
+"a".
 
-_walk is the one walk over a whole graph.  The components, the shape,
-the cycle and, through the components, the pendant trees are read off
-its order and parent lists, and so is the forest DP in trees.  It keeps
-the walk of the last graph, matched by identity, so analyze walks a
-forest once, a type II graph twice and a type I graph three times.
+_search is the one walk over a whole graph.  _walk keeps the walk of the
+last graph, matched by identity, and the components, the shape, the
+cycle and, through the components, the pendant trees are read off its
+order and parent lists, and so is the forest DP in trees.  Seeded with a
+unicyclic graph's cycle, _search roots the pendant trees at their cycle
+vertices, and unicyclic.analyze reads everything off that walk, so
+analyze walks a forest once and a unicyclic graph twice.
 parse_graph6 reads the set bits of each payload byte other than "?"
 off a 64-entry table: its Python work is one step per edge.  Both
 parsers check each edge once and build the Graph with Graph._checked,
@@ -20,8 +23,9 @@ the common "u v" line with one compiled pattern and every other line
 token by token, and both routes share one self-loop, duplicate and
 range check.
 
-edge_inside and matching_defect are the one certificate rule (an
-independent set, a matching) that analyze, the sweeps and the fixtures use.
+edge_inside, foreign_id and matching_defect are the one certificate
+rule (an independent set, a matching) that analyze, the sweeps and the
+fixtures use; an id outside 0..n-1 never passes as a vertex.
 """
 
 from __future__ import annotations
@@ -390,26 +394,41 @@ def _walk(g):
     return _last_walk[1]
 
 
-def _search(g):
-    """The walk itself, uncached: one stack search per component."""
-    n = g.n
+def _search(g, roots=()):
+    """The walk itself, uncached: a stack search from each start in turn.
+
+    The roots, if given, are the first starts: they start out seen and
+    are listed first, so no search crosses an edge between two of them,
+    and the vertices they reach follow them.  Then the smallest vertex
+    not yet seen starts the next search, until none is left.  A vertex
+    is listed when it is claimed, so order lists each vertex after its
+    parent and each later search's vertices together.
+    """
+    n, adj = g.n, g._adj
     parent = [-1] * n
     seen = [False] * n
-    order = []
-    for r in range(n):
-        if seen[r]:
-            continue
+    order = list(roots)
+    for r in order:
         seen[r] = True
-        stack = [r]
+    stack = order[::-1]
+    claim, push, pop = order.append, stack.append, stack.pop
+    r = 0
+    while True:
         while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in g.neighbors(u):
+            u = pop()
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
-                    stack.append(w)
-    return tuple(order), tuple(parent)
+                    claim(w)
+                    push(w)
+        while r < n and seen[r]:
+            r += 1
+        if r == n:
+            return tuple(order), tuple(parent)
+        seen[r] = True
+        claim(r)
+        push(r)
 
 
 def _components(g):
@@ -525,20 +544,32 @@ def pendant_trees(g, c):
 
 def edge_inside(g, vertices):
     """An edge of g with both ends in the set vertices, as (u, v) with
-    u < v, or None when vertices is independent in g."""
+    u < v, or None when no edge of g has both ends there.  An id outside
+    0..n-1 is no vertex of g and ends no edge; foreign_id finds it."""
+    n, adj = g.n, g._adj
     for v in vertices:
-        for w in g.neighbors(v):
-            if w in vertices:
-                return (min(v, w), max(v, w))
+        if 0 <= v < n:
+            for w in adj[v]:
+                if w in vertices:
+                    return (min(v, w), max(v, w))
     return None
 
 
+def foreign_id(g, ids):
+    """The first id in ids that is no vertex of g (outside 0..n-1), or
+    None when there is none."""
+    n = g.n
+    return next((v for v in ids if not 0 <= v < n), None)
+
+
 def matching_defect(g, pairs):
-    """The first pair that is not an edge of g or shares a vertex with an
-    earlier pair, or None when pairs is a matching of g."""
+    """The first pair that is not an edge of g (an end outside 0..n-1
+    included) or shares a vertex with an earlier pair, or None when
+    pairs is a matching of g."""
+    n, adj = g.n, g._adj
     seen = set()
     for u, v in pairs:
-        if not g.has_edge(u, v) or u in seen or v in seen:
+        if not (0 <= u < n and 0 <= v < n and v in adj[u]) or u in seen or v in seen:
             return (u, v)
         seen.add(u)
         seen.add(v)

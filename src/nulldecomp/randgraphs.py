@@ -4,7 +4,8 @@ Trees are uniform over labeled trees (Pruefer sequences); a unicyclic
 graph is a tree plus one uniformly chosen non-edge, which always closes
 a single cycle of length at least three.  The corpus builder nudges the
 type I / type II mix toward balance by rejection sampling on
-classify_type, so downstream sweeps see plenty of both.
+classify_type; how far it gets depends on the sizes, since type II
+grows rare as n grows.
 """
 
 from __future__ import annotations
@@ -87,11 +88,13 @@ def tree_corpus(count, n_min, n_max, seed):
 
 
 def unicyclic_corpus(count, n_min, n_max, seed):
-    """Seeded list of random unicyclic graphs, type-balanced.
+    """Seeded list of random unicyclic graphs, nudged toward type balance.
 
     Alternates the wanted type and rejection-samples up to 25 candidates
     per instance, falling back to the last one so generation always
-    terminates.
+    terminates.  Type II grows rare as n grows, so the mix is balanced
+    only at small n: drawn two at a time at each n from 48 to 144, 693 of
+    800 graphs come out type I.
     """
     if n_min < 3:
         raise ValueError("unicyclic graphs need at least three vertices")

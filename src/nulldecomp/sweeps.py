@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     _components,
     edge_inside,
+    foreign_id,
     matching_defect,
 )
 from .linalg import null_basis
@@ -88,6 +89,7 @@ def _certificates_valid(g, independent, matching, alpha, nu):
     matching is a matching of g of size nu."""
     return (
         len(independent) == alpha
+        and foreign_id(g, independent) is None
         and edge_inside(g, independent) is None
         and len(matching) == nu
         and matching_defect(g, matching) is None

@@ -10,10 +10,15 @@ out by counting:
     nu(F)    = |Core| + |V(N-forest)| / 2
 
 Both are additive over components, so everything here accepts arbitrary
-forests, the empty graph included.  decompose raises NotAForest on a
-graph with a cycle: the DP runs on graphs._walk, whose roots count the
-components, and a forest has exactly n - components edges.
-matching_certificate raises it when its leaf pairing cannot finish.
+forests, the empty graph included.  The DP, the Core and N-vertex
+reading and the N-component sides run over a given walk: an (order,
+parent) pair that roots the forest, whose parent edges are exactly its
+edges.  decompose passes graphs._walk and raises NotAForest on a graph
+with a cycle, since the walk's roots count the components and a forest
+has exactly n - components edges; unicyclic.analyze passes its walk of
+a unicyclic graph from the cycle, re-rooted.  The leaf pairing behind
+matching_certificate runs on neighbour sets, and raises NotAForest when
+it cannot finish.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -57,57 +62,61 @@ class NullDecomposition:
         return len(self.core) + len(self.n_forest_vertices) // 2
 
 
-def _matching_support(t):
-    """Vertices of the forest t that some maximum matching misses.
+def _missable_children(order, parent, counts=None):
+    """Bottom-up half of the matching DP over a rooted forest.
 
-    Rerooting DP over graphs._walk; raises NotAForest when t has more
-    than n - components edges.  Bottom-up, a vertex is missable in its
-    own subtree iff none of its children is; missable_children counts the
-    children that are.  Top-down, free_up[c] says whether c's parent p
-    is missable in the tree with c's subtree cut off: p has no missable
-    child besides c and free_up[p] is false.  v is missable in the whole
-    tree, i.e. in Supp, iff it has no missable child and free_up[v] is
-    false.
+    order lists vertices each after its parent (parent[v] is -1 at a
+    root); the pass runs over it backwards.  A vertex is missable in its
+    own subtree iff none of its children is; counts[v] counts the
+    children that are.  Given counts, the pass goes on from them, so a
+    caller can hang more vertices under a finished forest and count
+    only those.
     """
-    n = t.n
-    order, parent = _walk(t)
-    if len(t.edges) != n - parent.count(-1):
-        raise NotAForest("decompose needs an acyclic graph")
-    missable_children = [0] * n
+    if counts is None:
+        counts = [0] * len(parent)
     for v in reversed(order):
-        if not missable_children[v] and parent[v] >= 0:
-            missable_children[parent[v]] += 1
+        if not counts[v]:
+            p = parent[v]
+            if p >= 0:
+                counts[p] += 1
+    return counts
+
+
+def _decomposition(order, parent, missable_children):
+    """Null decomposition of the forest that (order, parent) roots.
+
+    order lists every vertex 0..n-1, each after its parent, and the
+    forest's edges are exactly the parent edges; missable_children is
+    the bottom-up count over it.  Top-down, free_up[c] says whether c's
+    parent p is missable in the forest with c's subtree cut off: p has
+    no missable child besides c and free_up[p] is false.  v is missable
+    in the whole forest, i.e. in Supp, iff it has no missable child and
+    free_up[v] is false.  Core is N(Supp), read off the parent edges,
+    the N-vertices are the rest, and the nullity is |Supp| - |Core|.
+    The structural facts the theory guarantees (Supp disjoint from Core,
+    even N-part) are re-checked; a violation would mean a bug in the DP.
+    """
+    n = len(parent)
     free_up = [False] * n
     for v in order:
         p = parent[v]
         if p >= 0:
             others = missable_children[p] - (not missable_children[v])
             free_up[v] = not others and not free_up[p]
-    return frozenset(v for v in range(n) if not missable_children[v] and not free_up[v])
-
-
-def decompose(t):
-    """Null decomposition of a forest; raises NotAForest on cycles.
-
-    Supp comes from the linear-time matching DP (_matching_support),
-    which walks t once and raises NotAForest unless t has n - c edges,
-    c being the number of components the walk found.  Core is N(Supp),
-    the N-vertices are the rest, and the nullity is |Supp| - |Core|; no
-    elimination runs.  The sweeps, `analyze --verify` and the fixtures
-    check Supp and the nullity against the exact kernel.  The structural
-    facts the theory guarantees (Supp disjoint from Core, even N-part)
-    are re-checked before returning; a violation would mean a bug in the
-    DP.
-    """
-    supp = _matching_support(t)
+    supp = frozenset(v for v in range(n) if not missable_children[v] and not free_up[v])
     core = set()
-    for v in supp:
-        core.update(t.neighbors(v))
+    for v in order:
+        p = parent[v]
+        if v in supp:
+            if p >= 0:
+                core.add(p)
+        elif p in supp:
+            core.add(v)
     core = frozenset(core)
     if core & supp:
         raise AssertionError("support touches itself: matching DP broken")
     s_part = supp | core
-    n_part = frozenset(v for v in range(t.n) if v not in s_part)
+    n_part = frozenset(v for v in range(n) if v not in s_part)
     if len(n_part) % 2:
         raise AssertionError("N-forest has odd order: matching DP broken")
     return NullDecomposition(
@@ -118,32 +127,68 @@ def decompose(t):
     )
 
 
-def _n_component_sides(t, d):
-    """Bipartition sides of each N-forest component, in t's vertex ids.
+def decompose(t):
+    """Null decomposition of a forest; raises NotAForest on cycles.
 
-    Each component is 2-colored in place, starting from its smallest
-    vertex, whose side comes first.
+    Supp comes from the linear-time matching DP over graphs._walk, which
+    walks t once; t is a forest iff it has n - c edges, c being the
+    number of components the walk found, and then the walk's parent
+    edges are its edges.  No elimination runs.  The sweeps,
+    `analyze --verify` and the fixtures check Supp and the nullity
+    against the exact kernel.
     """
-    n_part = d.n_forest_vertices
-    color = [-1] * t.n
+    order, parent = _walk(t)
+    if len(t.edges) != t.n - parent.count(-1):
+        raise NotAForest("decompose needs an acyclic graph")
+    return _decomposition(order, parent, _missable_children(order, parent))
+
+
+def _n_component_sides(order, parent, n_part):
+    """Bipartition sides of each N-forest component, by smallest vertex.
+
+    (order, parent) roots the forest as for _decomposition, so the
+    N-forest's edges are the parent edges with both ends in n_part, and
+    each component is coloured by depth parity down them.  The side
+    holding the component's smallest vertex comes first.
+    """
+    n = len(parent)
+    top = [0] * n  # the component's first vertex in order
+    odd = [False] * n
+    for v in order:
+        if v in n_part:
+            p = parent[v]
+            if p in n_part:
+                top[v] = top[p]
+                odd[v] = not odd[p]
+            else:
+                top[v] = v
+    sides = {}  # top -> (parity of the smallest vertex, first side, second side)
+    for v in sorted(n_part):
+        entry = sides.get(top[v])
+        if entry is None:
+            sides[top[v]] = (odd[v], [v], [])
+        else:
+            entry[1 if odd[v] == entry[0] else 2].append(v)
     out = []
-    for s in sorted(n_part):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        sides = ([s], [])
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in t.neighbors(u):
-                if color[w] < 0 and w in n_part:
-                    color[w] = 1 - color[u]
-                    sides[color[w]].append(w)
-                    stack.append(w)
-        if len(sides[0]) != len(sides[1]):
+    for _, first, second in sides.values():
+        if len(first) != len(second):
             raise AssertionError("N-component bipartition sides differ in size")
-        out.append((frozenset(sides[0]), frozenset(sides[1])))
+        out.append((frozenset(first), frozenset(second)))
     return out
+
+
+def _independent_set(supp, sides, avoid):
+    """Supp plus one side of each N-component, keeping out avoid; see
+    independent_set_certificate."""
+    avoid = frozenset(avoid)
+    if avoid & supp:
+        raise ValueError("cannot avoid a support vertex in a maximum independent set")
+    chosen = set(supp)
+    for first, second in sides:
+        chosen |= second if avoid & first else first
+    if avoid & chosen:
+        raise ValueError("cannot avoid both sides of an N-component")
+    return frozenset(chosen)
 
 
 def independent_set_certificate(t, d, avoid=()):
@@ -156,27 +201,14 @@ def independent_set_certificate(t, d, avoid=()):
     this needs them outside Supp, since Supp lies in every maximum
     independent set, and on one side of each N-component.
     """
-    avoid = frozenset(avoid)
-    if avoid & d.supp:
-        raise ValueError("cannot avoid a support vertex in a maximum independent set")
-    chosen = set(d.supp)
-    for first, second in _n_component_sides(t, d):
-        chosen |= second if avoid & first else first
-    if avoid & chosen:
-        raise ValueError("cannot avoid both sides of an N-component")
-    return frozenset(chosen)
+    order, parent = _walk(t)
+    return _independent_set(d.supp, _n_component_sides(order, parent, d.n_forest_vertices), avoid)
 
 
-def matching_certificate(t):
-    """A maximum matching of a forest, by repeatedly pairing a leaf upward.
-
-    Cycle vertices keep degree 2 until one of them is paired with a
-    leaf, so on C_4 or a tree beside a triangle some outlive the pairing
-    and NotAForest is raised.  Once all are gone, the leaves' partners
-    cover every edge, one per pair, so the matching is maximum anyway.
-    """
-    n = t.n
-    nbrs = [t.neighbors(v) for v in range(n)]
+def _leaf_pairing(nbrs):
+    """A maximum matching of the forest with neighbour sets nbrs, by
+    repeatedly pairing a leaf upward; see matching_certificate."""
+    n = len(nbrs)
     deg = [len(s) for s in nbrs]  # live neighbours of each live vertex
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] <= 1]
@@ -201,3 +233,14 @@ def matching_certificate(t):
     if any(alive):
         raise NotAForest("matching_certificate needs an acyclic graph")
     return frozenset(edges)
+
+
+def matching_certificate(t):
+    """A maximum matching of a forest, by repeatedly pairing a leaf upward.
+
+    Cycle vertices keep degree 2 until one of them is paired with a
+    leaf, so on C_4 or a tree beside a triangle some outlive the pairing
+    and NotAForest is raised.  Once all are gone, the leaves' partners
+    cover every edge, one per pair, so the matching is maximum anyway.
+    """
+    return _leaf_pairing(t._adj)

@@ -6,35 +6,57 @@ cycle vertex is matched inside its own pendant tree (saturated by every
 maximum matching of it), type II when every cycle vertex is mismatched.
 Pure cycles land in type II with nothing hanging off.
 
-Everything is read off at most two spanning forests of G, both in G's
-own vertex ids:
+Everything is read off one walk of G rooted at its cycle
+(graphs._search seeded with the cycle vertices): it lists the cycle
+vertices first, as roots, and hangs each pendant tree under its cycle
+vertex, in G's own vertex ids.  One bottom-up pass of the matching DP
+over it counts, for each vertex, its children that are missable in
+their own subtrees; a cycle vertex is matched in its pendant tree iff
+that count is positive, which gives the type, and the witness is the
+smallest matched cycle vertex.  Swapping a few parent pointers then
+roots the spanning forest that the type calls for, and one top-down
+pass decomposes it:
 
-- off is G minus every edge at a cycle vertex, i.e. the forest G - C
-  with the cycle vertices left isolated.  A cycle vertex is matched in
-  its pendant tree iff one of its neighbors off the cycle lies in
-  Supp(off), so one decomposition of off gives the type, and the
-  witness is the smallest matched cycle vertex.  A type II graph
-  behaves like the cycle plus G - C, so its counts and certificates
-  all come from that same decomposition.
-- f is G minus the two cycle edges at the type I witness v: the pendant
-  tree T_v and G - T_v side by side, which is how a type I graph
-  behaves.  One more decomposition covers both.
+- type I: f, G minus the two cycle edges at the witness v, which is the
+  pendant tree T_v and the rest R = G - V(T_v) side by side.  The cycle
+  path a ... b between v's cycle neighbours is hung under a, and only
+  that path needs counting again.
+- type II: off, G minus every edge at a cycle vertex, which is G - C
+  with the cycle vertices left isolated; each tree of G - C is rooted at
+  its attach vertex, the one vertex with a cycle neighbour.  A type II
+  graph behaves like the cycle plus G - C.
 
-Each piece's part is the forest's decomposition restricted to the
-piece.  Nullity, singularity, the independence number and the matching
-number compose over the parts, and analyze() returns explicit
-certificates built from the same forests.  Before it returns, it holds
-them to the certificate rule of graphs (edge_inside, matching_defect)
-and to the sizes alpha and nu, and raises AssertionError naming the
-offending edge or pair.
+No forest is copied and no Graph is built.  Each piece's part is the
+forest's decomposition restricted to the piece, read off each vertex's
+root in the walk: its cycle vertex for type I, its attach vertex for
+type II.  Nullity, singularity, the independence number and the
+matching number compose over the parts, and analyze() returns explicit
+certificates built from the same forest; the leaf pairing runs on G's
+neighbour sets with the removed edges taken out.  Before it returns, it
+holds them to the certificate rule of graphs (foreign_id, edge_inside,
+matching_defect) and to the sizes alpha and nu, and raises
+AssertionError naming the offending id, edge or pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CycleInfo, _components, edge_inside, find_cycle, matching_defect
-from .trees import decompose, independent_set_certificate, matching_certificate
+from .graphs import (
+    CycleInfo,
+    _search,
+    edge_inside,
+    find_cycle,
+    foreign_id,
+    matching_defect,
+)
+from .trees import (
+    _decomposition,
+    _independent_set,
+    _leaf_pairing,
+    _missable_children,
+    _n_component_sides,
+)
 
 
 @dataclass(frozen=True)
@@ -80,24 +102,26 @@ class UnicyclicAnalysis:
     matching: frozenset
 
 
-def _classify(g, cycle):
-    """Type verdict from one decomposition of off, with what analyze reuses.
+def _rooted(g, cycle):
+    """The walk of g from its cycle, the bottom-up count over it, and the type.
 
-    Returns (verdict, off, d_off, attach); attach maps each vertex off
-    the cycle that has a cycle neighbor to that neighbor.
+    The walk lists the cycle vertices first, as roots, and hangs each
+    pendant tree under its cycle vertex; the bottom-up pass counts each
+    vertex's children that are missable in their own subtrees.  A cycle
+    vertex c is matched in its pendant tree iff that count is positive,
+    and the witness is the smallest matched one.  Returns (order,
+    parent, missable_children, verdict).
     """
-    on = set(cycle.vertices)
-    off = g.without_edges([(v, w) for v in cycle.vertices for w in g.neighbors(v)])
-    d_off = decompose(off)
-    attach = {w: v for v in cycle.vertices for w in g.neighbors(v) if w not in on}
-    matched = [v for w, v in attach.items() if w in d_off.supp]
+    order, parent = _search(g, cycle.vertices)
+    missable = _missable_children(order, parent)
+    matched = [c for c in cycle.vertices if missable[c]]
     verdict = TypeVerdict("I", min(matched)) if matched else TypeVerdict("II", None)
-    return verdict, off, d_off, attach
+    return order, parent, missable, verdict
 
 
 def classify_type(g):
     """Type I with its smallest matched witness, or type II."""
-    return _classify(g, find_cycle(g))[0]
+    return _rooted(g, find_cycle(g))[3]
 
 
 def _part(kind, root, vertices, d):
@@ -154,52 +178,92 @@ def _singularity(g, cycle, verdict, parts):
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
-    Decomposes off, and f for type I, once each and reads off the type,
+    Walks g from its cycle once and runs one matching DP over that walk,
+    re-rooted to the forest the type calls for, and reads off the type,
     the composed nullity, the combinatorial singularity verdict, alpha
     and nu by the closed formulas, the null decomposition of every piece
     (in the graph's vertex ids), and explicit certificates: an
     independent set of size alpha and a matching of size nu, assembled
-    from the same forests exactly as the formulas compose and validated
+    from the same forest exactly as the formulas compose and validated
     against the graph before returning.
     """
     cycle = find_cycle(g)
-    on = set(cycle.vertices)
-    verdict, off, d_off, attach = _classify(g, cycle)
+    order, parent, missable, verdict = _rooted(g, cycle)
+    n, length = g.n, cycle.length
+    hanging = order[length:]  # the vertices off the cycle, each after its parent
+    top = list(range(n))  # each vertex's root in the forest below
+    nbrs = list(g._adj)  # the forest's neighbour sets, as without_edges derives them
 
     if verdict.kind == "I":
+        # f = G minus the two cycle edges at v: T_v rooted at v, and the
+        # rest rooted at a with the cycle path a ... b hung under it.
         v = verdict.witness
-        f = g.without_edges([(v, w) for w in g.neighbors(v) if w in on])
-        d = decompose(f)
-        a, b = _components(f)
-        pendant, rest = (a, b) if v in a else (b, a)
-        parts = (_part("pendant", v, pendant, d), _part("rest", None, rest, d))
+        i = cycle.vertices.index(v)
+        path = cycle.vertices[i + 1 :] + cycle.vertices[:i]
+        a, b = path[0], path[-1]
+        for x in hanging:
+            top[x] = top[parent[x]]
+        hung = list(parent)
+        for p, x in zip(path, path[1:]):
+            hung[x] = p
+        _missable_children(path, hung, missable)
+        f_order = (v, *path, *hanging)
+        d = _decomposition(f_order, hung, missable)
+        pendant = frozenset(x for x in range(n) if top[x] == v)
+        parts = (
+            _part("pendant", v, pendant, d),
+            _part("rest", None, frozenset(range(n)) - pendant, d),
+        )
         cycle_alpha = cycle_nu = cycle_nullity = 0
-        independent = independent_set_certificate(f, d, avoid={v})
-        matching = matching_certificate(f)
+        sides = _n_component_sides(f_order, hung, d.n_forest_vertices)
+        independent = _independent_set(d.supp, sides, (v,))
+        nbrs[v] = nbrs[v] - {a, b}
+        nbrs[a] = nbrs[a] - {v}
+        nbrs[b] = nbrs[b] - {v}
+        matching = _leaf_pairing(nbrs)
     else:
-        parts = tuple(
-            _part("component", attach[next(w for w in comp if w in attach)], comp, d_off)
-            for comp in _components(off)
-            if comp[0] not in on
-        )
-        cycle_alpha = cycle_nu = cycle.length // 2
-        cycle_nullity = 2 if cycle.length % 4 == 0 else 0
+        # off = G minus every edge at a cycle vertex: the cycle vertices
+        # isolated, and each tree of G - C rooted at its attach vertex,
+        # the one vertex with a cycle neighbour.
+        cut = list(parent)
+        attach = []
+        for x in hanging:
+            p = parent[x]
+            if parent[p] < 0:
+                cut[x] = -1
+                attach.append(x)
+            else:
+                top[x] = top[p]
+        d = _decomposition(order, cut, missable)
+        pieces = {}
+        for x in range(n):
+            if parent[x] >= 0:
+                pieces.setdefault(top[x], []).append(x)
+        parts = tuple(_part("component", parent[w], xs, d) for w, xs in pieces.items())
+        cycle_alpha = cycle_nu = length // 2
+        cycle_nullity = 2 if length % 4 == 0 else 0
         every_other = slice(0, 2 * cycle_alpha, 2)
+        sides = _n_component_sides(order, cut, d.n_forest_vertices)
         independent = frozenset(cycle.vertices[every_other]) | (
-            independent_set_certificate(off, d_off, avoid=attach) - on
+            _independent_set(d.supp, sides, attach) - set(cycle.vertices)
         )
-        matching = frozenset(cycle.edges[every_other]) | matching_certificate(off)
+        for c in cycle.vertices:
+            nbrs[c] = frozenset()
+        for w in attach:
+            nbrs[w] = nbrs[w] - {parent[w]}
+        matching = frozenset(cycle.edges[every_other]) | _leaf_pairing(nbrs)
 
     alpha = cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts)
     nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)
     nullity = cycle_nullity + sum(len(p.supp) - len(p.core) for p in parts)
     singular, reason = _singularity(g, cycle, verdict, parts)
-    clash, defect = edge_inside(g, independent), matching_defect(g, matching)
-    if clash or defect or (len(independent), len(matching)) != (alpha, nu):
+    stray, clash = foreign_id(g, independent), edge_inside(g, independent)
+    defect = matching_defect(g, matching)
+    if stray is not None or clash or defect or (len(independent), len(matching)) != (alpha, nu):
         raise AssertionError(
-            f"certificates break the rule: edge inside the set {clash}, bad matching "
-            f"pair {defect}, sizes {len(independent)} and {len(matching)} for alpha "
-            f"{alpha} and nu {nu}"
+            f"certificates break the rule: id outside the graph {stray}, edge inside "
+            f"the set {clash}, bad matching pair {defect}, sizes {len(independent)} "
+            f"and {len(matching)} for alpha {alpha} and nu {nu}"
         )
     return UnicyclicAnalysis(
         cycle=cycle,

@@ -105,31 +105,34 @@ class TestAnalyze:
             ([(0, 1), (1, 2), (3, 4)], 5, "forest", 1),
             ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], 6, "II", 2),
             ([(i, (i + 1) % 7) for i in range(7)], 7, "II", 2),
-            ([(0, 1), (1, 2), (2, 0), (0, 3)], 4, "I", 3),
+            ([(0, 1), (1, 2), (2, 0), (0, 3)], 4, "I", 2),
         ],
     )
     def test_analyze_walks_each_graph_once(
         self, capsys, monkeypatch, tmp_path, edges, n, kind, walks
     ):
         # One walk of G serves the shape, the cycle and, for a forest, the
-        # DP; one walk of each forest analyze splits off serves its DP and
-        # its components: G - C, and for type I also G minus the witness's
-        # cycle edges.
+        # DP; a unicyclic graph is walked once more, from its cycle, and
+        # that walk serves the type, the DP of the forest either type
+        # splits off and its pieces.  No forest is walked.
         searched = []
         search = nulldecomp.graphs._search
 
-        def counted(g):
+        def counted(g, roots=()):
             searched.append(g)
-            return search(g)
+            return search(g, roots)
 
-        monkeypatch.setattr(nulldecomp.graphs, "_search", counted)
+        # Wherever the name was imported: graphs and unicyclic.
+        for module in (nulldecomp.graphs, nulldecomp.unicyclic):
+            monkeypatch.setattr(module, "_search", counted)
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(Graph(n, edges)))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert json.loads(out).get("type", "forest") == kind
         assert len(searched) == walks
-        assert all(g.n == n for g in searched)
+        assert all(g is searched[0] for g in searched)
+        assert searched[0].n == n
 
     def test_role_map_is_built_only_for_dot(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -157,7 +160,7 @@ class TestAnalyze:
         assert "certificates valid and sized" in checks
 
     @pytest.mark.parametrize(
-        "path, analyze_calls, decompose_calls", [(FIG1, 0, 1), (FIG6, 1, 2)]
+        "path, analyze_calls, decompose_calls", [(FIG1, 0, 1), (FIG6, 1, 0)]
     )
     def test_verify_checks_the_analysis_it_printed(
         self, capsys, monkeypatch, path, analyze_calls, decompose_calls

@@ -33,6 +33,7 @@ from nulldecomp.graphs import (
     _components,
     connected_components,
     edge_inside,
+    foreign_id,
     induced_subgraph,
     matching_defect,
     pendant_trees,
@@ -733,28 +734,49 @@ class TestWalkCache:
         assert graphs._walk(h) == graphs._search(h)
 
     def test_analyze_is_served_only_walks_of_the_graph_it_passes(self, monkeypatch):
-        # Every walk read during analyze, of either shape, is the walk a
-        # fresh search of that very graph gives.
-        walk = graphs._walk
+        # Every walk read during analyze or decompose is a walk of the very
+        # graph passed: the kept walk is the one a fresh search of it gives,
+        # and the rooted walk from the cycle the one a fresh seeded search
+        # gives, with the cycle vertices first, as roots, each other vertex
+        # after its parent, and no cycle edge on its tree.
+        walk, search = graphs._walk, graphs._search
         served = []
 
         def checked(g):
             out = walk(g)
-            assert out == graphs._search(g)
+            assert out == search(g)
+            served.append(g)
+            return out
+
+        def checked_search(g, roots=()):
+            out = search(g, roots)
+            assert out == search(g, roots)
+            order, parent = out
+            assert sorted(order) == list(range(g.n))
+            assert order[: len(roots)] == tuple(roots)
+            assert all(parent[r] == -1 for r in roots)
+            position = {v: i for i, v in enumerate(order)}
+            for v in order[len(roots) :]:
+                assert g.has_edge(v, parent[v]) and position[parent[v]] < position[v]
             served.append(g)
             return out
 
         monkeypatch.setattr(graphs, "_walk", checked)
         monkeypatch.setattr(nulldecomp.trees, "_walk", checked)
+        monkeypatch.setattr(nulldecomp.unicyclic, "_search", checked_search)
         rng = random.Random(6)
+        kinds = set()
         for i in range(60):
             n = rng.randrange(3, 30)
             g = random_unicyclic(n, rng) if i % 2 else random_tree(n, rng)
+            served.clear()
             if classify_shape(g) == Shape.TREE:
                 nulldecomp.trees.decompose(g)
+                kinds.add("tree")
             else:
-                nulldecomp.unicyclic.analyze(g)
-        assert len({id(g) for g in served}) > 60
+                kinds.add(nulldecomp.unicyclic.analyze(g).kind)
+            assert served and all(h is g for h in served)
+        assert kinds == {"tree", "I", "II"}
 
 
 class TestPendantTrees:
@@ -811,6 +833,24 @@ class TestCertificateRule:
         assert matching_defect(g, {(0, 1)}) is None
         assert matching_defect(g, {(0, 2)}) == (0, 2)
         assert matching_defect(g, frozenset({(0, 1), (1, 2)})) in {(0, 1), (1, 2)}
+
+    @pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (9, 0), (0, 9), (4, 3), (-4, 1)])
+    def test_matching_defect_names_a_pair_with_a_foreign_end(self, pair):
+        # -1 would index vertex 3's neighbors on the path 0-1-2-3, and 9
+        # would raise IndexError.
+        g = path_graph(4)
+        assert matching_defect(g, [pair]) == pair
+        assert matching_defect(g, [(0, 1), pair]) == pair
+
+    def test_edge_inside_never_takes_a_foreign_id_for_a_vertex(self):
+        g = path_graph(4)
+        assert edge_inside(g, {-1, 2}) is None
+        assert edge_inside(g, {-4, -3, 9, 4}) is None
+        assert edge_inside(g, {-1, 2, 3}) == (2, 3)
+        assert foreign_id(g, {-1, 2}) == -1
+        assert foreign_id(g, [0, 4]) == 4
+        assert foreign_id(g, {0, 2, 3}) is None
+        assert foreign_id(Graph(0), []) is None
 
 
 class TestDotExport:

@@ -52,11 +52,34 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         ({0, 2}, {(0, 1), (1, 2)}, 2, 2, False),  # vertex 1 is used twice
         ({0, 2}, {(0, 1), (2, 3)}, 3, 2, False),  # the set is not of size alpha
         ({0, 2}, {(0, 1), (2, 3)}, 2, 1, False),  # the matching is not of size nu
+        ({-1, 2}, {(0, 1), (2, 3)}, 2, 2, False),  # -1 is no vertex (it would index 4)
+        ({5, 2}, {(0, 1), (2, 3)}, 2, 2, False),  # 5 is no vertex
+        ({0, 2}, {(-1, 3), (0, 1)}, 2, 2, False),  # -1 is no vertex, though 4-3 is an edge
+        ({0, 2}, {(5, 0), (2, 3)}, 2, 2, False),  # 5 is no vertex
     ],
-    ids=["valid", "edge-in-set", "non-edge", "reused-vertex", "alpha-size", "nu-size"],
+    ids=[
+        "valid",
+        "edge-in-set",
+        "non-edge",
+        "reused-vertex",
+        "alpha-size",
+        "nu-size",
+        "negative-id-in-set",
+        "large-id-in-set",
+        "negative-id-in-matching",
+        "large-id-in-matching",
+    ],
 )
 def test_certificates_valid(independent, matching, alpha, nu, ok):
     assert _certificates_valid(C5, independent, matching, alpha, nu) is ok
+
+
+def test_certificates_with_a_foreign_id_fail_on_a_path():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert _certificates_valid(g, {0, 2}, {(0, 1), (2, 3)}, 2, 2)
+    assert not _certificates_valid(g, {0, 2}, {(-1, 2), (0, 1)}, 2, 2)
+    assert not _certificates_valid(g, {-1, 1}, {(0, 1), (2, 3)}, 2, 2)
+    assert not _certificates_valid(g, {0, 2}, {(9, 0), (2, 3)}, 2, 2)
 
 
 def test_unicyclic_checker_emits_every_invariant():

@@ -243,6 +243,56 @@ class TestIndependentSetCertificate:
         assert d.supp <= independent_set_certificate(t, d)
 
 
+def dfs_n_component_sides(t, d):
+    """Bipartition sides of each N-forest component by a search of t's
+    neighbor sets: each component is 2-colored from its smallest vertex,
+    whose side comes first."""
+    n_part = d.n_forest_vertices
+    color = [-1] * t.n
+    out = []
+    for s in sorted(n_part):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        sides = ([s], [])
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in t.neighbors(u):
+                if color[w] < 0 and w in n_part:
+                    color[w] = 1 - color[u]
+                    sides[color[w]].append(w)
+                    stack.append(w)
+        out.append((frozenset(sides[0]), frozenset(sides[1])))
+    return out
+
+
+class TestNComponentSides:
+    def test_parity_sides_equal_the_search_of_neighbor_sets(self):
+        rng = random.Random(89)
+        seen_components = 0
+        for _ in range(400):
+            f = random_tree(rng.randrange(1, 50), rng)
+            f = f.without_edges(rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(5))))
+            d = decompose(f)
+            order, parent = nulldecomp.graphs._walk(f)
+            got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
+            assert got == dfs_n_component_sides(f, d), sorted(f.edges)
+            seen_components += len(got)
+        assert seen_components > 400
+
+    def test_sides_of_a_walk_rooted_elsewhere(self):
+        # The sides do not depend on where the walk roots each component.
+        rng = random.Random(97)
+        for _ in range(100):
+            f = random_tree(rng.randrange(2, 40), rng)
+            d = decompose(f)
+            roots = [rng.randrange(f.n)]
+            order, parent = nulldecomp.graphs._search(f, roots)
+            got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
+            assert got == dfs_n_component_sides(f, d), sorted(f.edges)
+
+
 class TestMatchingCertificate:
     def test_maximum_on_random_forests(self):
         rng = random.Random(59)

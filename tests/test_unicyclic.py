@@ -8,6 +8,8 @@ import pytest
 
 import nulldecomp.graphs
 import nulldecomp.linalg
+import nulldecomp.randgraphs
+import nulldecomp.trees
 import nulldecomp.unicyclic
 from nulldecomp import (
     Graph,
@@ -24,11 +26,13 @@ from nulldecomp import (
     null_basis,
     random_tree,
     random_unicyclic,
+    unicyclic_corpus,
     unicyclic_sweep,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import connected_components, pendant_trees, remove_vertices
+from nulldecomp.graphs import _components, connected_components, pendant_trees, remove_vertices
 from nulldecomp.sweeps import cycle_graph
+from nulldecomp.unicyclic import UnicyclicAnalysis, _part, _singularity
 
 
 def paw():
@@ -76,6 +80,66 @@ def all_unicyclic(n):
             if not t.has_edge(u, v) and edges not in seen:
                 seen.add(edges)
                 yield Graph(n, edges)
+
+
+def reference_classify(g, cycle):
+    """The type from one decomposition of off, G minus every edge at a
+    cycle vertex, built as a copy; returns (verdict, off, d_off, attach),
+    attach mapping each vertex off the cycle with a cycle neighbor to it."""
+    on = set(cycle.vertices)
+    off = g.without_edges([(v, w) for v in cycle.vertices for w in g.neighbors(v)])
+    d_off = decompose(off)
+    attach = {w: v for v in cycle.vertices for w in g.neighbors(v) if w not in on}
+    matched = [v for w, v in attach.items() if w in d_off.supp]
+    verdict = TypeVerdict("I", min(matched)) if matched else TypeVerdict("II", None)
+    return verdict, off, d_off, attach
+
+
+def reference_analyze(g):
+    """analyze by the route of forest copies: off, and for type I the copy
+    f without the witness's cycle edges, each decomposed and walked on its
+    own, with the public certificate builders run on the copies."""
+    cycle = find_cycle(g)
+    on = set(cycle.vertices)
+    verdict, off, d_off, attach = reference_classify(g, cycle)
+    if verdict.kind == "I":
+        v = verdict.witness
+        f = g.without_edges([(v, w) for w in g.neighbors(v) if w in on])
+        d = decompose(f)
+        a, b = _components(f)
+        pendant, rest = (a, b) if v in a else (b, a)
+        parts = (_part("pendant", v, pendant, d), _part("rest", None, rest, d))
+        cycle_alpha = cycle_nu = cycle_nullity = 0
+        independent = independent_set_certificate(f, d, avoid={v})
+        matching = matching_certificate(f)
+    else:
+        parts = tuple(
+            _part("component", attach[next(w for w in comp if w in attach)], comp, d_off)
+            for comp in _components(off)
+            if comp[0] not in on
+        )
+        cycle_alpha = cycle_nu = cycle.length // 2
+        cycle_nullity = 2 if cycle.length % 4 == 0 else 0
+        every_other = slice(0, 2 * cycle_alpha, 2)
+        independent = frozenset(cycle.vertices[every_other]) | (
+            independent_set_certificate(off, d_off, avoid=attach) - on
+        )
+        matching = frozenset(cycle.edges[every_other]) | matching_certificate(off)
+    singular, reason = _singularity(g, cycle, verdict, parts)
+    return UnicyclicAnalysis(
+        cycle=cycle,
+        kind=verdict.kind,
+        witness=verdict.witness,
+        pure_cycle=cycle.length == g.n,
+        singular=singular,
+        singular_reason=reason,
+        nullity=cycle_nullity + sum(len(p.supp) - len(p.core) for p in parts),
+        alpha=cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts),
+        nu=cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts),
+        parts=parts,
+        independent_set=independent,
+        matching=matching,
+    )
 
 
 class TestClassify:
@@ -168,6 +232,9 @@ class TestSingularity:
         for n in range(3, 7):
             for g in all_unicyclic(n):
                 a = analyze(g)
+                # every graph the oracle test sees too, and the route of
+                # forest copies on each
+                assert a == reference_analyze(g), g.edges
                 direct = null_basis(g).nullity
                 assert a.singular == (direct > 0), g.edges
                 assert a.nullity == direct, g.edges
@@ -226,14 +293,28 @@ class TestAnalyze:
         assert covered == set(range(g.n)) - set(a.cycle.vertices)
 
     def test_a_set_with_an_edge_fails_the_certificate_rule(self, monkeypatch):
-        # paw is type I, so its set comes straight from the certificate builder.
+        # paw is type I, so its set comes straight from the set builder.
         monkeypatch.setattr(
             nulldecomp.unicyclic,
-            "independent_set_certificate",
-            lambda f, d, avoid=(): frozenset({1, 2}),
+            "_independent_set",
+            lambda supp, sides, avoid: frozenset({1, 2}),
         )
         with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
             analyze(paw())
+
+    @pytest.mark.parametrize("graph", [paw, square_with_tail], ids=["type I", "type II"])
+    def test_a_set_with_a_foreign_id_fails_the_certificate_rule(self, monkeypatch, graph):
+        # -1 would index the last vertex's neighbours; it is no vertex.
+        g = graph()
+        a = analyze(g)
+        build = nulldecomp.unicyclic._independent_set
+        monkeypatch.setattr(
+            nulldecomp.unicyclic,
+            "_independent_set",
+            lambda supp, sides, avoid: (build(supp, sides, avoid) - a.independent_set) | {-1},
+        )
+        with pytest.raises(AssertionError, match=r"id outside the graph -1"):
+            analyze(g)
 
     def test_pure_cycle(self):
         a = analyze(cycle_graph(8))
@@ -264,49 +345,42 @@ class TestAnalyze:
         assert analyze(g) == analyze(g)
 
     def test_decomposes_each_piece_once(self, monkeypatch):
-        eliminations = []
-        decompositions = []
-        subgraphs = []
-        builds = []
-        eliminate = nulldecomp.linalg._eliminate
-        piece_decompose = nulldecomp.unicyclic.decompose
-        induced_subgraph = nulldecomp.graphs.induced_subgraph
-        graph_init = Graph.__init__
+        # One top-down pass over the walk from the cycle decomposes every
+        # piece; no forest is copied, no Graph is built, nothing is
+        # eliminated and no public decompose runs.
+        calls = []
 
-        def counted_eliminate(work, cols):
-            eliminations.append(len(work))
-            return eliminate(work, cols)
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        def counted_decompose(t):
-            decompositions.append(t.n)
-            return piece_decompose(t)
+            return counted
 
-        def counted_induced_subgraph(g, vertices):
-            subgraphs.append(g.n)
-            return induced_subgraph(g, vertices)
-
-        def counted_graph_init(self, n, *args, **kwargs):
-            builds.append(n)
-            graph_init(self, n, *args, **kwargs)
-
-        monkeypatch.setattr(nulldecomp.linalg, "_eliminate", counted_eliminate)
-        monkeypatch.setattr(nulldecomp.unicyclic, "decompose", counted_decompose)
-        monkeypatch.setattr(nulldecomp.graphs, "induced_subgraph", counted_induced_subgraph)
+        monkeypatch.setattr(
+            nulldecomp.linalg, "_eliminate", spy("eliminate", nulldecomp.linalg._eliminate)
+        )
+        monkeypatch.setattr(
+            nulldecomp.unicyclic,
+            "_decomposition",
+            spy("top-down pass", nulldecomp.unicyclic._decomposition),
+        )
+        # The public forest helpers, should analyze ever call them again.
+        for name in ("decompose", "independent_set_certificate", "matching_certificate"):
+            real = getattr(nulldecomp.trees, name)
+            monkeypatch.setattr(nulldecomp.unicyclic, name, spy(name, real), raising=False)
+        monkeypatch.setattr(
+            nulldecomp.graphs,
+            "induced_subgraph",
+            spy("induced_subgraph", nulldecomp.graphs.induced_subgraph),
+        )
         fig6, fig4 = load_fixture("fig6"), load_fixture("fig4")
-        monkeypatch.setattr(Graph, "__init__", counted_graph_init)
-        # type I: the forest off the cycle, then the witness split
-        a = analyze(fig6)
-        assert a.kind == "I"
-        assert len(decompositions) == 2
-        assert builds == []  # both forests are derived from G, not rebuilt
-        # type II: the forest off the cycle alone
-        decompositions.clear()
-        a = analyze(fig4)
-        assert a.kind == "II"
-        assert len(decompositions) == 1
-        assert builds == []
-        assert eliminations == []  # the matching DP needs no elimination
-        assert subgraphs == []  # both forests keep the graph's ids
+        for name in ("__init__", "_fill", "without_edges"):
+            monkeypatch.setattr(Graph, name, spy(name, getattr(Graph, name)))
+        for g, kind in ((fig6, "I"), (fig4, "II"), (cycle_graph(8), "II")):
+            calls.clear()
+            assert analyze(g).kind == kind
+            assert calls == ["top-down pass"]
 
     def test_parts_equal_the_pieces_decomposed_separately(self):
         # The reference route builds each piece as a relabeled subgraph,
@@ -346,6 +420,39 @@ class TestAnalyze:
         g = Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
         a = analyze(g)
         assert a.kind == "I" and a.witness == 0
+
+
+class TestAgainstTheCopyRoute:
+    """analyze and classify_type equal the route of forest copies."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        kinds = {"I": 0, "II": 0}
+        for _ in range(2000):
+            g = random_unicyclic(rng.randrange(3, 61), rng)
+            a = analyze(g)
+            assert a == reference_analyze(g), sorted(g.edges)
+            kinds[a.kind] += 1
+        assert min(kinds.values()) > 100
+
+    def test_pure_cycles(self):
+        for n in range(3, 31):
+            g = cycle_graph(n)
+            assert analyze(g) == reference_analyze(g), n
+
+    @pytest.mark.parametrize("seed", [1, 7, 61])
+    def test_classify_type_on_the_corpus(self, monkeypatch, seed):
+        corpus = unicyclic_corpus(40, 3, 60, seed)
+        for g in corpus:
+            assert classify_type(g) == reference_classify(g, find_cycle(g))[0]
+        # The corpus rejects candidates by classify_type, so equal corpora
+        # mean equal verdicts on the rejected ones too.
+        monkeypatch.setattr(
+            nulldecomp.randgraphs,
+            "classify_type",
+            lambda g: reference_classify(g, find_cycle(g))[0],
+        )
+        assert unicyclic_corpus(40, 3, 60, seed) == corpus
 
 
 class TestUnicyclicSweep:
