@@ -14,9 +14,9 @@ integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify).
-main builds its argument parser once per process.  The analyze report
-is written by _dumps, which prints exactly what json.dumps(report,
-indent=2, sort_keys=True) would, with each list joined in one step.
+main builds its argument parser once per process.  analyze writes its
+report straight from the analysis, each list in one str.join, as the
+text json.dumps(report, indent=2, sort_keys=True) would print.
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ def _read_input(path):
         return fh.read()
 
 
-def _names(g, ids):
-    return list(map(str if g.labels is None else g.labels.__getitem__, sorted(ids)))
-
-
-def _pairs(g, edge_set):
-    name = str if g.labels is None else g.labels.__getitem__
-    return [[name(u), name(v)] for u, v in sorted(edge_set)]
-
-
 def _roles_from(pieces):
     """Vertex id -> Role over (supp, core, n_vertices) triples, in order."""
     roles = {}
@@ -76,89 +67,96 @@ def _roles_from(pieces):
     return roles
 
 
-def _forest_report(g, shape, d, independent, matching):
+# The writers below print what json.dumps(report, indent=2, sort_keys=True)
+# would, byte for byte, with no report dict and no pure-Python encoder.
+# indent is the line break and indentation before the closing bracket.
+_quote = json.encoder.encode_basestring_ascii
+_BOOLS = {True: "true", False: "false"}
+
+
+def _name_table(g):
+    """Vertex id -> its name as escaped inside a JSON string; ids are digits."""
+    if g.labels is None:
+        return str
+    return [_quote(label)[1:-1] for label in g.labels].__getitem__
+
+
+def _strings(name, ids, indent):
+    """The list of the names of ids, in the order given."""
+    if not ids:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(map(name, ids)) + '"' + indent + "]"
+
+
+def _edges(name, pairs, indent):
+    """The list of two-name lists, one per pair, in sorted order."""
+    if not pairs:
+        return "[]"
+    inner, deep = indent + "  ", indent + "    "
+    head, mid, tail = "[" + deep + '"', '",' + deep + '"', '"' + inner + "]"
+    body = ("," + inner).join([head + name(u) + mid + name(v) + tail for u, v in sorted(pairs)])
+    return "[" + inner + body + indent + "]"
+
+
+def _object(fields, indent):
+    """Key -> written value as pieces to join or write, keys sorted."""
+    inner = indent + "  "
+    pieces = ["{"]
+    for k, v in sorted(fields.items()):
+        pieces += (inner, _quote(k), ": ", v, ",")
+    pieces[-1] = indent + "}"
+    return pieces
+
+
+def _forest_fields(g, shape, d, independent, matching):
+    name = _name_table(g)
     return {
-        "shape": shape.value,
-        "vertex_count": g.n,
-        "edge_count": len(g.edges),
-        "nullity": d.nullity,
-        "singular": d.nullity > 0,
-        "alpha": d.alpha,
-        "nu": d.nu,
-        "supp": _names(g, d.supp),
-        "core": _names(g, d.core),
-        "n_vertices": _names(g, d.n_forest_vertices),
-        "independent_set": _names(g, independent),
-        "matching": _pairs(g, matching),
+        "shape": _quote(shape.value),
+        "vertex_count": repr(g.n),
+        "edge_count": repr(len(g.edges)),
+        "nullity": repr(d.nullity),
+        "singular": _BOOLS[d.nullity > 0],
+        "alpha": repr(d.alpha),
+        "nu": repr(d.nu),
+        "supp": _strings(name, sorted(d.supp), "\n  "),
+        "core": _strings(name, sorted(d.core), "\n  "),
+        "n_vertices": _strings(name, sorted(d.n_forest_vertices), "\n  "),
+        "independent_set": _strings(name, sorted(independent), "\n  "),
+        "matching": _edges(name, matching, "\n  "),
     }
 
 
-def _unicyclic_report(g, shape, a):
+def _unicyclic_fields(g, shape, a):
+    name = _name_table(g)
     parts = []
     for p in a.parts:
         entry = {
-            "kind": p.kind,
-            "vertices": _names(g, p.vertices),
-            "supp": _names(g, p.supp),
-            "core": _names(g, p.core),
-            "n_vertices": _names(g, p.n_vertices),
+            "kind": _quote(p.kind),
+            "vertices": _strings(name, sorted(p.vertices), "\n      "),
+            "supp": _strings(name, sorted(p.supp), "\n      "),
+            "core": _strings(name, sorted(p.core), "\n      "),
+            "n_vertices": _strings(name, sorted(p.n_vertices), "\n      "),
         }
         if p.root is not None:
-            entry["root"] = g.name_of(p.root)
-        parts.append(entry)
+            entry["root"] = '"' + name(p.root) + '"'
+        parts.append("".join(_object(entry, "\n    ")))
     return {
-        "shape": shape.value,
-        "vertex_count": g.n,
-        "edge_count": len(g.edges),
-        "cycle": [g.name_of(v) for v in a.cycle.vertices],
-        "type": a.kind,
-        "witness": g.name_of(a.witness) if a.witness is not None else None,
-        "singular": a.singular,
-        "singular_reason": a.singular_reason,
-        "nullity": a.nullity,
-        "alpha": a.alpha,
-        "nu": a.nu,
-        "parts": parts,
-        "independent_set": _names(g, a.independent_set),
-        "matching": _pairs(g, a.matching),
+        "shape": _quote(shape.value),
+        "vertex_count": repr(g.n),
+        "edge_count": repr(len(g.edges)),
+        "cycle": _strings(name, a.cycle.vertices, "\n  "),
+        "type": _quote(a.kind),
+        "witness": '"' + name(a.witness) + '"' if a.witness is not None else "null",
+        "singular": _BOOLS[a.singular],
+        "singular_reason": _quote(a.singular_reason),
+        "nullity": repr(a.nullity),
+        "alpha": repr(a.alpha),
+        "nu": repr(a.nu),
+        "parts": "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]",
+        "independent_set": _strings(name, sorted(a.independent_set), "\n  "),
+        "matching": _edges(name, a.matching, "\n  "),
     }
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _dumps(obj, indent="\n"):
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the
-    types a report holds: dicts with str keys, lists, str, int, bool and
-    None.  Anything else raises TypeError.  indent is the line break and
-    indentation that come before obj's closing bracket.
-
-    Under indent, json.dumps runs the pure-Python encoder, one generator
-    step per list item; here a list of strings is quoted by the C-level
-    encode_basestring_ascii and joined in one str.join.
-    """
-    if type(obj) is str:
-        return _quote(obj)
-    if obj is None or type(obj) is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if type(obj) is int:
-        return repr(obj)
-    inner = indent + "  "
-    if type(obj) is list:
-        if not obj:
-            return "[]"
-        try:
-            body = ("," + inner).join(map(_quote, obj))
-        except TypeError:  # not a list of strings
-            body = ("," + inner).join([_dumps(x, inner) for x in obj])
-        return "[" + inner + body + indent + "]"
-    if type(obj) is dict:
-        if not obj:
-            return "{}"
-        # _quote raises TypeError on a key that is not a str.
-        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _checked_size_limit():
@@ -201,12 +199,12 @@ def cmd_analyze(args):
         analysis = decompose(g)
         independent = independent_set_certificate(g, analysis)
         matching = matching_certificate(g)
-        report = _forest_report(g, shape, analysis, independent, matching)
+        fields = _forest_fields(g, shape, analysis, independent, matching)
         pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
         check = partial(_tree_checks, g, analysis, independent, matching)
     else:
         analysis = analyze(g)
-        report = _unicyclic_report(g, shape, analysis)
+        fields = _unicyclic_fields(g, shape, analysis)
         pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
         check = partial(_unicyclic_checks, g, analysis)
 
@@ -217,7 +215,8 @@ def cmd_analyze(args):
         except TooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        report["verification"] = checks
+        verdicts = {k: _BOOLS[ok] for k, ok in checks.items()}
+        fields["verification"] = "".join(_object(verdicts, "\n  "))
         if not all(checks.values()):
             code = 1
 
@@ -229,7 +228,7 @@ def cmd_analyze(args):
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    print(_dumps(report))
+    sys.stdout.writelines(_object(fields, "\n") + ["\n"])
     return code
 
 

@@ -116,13 +116,17 @@ class Graph:
         self.labels = labels
 
     def neighbors(self, v):
+        """The neighbor set of v; an id outside 0..n-1 raises UnknownVertex."""
+        if not 0 <= v < self.n:
+            raise UnknownVertex(f"vertex {v} outside 0..{self.n - 1}")
         return self._adj[v]
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        self.neighbors(v)  # v outside 0..n-1 raises, as u does below
+        return v in self.neighbors(u)
 
     def name_of(self, v):
         return self.labels[v] if self.labels is not None else str(v)
@@ -460,7 +464,7 @@ def classify_shape(g):
     if acyclic:
         return Shape.FOREST
     if connected and m == g.n:
-        if all(g.degree(v) == 2 for v in range(g.n)):
+        if all(len(nbrs) == 2 for nbrs in g._adj):
             return Shape.CYCLE
         return Shape.UNICYCLIC
     return Shape.OTHER
@@ -512,7 +516,7 @@ def induced_subgraph(g, vertices):
     edges = [
         (i, new_id[w])
         for i, u in enumerate(keep)
-        for w in g.neighbors(u)
+        for w in g._adj[u]
         if w > u and w in new_id
     ]
     labels = [g.labels[old] for old in keep] if g.labels is not None else None

@@ -146,8 +146,8 @@ def null_basis(g):
     raises ArithmeticError.  The check reads every row adjacent to the
     support of x: any other row of A x sums only zeros.
     """
-    n = g.n
-    work = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
+    n, adj = g.n, g._adj
+    work = [dict.fromkeys(nbrs, 1) for nbrs in adj]
     pivots, d = _eliminate(work, n)
     pivset = set(pivots)
     # column f -> {pivot column: -entry of its reduced row at f}
@@ -165,9 +165,9 @@ def null_basis(g):
         dx[f] = d
         rows = set()
         for w in dx:
-            rows |= g.neighbors(w)
+            rows |= adj[w]
         for v in rows:
-            if sum(dx.get(w, 0) for w in g.neighbors(v)):
+            if sum(dx.get(w, 0) for w in adj[v]):
                 raise ArithmeticError("kernel vector fails A x = 0")
         support.update(dx)
         vec = [_ZERO] * n

@@ -90,7 +90,7 @@ def _masks(g):
     global _last_masks
     held, adj = _last_masks
     if held is not g:
-        adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+        adj = [sum(1 << w for w in nbrs) for nbrs in g._adj]
         _last_masks = (g, adj)
     return adj
 
@@ -166,8 +166,9 @@ def _augmenting_path_from(g, partner, start, visited):
     visited (start among them) is explored with an explicit stack, so the
     search is exact on any graph.  The search marks its path in visited.
     """
+    adj = g._adj
     path = [start]
-    stack = [iter(g.neighbors(start))]
+    stack = [iter(adj[start])]
     while stack:
         for w in stack[-1]:
             if w in visited:
@@ -180,7 +181,7 @@ def _augmenting_path_from(g, partner, start, visited):
             path.append(x)
             visited.add(w)
             visited.add(x)
-            stack.append(iter(g.neighbors(x)))
+            stack.append(iter(adj[x]))
             break
         else:
             stack.pop()

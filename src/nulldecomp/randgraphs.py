@@ -58,12 +58,12 @@ def random_unicyclic(n, rng):
     t = random_tree(n, rng)
     k = rng.randrange(n * (n - 1) // 2 - (n - 1))
     for u in range(n):
-        row = n - 1 - u - sum(1 for w in t.neighbors(u) if w > u)
+        row = n - 1 - u - sum(1 for w in t._adj[u] if w > u)
         if k < row:
             break
         k -= row
     for v in range(u + 1, n):
-        if not t.has_edge(u, v):
+        if v not in t._adj[u]:
             if k == 0:
                 break
             k -= 1

@@ -193,6 +193,27 @@ class TestGraph:
         assert g.degree(2) == 2
         assert g.has_edge(1, 0) and not g.has_edge(0, 3)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            ("neighbors", -1),
+            ("neighbors", 4),
+            ("degree", -2),
+            ("degree", 4),
+            ("has_edge", -1, 2),
+            ("has_edge", 2, -1),
+            ("has_edge", 9, 0),
+            ("has_edge", 0, 9),
+        ],
+        ids=str,
+    )
+    def test_accessors_reject_ids_outside_the_graph(self, call):
+        # On the path 0-1-2-3, negative ids once indexed from the end and
+        # an id past n raised IndexError.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(UnknownVertex):
+            getattr(g, call[0])(*call[1:])
+
     def test_edges_normalized_to_sorted_pairs(self):
         g = Graph(3, [(2, 0)])
         assert g.edges == {(0, 2)}
