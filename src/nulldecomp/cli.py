@@ -14,9 +14,10 @@ integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, or past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify).
-main builds its argument parser once per process.  analyze writes its
-report straight from the analysis, each list in one str.join, as the
-text json.dumps(report, indent=2, sort_keys=True) would print.
+main builds its argument parser once per process.  analyze walks the
+graph once for its shape and its cycle, and writes its report straight
+from the analysis, each list in one str.join, as the text
+json.dumps(report, indent=2, sort_keys=True) would print.
 """
 
 from __future__ import annotations
@@ -29,25 +30,13 @@ from functools import cache, partial
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .fixtures import check_all
-from .graphs import (
-    Role,
-    Shape,
-    _decimal,
-    classify_shape,
-    export_dot,
-    format_edge_list,
-    parse_edge_list,
-    parse_graph6,
-)
+from .graphs import Role, Shape, _cycle, _decimal, _search, _shape, export_dot
+from .graphs import format_edge_list, parse_edge_list, parse_graph6
 from .oracles import size_limit
 from .sweeps import _tree_checks, _unicyclic_checks
 from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
-from .trees import (
-    decompose,
-    independent_set_certificate,
-    matching_certificate,
-)
-from .unicyclic import analyze
+from .trees import _analyze as _analyze_forest
+from .unicyclic import _analyze as _analyze_unicyclic
 
 
 def _read_input(path):
@@ -183,8 +172,9 @@ def cmd_analyze(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    walk = _search(g)
     try:
-        shape = classify_shape(g)
+        shape = _shape(g, walk[1])
     except EmptyGraph as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -196,14 +186,12 @@ def cmd_analyze(args):
         return 3
 
     if shape in (Shape.TREE, Shape.FOREST):
-        analysis = decompose(g)
-        independent = independent_set_certificate(g, analysis)
-        matching = matching_certificate(g)
+        analysis, independent, matching = _analyze_forest(g, walk)
         fields = _forest_fields(g, shape, analysis, independent, matching)
         pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
         check = partial(_tree_checks, g, analysis, independent, matching)
     else:
-        analysis = analyze(g)
+        analysis = _analyze_unicyclic(g, _cycle(g, walk[1]))
         fields = _unicyclic_fields(g, shape, analysis)
         pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
         check = partial(_unicyclic_checks, g, analysis)

@@ -8,13 +8,11 @@ checks and the fixtures work in the graph's own ids.  Optional display
 names ride along for fixtures whose vertices carry names like "v1" or
 "a".
 
-_search is the one walk over a whole graph.  _walk keeps the walk of the
-last graph, matched by identity, and the components, the shape, the
-cycle and, through the components, the pendant trees are read off its
-order and parent lists, and so is the forest DP in trees.  Seeded with a
-unicyclic graph's cycle, _search roots the pendant trees at their cycle
-vertices, and unicyclic.analyze reads everything off that walk, so
-analyze walks a forest once and a unicyclic graph twice.
+_search is the one walk over a whole graph, and nothing keeps it: the
+components, the shape and the cycle are read off the walk a caller
+passes in or, through the public functions, off a fresh one.  Seeded
+with a unicyclic graph's cycle, _search roots the pendant trees at
+their cycle vertices.
 parse_graph6 reads the set bits of each payload byte other than "?"
 off a 64-entry table: its Python work is one step per edge.  Both
 parsers check each edge once and build the Graph with Graph._checked,
@@ -23,9 +21,10 @@ the common "u v" line with one compiled pattern and every other line
 token by token, and both routes share one self-loop, duplicate and
 range check.
 
-edge_inside, foreign_id and matching_defect are the one certificate
-rule (an independent set, a matching) that analyze, the sweeps and the
-fixtures use; an id outside 0..n-1 never passes as a vertex.
+edge_inside, foreign_id and matching_defect are the certificate rule
+(an independent set, a matching) that the analyses, the sweeps and the
+fixtures share, and _certificate_fault holds a pair of certificates to
+it and to their sizes; an id outside 0..n-1 never passes as a vertex.
 """
 
 from __future__ import annotations
@@ -129,6 +128,8 @@ class Graph:
         return v in self.neighbors(u)
 
     def name_of(self, v):
+        """v's display name; an id outside 0..n-1 raises UnknownVertex."""
+        self.neighbors(v)
         return self.labels[v] if self.labels is not None else str(v)
 
     def without_edges(self, removed):
@@ -314,9 +315,20 @@ def parse_edge_list(text):
 
 
 def format_edge_list(g):
-    """Inverse of parse_edge_list, deterministic line order."""
+    """Inverse of parse_edge_list, deterministic line order.  Labels that
+    would not read back as they are raise ValueError: one with a comma or
+    a line break, one str.strip changes, a repeated one, or none at all."""
     lines = [f"n={g.n}"]
     if g.labels is not None:
+        if not g.labels:
+            raise ValueError("labels= cannot list the names of no vertices")
+        seen = set()
+        for label in g.labels:
+            if "," in label or len(label.splitlines()) > 1 or label.strip() != label:
+                raise ValueError(f"label {label!r} would not read back from labels=")
+            if label in seen:
+                raise ValueError(f"label {label!r} is repeated, which labels= does not allow")
+            seen.add(label)
         lines.append("labels=" + ",".join(g.labels))
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
@@ -377,36 +389,21 @@ def parse_graph6(line):
     return Graph._checked(n, edges, set(edges))
 
 
-_last_walk = (None, None)
-
-
-def _walk(g):
-    """(order, parent) of a walk over every component of g.
-
-    Each component is rooted at its smallest vertex and listed whole,
-    after the components with smaller roots; order lists every vertex
-    after its parent, and a root's parent is -1.  The walk checks
-    nothing: its callers read the components, the number of roots and
-    the edges off the walk's tree from it.  The walk of the last graph
-    is kept and served again while g is that very object (a Graph never
-    changes); it comes as tuples, so no caller can change what the next
-    one reads.
-    """
-    global _last_walk
-    if _last_walk[0] is not g:
-        _last_walk = (g, _search(g))
-    return _last_walk[1]
-
-
 def _search(g, roots=()):
-    """The walk itself, uncached: a stack search from each start in turn.
+    """(order, parent) of a walk over every component of g: a stack
+    search from each start in turn.
 
     The roots, if given, are the first starts: they start out seen and
     are listed first, so no search crosses an edge between two of them,
     and the vertices they reach follow them.  Then the smallest vertex
-    not yet seen starts the next search, until none is left.  A vertex
-    is listed when it is claimed, so order lists each vertex after its
-    parent and each later search's vertices together.
+    not yet seen starts the next search, until none is left, so without
+    roots each component is rooted at its smallest vertex and listed
+    after the components with smaller roots.  A vertex is listed when it
+    is claimed, so order lists each vertex after its parent and each
+    later search's vertices together; a root's parent is -1.  The walk
+    checks nothing: its callers read the components, the number of roots
+    and the edges off the walk's tree from it.  It comes as tuples, so a
+    caller can hand it on unchanged.
     """
     n, adj = g.n, g._adj
     parent = [-1] * n
@@ -437,7 +434,7 @@ def _search(g, roots=()):
 
 def _components(g):
     """Vertex lists of g's components, each sorted, by smallest member."""
-    order, parent = _walk(g)
+    order, parent = _search(g)
     starts = [i for i, v in enumerate(order) if parent[v] < 0]
     return [sorted(order[a:b]) for a, b in zip(starts, starts[1:] + [g.n])]
 
@@ -453,10 +450,15 @@ def classify_shape(g):
     A connected acyclic graph is a tree; "forest" is reserved for the
     disconnected acyclic case.  Raises EmptyGraph on zero vertices.
     """
+    return _shape(g, _search(g)[1])
+
+
+def _shape(g, parent):
+    """classify_shape, read off the parent list of g's walk."""
     if g.n == 0:
         raise EmptyGraph("cannot classify a graph with no vertices")
     m = len(g.edges)
-    comps = _walk(g)[1].count(-1)
+    comps = parent.count(-1)
     connected = comps == 1
     acyclic = m == g.n - comps
     if connected and acyclic:
@@ -480,9 +482,13 @@ def find_cycle(g):
     The orientation is canonical: start at the smallest cycle vertex,
     step first to the smaller of its two cycle neighbors.
     """
-    _, parent = _walk(g)
+    return _cycle(g, _search(g)[1])
+
+
+def _cycle(g, parent):
+    """find_cycle, read off the parent list of g's walk."""
     if len(g.edges) != g.n or parent.count(-1) != 1:
-        shape = classify_shape(g).value if g.n else "empty"
+        shape = _shape(g, parent).value if g.n else "empty"
         raise NotUnicyclic(f"graph is {shape}, expected exactly one cycle")
     u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
     up = [u]
@@ -564,6 +570,24 @@ def foreign_id(g, ids):
     None when there is none."""
     n = g.n
     return next((v for v in ids if not 0 <= v < n), None)
+
+
+def _certificate_fault(g, independent, matching, alpha, nu):
+    """What breaks the certificate rule, or None: independent must be an
+    independent set of g of size alpha, and matching a matching of g of
+    size nu.  The text names the id outside the graph, the edge inside
+    the set, the bad matching pair and the sizes."""
+    stray, clash = foreign_id(g, independent), edge_inside(g, independent)
+    defect = matching_defect(g, matching)
+    if stray is None and clash is None and defect is None and (
+        (len(independent), len(matching)) == (alpha, nu)
+    ):
+        return None
+    return (
+        f"certificates break the rule: id outside the graph {stray}, edge inside "
+        f"the set {clash}, bad matching pair {defect}, sizes {len(independent)} "
+        f"and {len(matching)} for alpha {alpha} and nu {nu}"
+    )
 
 
 def matching_defect(g, pairs):

@@ -15,18 +15,17 @@ and unicyclic graphs cheap well past the size guard.
 
 max_independent_set(g, removed) searches g with the removed vertices
 taken out of the start mask, so alpha(G - S) and alpha(G - N[v]) need
-no subgraph, and its witness is in g's own ids.  The bitmask adjacency
-of the last graph searched is kept, so the many searches of one
-instance's checks, all on the same graph, build it once.
+no subgraph, and its witness is in g's own ids.  _max_independent_set
+searches given bitmasks, so the many searches of one instance's checks,
+all on the same graph, build them once.
 
 The deletion test nu(G - v) = nu(G), behind eg_set, takes one maximum
 matching M of G and at most one alternating search per vertex: v passes
 if M misses it, and otherwise iff M without v's edge has an augmenting
 path in G - v, which by Berge's theorem can only start at v's former
-mate.  No subgraph is built and no second matching is grown.  Whether
-some maximum matching of a tree misses v is the question v in eg_set(t).
-max_matching keeps the last graph and its matching, matched by identity
-like the bitmasks, so eg_set(t) after max_matching(t) reuses it.
+mate.  No subgraph is built and no second matching is grown, and
+_eg_set takes a maximum matching its caller already has.  Whether some
+maximum matching of a tree misses v is the question v in eg_set(t).
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
@@ -81,18 +80,10 @@ class Matching:
         return len(self.edges)
 
 
-# (graph, its bitmask adjacency) for the last graph searched, matched by
-# identity; graphs are immutable, so the masks stay valid.
-_last_masks = (None, None)
-
-
-def _masks(g):
-    global _last_masks
-    held, adj = _last_masks
-    if held is not g:
-        adj = [sum(1 << w for w in nbrs) for nbrs in g._adj]
-        _last_masks = (g, adj)
-    return adj
+def _bitmasks(g):
+    """g's adjacency as one bitmask per vertex, past the size guard."""
+    _guard(g, "max_independent_set")
+    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
 
 
 def max_independent_set(g, removed=()):
@@ -107,9 +98,12 @@ def max_independent_set(g, removed=()):
     or include it and delete its closed neighborhood.  The search is
     depth-first on an explicit stack, not recursive.
     """
-    _guard(g, "max_independent_set")
-    n = g.n
-    adj = _masks(g)
+    return _max_independent_set(_bitmasks(g), removed)
+
+
+def _max_independent_set(adj, removed=()):
+    """max_independent_set of the graph with bitmask adjacency adj."""
+    n = len(adj)
     start = (1 << n) - 1
     for v in removed:
         if not 0 <= v < n:
@@ -205,25 +199,14 @@ def augmenting_path(g, partner):
     return None
 
 
-# (graph, its maximum matching) for the last graph matched, matched by
-# identity like _last_masks; a Matching is frozen, so it is safe to share.
-_last_matching = (None, None)
-
-
 def max_matching(g):
     """Maximum matching: augment until no augmenting path is left (Berge).
 
     The search starts from the greedy maximal matching over the sorted
     edges, which leaves fewer augmentations to find; Berge's theorem
-    certifies the result whatever the start.  The matching of the last
-    graph is kept and returned again while g is that very object; the
-    size guard runs on every call.
+    certifies the result whatever the start.
     """
-    global _last_matching
     _guard(g, "max_matching")
-    held, kept = _last_matching
-    if held is g:
-        return kept
     partner = {}
     for u, v in sorted(g.edges):
         if u not in partner and v not in partner:
@@ -234,9 +217,7 @@ def max_matching(g):
             u, v = path[i], path[i + 1]
             partner[u] = v
             partner[v] = u
-    kept = Matching(frozenset((u, v) for u, v in partner.items() if u < v))
-    _last_matching = (g, kept)
-    return kept
+    return Matching(frozenset((u, v) for u, v in partner.items() if u < v))
 
 
 def _partner(matching):
@@ -277,6 +258,11 @@ def eg_set(g):
     augmenting path for M minus its edge starts at its mate and avoids it.
     """
     _guard(g, "eg_set")
-    partner = _partner(max_matching(g))
+    return _eg_set(g, max_matching(g))
+
+
+def _eg_set(g, matching):
+    """eg_set, given a maximum matching of g."""
+    partner = _partner(matching)
     return frozenset(v for v in range(g.n) if _missable(g, partner, v))
 

@@ -3,17 +3,19 @@
 Each checker takes one instance and returns {invariant name: bool}.
 _tree_checks and _unicyclic_checks also take its analysis (and, for a
 forest, its two certificates), which `analyze --verify` passes in; the
-check_*_instance wrappers compute them.
+check_*_instance wrappers compute them, a forest's by trees._analyze.
 run_sweep aggregates tallies and keeps the first offending graph per
 invariant so failures can be echoed as edge lists and reproduced.
 
 The checkers ask the oracles in the instance's own ids and do only the
-work their verdicts need.  alpha(G - S) is max_independent_set(g, S),
-not a search of a rebuilt G - S.  A search's witness that checks out
-as a maximum independent set of the forest (independent, and of the
-oracle's size) settles later questions: a Core vertex in one fails
-core exclusion at once, an N-vertex in one needs no search of
-t - N[u], and one left out of one no search of t - u.  Witnesses are
+work their verdicts need.  alpha(G - S) is a search of g with S
+removed, not of a rebuilt G - S; a forest's searches share one build of
+its bitmasks, and its maximum matching serves the nu check and the EG
+set.  A search's witness that checks out as a maximum independent set
+of the forest (independent, and of the oracle's size) settles later
+questions: a Core vertex in one fails core exclusion at once, an
+N-vertex in one needs no search of t - N[u], and one left out of one no
+search of t - u.  Witnesses are
 used only when the decomposition's alpha is the oracle's, so every
 verdict is the one the skipped searches would give.  A forest's S part
 (Supp and Core) and N part are read off one cut forest, the forest
@@ -28,17 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (
-    Graph,
-    _components,
-    edge_inside,
-    foreign_id,
-    matching_defect,
-)
+from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
 from .linalg import null_basis
+from .oracles import _bitmasks, _eg_set, _max_independent_set
 from .oracles import eg_set, max_independent_set, max_matching
 from .randgraphs import tree_corpus, unicyclic_corpus
-from .trees import decompose, independent_set_certificate, matching_certificate
+from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze
 
 TREE_INVARIANTS = (
@@ -84,25 +81,14 @@ class SweepOutcome:
         return all(fails == 0 for _, fails in self.tallies.values())
 
 
-def _certificates_valid(g, independent, matching, alpha, nu):
-    """True when independent is an independent set of g of size alpha and
-    matching is a matching of g of size nu."""
-    return (
-        len(independent) == alpha
-        and foreign_id(g, independent) is None
-        and edge_inside(g, independent) is None
-        and len(matching) == nu
-        and matching_defect(g, matching) is None
-    )
-
-
 def _tree_checks(t, d, independent, matching):
     checks = {}
-    oracle_alpha, found = max_independent_set(t)
-    oracle_nu = max_matching(t).size
+    masks = _bitmasks(t)
+    oracle_alpha, found = _max_independent_set(masks)
+    maximum = max_matching(t)
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
-    checks["nu formula vs oracle"] = d.nu == oracle_nu
-    checks["EG set equals support"] = eg_set(t) == d.supp
+    checks["nu formula vs oracle"] = d.nu == maximum.size
+    checks["EG set equals support"] = _eg_set(t, maximum) == d.supp
     basis = null_basis(t)  # after the oracles, so past their size guard
     checks["support equals kernel support"] = basis.support == d.supp
     checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
@@ -133,7 +119,7 @@ def _tree_checks(t, d, independent, matching):
         if c in fits:  # c fits into some maximum independent set
             ok = False
             break
-        forced, _ = max_independent_set(t, {c} | t.neighbors(c))
+        forced, _ = _max_independent_set(masks, {c} | t.neighbors(c))
         if 1 + forced == d.alpha:
             ok = False
             break
@@ -142,14 +128,14 @@ def _tree_checks(t, d, independent, matching):
     ok = True
     for u in d.n_forest_vertices:
         if u not in avoidable:
-            without, found = max_independent_set(t, (u,))
+            without, found = _max_independent_set(masks, (u,))
             if without != d.alpha:
                 ok = False
                 break
             note(found, (u,))
         if u not in fits:
             closed = {u} | t.neighbors(u)
-            with_u, found = max_independent_set(t, closed)
+            with_u, found = _max_independent_set(masks, closed)
             if 1 + with_u != d.alpha:
                 ok = False
                 break
@@ -170,16 +156,13 @@ def _tree_checks(t, d, independent, matching):
     checks["S components singular, N components matched"] = ok
 
     checks["alpha + nu = n"] = d.alpha + d.nu == t.n
-    checks["certificates valid and sized"] = _certificates_valid(
-        t, independent, matching, d.alpha, d.nu
-    )
+    fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
+    checks["certificates valid and sized"] = fault is None
     return checks
 
 
 def check_tree_instance(t):
-    d = decompose(t)
-    independent = independent_set_certificate(t, d)
-    return _tree_checks(t, d, independent, matching_certificate(t))
+    return _tree_checks(t, *_analyze_forest(t, _search(t)))
 
 
 def _unicyclic_checks(g, analysis):
@@ -192,9 +175,9 @@ def _unicyclic_checks(g, analysis):
     checks["singularity verdict vs nullity"] = analysis.singular == (direct > 0)
     checks["composed nullity vs direct nullity"] = analysis.nullity == direct
 
-    checks["certificates valid and sized"] = _certificates_valid(
-        g, analysis.independent_set, analysis.matching, analysis.alpha, analysis.nu
-    )
+    certificates = (analysis.independent_set, analysis.matching)
+    fault = _certificate_fault(g, *certificates, analysis.alpha, analysis.nu)
+    checks["certificates valid and sized"] = fault is None
 
     missable = eg_set(g.without_edges(analysis.cycle.edges))
     if analysis.kind == "I":
@@ -233,9 +216,8 @@ def check_cycle_instance(g):
     checks["alpha and nu are floor(n/2)"] = (
         analysis.alpha == n // 2 and analysis.nu == n // 2
     )
-    checks["certificates valid and sized"] = _certificates_valid(
-        g, analysis.independent_set, analysis.matching, n // 2, n // 2
-    )
+    fault = _certificate_fault(g, analysis.independent_set, analysis.matching, n // 2, n // 2)
+    checks["certificates valid and sized"] = fault is None
     return checks
 
 

@@ -13,12 +13,15 @@ Both are additive over components, so everything here accepts arbitrary
 forests, the empty graph included.  The DP, the Core and N-vertex
 reading and the N-component sides run over a given walk: an (order,
 parent) pair that roots the forest, whose parent edges are exactly its
-edges.  decompose passes graphs._walk and raises NotAForest on a graph
-with a cycle, since the walk's roots count the components and a forest
-has exactly n - components edges; unicyclic.analyze passes its walk of
-a unicyclic graph from the cycle, re-rooted.  The leaf pairing behind
-matching_certificate runs on neighbour sets, and raises NotAForest when
-it cannot finish.
+edges.  A graph with a cycle raises NotAForest, since the walk's roots
+count the components and a forest has exactly n - components edges;
+unicyclic.analyze passes its walk of a unicyclic graph from the cycle,
+re-rooted.  The leaf pairing behind matching_certificate runs on
+neighbour sets, and raises NotAForest when it cannot finish.
+
+_analyze is the forest's whole analysis from one walk, as
+unicyclic.analyze is a unicyclic graph's: the decomposition and both
+certificates, held to the certificate rule of graphs before it returns.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAForest
-from .graphs import _walk
+from .graphs import _certificate_fault, _search
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,35 @@ def _decomposition(order, parent, missable_children):
 def decompose(t):
     """Null decomposition of a forest; raises NotAForest on cycles.
 
-    Supp comes from the linear-time matching DP over graphs._walk, which
-    walks t once; t is a forest iff it has n - c edges, c being the
-    number of components the walk found, and then the walk's parent
-    edges are its edges.  No elimination runs.  The sweeps,
-    `analyze --verify` and the fixtures check Supp and the nullity
-    against the exact kernel.
+    Supp comes from the linear-time matching DP over one walk of t; t is
+    a forest iff it has n - c edges, c being the number of components
+    the walk found, and then the walk's parent edges are its edges.  No
+    elimination runs.  The sweeps, `analyze --verify` and the fixtures
+    check Supp and the nullity against the exact kernel.
     """
-    order, parent = _walk(t)
+    return _decompose(t, _search(t))
+
+
+def _decompose(t, walk):
+    """decompose, over the given walk of t."""
+    order, parent = walk
     if len(t.edges) != t.n - parent.count(-1):
         raise NotAForest("decompose needs an acyclic graph")
     return _decomposition(order, parent, _missable_children(order, parent))
+
+
+def _analyze(t, walk):
+    """(decomposition, independent set, matching) of the forest t, from
+    the given walk of it, as decompose, independent_set_certificate and
+    matching_certificate give them.  Raises AssertionError naming what
+    breaks the certificate rule, which would mean a bug here."""
+    d = _decompose(t, walk)
+    independent = _independent_set(d.supp, _n_component_sides(*walk, d.n_forest_vertices), ())
+    matching = _leaf_pairing(t._adj)
+    fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
+    if fault is not None:
+        raise AssertionError(fault)
+    return d, independent, matching
 
 
 def _n_component_sides(order, parent, n_part):
@@ -201,7 +222,7 @@ def independent_set_certificate(t, d, avoid=()):
     this needs them outside Supp, since Supp lies in every maximum
     independent set, and on one side of each N-component.
     """
-    order, parent = _walk(t)
+    order, parent = _search(t)
     return _independent_set(d.supp, _n_component_sides(order, parent, d.n_forest_vertices), avoid)
 
 

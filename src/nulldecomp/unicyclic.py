@@ -33,23 +33,15 @@ type II.  Nullity, singularity, the independence number and the
 matching number compose over the parts, and analyze() returns explicit
 certificates built from the same forest; the leaf pairing runs on G's
 neighbour sets with the removed edges taken out.  Before it returns, it
-holds them to the certificate rule of graphs (foreign_id, edge_inside,
-matching_defect) and to the sizes alpha and nu, and raises
-AssertionError naming the offending id, edge or pair.
+holds them to the certificate rule of graphs and to the sizes alpha and
+nu, and raises AssertionError naming the offending id, edge or pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    CycleInfo,
-    _search,
-    edge_inside,
-    find_cycle,
-    foreign_id,
-    matching_defect,
-)
+from .graphs import CycleInfo, _certificate_fault, _search, find_cycle
 from .trees import (
     _decomposition,
     _independent_set,
@@ -187,7 +179,11 @@ def analyze(g):
     from the same forest exactly as the formulas compose and validated
     against the graph before returning.
     """
-    cycle = find_cycle(g)
+    return _analyze(g, find_cycle(g))
+
+
+def _analyze(g, cycle):
+    """analyze, given the cycle of g."""
     order, parent, missable, verdict = _rooted(g, cycle)
     n, length = g.n, cycle.length
     hanging = order[length:]  # the vertices off the cycle, each after its parent
@@ -257,14 +253,9 @@ def analyze(g):
     nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)
     nullity = cycle_nullity + sum(len(p.supp) - len(p.core) for p in parts)
     singular, reason = _singularity(g, cycle, verdict, parts)
-    stray, clash = foreign_id(g, independent), edge_inside(g, independent)
-    defect = matching_defect(g, matching)
-    if stray is not None or clash or defect or (len(independent), len(matching)) != (alpha, nu):
-        raise AssertionError(
-            f"certificates break the rule: id outside the graph {stray}, edge inside "
-            f"the set {clash}, bad matching pair {defect}, sizes {len(independent)} "
-            f"and {len(matching)} for alpha {alpha} and nu {nu}"
-        )
+    fault = _certificate_fault(g, independent, matching, alpha, nu)
+    if fault is not None:
+        raise AssertionError(fault)
     return UnicyclicAnalysis(
         cycle=cycle,
         kind=verdict.kind,

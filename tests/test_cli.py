@@ -129,9 +129,9 @@ class TestAnalyze:
         self, capsys, monkeypatch, tmp_path, edges, n, kind, walks
     ):
         # One walk of G serves the shape, the cycle and, for a forest, the
-        # DP; a unicyclic graph is walked once more, from its cycle, and
-        # that walk serves the type, the DP of the forest either type
-        # splits off and its pieces.  No forest is walked.
+        # whole forest analysis; a unicyclic graph is walked once more, from
+        # its cycle, and that walk serves the type, the DP of the forest
+        # either type splits off and its pieces.  No forest is walked.
         searched = []
         search = nulldecomp.graphs._search
 
@@ -139,8 +139,8 @@ class TestAnalyze:
             searched.append(g)
             return search(g, roots)
 
-        # Wherever the name was imported: graphs and unicyclic.
-        for module in (nulldecomp.graphs, nulldecomp.unicyclic):
+        # Wherever the name was imported.
+        for module in (nulldecomp.graphs, nulldecomp.cli, nulldecomp.trees, nulldecomp.unicyclic):
             monkeypatch.setattr(module, "_search", counted)
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(Graph(n, edges)))
@@ -177,41 +177,49 @@ class TestAnalyze:
         assert "certificates valid and sized" in checks
 
     @pytest.mark.parametrize(
-        "path, analyze_calls, decompose_calls", [(FIG1, 0, 1), (FIG6, 1, 0)]
+        "path, unicyclic_analyses, forest_analyses", [(FIG1, 0, 1), (FIG6, 1, 0)]
     )
     def test_verify_checks_the_analysis_it_printed(
-        self, capsys, monkeypatch, path, analyze_calls, decompose_calls
+        self, capsys, monkeypatch, path, unicyclic_analyses, forest_analyses
     ):
         calls = []
-        for real in (nulldecomp.trees.decompose, nulldecomp.unicyclic.analyze):
+        analyses = {
+            "forest": nulldecomp.trees._analyze,
+            "unicyclic": nulldecomp.unicyclic._analyze,
+            "decompose": nulldecomp.trees.decompose,
+            "analyze": nulldecomp.unicyclic.analyze,
+        }
+        for kind, real in analyses.items():
 
-            def counted(g, real=real):
-                calls.append(real.__name__)
-                return real(g)
+            def counted(*args, kind=kind, real=real):
+                calls.append(kind)
+                return real(*args)
 
-            # Wherever the name was imported: cli, the checkers, and analyze itself.
+            # Wherever the function is held, under whatever name.
             for module in (nulldecomp.cli, nulldecomp.sweeps, nulldecomp.unicyclic):
-                if hasattr(module, real.__name__):
-                    monkeypatch.setattr(module, real.__name__, counted)
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, counted)
         code, out, _ = run(capsys, "analyze", "--verify", path)
         assert code == 0 and all(json.loads(out)["verification"].values())
-        assert calls.count("analyze") == analyze_calls
-        assert calls.count("decompose") == decompose_calls
+        assert calls.count("unicyclic") == unicyclic_analyses
+        assert calls.count("forest") == forest_analyses
+        assert "decompose" not in calls and "analyze" not in calls
 
     def test_forest_verify_builds_each_certificate_once(self, capsys, monkeypatch):
+        # The forest analysis builds both; the checks take the printed ones.
         calls = []
-        for name in ("independent_set_certificate", "matching_certificate"):
+        for name in ("_independent_set", "_leaf_pairing"):
             real = getattr(nulldecomp.trees, name)
 
             def counted(*args, real=real):
                 calls.append(real.__name__)
                 return real(*args)
 
-            for module in (nulldecomp.cli, nulldecomp.sweeps):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(nulldecomp.trees, name, counted)
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)
         assert code == 0 and all(json.loads(out)["verification"].values())
-        assert sorted(calls) == ["independent_set_certificate", "matching_certificate"]
+        assert sorted(calls) == ["_independent_set", "_leaf_pairing"]
 
     def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(

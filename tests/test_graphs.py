@@ -1,6 +1,7 @@
 """Graph container, both parsers, shape classification, cycle location."""
 
 import random
+import re
 
 import pytest
 
@@ -113,7 +114,7 @@ def shape_corpus(seed, count):
 
 def depth_first_walk(g):
     """(order, parent) of a depth-first walk, each component rooted at its
-    smallest vertex.  Unlike graphs._walk, which claims every unseen
+    smallest vertex.  Unlike graphs._search, which claims every unseen
     neighbor when it leaves a vertex, it claims a vertex only on entering
     it, so every edge off its tree joins a vertex to an ancestor."""
     parent = [-1] * g.n
@@ -204,15 +205,19 @@ class TestGraph:
             ("has_edge", 2, -1),
             ("has_edge", 9, 0),
             ("has_edge", 0, 9),
+            ("name_of", -1),
+            ("name_of", 4),
         ],
         ids=str,
     )
     def test_accessors_reject_ids_outside_the_graph(self, call):
         # On the path 0-1-2-3, negative ids once indexed from the end and
-        # an id past n raised IndexError.
+        # an id past n raised IndexError, or for name_of on an unlabeled
+        # graph gave the id's own digits.
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(UnknownVertex):
-            getattr(g, call[0])(*call[1:])
+        for h in (g, Graph(4, g.edges, labels="abcd")):
+            with pytest.raises(UnknownVertex):
+                getattr(h, call[0])(*call[1:])
 
     def test_edges_normalized_to_sorted_pairs(self):
         g = Graph(3, [(2, 0)])
@@ -343,6 +348,27 @@ class TestEdgeListFormat:
     def test_round_trip_keeps_labels(self):
         g = Graph(3, [(0, 1)], labels=["x", "y", "z"])
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            (["a,b", "c"], "'a,b'"),  # would split into two names
+            (["a", "b\x1ec"], "'b\\x1ec'"),  # str.splitlines breaks on \x1e
+            (["x\x1f", " y"], "'x\\x1f'"),  # str.strip would drop \x1f
+            (["a", " y"], "' y'"),
+            (["a", "", "b", ""], "'' is repeated"),
+        ],
+    )
+    def test_labels_that_would_not_read_back_are_refused(self, labels, named):
+        g = Graph(len(labels), labels=labels)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            format_edge_list(g)
+
+    def test_no_labels_for_no_vertices_are_refused(self):
+        # "labels=" would read back as one empty name.
+        with pytest.raises(ValueError, match="no vertices"):
+            format_edge_list(Graph(0, labels=[]))
+        assert format_edge_list(Graph(0)) == "n=0\n"
 
 
 class TestGraph6:
@@ -631,7 +657,7 @@ class TestFindCycle:
 
     def test_checks_its_input_without_a_component_pass(self, monkeypatch):
         calls = []
-        components, walk = graphs._components, graphs._walk
+        components, walk = graphs._components, graphs._search
 
         def counted_components(g):
             calls.append(("components", g.n))
@@ -642,7 +668,7 @@ class TestFindCycle:
             return walk(g)
 
         monkeypatch.setattr(graphs, "_components", counted_components)
-        monkeypatch.setattr(graphs, "_walk", counted_walk)
+        monkeypatch.setattr(graphs, "_search", counted_walk)
         inputs = (load_fixture("fig6"), load_fixture("fig4"), cycle(5))
         for g in inputs:
             find_cycle(g)
@@ -651,7 +677,7 @@ class TestFindCycle:
     @pytest.mark.parametrize("walk", ["own", "depth-first"])
     def test_against_networkx_on_random_graphs(self, walk, monkeypatch):
         if walk == "depth-first":
-            monkeypatch.setattr(graphs, "_walk", depth_first_walk)
+            monkeypatch.setattr(graphs, "_search", depth_first_walk)
         outcomes = set()
         for g in shape_corpus(seed=43, count=360):
             h = nx_graph(g)
@@ -670,13 +696,13 @@ class TestFindCycle:
             assert all(g.has_edge(u, w) for u, w in c.edges)
             assert vs[0] == min(vs) and vs[1] < vs[-1]
             # which kind of edge closed the cycle in the walk find_cycle saw
-            _, parent = graphs._walk(g)
+            _, parent = graphs._search(g)
             u, w = next((u, w) for u, w in g.edges if w != parent[u] and u != parent[w])
             if is_ancestor(parent, u, w) or is_ancestor(parent, w, u):
                 outcomes.add("closed to an ancestor")
             else:
                 outcomes.add("closed across")
-        # graphs._walk never leaves an edge to an ancestor off its tree; the
+        # graphs._search never leaves an edge to an ancestor off its tree; the
         # depth-first walk leaves nothing else
         closing = "closed across" if walk == "own" else "closed to an ancestor"
         assert outcomes == {"rejected", closing}
@@ -699,36 +725,36 @@ class TestFindCycle:
 
 
 class TestWalkCache:
-    """graphs._walk keeps the walk of the last graph, matched by identity."""
+    """graphs keeps no walk between calls: each public function walks the
+    graph it is given afresh, and each private twin reads the walk it is
+    handed."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
         seen = []
         search = graphs._search
 
-        def counted(g):
+        def counted(g, roots=()):
             seen.append(g)
-            return search(g)
+            return search(g, roots)
 
         monkeypatch.setattr(graphs, "_search", counted)
         return seen
 
     def test_walks_a_graph_once_in_a_row(self, searches):
+        # One walk serves the shape and then the cycle, as in analyze.
         g = random_unicyclic(30, random.Random(2))
-        first = graphs._walk(g)
-        assert classify_shape(g) == Shape.UNICYCLIC
-        find_cycle(g)
-        assert _components(g) == [list(range(30))]
-        assert graphs._walk(g) is first
-        assert searches == [g]
+        walk = graphs._search(g)
+        assert graphs._shape(g, walk[1]) == Shape.UNICYCLIC
+        assert graphs._cycle(g, walk[1]) == find_cycle(g)
+        assert searches == [g, g]  # the walk above and find_cycle's own
 
     def test_an_equal_but_separate_graph_is_walked_anew(self, searches):
         g = random_tree(25, random.Random(3))
         h = Graph(g.n, sorted(g.edges))
         assert h == g and h is not g
-        graphs._walk(g)
-        assert graphs._walk(h) == graphs._search(h)
-        assert [x is g for x in searches] == [True, False, False]
+        assert classify_shape(g) == classify_shape(h) == Shape.TREE
+        assert [x is g for x in searches] == [True, False]
         assert searches[1] is h
 
     def test_a_copy_without_edges_is_walked_anew(self, searches):
@@ -738,36 +764,36 @@ class TestWalkCache:
         assert classify_shape(cut) == Shape.TREE
         forest = cut.without_edges([(3, 4)])
         assert _components(forest) == [[0, 4, 5], [1, 2, 3]]
-        assert len(searches) == 3
-        assert all(x is y for x, y in zip(searches, (g, cut, forest)))
-        assert graphs._walk(g) == graphs._search(g)
+        assert classify_shape(g) == Shape.CYCLE
+        assert len(searches) == 4
+        assert all(x is y for x, y in zip(searches, (g, cut, forest, g)))
 
     def test_a_patched_walk_is_neither_cached_nor_served_from_the_cache(self, monkeypatch):
+        # While _search is patched, find_cycle reads the patched walk; once
+        # the patch is undone, nothing of that walk is served again.
         g = random_unicyclic(20, random.Random(4))
-        own = graphs._walk(g)
-        monkeypatch.setattr(graphs, "_walk", depth_first_walk)
-        assert graphs._walk(g) == depth_first_walk(g)
-        find_cycle(g)  # on the depth-first walk
-        h = Graph(g.n, g.edges)
-        graphs._walk(h)
+        served = []
+
+        def depth_first(h, roots=()):
+            served.append(h)
+            return depth_first_walk(h)
+
+        monkeypatch.setattr(graphs, "_search", depth_first)
+        assert find_cycle(g) == graphs._cycle(g, depth_first_walk(g)[1])
+        assert served == [g]
         monkeypatch.undo()
-        assert graphs._walk(g) is own
-        assert graphs._walk(h) == graphs._search(h)
+        assert graphs._search(g) != depth_first_walk(g)
+        assert classify_shape(g) == Shape.UNICYCLIC
+        find_cycle(g)
+        assert served == [g]
 
     def test_analyze_is_served_only_walks_of_the_graph_it_passes(self, monkeypatch):
         # Every walk read during analyze or decompose is a walk of the very
-        # graph passed: the kept walk is the one a fresh search of it gives,
-        # and the rooted walk from the cycle the one a fresh seeded search
-        # gives, with the cycle vertices first, as roots, each other vertex
-        # after its parent, and no cycle edge on its tree.
-        walk, search = graphs._walk, graphs._search
+        # graph passed: the one a fresh search of it gives, with the roots,
+        # if any, first, each other vertex after its parent, and no root
+        # edge on its tree.
+        search = graphs._search
         served = []
-
-        def checked(g):
-            out = walk(g)
-            assert out == search(g)
-            served.append(g)
-            return out
 
         def checked_search(g, roots=()):
             out = search(g, roots)
@@ -777,14 +803,14 @@ class TestWalkCache:
             assert order[: len(roots)] == tuple(roots)
             assert all(parent[r] == -1 for r in roots)
             position = {v: i for i, v in enumerate(order)}
-            for v in order[len(roots) :]:
-                assert g.has_edge(v, parent[v]) and position[parent[v]] < position[v]
+            for v in order:
+                if parent[v] >= 0:
+                    assert g.has_edge(v, parent[v]) and position[parent[v]] < position[v]
             served.append(g)
             return out
 
-        monkeypatch.setattr(graphs, "_walk", checked)
-        monkeypatch.setattr(nulldecomp.trees, "_walk", checked)
-        monkeypatch.setattr(nulldecomp.unicyclic, "_search", checked_search)
+        for module in (graphs, nulldecomp.trees, nulldecomp.unicyclic):
+            monkeypatch.setattr(module, "_search", checked_search)
         rng = random.Random(6)
         kinds = set()
         for i in range(60):

@@ -4,6 +4,7 @@ trees and unicyclic compute every count, verdict and certificate on
 forests in the graph's own ids; the exact kernel (linalg), the
 brute-force oracles and the subgraph builders belong to the checks.
 cli reaches the checks only through sweeps, which holds each of them once.
+No module keeps state between calls in a module global.
 """
 
 import ast
@@ -52,3 +53,13 @@ def test_cli_reaches_the_checks_only_through_sweeps():
         assert source != "linalg" and name != "linalg", (source, name)
         assert source != "oracles" or name == "size_limit", (source, name)
         assert name != "oracles", (source, name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix()
+)
+def test_no_module_rebinds_a_global(path):
+    # A global statement is how an identity cache keeps the last graph
+    # alive and makes a call's cost depend on the calls before it.
+    tree = ast.parse(path.read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]

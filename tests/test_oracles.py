@@ -26,7 +26,7 @@ from nulldecomp.graphs import (
 )
 from nulldecomp.oracles import augmenting_path, size_limit
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
-from nulldecomp.sweeps import check_tree_instance, cycle_graph
+from nulldecomp.sweeps import check_tree_instance, check_unicyclic_instance, cycle_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -163,9 +163,10 @@ class TestMaxIndependentSet:
             max_independent_set(path_graph(3), (3,))
 
     def test_cached_bitmasks_serve_other_queries_and_copies(self):
-        # The first search keeps g's bitmask adjacency.  Later searches of
-        # g with other removed sets, and of a copy without some edges, must
-        # answer as on a freshly built graph, witness included.
+        # Bitmasks built once and held by the caller, as the tree checks
+        # hold them, serve searches with other removed sets; a copy without
+        # some edges gets its own.  Each answers as on a freshly built
+        # graph, witness included.
         rng = random.Random(71)
         cases = [
             random_simple_graph(rng.randrange(2, 18), rng.choice([0.15, 0.3, 0.5]), rng)
@@ -174,28 +175,26 @@ class TestMaxIndependentSet:
         cases += [random_tree(rng.randrange(2, 18), rng) for _ in range(15)]
         cases += [random_unicyclic(rng.randrange(3, 18), rng) for _ in range(15)]
         for g in cases:
-            first = max_independent_set(g)
-            assert oracles._last_masks[0] is g
+            masks = oracles._bitmasks(g)
+            assert oracles._max_independent_set(masks) == max_independent_set(g)
             v = rng.randrange(g.n)
             for removed in ((v,), {v} | g.neighbors(v), set(rng.sample(range(g.n), g.n // 3))):
                 want = max_independent_set(Graph(g.n, g.edges), removed)
+                assert oracles._max_independent_set(masks, removed) == want
                 assert max_independent_set(g, removed) == want
-                assert max_independent_set(g, removed) == want  # on the kept masks
             h = g.without_edges(rng.sample(sorted(g.edges), len(g.edges) // 2))
-            assert max_independent_set(h) == max_independent_set(Graph(h.n, h.edges))
-            assert max_independent_set(h, (v,)) == max_independent_set(Graph(h.n, h.edges), (v,))
-            assert max_independent_set(g) == first
+            cut = oracles._bitmasks(h)
+            assert oracles._max_independent_set(cut) == max_independent_set(Graph(h.n, h.edges))
+            assert oracles._max_independent_set(cut, (v,)) == max_independent_set(
+                Graph(h.n, h.edges), (v,)
+            )
 
-    def test_bitmask_cache_is_by_identity(self):
-        # An equal graph built apart is searched on its own masks; the
-        # cache never answers for a graph that is not the one it holds.
-        g, h = c5_with_pendants(), c5_with_pendants()
-        assert g == h and g is not h
-        max_independent_set(g)
-        assert oracles._last_masks[0] is g
-        assert max_independent_set(h) == max_independent_set(g)
-        max_independent_set(h)
-        assert oracles._last_masks[0] is h
+    def test_bitmasks_pass_the_size_guard_first(self, monkeypatch):
+        # n bitmasks of up to n bits each: the guard runs before any is built.
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "4")
+        with pytest.raises(TooLarge, match="max_independent_set refuses n=5"):
+            oracles._bitmasks(path_graph(5))
+        assert oracles._bitmasks(path_graph(4)) == [0b10, 0b101, 0b1010, 0b100]
 
 
 class TestMaxMatching:
@@ -263,30 +262,10 @@ class TestMaxMatching:
         assert max_matching(c5_with_pendants()).size == 4
         assert calls == []
 
-    def test_kept_matching_is_by_identity(self, monkeypatch):
-        # Only the very graph last matched gets its kept matching back: an
-        # equal graph built apart and a without_edges copy are each
-        # matched afresh, and each gets its own maximum matching.
-        grown = _spy_grown_matchings(monkeypatch)
-        g, h = c5_with_pendants(), c5_with_pendants()
-        assert g == h and g is not h
-        m = max_matching(g)
-        assert oracles._last_matching[0] is g and oracles._last_matching[1] is m
-        assert max_matching(g) is m
-        assert [x is g for x in grown] == [True]
-        assert max_matching(h) == m
-        assert grown[-1] is h and len(grown) == 2
-        cut = g.without_edges(sorted(m.edges)[:2])  # g's matching is no matching of cut
-        got = max_matching(cut)
-        assert grown[-1] is cut and len(grown) == 3
-        assert matching_defect(cut, got.edges) is None
-        assert got.size == max_matching(Graph(cut.n, cut.edges)).size
-
     def test_lowered_guard_refuses_a_graph_matched_before(self, monkeypatch):
         g = path_graph(5)
         monkeypatch.setenv("NULLDECOMP_MAX_N", "40")
         assert max_matching(g).size == 2
-        assert oracles._last_matching[0] is g
         monkeypatch.setenv("NULLDECOMP_MAX_N", "4")
         with pytest.raises(TooLarge):
             max_matching(g)
@@ -294,8 +273,8 @@ class TestMaxMatching:
             eg_set(g)
 
     def test_tree_checks_grow_one_matching_per_graph(self, monkeypatch):
-        # t's matching serves the nu check and eg_set(t); the S/N check
-        # grows one more, of the cut forest.
+        # t's matching serves the nu check and the EG-set check; the S/N
+        # check grows one more, of the cut forest.
         grown = _spy_grown_matchings(monkeypatch)
         rng = random.Random(61)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(30)]
@@ -306,6 +285,19 @@ class TestMaxMatching:
             assert all(check_tree_instance(t).values())
             assert len(grown) == len({id(h) for h in grown}) <= 2
             assert grown[0] is t
+
+
+    def test_unicyclic_checks_grow_one_matching_per_graph(self, monkeypatch):
+        # One for g's nu check, one for the EG set of g minus its cycle edges.
+        grown = _spy_grown_matchings(monkeypatch)
+        rng = random.Random(67)
+        cases = [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
+        cases += [load_fixture(f) for f in ("fig2_G", "fig2_H", "fig3", "fig4", "fig6")]
+        for g in cases:
+            grown.clear()
+            assert all(check_unicyclic_instance(g).values())
+            assert len(grown) == len({id(h) for h in grown}) == 2
+            assert grown[0] is g
 
 
 def _spy_grown_matchings(monkeypatch):

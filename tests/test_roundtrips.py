@@ -54,6 +54,38 @@ def test_edge_list_round_trip_with_labels(g):
     assert parse_edge_list(format_edge_list(g)) == g
 
 
+# Any text, with the characters the edge-list format treats specially
+# drawn often: the name separator, whitespace that str.strip removes, and
+# line breaks that str.splitlines splits on.
+ANY_LABEL = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(string.ascii_letters + "#="),
+        st.sampled_from(", \t\n\r\x1c\x1f\x85\u2028"),
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def text_labeled_graphs(draw):
+    g = draw(graphs(max_n=6))
+    labels = draw(st.lists(st.one_of(LABEL, ANY_LABEL), min_size=g.n, max_size=g.n))
+    return Graph(g.n, g.edges, labels=labels)
+
+
+@SETTINGS
+@given(text_labeled_graphs())
+def test_edge_list_round_trip_with_any_text_labels(g):
+    # Labels the format cannot carry are refused when written, never
+    # read back as other names.
+    try:
+        text = format_edge_list(g)
+    except ValueError:
+        return
+    assert parse_edge_list(text) == g
+
+
 @SETTINGS
 @given(graphs(max_n=70))
 def test_graph6_from_networkx(g):

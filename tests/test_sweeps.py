@@ -7,16 +7,17 @@ from types import SimpleNamespace
 
 import pytest
 
+import nulldecomp.trees
+
 from nulldecomp import Graph, SweepOutcome, analyze, decompose, graphs, random_tree, sweeps
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import _components, induced_subgraph
-from nulldecomp.oracles import max_independent_set, max_matching
+from nulldecomp.graphs import _certificate_fault, _components, induced_subgraph
+from nulldecomp.oracles import _max_independent_set, max_independent_set, max_matching
 from nulldecomp.randgraphs import random_unicyclic
 from nulldecomp.sweeps import (
     CYCLE_INVARIANTS,
     TREE_INVARIANTS,
     UNICYCLIC_INVARIANTS,
-    _certificates_valid,
     _tree_checks,
     _unicyclic_checks,
     check_cycle_instance,
@@ -71,15 +72,16 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     ],
 )
 def test_certificates_valid(independent, matching, alpha, nu, ok):
-    assert _certificates_valid(C5, independent, matching, alpha, nu) is ok
+    # The rule behind "certificates valid and sized" and the analyses' own check.
+    assert (_certificate_fault(C5, independent, matching, alpha, nu) is None) is ok
 
 
 def test_certificates_with_a_foreign_id_fail_on_a_path():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert _certificates_valid(g, {0, 2}, {(0, 1), (2, 3)}, 2, 2)
-    assert not _certificates_valid(g, {0, 2}, {(-1, 2), (0, 1)}, 2, 2)
-    assert not _certificates_valid(g, {-1, 1}, {(0, 1), (2, 3)}, 2, 2)
-    assert not _certificates_valid(g, {0, 2}, {(9, 0), (2, 3)}, 2, 2)
+    assert _certificate_fault(g, {0, 2}, {(0, 1), (2, 3)}, 2, 2) is None
+    assert "bad matching pair (-1, 2)" in _certificate_fault(g, {0, 2}, {(-1, 2), (0, 1)}, 2, 2)
+    assert "id outside the graph -1" in _certificate_fault(g, {-1, 1}, {(0, 1), (2, 3)}, 2, 2)
+    assert "bad matching pair (9, 0)" in _certificate_fault(g, {0, 2}, {(9, 0), (2, 3)}, 2, 2)
 
 
 def test_unicyclic_checker_emits_every_invariant():
@@ -254,22 +256,23 @@ def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
     # A witness steers which searches run, so one that is not a maximum
     # independent set of t must never be taken for one.  The sizes stay
     # the oracle's own, so the reference's verdicts do not change.
-    def lying(g, removed=()):
-        size, witness = max_independent_set(g, removed)
+    def lying(adj, removed=()):
+        size, witness = _max_independent_set(adj, removed)
         if bad == "every-vertex":
-            witness = frozenset(range(g.n))
+            witness = frozenset(range(len(adj)))
         elif bad == "empty":
             witness = frozenset()
         elif bad == "one-short" and witness:
             witness = witness - {min(witness)}
         elif bad == "swapped" and witness:
             v = min(witness)
-            witness = (witness - {v}) | {min(g.neighbors(v), default=v)}
+            lowest = (adj[v] & -adj[v]).bit_length() - 1  # v's smallest neighbour
+            witness = (witness - {v}) | {lowest if adj[v] else v}
         elif bad == "ignores-removed":
-            witness = max_independent_set(g)[1]
+            witness = _max_independent_set(adj)[1]
         return size, witness
 
-    monkeypatch.setattr(sweeps, "max_independent_set", lying)
+    monkeypatch.setattr(sweeps, "_max_independent_set", lying)
     for t, d in _cases(89)[::2]:
         checks = _tree_checks(t, d, frozenset(), frozenset())
         for name, reference in REFERENCES.items():
@@ -279,11 +282,11 @@ def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
 def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
     calls = []
 
-    def counted(g, removed=()):
+    def counted(adj, removed=()):
         calls.append(removed)
-        return max_independent_set(g, removed)
+        return _max_independent_set(adj, removed)
 
-    monkeypatch.setattr(sweeps, "max_independent_set", counted)
+    monkeypatch.setattr(sweeps, "_max_independent_set", counted)
     rng = random.Random(97)
     total = reference = 0
     for i in range(200):
@@ -297,6 +300,35 @@ def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
         reference += 1 + len(d.core) + 2 * len(d.n_forest_vertices)
     # most N-vertices need no search at all
     assert 2 * total < reference
+
+
+def test_tree_checks_build_the_bitmasks_once(monkeypatch):
+    # Every independence search of one instance runs on one build of t's
+    # bitmasks, and the forest analysis walks t once; the S/N check walks
+    # the cut forest, a graph of its own.
+    builds, walked = [], []
+    bitmasks, search = sweeps._bitmasks, graphs._search
+
+    def counted_bitmasks(g):
+        builds.append(g)
+        return bitmasks(g)
+
+    def counted_search(g, roots=()):
+        walked.append(g)
+        return search(g, roots)
+
+    monkeypatch.setattr(sweeps, "_bitmasks", counted_bitmasks)
+    for module in (sweeps, graphs, nulldecomp.trees):
+        monkeypatch.setattr(module, "_search", counted_search)
+    rng = random.Random(101)
+    for i in range(60):
+        n = rng.randrange(1, 31)
+        t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
+        builds.clear()
+        walked.clear()
+        assert all(check_tree_instance(t).values())
+        assert len(builds) == 1 and builds[0] is t
+        assert [g is t for g in walked] == [True, False]
 
 
 def test_s_and_n_parts_must_partition_the_vertices():

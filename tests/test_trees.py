@@ -22,7 +22,8 @@ from nulldecomp import (
 )
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import matching_defect
-from nulldecomp.sweeps import cycle_graph
+from nulldecomp.cli import main
+from nulldecomp.sweeps import check_tree_instance, cycle_graph
 
 
 def path_graph(n):
@@ -116,7 +117,7 @@ class TestDecompose:
     def test_checks_acyclicity_in_its_own_walk(self, monkeypatch):
         calls = []
         components = nulldecomp.graphs._components
-        walk = nulldecomp.trees._walk
+        walk = nulldecomp.trees._search
 
         def counted_components(g):
             calls.append(("components", g.n))
@@ -127,7 +128,7 @@ class TestDecompose:
             return walk(g)
 
         monkeypatch.setattr(nulldecomp.graphs, "_components", counted_components)
-        monkeypatch.setattr(nulldecomp.trees, "_walk", counted_walk)
+        monkeypatch.setattr(nulldecomp.trees, "_search", counted_walk)
         tree = load_fixture("fig2_tree")
         decompose(tree)
         decompose(Graph(5, [(0, 1), (2, 3)]))
@@ -275,7 +276,7 @@ class TestNComponentSides:
             f = random_tree(rng.randrange(1, 50), rng)
             f = f.without_edges(rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(5))))
             d = decompose(f)
-            order, parent = nulldecomp.graphs._walk(f)
+            order, parent = nulldecomp.graphs._search(f)
             got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
             assert got == dfs_n_component_sides(f, d), sorted(f.edges)
             seen_components += len(got)
@@ -317,13 +318,13 @@ class TestMatchingCertificate:
 
     def test_checks_acyclicity_in_its_own_pairing(self, monkeypatch):
         calls = []
-        walk = nulldecomp.trees._walk
+        walk = nulldecomp.trees._search
 
         def counted(t):
             calls.append(t.n)
             return walk(t)
 
-        monkeypatch.setattr(nulldecomp.trees, "_walk", counted)
+        monkeypatch.setattr(nulldecomp.trees, "_search", counted)
         t = load_fixture("fig2_tree")
         assert len(matching_certificate(t)) == max_matching(t).size
         with pytest.raises(NotAForest, match="matching_certificate needs an acyclic graph"):
@@ -350,6 +351,68 @@ class TestMatchingCertificate:
             assert matching_defect(g, m) is None
             assert len(m) == max_matching(g).size
         assert outcomes == {"raised", "finished"}
+
+
+class TestForestAnalysis:
+    """trees._analyze: the decomposition and both certificates of a forest
+    from one walk, held to the certificate rule before it returns."""
+
+    @staticmethod
+    def analyze(t):
+        return nulldecomp.trees._analyze(t, nulldecomp.graphs._search(t))
+
+    def test_gives_what_the_public_functions_give(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            t = random_tree(rng.randrange(1, 40), rng)
+            t = t.without_edges(rng.sample(sorted(t.edges), min(len(t.edges), rng.randrange(4))))
+            d, independent, matching = self.analyze(t)
+            assert d == decompose(t)
+            assert independent == independent_set_certificate(t, d)
+            assert matching == matching_certificate(t)
+
+    def test_rejects_cycles(self):
+        with pytest.raises(NotAForest):
+            self.analyze(cycle_graph(4))
+
+    def test_a_set_with_an_edge_fails_the_certificate_rule(self, monkeypatch):
+        monkeypatch.setattr(
+            nulldecomp.trees, "_independent_set", lambda supp, sides, avoid: frozenset({1, 2})
+        )
+        with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
+            self.analyze(path_graph(4))
+
+    def test_a_set_with_a_foreign_id_fails_the_certificate_rule(self, monkeypatch):
+        # -1 would index the last vertex's neighbours; it is no vertex.  The
+        # set keeps the size alpha, so only the id fails.
+        build = nulldecomp.trees._independent_set
+        monkeypatch.setattr(
+            nulldecomp.trees,
+            "_independent_set",
+            lambda supp, sides, avoid: (build(supp, sides, avoid) - {0}) | {-1},
+        )
+        only_the_id = r"id outside the graph -1, edge inside the set None,"
+        with pytest.raises(AssertionError, match=only_the_id):
+            self.analyze(path_graph(4))
+
+    def test_a_matching_with_a_bad_pair_fails_the_certificate_rule(self, monkeypatch):
+        # 0-3 is no edge of the path; 1-2 is, and shares no vertex with it.
+        monkeypatch.setattr(
+            nulldecomp.trees, "_leaf_pairing", lambda nbrs: frozenset({(0, 3), (1, 2)})
+        )
+        with pytest.raises(AssertionError, match=r"bad matching pair \(0, 3\)"):
+            self.analyze(path_graph(4))
+
+    def test_analyze_and_the_sweeps_hold_forests_to_the_rule(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            nulldecomp.trees, "_leaf_pairing", lambda nbrs: frozenset({(0, 3), (1, 2)})
+        )
+        path = tmp_path / "p4.edges"
+        path.write_text("0 1\n1 2\n2 3\n")
+        with pytest.raises(AssertionError, match=r"bad matching pair \(0, 3\)"):
+            main(["analyze", str(path)])
+        with pytest.raises(AssertionError, match=r"bad matching pair \(0, 3\)"):
+            check_tree_instance(path_graph(4))
 
 
 class TestTreeSweep:
