@@ -2,10 +2,9 @@
 
 These exist to cross-check the closed formulas, so they avoid the null
 decomposition machinery entirely: independence via branch-and-bound over
-bitmasks, and matchings by Berge augmentation, which starts from a
-greedy maximal matching and grows it along augmenting paths until an
-exhaustive search finds none.  Whether a set or a matching is valid for
-a graph is not judged here: that rule is graphs.edge_inside and
+bitmasks, and matchings by Edmonds' blossom algorithm (Edmonds, "Paths,
+trees, and flowers", 1965).  Whether a set or a matching is valid for a
+graph is not judged here: that rule is graphs.edge_inside and
 graphs.matching_defect.
 
 The independence search reduces before it branches: a vertex with at
@@ -19,16 +18,20 @@ no subgraph, and its witness is in g's own ids.  _max_independent_set
 searches given bitmasks, so the many searches of one instance's checks,
 all on the same graph, build them once.
 
-The deletion test nu(G - v) = nu(G), behind eg_set, takes one maximum
-matching M of G and at most one alternating search per vertex: v passes
-if M misses it, and otherwise iff M without v's edge has an augmenting
-path in G - v, which by Berge's theorem can only start at v's former
-mate.  No subgraph is built and no second matching is grown, and
-_eg_set takes a maximum matching its caller already has.  Whether some
+max_matching grows a greedy maximal matching by Edmonds searches until
+one finds no augmenting path; each search grows an alternating forest
+from every free vertex and shrinks the odd cycles it closes into
+blossoms, so it is polynomial on every graph.  The search that finds no
+path also gives the EG set {v : nu(G - v) = nu(G)}: it is the set of
+outer vertices of that search, blossom vertices included, which is the
+Gallai-Edmonds set D(G) (Lovasz and Plummer, Matching Theory, 1986).
+eg_set reads it off the last search of its own growth, and _eg_set runs
+one search on a maximum matching its caller already has.  Whether some
 maximum matching of a tree misses v is the question v in eg_set(t).
 
 Everything here is desk-scale.  Instances above the size guard raise
-TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.
+TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.  Only the
+independence search is exponential; the guard covers the matchings too.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import TooLarge, UnknownVertex
 from .graphs import _decimal
@@ -153,116 +157,136 @@ def _max_independent_set(adj, removed=()):
     return best, frozenset(witness)
 
 
-def _augmenting_path_from(g, partner, start, visited):
-    """An augmenting path from the free vertex start, or None.
+def _search(g, mate):
+    """One Edmonds search for an augmenting path of the matching mate.
 
-    Every simple alternating path from start that avoids the vertices in
-    visited (start among them) is explored with an explicit stack, so the
-    search is exact on any graph.  The search marks its path in visited.
+    mate[v] is v's mate, or -1 where the matching misses v.  The search
+    grows an alternating forest from every free vertex at once: each is
+    the outer root of its own tree, and a matched vertex that an outer
+    vertex reaches becomes inner, its mate outer.  An edge between two
+    outer vertices of one tree closes an odd cycle, which is shrunk into
+    a blossom: base maps each of its vertices to the blossom's base, and
+    every one of them is outer from then on.  An edge between two outer
+    vertices of different trees closes an augmenting path: mate is
+    flipped along it, and the search goes on in the other trees, which
+    are still alternating trees of the flipped matching.  It returns
+    None if it flipped any path, and otherwise the set of outer
+    vertices.
     """
     adj = g._adj
-    path = [start]
-    stack = [iter(adj[start])]
-    while stack:
-        for w in stack[-1]:
-            if w in visited:
+    n = g.n
+    base = list(range(n))
+    # parent: an inner vertex's outer predecessor; a blossom also sets it
+    # on its outer vertices, so a path can run round the blossom either way.
+    parent = [-1] * n
+    root = [-1] * n  # the free vertex whose tree holds v; -1 outside the forest
+    outer = [False] * n
+    queue = [v for v, m in enumerate(mate) if m < 0]
+    for v in queue:
+        root[v] = v
+        outer[v] = True
+    dead = set()  # roots of the trees an augmenting path ran through
+    for v in queue:  # blossoms and new outer vertices append to it
+        if root[v] in dead:
+            continue
+        for w in adj[v]:
+            if root[w] < 0:  # matched, since every free vertex is a root
+                x = mate[w]
+                parent[w] = v
+                root[w] = root[x] = root[v]
+                outer[x] = True
+                queue.append(x)
+            elif not outer[w] or base[v] == base[w] or root[w] in dead:
                 continue
-            x = partner.get(w)
-            if x is None:
-                path.append(w)
-                return path
-            path.append(w)
-            path.append(x)
-            visited.add(w)
-            visited.add(x)
-            stack.append(iter(adj[x]))
+            elif root[w] != root[v]:
+                for x, y in ((v, w), (w, v)):
+                    # Match x to y and flip the path from x to its root.
+                    m = mate[x]
+                    mate[x] = y
+                    while m >= 0:
+                        p = parent[m]
+                        after = mate[p]
+                        mate[m] = p
+                        mate[p] = m
+                        m = after
+                dead.add(root[v])
+                dead.add(root[w])
+                break
+            else:
+                b = _lowest_common_base(v, w, base, mate, parent)
+                shrunk = set()
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != b:
+                        shrunk.add(base[x])
+                        shrunk.add(base[mate[x]])
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for u in range(n):
+                    if base[u] in shrunk:
+                        base[u] = b
+                        if not outer[u]:
+                            outer[u] = True
+                            queue.append(u)
+    if dead:
+        return None
+    return frozenset(compress(range(n), outer))
+
+
+def _lowest_common_base(v, w, base, mate, parent):
+    """The base of the blossom where the tree paths from v and w to their
+    common root meet."""
+    seen = set()
+    while True:
+        v = base[v]
+        seen.add(v)
+        if mate[v] < 0:
             break
-        else:
-            stack.pop()
-            if stack:
-                visited.discard(path.pop())
-                visited.discard(path.pop())
-    return None
+        v = parent[mate[v]]
+    while (w := base[w]) not in seen:
+        w = parent[mate[w]]
+    return w
 
 
-def augmenting_path(g, partner):
-    """An augmenting path as a vertex list, or None if there is none.
+def _grow(g):
+    """A maximum matching of g as a mate list, and the outer vertices of
+    the search that found no augmenting path for it.
 
-    partner maps each matched vertex to its mate.  Each free vertex in
-    turn starts an exhaustive alternating-path search.
-    """
-    for start in range(g.n):
-        if start not in partner:
-            path = _augmenting_path_from(g, partner, start, {start})
-            if path is not None:
-                return path
-    return None
-
-
-def max_matching(g):
-    """Maximum matching: augment until no augmenting path is left (Berge).
-
-    The search starts from the greedy maximal matching over the sorted
+    Growth starts from the greedy maximal matching over the sorted
     edges, which leaves fewer augmentations to find; Berge's theorem
     certifies the result whatever the start.
     """
-    _guard(g, "max_matching")
-    partner = {}
+    mate = [-1] * g.n
     for u, v in sorted(g.edges):
-        if u not in partner and v not in partner:
-            partner[u] = v
-            partner[v] = u
-    while (path := augmenting_path(g, partner)) is not None:
-        for i in range(0, len(path), 2):
-            u, v = path[i], path[i + 1]
-            partner[u] = v
-            partner[v] = u
-    return Matching(frozenset((u, v) for u, v in partner.items() if u < v))
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u] = v
+            mate[v] = u
+    while (outer := _search(g, mate)) is None:
+        pass
+    return mate, outer
 
 
-def _partner(matching):
-    """The mate of each vertex a matching covers."""
-    partner = {}
-    for u, v in matching.edges:
-        partner[u] = v
-        partner[v] = u
-    return partner
-
-
-def _missable(g, partner, v):
-    """nu(G - v) == nu(G), given a maximum matching of g as partner.
-
-    If the matching misses v it is a matching of G - v.  Otherwise v's
-    mate u loses its edge; what is left has size nu(G) - 1 in G - v, and
-    it is maximum there unless an augmenting path exists (Berge).  Such
-    a path ends at u: one between two other free vertices avoids v and
-    u, so it would augment the maximum matching in G.  Its other end is
-    a vertex the matching misses, so a perfect matching rules it out;
-    otherwise one search, from u with v blocked, decides.  The search
-    never reads the mates of u and v, which start out visited, so the
-    edge uv need not be taken out of partner.
-    """
-    u = partner.get(v)
-    if u is None:
-        return True
-    if len(partner) == g.n:
-        return False
-    return _augmenting_path_from(g, partner, u, {u, v}) is not None
+def max_matching(g):
+    """Maximum matching: augment until a search finds no augmenting path."""
+    _guard(g, "max_matching")
+    mate, _ = _grow(g)
+    return Matching(frozenset((u, v) for u, v in enumerate(mate) if u < v))
 
 
 def eg_set(g):
     """Vertices missed by some maximum matching: those with nu(G - v) = nu(G).
 
-    One maximum matching M of g, then per vertex the test of _missable:
-    a vertex M misses is in the set, and a matched one is in it iff an
-    augmenting path for M minus its edge starts at its mate and avoids it.
+    They are the outer vertices of the last search of max_matching's
+    growth, the one that finds no augmenting path.
     """
     _guard(g, "eg_set")
-    return _eg_set(g, max_matching(g))
+    return _grow(g)[1]
 
 
 def _eg_set(g, matching):
-    """eg_set, given a maximum matching of g."""
-    partner = _partner(matching)
-    return frozenset(v for v in range(g.n) if _missable(g, partner, v))
-
+    """eg_set, given a maximum matching of g: one search on it."""
+    mate = [-1] * g.n
+    for u, v in matching.edges:
+        mate[u] = v
+        mate[v] = u
+    return _search(g, mate)

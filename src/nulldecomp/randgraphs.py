@@ -5,7 +5,8 @@ graph is a tree plus one uniformly chosen non-edge, which always closes
 a single cycle of length at least three.  The corpus builder nudges the
 type I / type II mix toward balance by rejection sampling on
 classify_type; how far it gets depends on the sizes, since type II
-grows rare as n grows.
+grows rare as n grows.  The sweeps draw their graphs one at a time from
+the same seeded stream that tree_corpus and unicyclic_corpus list.
 """
 
 from __future__ import annotations
@@ -81,10 +82,27 @@ def random_simple_graph(n, p, rng):
     return Graph(n, edges)
 
 
+def _corpus(count, n_min, n_max, seed, unicyclic):
+    """The graphs of unicyclic_corpus, or of tree_corpus, drawn one at a
+    time, so a sweep holds one graph and not the whole corpus."""
+    if unicyclic and n_min < 3:
+        raise ValueError("unicyclic graphs need at least three vertices")
+    rng = random.Random(seed)
+    for i in range(count):
+        if not unicyclic:
+            yield random_tree(rng.randrange(n_min, n_max + 1), rng)
+            continue
+        want_type1 = i % 2 == 0
+        for _ in range(_TRIES):
+            g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
+            if (classify_type(g).kind == "I") == want_type1:
+                break
+        yield g
+
+
 def tree_corpus(count, n_min, n_max, seed):
     """Seeded list of random trees with sizes uniform in [n_min, n_max]."""
-    rng = random.Random(seed)
-    return [random_tree(rng.randrange(n_min, n_max + 1), rng) for _ in range(count)]
+    return list(_corpus(count, n_min, n_max, seed, unicyclic=False))
 
 
 def unicyclic_corpus(count, n_min, n_max, seed):
@@ -96,15 +114,4 @@ def unicyclic_corpus(count, n_min, n_max, seed):
     only at small n: drawn two at a time at each n from 48 to 144, 693 of
     800 graphs come out type I.
     """
-    if n_min < 3:
-        raise ValueError("unicyclic graphs need at least three vertices")
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        want_type1 = i % 2 == 0
-        for _ in range(_TRIES):
-            g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
-            if (classify_type(g).kind == "I") == want_type1:
-                break
-        out.append(g)
-    return out
+    return list(_corpus(count, n_min, n_max, seed, unicyclic=True))

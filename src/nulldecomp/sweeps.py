@@ -5,23 +5,25 @@ _tree_checks and _unicyclic_checks also take its analysis (and, for a
 forest, its two certificates), which `analyze --verify` passes in; the
 check_*_instance wrappers compute them, a forest's by trees._analyze.
 run_sweep aggregates tallies and keeps the first offending graph per
-invariant so failures can be echoed as edge lists and reproduced.
+invariant so failures can be echoed as edge lists and reproduced.  The
+sweeps hand it randgraphs' seeded stream, the graphs of tree_corpus or
+unicyclic_corpus one at a time, so a sweep holds one graph and its
+checks, not the corpus, whatever the count.
 
 The checkers ask the oracles in the instance's own ids and do only the
 work their verdicts need.  alpha(G - S) is a search of g with S
 removed, not of a rebuilt G - S; a forest's searches share one build of
-its bitmasks, and its maximum matching serves the nu check and the EG
-set.  A search's witness that checks out as a maximum independent set
-of the forest (independent, and of the oracle's size) settles later
-questions: a Core vertex in one fails core exclusion at once, an
-N-vertex in one needs no search of t - N[u], and one left out of one no
-search of t - u.  Witnesses are
-used only when the decomposition's alpha is the oracle's, so every
-verdict is the one the skipped searches would give.  A forest's S part
-(Supp and Core) and N part are read off one cut forest, the forest
-without the edges between them: one maximum matching of it restricts
-to a maximum matching of each component, and the parts must partition
-the vertices.  The pendant tree of cycle vertex v is v's component of
+its bitmasks, and its maximum matching serves the nu check and, by one
+more Edmonds search on it, the EG set.  A search's witness that checks
+out as a maximum independent set of the forest (independent, and of the
+oracle's size) settles later questions: a Core vertex in one fails core
+exclusion at once, an N-vertex in one needs no search of t - N[u], and
+one left out of one no search of t - u.  Witnesses are used only when
+the decomposition's alpha is the oracle's, so every verdict is the one
+the skipped searches would give.  A forest's S part (Supp and Core) and
+N part are read off one cut forest, the forest without the edges
+between them: one maximum matching of it restricts to a maximum
+matching of each component, and the parts must partition the vertices.  The pendant tree of cycle vertex v is v's component of
 G - E(C), so one eg_set of that forest answers the type witness check
 for every cycle vertex.  No checker builds a relabelled subgraph.
 """
@@ -34,7 +36,7 @@ from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
 from .linalg import null_basis
 from .oracles import _bitmasks, _eg_set, _max_independent_set
 from .oracles import eg_set, max_independent_set, max_matching
-from .randgraphs import tree_corpus, unicyclic_corpus
+from .randgraphs import _corpus
 from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze
 
@@ -241,7 +243,7 @@ def run_sweep(corpus, checker, invariant_names):
 
 
 def tree_sweep(count, n_min, n_max, seed):
-    corpus = tree_corpus(count, n_min, n_max, seed)
+    corpus = _corpus(count, n_min, n_max, seed, unicyclic=False)
     return run_sweep(corpus, check_tree_instance, TREE_INVARIANTS)
 
 
@@ -256,7 +258,7 @@ def unicyclic_sweep(count, n_min, n_max, seed):
         stats[verdict] = stats.get(verdict, 0) + 1
         return _unicyclic_checks(g, analysis)
 
-    corpus = unicyclic_corpus(count, n_min, n_max, seed)
+    corpus = _corpus(count, n_min, n_max, seed, unicyclic=True)
     outcome = run_sweep(corpus, checker, UNICYCLIC_INVARIANTS)
     outcome.stats = stats
     return outcome

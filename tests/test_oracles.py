@@ -1,6 +1,7 @@
 """Brute-force oracles: independence, matchings, perfect matchings, EG sets."""
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from nulldecomp.graphs import (
     pendant_trees,
     remove_vertices,
 )
-from nulldecomp.oracles import augmenting_path, size_limit
+from nulldecomp.oracles import size_limit
 from nulldecomp.randgraphs import random_simple_graph, random_unicyclic
 from nulldecomp.sweeps import check_tree_instance, check_unicyclic_instance, cycle_graph
 
@@ -60,10 +61,19 @@ def random_forest(n, rng):
     return t.without_edges(rng.sample(sorted(t.edges), len(t.edges) // 3))
 
 
+def nx_nu(g, without=None):
+    """nu of g, or of g without the vertex without, by networkx."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(e for e in g.edges if without not in e)
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
 def deletion_set(g):
-    """{v : nu(G - v) = nu(G)}, from a fresh maximum matching of each G - v."""
-    base = max_matching(g).size
-    return {v for v in range(g.n) if max_matching(remove_vertices(g, {v})[0]).size == base}
+    """{v : nu(G - v) = nu(G)}, each matching number from networkx, so the
+    reference shares no code with the oracle."""
+    base = nx_nu(g)
+    return {v for v in range(g.n) if nx_nu(g, v) == base}
 
 
 def brute_mis_size(g):
@@ -199,16 +209,25 @@ class TestMaxIndependentSet:
 
 class TestMaxMatching:
     def test_matches_blossom_on_random_graphs(self):
-        # The only check of the non-bipartite case, so dense graphs too.
+        # Dense graphs too, up to the default guard, so blossoms nest.
         rng = random.Random(43)
-        for _ in range(200):
-            g = random_simple_graph(rng.randrange(1, 17), rng.choice([0.2, 0.4, 0.7]), rng)
+        for _ in range(300):
+            p = rng.choice([0.1, 0.2, 0.4, 0.7, 0.9])
+            g = random_simple_graph(rng.randrange(1, 31), p, rng)
             got = max_matching(g)
             assert matching_defect(g, got.edges) is None
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            assert got.size == len(nx.max_weight_matching(h, maxcardinality=True))
+            assert got.size == nx_nu(g)
+
+    def test_complete_graph_under_the_default_guard_in_under_a_second(self, monkeypatch):
+        # K_31 has an odd vertex count, so the last search shrinks blossoms
+        # instead of finding a path; an exhaustive path search takes
+        # exponential time here.
+        monkeypatch.delenv("NULLDECOMP_MAX_N", raising=False)
+        k = Graph(31, [(u, v) for v in range(31) for u in range(v)])
+        start = time.perf_counter()
+        assert max_matching(k).size == 15
+        assert eg_set(k) == frozenset(range(31))
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize(
         "g,nu",
@@ -233,16 +252,16 @@ class TestMaxMatching:
         # others, so the seed has size 1; the path 2-0-1-3 augments it.
         g = Graph(4, [(0, 1), (0, 2), (1, 3)])
         seeds = []
-        real = oracles.augmenting_path
+        real = oracles._search
 
-        def spying(h, partner):
+        def spying(h, mate):
             if not seeds:
-                seeds.append(dict(partner))
-            return real(h, partner)
+                seeds.append(list(mate))
+            return real(h, mate)
 
-        monkeypatch.setattr(oracles, "augmenting_path", spying)
+        monkeypatch.setattr(oracles, "_search", spying)
         m = max_matching(g)
-        assert seeds == [{0: 1, 1: 0}]
+        assert seeds == [[1, 0, -1, -1]]
         assert m.size == 2 and m.edges == {(0, 2), (1, 3)}
 
     def test_long_path_needs_no_recursion(self, monkeypatch):
@@ -273,8 +292,8 @@ class TestMaxMatching:
             eg_set(g)
 
     def test_tree_checks_grow_one_matching_per_graph(self, monkeypatch):
-        # t's matching serves the nu check and the EG-set check; the S/N
-        # check grows one more, of the cut forest.
+        # t's matching serves the nu check and, by one more search on it,
+        # the EG-set check; the S/N check grows one more, of the cut forest.
         grown = _spy_grown_matchings(monkeypatch)
         rng = random.Random(61)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(30)]
@@ -283,9 +302,9 @@ class TestMaxMatching:
         for t in cases:
             grown.clear()
             assert all(check_tree_instance(t).values())
-            assert len(grown) == len({id(h) for h in grown}) <= 2
-            assert grown[0] is t
-
+            assert grown[0] is t and grown[1] is t  # the growth, then _eg_set's search
+            assert len(grown) <= 3
+            assert all(h is not t for h in grown[2:])
 
     def test_unicyclic_checks_grow_one_matching_per_graph(self, monkeypatch):
         # One for g's nu check, one for the EG set of g minus its cycle edges.
@@ -301,31 +320,68 @@ class TestMaxMatching:
 
 
 def _spy_grown_matchings(monkeypatch):
-    """The list of graphs whose maximum matching max_matching grows from
-    now on, one entry per matching grown: each growth ends with the one
-    augmenting_path call that finds no path."""
+    """The list of graphs on which a search finds no augmenting path from
+    now on, one entry per such search.  Each matching that max_matching or
+    eg_set grows ends with one, and _eg_set makes one on the maximum
+    matching it is handed."""
     grown = []
-    real = oracles.augmenting_path
+    real = oracles._search
 
-    def spying(h, partner):
-        path = real(h, partner)
-        if path is None:
+    def spying(h, mate):
+        outer = real(h, mate)
+        if outer is not None:
             grown.append(h)
-        return path
+        return outer
 
-    monkeypatch.setattr(oracles, "augmenting_path", spying)
+    monkeypatch.setattr(oracles, "_search", spying)
     return grown
 
 
 class TestAugmentingPaths:
+    """One Edmonds search flips the matching along the augmenting paths it
+    closes and returns None, or returns its outer vertices if it closes none."""
+
     def test_detects_augmentable_matching(self):
-        assert augmenting_path(path_graph(4), {1: 2, 2: 1}) == [0, 1, 2, 3]
+        mate = [-1, 2, 1, -1]
+        assert oracles._search(path_graph(4), mate) is None
+        assert mate == [1, 0, 3, 2]
 
     def test_none_on_a_perfect_matching(self):
-        assert augmenting_path(path_graph(4), {0: 1, 1: 0, 2: 3, 3: 2}) is None
+        mate = [1, 0, 3, 2]
+        assert oracles._search(path_graph(4), mate) == frozenset()
+        assert mate == [1, 0, 3, 2]
 
     def test_empty_matching_on_edgeless_graph(self):
-        assert augmenting_path(Graph(3), {}) is None
+        mate = [-1, -1, -1]
+        assert oracles._search(Graph(3), mate) == {0, 1, 2}
+        assert mate == [-1, -1, -1]
+
+    def test_augments_round_a_blossom(self):
+        # The triangle 0-1-2 around the free 0, matched 1-2 and 3-4, with
+        # the free 5 hanging off 1.  The search from 0 labels 1 or 2 inner,
+        # and the edge between 1 and 2 closes the blossom that makes both
+        # outer; only then does the edge 5-1 join two trees.  The path
+        # 5-1-2-0 runs round the blossom.
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 5)])
+        mate = [-1, 2, 1, 4, 3, -1]
+        assert oracles._search(g, mate) is None
+        assert mate == [2, 5, 0, 4, 3, 1]
+        assert oracles._search(g, mate) == frozenset()
+
+    def test_paths_between_other_trees_after_one_is_flipped(self):
+        # Two disjoint P4s, each matched in the middle: one search flips
+        # both paths, since the second pair of trees is untouched by the
+        # first flip.
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        mate = [-1, 2, 1, -1, -1, 6, 5, -1]
+        assert oracles._search(g, mate) is None
+        assert mate == [1, 0, 3, 2, 5, 4, 7, 6]
+
+    def test_outer_vertices_of_a_blossom_on_a_maximum_matching(self):
+        # A triangle with a pendant path: the blossom {0, 1, 2} around the
+        # free 0 is all outer, the inner 3 is matched to the outer 4.
+        g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        assert oracles._search(g, [-1, 2, 1, 4, 3]) == {0, 1, 2, 4}
 
 
 class TestHasPerfectMatching:
@@ -363,53 +419,56 @@ class TestEgSet:
         assert eg_set(cycle_graph(5)) == frozenset(range(5))
 
     def test_matches_the_deletion_definition_on_random_graphs(self):
-        # Dense graphs bring odd cycles and blossoms.  The reference grows
-        # n + 1 matchings whose last search is exhaustive, so dense graphs
-        # stop at n = 11 to keep it fast.
+        # Dense graphs up to the default guard bring odd cycles and nested
+        # blossoms; the reference is networkx's nu(G - v) for every v.
         rng = random.Random(47)
         cases = []
-        for _ in range(2000):
+        for _ in range(150):
             p = rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
-            cases.append(random_simple_graph(rng.randrange(0, 15 if p <= 0.5 else 12), p, rng))
-        cases += [random_tree(rng.randrange(1, 15), rng) for _ in range(150)]
-        cases += [random_unicyclic(rng.randrange(3, 15), rng) for _ in range(150)]
-        searched = 0
+            cases.append(random_simple_graph(rng.randrange(0, 31), p, rng))
+        cases += [random_tree(rng.randrange(1, 31), rng) for _ in range(40)]
+        cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
+        covered = 0
         for g in cases:
             want = deletion_set(g)
+            m = max_matching(g)
             assert eg_set(g) == want
-            partner = oracles._partner(max_matching(g))
-            searched += sum(1 for v in want if v in partner)
-        # Some vertices are in the set only through a successful search.
-        assert searched > 0
+            assert oracles._eg_set(g, m) == want
+            covered += sum(1 for edge in m.edges for v in edge if v in want)
+        # Some vertices are in the set though the oracle's matching covers
+        # them: only the search's blossoms and alternating paths put them in.
+        assert covered > 0
 
-    def test_one_matching_and_one_search_from_each_matched_vertex_mate(self, monkeypatch):
-        matchings, searches = [], []
-        real_search = oracles._augmenting_path_from
+    def test_one_matching_and_one_search(self, monkeypatch):
+        # eg_set grows one matching and reads its set off the last search;
+        # _eg_set makes one search, on the maximum matching it is handed.
+        searches = []
+        real = oracles._search
 
-        def spying(g, partner, start, visited):
-            searches.append((start, set(visited)))
-            return real_search(g, partner, start, visited)
+        def spying(h, mate):
+            searches.append(list(mate))
+            return real(h, mate)
 
         rng = random.Random(53)
-        cases = [random_simple_graph(rng.randrange(1, 12), 0.4, rng) for _ in range(30)]
+        cases = [random_simple_graph(rng.randrange(1, 31), 0.4, rng) for _ in range(30)]
         cases += [path_graph(5), c5_with_pendants(), cycle_graph(7), petersen()]
         cases += [load_fixture("fig4"), random_unicyclic(20, rng)]
         for g in cases:
             m = max_matching(g)
-            mate = oracles._partner(m)
-            matchings.clear()
+            mate = [-1] * g.n
+            for u, v in m.edges:
+                mate[u], mate[v] = v, u
+            monkeypatch.setattr(oracles, "_search", spying)
             searches.clear()
-            # The matching is handed in, so every search seen is eg_set's own.
-            monkeypatch.setattr(oracles, "max_matching", lambda h, m=m: matchings.append(h) or m)
-            monkeypatch.setattr(oracles, "_augmenting_path_from", spying)
-            eg_set(g)
+            want = oracles._eg_set(g, m)
+            assert searches == [mate]
+            searches.clear()
+            assert eg_set(g) == want
             monkeypatch.undo()
-            assert matchings == [g]
-            # A perfect matching leaves no free vertex for a path to reach.
-            assert len(searches) == (0 if len(mate) == g.n else len(mate))
-            for start, visited in searches:
-                (blocked,) = visited - {start}
-                assert mate[blocked] == start
+            # Every search but the last augments; the last starts from a
+            # maximum matching.
+            sizes = [sum(1 for x in seen if x >= 0) for seen in searches]
+            assert sizes == sorted(set(sizes)) and sizes[-1] == 2 * m.size
 
     def test_agrees_with_each_component_on_random_forests(self):
         # The sweeps read a component's set off the whole forest's: a
@@ -453,18 +512,11 @@ class TestMismatchedIn:
             assert eg_set(f) == deletion_set(f)
 
     def test_one_matching_per_call(self, monkeypatch):
-        calls = []
-        real = oracles.max_matching
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        monkeypatch.setattr(oracles, "max_matching", counting)
+        grown = _spy_grown_matchings(monkeypatch)
         t = load_fixture("fig1_T1")
         missable = eg_set(t)
         assert [v in missable for v in range(t.n)] == [v in {1, 2, 3} for v in range(t.n)]
-        assert calls == [t]
+        assert len(grown) == 1 and grown[0] is t
 
     def test_input_validation(self, monkeypatch):
         # Any graph is accepted, not only trees; the size guard is the

@@ -1,8 +1,20 @@
-"""Seeded generators: the linear non-edge walk keeps the listing's draws."""
+"""Seeded generators: the linear non-edge walk keeps the listing's draws,
+and the corpora keep their graphs."""
 
+import hashlib
 import random
 
-from nulldecomp import Graph, Shape, classify_shape, random_tree, random_unicyclic
+import pytest
+
+from nulldecomp import (
+    Graph,
+    Shape,
+    classify_shape,
+    random_tree,
+    random_unicyclic,
+    tree_corpus,
+    unicyclic_corpus,
+)
 
 
 def listed_unicyclic(n, rng):
@@ -31,3 +43,26 @@ def test_random_unicyclic_at_100000_vertices():
     g = random_unicyclic(10**5, random.Random(97))
     assert len(g.edges) == g.n == 10**5
     assert classify_shape(g) == Shape.UNICYCLIC
+
+
+def _digest(corpus):
+    h = hashlib.sha256()
+    for g in corpus:
+        h.update(repr((g.n, sorted(g.edges))).encode())
+    return h.hexdigest()
+
+
+def test_corpora_keep_their_graphs():
+    # Digests of the corpora as they were when the sweeps drew them as a
+    # list; drawing them one at a time for the sweeps must not change them.
+    assert _digest(tree_corpus(200, 1, 40, 11)) == (
+        "6b3c68155a4ee537700b35246a521bdf1824813e9f47a2a7f7d92b128ca51df4"
+    )
+    assert _digest(unicyclic_corpus(200, 3, 40, 11)) == (
+        "62baf48756e964fbde84f3d98ca14a580cf01bc85ece969655bbec5b3de798d7"
+    )
+
+
+def test_unicyclic_corpus_refuses_fewer_than_three_vertices():
+    with pytest.raises(ValueError, match="at least three vertices"):
+        unicyclic_corpus(1, 2, 5, 0)

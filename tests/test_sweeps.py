@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -114,6 +115,27 @@ def test_run_sweep_records_first_failure():
 def test_outcome_ok_when_no_failures():
     outcome = SweepOutcome(tallies={"x": (5, 0)}, failures={})
     assert outcome.ok
+
+
+def test_tree_sweep_holds_one_graph_at_a_time(monkeypatch):
+    # The checks are stubbed so that what the sweep itself holds shows: a
+    # list of the corpus would make the peak grow tenfold with the count.
+    monkeypatch.setattr(
+        sweeps, "check_tree_instance", lambda t: dict.fromkeys(sweeps.TREE_INVARIANTS, True)
+    )
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            outcome = sweeps.tree_sweep(count, 3, 12, 5)
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.tallies["alpha + nu = n"] == (count, 0)
+        return held
+
+    peak(4000)  # fills the interpreter's free lists, which tracemalloc counts
+    assert peak(4000) <= 1.2 * peak(400)
 
 
 def test_checkers_build_no_subgraph(monkeypatch):
