@@ -168,10 +168,8 @@ def _search(g, mate):
     a blossom: base maps each of its vertices to the blossom's base, and
     every one of them is outer from then on.  An edge between two outer
     vertices of different trees closes an augmenting path: mate is
-    flipped along it, and the search goes on in the other trees, which
-    are still alternating trees of the flipped matching.  It returns
-    None if it flipped any path, and otherwise the set of outer
-    vertices.
+    flipped along it and the search returns None.  A search that finds
+    no path returns the set of its outer vertices.
     """
     adj = g._adj
     n = g.n
@@ -185,10 +183,7 @@ def _search(g, mate):
     for v in queue:
         root[v] = v
         outer[v] = True
-    dead = set()  # roots of the trees an augmenting path ran through
     for v in queue:  # blossoms and new outer vertices append to it
-        if root[v] in dead:
-            continue
         for w in adj[v]:
             if root[w] < 0:  # matched, since every free vertex is a root
                 x = mate[w]
@@ -196,7 +191,7 @@ def _search(g, mate):
                 root[w] = root[x] = root[v]
                 outer[x] = True
                 queue.append(x)
-            elif not outer[w] or base[v] == base[w] or root[w] in dead:
+            elif not outer[w] or base[v] == base[w]:
                 continue
             elif root[w] != root[v]:
                 for x, y in ((v, w), (w, v)):
@@ -209,9 +204,7 @@ def _search(g, mate):
                         mate[m] = p
                         mate[p] = m
                         m = after
-                dead.add(root[v])
-                dead.add(root[w])
-                break
+                return None
             else:
                 b = _lowest_common_base(v, w, base, mate, parent)
                 shrunk = set()
@@ -228,8 +221,6 @@ def _search(g, mate):
                         if not outer[u]:
                             outer[u] = True
                             queue.append(u)
-    if dead:
-        return None
     return frozenset(compress(range(n), outer))
 
 

@@ -82,16 +82,18 @@ def random_simple_graph(n, p, rng):
     return Graph(n, edges)
 
 
-def _corpus(count, n_min, n_max, seed, unicyclic):
-    """The graphs of unicyclic_corpus, or of tree_corpus, drawn one at a
-    time, so a sweep holds one graph and not the whole corpus."""
-    if unicyclic and n_min < 3:
+def _trees(count, n_min, n_max, seed):
+    """The graphs of tree_corpus, drawn one at a time."""
+    rng = random.Random(seed)
+    return (random_tree(rng.randrange(n_min, n_max + 1), rng) for _ in range(count))
+
+
+def _unicyclic_graphs(count, n_min, n_max, seed):
+    """The graphs of unicyclic_corpus, drawn one at a time."""
+    if n_min < 3:
         raise ValueError("unicyclic graphs need at least three vertices")
     rng = random.Random(seed)
     for i in range(count):
-        if not unicyclic:
-            yield random_tree(rng.randrange(n_min, n_max + 1), rng)
-            continue
         want_type1 = i % 2 == 0
         for _ in range(_TRIES):
             g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
@@ -102,7 +104,7 @@ def _corpus(count, n_min, n_max, seed, unicyclic):
 
 def tree_corpus(count, n_min, n_max, seed):
     """Seeded list of random trees with sizes uniform in [n_min, n_max]."""
-    return list(_corpus(count, n_min, n_max, seed, unicyclic=False))
+    return list(_trees(count, n_min, n_max, seed))
 
 
 def unicyclic_corpus(count, n_min, n_max, seed):
@@ -114,4 +116,4 @@ def unicyclic_corpus(count, n_min, n_max, seed):
     only at small n: drawn two at a time at each n from 48 to 144, 693 of
     800 graphs come out type I.
     """
-    return list(_corpus(count, n_min, n_max, seed, unicyclic=True))
+    return list(_unicyclic_graphs(count, n_min, n_max, seed))

@@ -23,9 +23,10 @@ the decomposition's alpha is the oracle's, so every verdict is the one
 the skipped searches would give.  A forest's S part (Supp and Core) and
 N part are read off one cut forest, the forest without the edges
 between them: one maximum matching of it restricts to a maximum
-matching of each component, and the parts must partition the vertices.  The pendant tree of cycle vertex v is v's component of
-G - E(C), so one eg_set of that forest answers the type witness check
-for every cycle vertex.  No checker builds a relabelled subgraph.
+matching of each component, and the parts must partition the vertices.
+The pendant tree of cycle vertex v is v's component of G - E(C), so one
+eg_set of that forest answers the type witness check for every cycle
+vertex.  No checker builds a relabelled subgraph.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
 from .linalg import null_basis
 from .oracles import _bitmasks, _eg_set, _max_independent_set
 from .oracles import eg_set, max_independent_set, max_matching
-from .randgraphs import _corpus
+from .randgraphs import _trees, _unicyclic_graphs
 from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze
 
@@ -243,7 +244,7 @@ def run_sweep(corpus, checker, invariant_names):
 
 
 def tree_sweep(count, n_min, n_max, seed):
-    corpus = _corpus(count, n_min, n_max, seed, unicyclic=False)
+    corpus = _trees(count, n_min, n_max, seed)
     return run_sweep(corpus, check_tree_instance, TREE_INVARIANTS)
 
 
@@ -258,7 +259,7 @@ def unicyclic_sweep(count, n_min, n_max, seed):
         stats[verdict] = stats.get(verdict, 0) + 1
         return _unicyclic_checks(g, analysis)
 
-    corpus = _corpus(count, n_min, n_max, seed, unicyclic=True)
+    corpus = _unicyclic_graphs(count, n_min, n_max, seed)
     outcome = run_sweep(corpus, checker, UNICYCLIC_INVARIANTS)
     outcome.stats = stats
     return outcome

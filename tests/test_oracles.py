@@ -295,16 +295,28 @@ class TestMaxMatching:
         # t's matching serves the nu check and, by one more search on it,
         # the EG-set check; the S/N check grows one more, of the cut forest.
         grown = _spy_grown_matchings(monkeypatch)
+        finished = []
+        real = oracles._search
+
+        def spying(h, mate):
+            outer = real(h, mate)
+            if outer is not None:
+                finished.append(h)
+            return outer
+
+        monkeypatch.setattr(oracles, "_search", spying)
         rng = random.Random(61)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(30)]
         cases += [random_forest(rng.randrange(1, 31), rng) for _ in range(30)]
         cases += [load_fixture(f) for f in ("fig1_T1", "fig1_T2", "fig2_tree")]
         for t in cases:
             grown.clear()
+            finished.clear()
             assert all(check_tree_instance(t).values())
-            assert grown[0] is t and grown[1] is t  # the growth, then _eg_set's search
-            assert len(grown) <= 3
-            assert all(h is not t for h in grown[2:])
+            assert len(grown) == len({id(h) for h in grown}) <= 2
+            assert grown[0] is t
+            # On t: the search that ends its growth, then _eg_set's one search.
+            assert sum(1 for h in finished if h is t) == 2
 
     def test_unicyclic_checks_grow_one_matching_per_graph(self, monkeypatch):
         # One for g's nu check, one for the EG set of g minus its cycle edges.
@@ -320,26 +332,24 @@ class TestMaxMatching:
 
 
 def _spy_grown_matchings(monkeypatch):
-    """The list of graphs on which a search finds no augmenting path from
-    now on, one entry per such search.  Each matching that max_matching or
-    eg_set grows ends with one, and _eg_set makes one on the maximum
-    matching it is handed."""
+    """The list of graphs whose maximum matching is grown from now on, one
+    entry per growth by max_matching or eg_set.  _eg_set, which searches a
+    matching it is handed, grows none."""
     grown = []
-    real = oracles._search
+    real = oracles._grow
 
-    def spying(h, mate):
-        outer = real(h, mate)
-        if outer is not None:
-            grown.append(h)
-        return outer
+    def spying(h):
+        grown.append(h)
+        return real(h)
 
-    monkeypatch.setattr(oracles, "_search", spying)
+    monkeypatch.setattr(oracles, "_grow", spying)
     return grown
 
 
 class TestAugmentingPaths:
-    """One Edmonds search flips the matching along the augmenting paths it
-    closes and returns None, or returns its outer vertices if it closes none."""
+    """One Edmonds search flips the matching along the first augmenting path
+    it closes and returns None, or returns its outer vertices if it closes
+    none."""
 
     def test_detects_augmentable_matching(self):
         mate = [-1, 2, 1, -1]
@@ -368,14 +378,16 @@ class TestAugmentingPaths:
         assert mate == [2, 5, 0, 4, 3, 1]
         assert oracles._search(g, mate) == frozenset()
 
-    def test_paths_between_other_trees_after_one_is_flipped(self):
-        # Two disjoint P4s, each matched in the middle: one search flips
-        # both paths, since the second pair of trees is untouched by the
-        # first flip.
+    def test_stops_at_the_first_augmenting_path(self):
+        # Two disjoint P4s, each matched in the middle: a search flips the
+        # first one's path and stops; the next flips the second's.
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         mate = [-1, 2, 1, -1, -1, 6, 5, -1]
         assert oracles._search(g, mate) is None
+        assert mate == [1, 0, 3, 2, -1, 6, 5, -1]
+        assert oracles._search(g, mate) is None
         assert mate == [1, 0, 3, 2, 5, 4, 7, 6]
+        assert oracles._search(g, mate) == frozenset()
 
     def test_outer_vertices_of_a_blossom_on_a_maximum_matching(self):
         # A triangle with a pendant path: the blossom {0, 1, 2} around the
