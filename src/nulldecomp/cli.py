@@ -30,7 +30,7 @@ from functools import cache, partial
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .fixtures import check_all
-from .graphs import Role, Shape, _cycle, _decimal, _search, _shape, export_dot
+from .graphs import Role, Shape, _decimal, _search, _shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
 from .oracles import size_limit
 from .sweeps import _tree_checks, _unicyclic_checks
@@ -191,7 +191,7 @@ def cmd_analyze(args):
         pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
         check = partial(_tree_checks, g, analysis, independent, matching)
     else:
-        analysis = _analyze_unicyclic(g, _cycle(g, walk[1]))
+        analysis = _analyze_unicyclic(g, walk)
         fields = _unicyclic_fields(g, shape, analysis)
         pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
         check = partial(_unicyclic_checks, g, analysis)

@@ -10,8 +10,8 @@ names ride along for fixtures whose vertices carry names like "v1" or
 
 _search is the one walk over a whole graph, and nothing keeps it: the
 components, the shape and the cycle are read off the walk a caller
-passes in or, through the public functions, off a fresh one.  Seeded
-with a unicyclic graph's cycle, _search roots the pendant trees at
+passes in or, through the public functions, off a fresh one; unicyclic
+re-roots the same walk at the cycle to hang the pendant trees from
 their cycle vertices.
 parse_graph6 reads the set bits of each payload byte other than "?"
 off a 64-entry table: its Python work is one step per edge.  Both
@@ -389,18 +389,15 @@ def parse_graph6(line):
     return Graph._checked(n, edges, set(edges))
 
 
-def _search(g, roots=()):
+def _search(g):
     """(order, parent) of a walk over every component of g: a stack
     search from each start in turn.
 
-    The roots, if given, are the first starts: they start out seen and
-    are listed first, so no search crosses an edge between two of them,
-    and the vertices they reach follow them.  Then the smallest vertex
-    not yet seen starts the next search, until none is left, so without
-    roots each component is rooted at its smallest vertex and listed
-    after the components with smaller roots.  A vertex is listed when it
-    is claimed, so order lists each vertex after its parent and each
-    later search's vertices together; a root's parent is -1.  The walk
+    The smallest vertex not yet seen starts the next search, until none
+    is left, so each component is rooted at its smallest vertex and
+    listed after the components with smaller roots.  A vertex is listed
+    when it is claimed, so order lists each vertex after its parent and
+    each component's vertices together; a root's parent is -1.  The walk
     checks nothing: its callers read the components, the number of roots
     and the edges off the walk's tree from it.  It comes as tuples, so a
     caller can hand it on unchanged.
@@ -408,10 +405,8 @@ def _search(g, roots=()):
     n, adj = g.n, g._adj
     parent = [-1] * n
     seen = [False] * n
-    order = list(roots)
-    for r in order:
-        seen[r] = True
-    stack = order[::-1]
+    order = []
+    stack = []
     claim, push, pop = order.append, stack.append, stack.pop
     r = 0
     while True:
@@ -491,6 +486,12 @@ def _cycle(g, parent):
         shape = _shape(g, parent).value if g.n else "empty"
         raise NotUnicyclic(f"graph is {shape}, expected exactly one cycle")
     u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
+    return _closed_cycle(parent, u, v)
+
+
+def _closed_cycle(parent, u, v):
+    """The cycle that the edge (u, v) closes on the tree that parent
+    roots, in find_cycle's orientation."""
     up = [u]
     while parent[up[-1]] >= 0:
         up.append(parent[up[-1]])

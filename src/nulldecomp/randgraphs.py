@@ -3,10 +3,16 @@
 Trees are uniform over labeled trees (Pruefer sequences); a unicyclic
 graph is a tree plus one uniformly chosen non-edge, which always closes
 a single cycle of length at least three.  The corpus builder nudges the
-type I / type II mix toward balance by rejection sampling on
-classify_type; how far it gets depends on the sizes, since type II
-grows rare as n grows.  The sweeps draw their graphs one at a time from
-the same seeded stream that tree_corpus and unicyclic_corpus list.
+type I / type II mix toward balance by rejection sampling on the type;
+how far it gets depends on the sizes, since type II grows rare as n
+grows.  The sweeps draw their graphs one at a time from the same seeded
+stream that tree_corpus and unicyclic_corpus list.
+
+A candidate stays edge lists until it is kept.  The Pruefer decoding
+roots its tree at n - 1, which is a walk of the candidate, and its type
+is read off that walk by graphs' cycle rule and unicyclic's re-rooting,
+as classify_type reads it off its own walk.  Only the kept candidate
+becomes a Graph; no Graph of a candidate's tree is built.
 """
 
 from __future__ import annotations
@@ -14,20 +20,17 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graphs import Graph
-from .unicyclic import classify_type
+from .graphs import Graph, _closed_cycle
+from .unicyclic import _rooted
 
 _TRIES = 25
 
 
-def random_tree(n, rng):
-    """Uniform labeled tree on n >= 1 vertices."""
-    if n < 1:
-        raise ValueError("trees need at least one vertex")
-    if n == 1:
-        return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
+def _pruefer_edges(n, rng):
+    """The edges of a uniform labeled tree on n >= 2 vertices, decoded
+    from a random Pruefer sequence, as (v, parent of v) pairs in a
+    rooting at n - 1: each v is a leaf once the edges before it are
+    gone, so the reversed list names each vertex after its parent."""
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:
@@ -42,33 +45,72 @@ def random_tree(n, rng):
         if deg[x] == 1:
             heapq.heappush(leaves, x)
     u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)  # n - 1, never the smaller of two leaves
     edges.append((u, v))
-    return Graph(n, edges)
+    return edges
 
 
-def random_unicyclic(n, rng):
-    """Random unicyclic graph: a tree with one extra non-edge.
+def random_tree(n, rng):
+    """Uniform labeled tree on n >= 1 vertices."""
+    if n < 1:
+        raise ValueError("trees need at least one vertex")
+    if n == 1:
+        return Graph(1)
+    return Graph(n, _pruefer_edges(n, rng))
 
-    The non-edge is uniform: k is drawn among the n(n-1)/2 - (n-1)
-    non-edges, and the k-th pair u < v in lexicographic order that is
-    not a tree edge is found by walking the rows u, in linear time.
-    """
+
+def _candidate(n, rng):
+    """(tree, pairs, (u, v)): a random tree's edges as _pruefer_edges
+    lists them, the same edges as a set of pairs a < b added in that
+    order, and a uniform non-edge u < v: the k-th of the n(n-1)/2 - (n-1)
+    non-edges in lexicographic order, found by walking the rows u, in
+    linear time, off the pair set and each row's count of tree edges."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least three vertices")
-    t = random_tree(n, rng)
+    tree = _pruefer_edges(n, rng)
+    pairs = set()
+    higher = [0] * n  # each vertex's tree neighbours above it
+    for a, b in tree:
+        key = (a, b) if a < b else (b, a)
+        pairs.add(key)
+        higher[key[0]] += 1
     k = rng.randrange(n * (n - 1) // 2 - (n - 1))
     for u in range(n):
-        row = n - 1 - u - sum(1 for w in t._adj[u] if w > u)
+        row = n - 1 - u - higher[u]
         if k < row:
             break
         k -= row
     for v in range(u + 1, n):
-        if v not in t._adj[u]:
+        if (u, v) not in pairs:
             if k == 0:
                 break
             k -= 1
-    return Graph(n, list(t.edges) + [(u, v)])
+    return tree, pairs, (u, v)
+
+
+def _unicyclic(n, pairs, extra):
+    """The Graph of a candidate: the tree's pairs in the order of a
+    frozenset of them, which is how a Graph of the tree would list its
+    edges, then the non-edge, so every neighbour set iterates as in
+    Graph(n, list(tree.edges) + [extra])."""
+    edges = list(frozenset(pairs))
+    edges.append(extra)
+    return Graph._checked(n, edges, set(edges))
+
+
+def random_unicyclic(n, rng):
+    """Random unicyclic graph: a tree with one extra uniform non-edge."""
+    return _unicyclic(n, *_candidate(n, rng)[1:])
+
+
+def _kind(n, tree, extra):
+    """The type of a candidate, read off the rooting at n - 1 that the
+    Pruefer decoding gives its tree."""
+    parent = [-1] * n
+    for v, p in tree:
+        parent[v] = p
+    order = [n - 1, *(v for v, _ in reversed(tree))]
+    return _rooted(_closed_cycle(parent, *extra), (order, parent))[3].kind
 
 
 def random_simple_graph(n, p, rng):
@@ -94,12 +136,13 @@ def _unicyclic_graphs(count, n_min, n_max, seed):
         raise ValueError("unicyclic graphs need at least three vertices")
     rng = random.Random(seed)
     for i in range(count):
-        want_type1 = i % 2 == 0
+        want = "II" if i % 2 else "I"
         for _ in range(_TRIES):
-            g = random_unicyclic(rng.randrange(n_min, n_max + 1), rng)
-            if (classify_type(g).kind == "I") == want_type1:
+            n = rng.randrange(n_min, n_max + 1)
+            tree, pairs, extra = _candidate(n, rng)
+            if _kind(n, tree, extra) == want:
                 break
-        yield g
+        yield _unicyclic(n, pairs, extra)
 
 
 def tree_corpus(count, n_min, n_max, seed):

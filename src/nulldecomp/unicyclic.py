@@ -6,16 +6,16 @@ cycle vertex is matched inside its own pendant tree (saturated by every
 maximum matching of it), type II when every cycle vertex is mismatched.
 Pure cycles land in type II with nothing hanging off.
 
-Everything is read off one walk of G rooted at its cycle
-(graphs._search seeded with the cycle vertices): it lists the cycle
-vertices first, as roots, and hangs each pendant tree under its cycle
-vertex, in G's own vertex ids.  One bottom-up pass of the matching DP
-over it counts, for each vertex, its children that are missable in
-their own subtrees; a cycle vertex is matched in its pendant tree iff
-that count is positive, which gives the type, and the witness is the
-smallest matched cycle vertex.  Swapping a few parent pointers then
-roots the spanning forest that the type calls for, and one top-down
-pass decomposes it:
+Everything is read off the one walk of G (graphs._search) that found
+the cycle, re-rooted at the cycle: it lists the cycle vertices first,
+as roots, and hangs each pendant tree under its cycle vertex, in G's
+own vertex ids.  One bottom-up pass of the matching DP over it counts,
+for each vertex, its children that are missable in their own subtrees;
+a cycle vertex is matched in its pendant tree iff that count is
+positive, which gives the type, and the witness is the smallest
+matched cycle vertex.  Swapping a few parent pointers then roots the
+spanning forest that the type calls for, and one top-down pass
+decomposes it:
 
 - type I: f, G minus the two cycle edges at the witness v, which is the
   pendant tree T_v and the rest R = G - V(T_v) side by side.  The cycle
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CycleInfo, _certificate_fault, _search, find_cycle
+from .graphs import CycleInfo, _certificate_fault, _cycle, _search
 from .trees import (
     _decomposition,
     _independent_set,
@@ -94,17 +94,39 @@ class UnicyclicAnalysis:
     matching: frozenset
 
 
-def _rooted(g, cycle):
-    """The walk of g from its cycle, the bottom-up count over it, and the type.
+def _rooted(cycle, walk):
+    """The walk that found cycle, re-rooted there, the bottom-up count
+    over it, and the type.
 
-    The walk lists the cycle vertices first, as roots, and hangs each
-    pendant tree under its cycle vertex; the bottom-up pass counts each
-    vertex's children that are missable in their own subtrees.  A cycle
-    vertex c is matched in its pendant tree iff that count is positive,
-    and the witness is the smallest matched one.  Returns (order,
-    parent, missable_children, verdict).
+    walk roots a spanning tree of the graph, each vertex listed after
+    its parent, and the one edge off that tree closes cycle, as
+    graphs._cycle reads it.  Off the cycle only the path from the walk's
+    root to the topmost cycle vertex points away from the cycle, so
+    re-rooting keeps every other parent, gives the cycle vertices -1 and
+    reverses that path: the one parent array of the forest G minus the
+    cycle edges rooted at the cycle.  The order lists the cycle
+    vertices, the path outwards, then the rest in walk order.  A cycle
+    vertex is matched in its pendant tree iff it has a child missable
+    in its own subtree, and the witness is the smallest matched one.
+    Returns (order, parent, missable_children, verdict).
     """
-    order, parent = _search(g, cycle.vertices)
+    walk_order, parent = walk
+    parent = list(parent)
+    listed = [False] * len(parent)
+    for c in cycle.vertices:
+        listed[c] = True
+    top = next(c for c in cycle.vertices if parent[c] < 0 or not listed[parent[c]])
+    path = []
+    below, x = top, parent[top]
+    while x >= 0:
+        path.append(x)
+        listed[x] = True
+        up = parent[x]
+        parent[x] = below
+        below, x = x, up
+    for c in cycle.vertices:
+        parent[c] = -1
+    order = [*cycle.vertices, *path, *(x for x in walk_order if not listed[x])]
     missable = _missable_children(order, parent)
     matched = [c for c in cycle.vertices if missable[c]]
     verdict = TypeVerdict("I", min(matched)) if matched else TypeVerdict("II", None)
@@ -113,7 +135,8 @@ def _rooted(g, cycle):
 
 def classify_type(g):
     """Type I with its smallest matched witness, or type II."""
-    return _rooted(g, find_cycle(g))[3]
+    walk = _search(g)
+    return _rooted(_cycle(g, walk[1]), walk)[3]
 
 
 def _part(kind, root, vertices, d):
@@ -170,21 +193,23 @@ def _singularity(g, cycle, verdict, parts):
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
-    Walks g from its cycle once and runs one matching DP over that walk,
-    re-rooted to the forest the type calls for, and reads off the type,
-    the composed nullity, the combinatorial singularity verdict, alpha
-    and nu by the closed formulas, the null decomposition of every piece
-    (in the graph's vertex ids), and explicit certificates: an
-    independent set of size alpha and a matching of size nu, assembled
-    from the same forest exactly as the formulas compose and validated
-    against the graph before returning.
+    Walks g once, finds the cycle on that walk and re-roots the walk
+    there, runs one matching DP over it, re-rooted again to the forest
+    the type calls for, and reads off the type, the composed nullity,
+    the combinatorial singularity verdict, alpha and nu by the closed
+    formulas, the null decomposition of every piece (in the graph's
+    vertex ids), and explicit certificates: an independent set of size
+    alpha and a matching of size nu, assembled from the same forest
+    exactly as the formulas compose and validated against the graph
+    before returning.
     """
-    return _analyze(g, find_cycle(g))
+    return _analyze(g, _search(g))
 
 
-def _analyze(g, cycle):
-    """analyze, given the cycle of g."""
-    order, parent, missable, verdict = _rooted(g, cycle)
+def _analyze(g, walk):
+    """analyze, over the given walk of g."""
+    cycle = _cycle(g, walk[1])
+    order, parent, missable, verdict = _rooted(cycle, walk)
     n, length = g.n, cycle.length
     hanging = order[length:]  # the vertices off the cycle, each after its parent
     top = list(range(n))  # each vertex's root in the forest below

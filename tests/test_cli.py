@@ -120,24 +120,25 @@ class TestAnalyze:
         "edges, n, kind, walks",
         [
             ([(0, 1), (1, 2), (3, 4)], 5, "forest", 1),
-            ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], 6, "II", 2),
-            ([(i, (i + 1) % 7) for i in range(7)], 7, "II", 2),
-            ([(0, 1), (1, 2), (2, 0), (0, 3)], 4, "I", 2),
+            ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], 6, "II", 1),
+            ([(i, (i + 1) % 7) for i in range(7)], 7, "II", 1),
+            ([(0, 1), (1, 2), (2, 0), (0, 3)], 4, "I", 1),
         ],
     )
     def test_analyze_walks_each_graph_once(
         self, capsys, monkeypatch, tmp_path, edges, n, kind, walks
     ):
         # One walk of G serves the shape, the cycle and, for a forest, the
-        # whole forest analysis; a unicyclic graph is walked once more, from
-        # its cycle, and that walk serves the type, the DP of the forest
+        # whole forest analysis; for a unicyclic graph the same walk,
+        # re-rooted at the cycle, serves the type, the DP of the forest
         # either type splits off and its pieces.  No forest is walked.
+        # classify_type and unicyclic.analyze each walk G once too.
         searched = []
         search = nulldecomp.graphs._search
 
-        def counted(g, roots=()):
+        def counted(g):
             searched.append(g)
-            return search(g, roots)
+            return search(g)
 
         # Wherever the name was imported.
         for module in (nulldecomp.graphs, nulldecomp.cli, nulldecomp.trees, nulldecomp.unicyclic):
@@ -150,6 +151,12 @@ class TestAnalyze:
         assert len(searched) == walks
         assert all(g is searched[0] for g in searched)
         assert searched[0].n == n
+        if kind != "forest":
+            g = searched[0]
+            for analysis in (nulldecomp.classify_type, nulldecomp.unicyclic.analyze):
+                searched.clear()
+                assert analysis(g).kind == kind
+                assert searched == [g]
 
     def test_role_map_is_built_only_for_dot(self, capsys, monkeypatch, tmp_path):
         calls = []

@@ -734,9 +734,9 @@ class TestWalkCache:
         seen = []
         search = graphs._search
 
-        def counted(g, roots=()):
+        def counted(g):
             seen.append(g)
-            return search(g, roots)
+            return search(g)
 
         monkeypatch.setattr(graphs, "_search", counted)
         return seen
@@ -774,7 +774,7 @@ class TestWalkCache:
         g = random_unicyclic(20, random.Random(4))
         served = []
 
-        def depth_first(h, roots=()):
+        def depth_first(h):
             served.append(h)
             return depth_first_walk(h)
 
@@ -789,19 +789,16 @@ class TestWalkCache:
 
     def test_analyze_is_served_only_walks_of_the_graph_it_passes(self, monkeypatch):
         # Every walk read during analyze or decompose is a walk of the very
-        # graph passed: the one a fresh search of it gives, with the roots,
-        # if any, first, each other vertex after its parent, and no root
-        # edge on its tree.
+        # graph passed: the one a fresh search of it gives, each vertex
+        # after its parent.
         search = graphs._search
         served = []
 
-        def checked_search(g, roots=()):
-            out = search(g, roots)
-            assert out == search(g, roots)
+        def checked_search(g):
+            out = search(g)
+            assert out == search(g)
             order, parent = out
             assert sorted(order) == list(range(g.n))
-            assert order[: len(roots)] == tuple(roots)
-            assert all(parent[r] == -1 for r in roots)
             position = {v: i for i, v in enumerate(order)}
             for v in order:
                 if parent[v] >= 0:

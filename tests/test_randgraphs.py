@@ -10,6 +10,7 @@ from nulldecomp import (
     Graph,
     Shape,
     classify_shape,
+    randgraphs,
     random_tree,
     random_unicyclic,
     tree_corpus,
@@ -31,12 +32,36 @@ def listed_unicyclic(n, rng):
 
 
 def test_random_unicyclic_matches_the_listing():
+    # Down to the iteration order of the edges and of every neighbour set.
     sizes = random.Random(3)
     walked, listed = random.Random(89), random.Random(89)
     for _ in range(3000):
         n = sizes.randrange(3, 40)
-        assert random_unicyclic(n, walked) == listed_unicyclic(n, listed)
+        g, want = random_unicyclic(n, walked), listed_unicyclic(n, listed)
+        assert g == want
+        assert tuple(g.edges) == tuple(want.edges)
+        assert [tuple(s) for s in g._adj] == [tuple(s) for s in want._adj]
     assert walked.random() == listed.random()  # both streams drew the same
+
+
+def test_unicyclic_corpus_builds_one_graph_per_graph_it_keeps(monkeypatch):
+    # No Graph of a candidate's tree, and none of a rejected candidate.
+    built, drawn = [], []
+    fill, candidate = Graph._fill, randgraphs._candidate
+
+    def counted_fill(g, n, pairs, *rest):
+        built.append((n, len(pairs)))
+        fill(g, n, pairs, *rest)
+
+    def counted_candidate(n, rng):
+        drawn.append(n)
+        return candidate(n, rng)
+
+    monkeypatch.setattr(Graph, "_fill", counted_fill)
+    monkeypatch.setattr(randgraphs, "_candidate", counted_candidate)
+    corpus = unicyclic_corpus(40, 20, 60, 5)
+    assert built == [(g.n, g.n) for g in corpus]
+    assert len(drawn) > 2 * len(corpus)  # type II is rare at these sizes
 
 
 def test_random_unicyclic_at_100000_vertices():

@@ -335,9 +335,9 @@ def test_tree_checks_build_the_bitmasks_once(monkeypatch):
         builds.append(g)
         return bitmasks(g)
 
-    def counted_search(g, roots=()):
+    def counted_search(g):
         walked.append(g)
-        return search(g, roots)
+        return search(g)
 
     monkeypatch.setattr(sweeps, "_bitmasks", counted_bitmasks)
     for module in (sweeps, graphs, nulldecomp.trees):

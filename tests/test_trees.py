@@ -7,6 +7,7 @@ import pytest
 
 import nulldecomp.graphs
 import nulldecomp.trees
+import nulldecomp.unicyclic
 from nulldecomp import (
     Graph,
     NotAForest,
@@ -284,14 +285,22 @@ class TestNComponentSides:
 
     def test_sides_of_a_walk_rooted_elsewhere(self):
         # The sides do not depend on where the walk roots each component.
+        # A unicyclic graph's walk re-rooted at its cycle roots the forest
+        # G minus the cycle edges at the cycle vertices, where a walk of
+        # that forest roots each tree at its smallest vertex.
         rng = random.Random(97)
+        moved = 0
         for _ in range(100):
-            f = random_tree(rng.randrange(2, 40), rng)
+            g = random_unicyclic(rng.randrange(3, 40), rng)
+            walk = nulldecomp.graphs._search(g)
+            c = nulldecomp.graphs._cycle(g, walk[1])
+            order, parent = nulldecomp.unicyclic._rooted(c, walk)[:2]
+            f = g.without_edges(c.edges)
             d = decompose(f)
-            roots = [rng.randrange(f.n)]
-            order, parent = nulldecomp.graphs._search(f, roots)
             got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
-            assert got == dfs_n_component_sides(f, d), sorted(f.edges)
+            assert got == dfs_n_component_sides(f, d), sorted(g.edges)
+            moved += list(parent) != list(nulldecomp.graphs._search(f)[1])
+        assert moved > 50
 
 
 class TestMatchingCertificate:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import deque
 from itertools import combinations, product
 
 import pytest
@@ -198,6 +199,67 @@ class TestClassify:
         for f in (classify_type, analyze):
             with pytest.raises(NotUnicyclic, match="graph is empty"):
                 f(Graph(0))
+
+
+def bfs_parents_from_the_cycle(g, cycle):
+    """Each vertex's parent in the forest G minus the cycle edges rooted at
+    the cycle vertices (-1 on the cycle), by a breadth-first search from
+    all of them at once."""
+    parent = [None] * g.n
+    for c in cycle.vertices:
+        parent[c] = -1
+    queue = deque(cycle.vertices)
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if parent[w] is None:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+class TestRerooting:
+    """unicyclic._rooted turns the walk of G that found the cycle into
+    the one rooting of G minus the cycle edges at the cycle."""
+
+    def check(self, g):
+        walk = nulldecomp.graphs._search(g)
+        cycle = nulldecomp.graphs._cycle(g, walk[1])
+        order, parent = nulldecomp.unicyclic._rooted(cycle, walk)[:2]
+        assert list(parent) == bfs_parents_from_the_cycle(g, cycle)
+        assert tuple(order[: cycle.length]) == cycle.vertices
+        assert sorted(order) == list(range(g.n))
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[parent[v]] < position[v] for v in order if parent[v] >= 0)
+        return walk, cycle
+
+    @pytest.mark.parametrize("seed", [3, 17, 41, 59])
+    def test_random_unicyclic_graphs(self, seed):
+        rng = random.Random(seed)
+        off = 0
+        for _ in range(150):
+            walk, cycle = self.check(random_unicyclic(rng.randrange(3, 61), rng))
+            off += walk[0][0] not in cycle.vertices
+        assert off > 50  # most walks start off the cycle and get a path reversed
+
+    def test_pure_cycles(self):
+        for n in range(3, 40):
+            self.check(cycle_graph(n))
+
+    def test_a_cycle_through_vertex_0(self):
+        # The walk starts on the cycle, so no pointer is reversed.
+        g = Graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (2, 5), (5, 6)])
+        walk, cycle = self.check(g)
+        assert walk[0][0] in cycle.vertices
+
+    def test_a_long_tail_ending_at_vertex_0(self):
+        # A lollipop: the path 0 ... 99996 ends on a 4-cycle, so the walk
+        # from 0 meets the cycle last and 99,996 pointers are reversed,
+        # with no recursion.
+        n = 10**5
+        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 4, n - 1)]
+        walk, cycle = self.check(Graph(n, edges))
+        assert cycle.vertices == (n - 4, n - 3, n - 2, n - 1)
 
 
 class TestSingularity:
@@ -445,13 +507,14 @@ class TestAgainstTheCopyRoute:
         corpus = unicyclic_corpus(40, 3, 60, seed)
         for g in corpus:
             assert classify_type(g) == reference_classify(g, find_cycle(g))[0]
-        # The corpus rejects candidates by classify_type, so equal corpora
-        # mean equal verdicts on the rejected ones too.
-        monkeypatch.setattr(
-            nulldecomp.randgraphs,
-            "classify_type",
-            lambda g: reference_classify(g, find_cycle(g))[0],
-        )
+        # The corpus rejects candidates by randgraphs._kind, which reads
+        # the type off the Pruefer rooting of the candidate's tree, so equal
+        # corpora mean equal verdicts on the rejected ones too.
+        def reference_kind(n, tree, extra):
+            g = Graph(n, [*tree, extra])
+            return reference_classify(g, find_cycle(g))[0].kind
+
+        monkeypatch.setattr(nulldecomp.randgraphs, "_kind", reference_kind)
         assert unicyclic_corpus(40, 3, 60, seed) == corpus
 
 
