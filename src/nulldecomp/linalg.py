@@ -1,12 +1,12 @@
 """Exact adjacency kernels, the independent check on the matching DP.
 
-A(g) is a 0/1 matrix, so its kernel is computed on integer rows from
-start to finish; no floating point appears anywhere, since support
-membership is a zero-versus-nonzero question.  The formula path never
-comes here: the sweeps, `analyze --verify` and the fixtures compare its
-Supp and nullity with the kernel.  null_basis is the one route to it:
-callers read .nullity and .support, and it checks A x = 0 for every
-vector before returning.
+A(g) is a 0/1 matrix, so its kernel is computed in integers from start
+to finish; no floating point appears anywhere, since support membership
+is a zero-versus-nonzero question.  The formula path never comes here:
+the sweeps, `analyze --verify` and the fixtures compare its Supp and
+nullity with the kernel.  null_basis is the one route to it: callers
+read .nullity and .support, and it checks A x = 0 for every vector
+before returning.
 
 Elimination is one fraction-free Gauss-Jordan pass: Bareiss's update is
 applied to the rows above the pivot as well as below.  Every entry stays
@@ -29,16 +29,23 @@ equal to it by negating the pivot row first.  That is Bareiss on A
 with that row negated: every entry is still a minor of that matrix,
 and the RREF is the same.  On adjacency matrices a pivot mostly equals
 the previous one up to sign, so most steps rescale no row and touch
-only the entries that change.  Every entry that changes is still
-divided with its remainder checked.
+only the entries that change.  Such a step's update of an entry x
+facing y in the pivot row is (x * prev - f * y) / prev = x - f * y /
+prev, for f the row's entry in the pivot column.  Most pivots of
+adjacency matrices are +-1, where 1 / prev = prev and the step is
+x - f * prev * y with no division at all; every other division, by a
+pivot other than +-1, is still made with its remainder checked.
 
-The A x = 0 check of a kernel vector reads only the rows adjacent to
-its support, since every other row sums zeros; the verdict is that of
-the full product.  The adjacency rows of trees and unicyclic graphs
-start with a few entries each and stay sparse, and each step finds the
-rows holding its pivot column in a column index, so null_basis at
-n = 1000 takes about 0.015 s (2-core Xeon, Python 3.11), where the
-dense pass took 13-15 s.
+A kernel vector x is kept as the integers d x on its nonzeros, and its
+dense Fraction tuple is built only when .vectors is read, so a basis
+takes memory in proportion to its nonzeros, not to nullity * n.  The
+A x = 0 check scatters: each nonzero x_w is added to (A x)_v for every
+neighbour v of w, and every sum must be 0.  That is the full product,
+since a row that meets no nonzero sums zeros, and it costs the degrees
+of the support, so a hub in no support is never read.  The adjacency
+rows of trees and unicyclic graphs start with a few entries each and
+stay sparse, and each step finds the rows holding its pivot column in a
+column index, so no step scans every row.
 """
 
 from __future__ import annotations
@@ -52,14 +59,31 @@ _ZERO = Fraction(0)
 @dataclass(frozen=True)
 class NullBasis:
     """Canonical kernel basis: one vector per free column, unit there;
-    support holds the coordinates nonzero in some basis vector."""
+    support holds the coordinates nonzero in some basis vector.
 
-    vectors: tuple
+    scaled holds each vector x as d x on its nonzeros, a tuple of
+    (column, integer) pairs; .vectors divides them by d into dense
+    Fraction tuples of length n on each read.
+    """
+
+    n: int
+    d: int
+    scaled: tuple
     support: frozenset
 
     @property
     def nullity(self):
-        return len(self.vectors)
+        return len(self.scaled)
+
+    @property
+    def vectors(self):
+        vectors = []
+        for dx in self.scaled:
+            vec = [_ZERO] * self.n
+            for j, x in dx:
+                vec[j] = Fraction(x, self.d)
+            vectors.append(tuple(vec))
+        return tuple(vectors)
 
 
 def _eliminate(work, cols):
@@ -111,9 +135,23 @@ def _eliminate(work, cols):
             # Every other row changes, even with a zero in column c, or
             # later divisions break.
             targets = [o for o in range(rows) if o != lr]
+        unit = same and (prev == 1 or prev == -1)
         for o in targets:
             wi = work[at[o]]
             f = wi.get(c, 0)
+            if unit:
+                # (x * prev - f * y) / prev = x - f * y / prev, and
+                # 1 / prev = prev: no division.
+                fp = f * prev
+                for j, y in wr.items():
+                    q = wi.get(j, 0) - fp * y
+                    if q:
+                        wi[j] = q
+                        holding[j].add(o)
+                    else:
+                        del wi[j]
+                        holding[j].remove(o)
+                continue
             if same:
                 touched = wr
             elif f:
@@ -141,10 +179,10 @@ def null_basis(g):
 
     One vector per free column f, with coordinate 1 at f, the negated
     reduced-row entries at the pivot columns, and 0 elsewhere; vectors
-    ordered by free column.  Each is first formed as d x in integers, on
-    its nonzeros only, and checked against A x = 0, where a failure
-    raises ArithmeticError.  The check reads every row adjacent to the
-    support of x: any other row of A x sums only zeros.
+    ordered by free column.  Each is formed as d x in integers, on its
+    nonzeros only, and checked against A x = 0 by scattering each
+    nonzero into the rows of its neighbours; a nonzero sum raises
+    ArithmeticError.
     """
     n, adj = g.n, g._adj
     work = [dict.fromkeys(nbrs, 1) for nbrs in adj]
@@ -156,22 +194,19 @@ def null_basis(g):
         for f, x in work[i].items():
             if f != pc:
                 by_free.setdefault(f, {})[pc] = -x
-    vectors = []
+    scaled = []
     support = set()
     for f in range(n):
         if f in pivset:
             continue
         dx = by_free.get(f, {})
         dx[f] = d
-        rows = set()
-        for w in dx:
-            rows |= adj[w]
-        for v in rows:
-            if sum(dx.get(w, 0) for w in adj[v]):
-                raise ArithmeticError("kernel vector fails A x = 0")
+        ax = {}
+        for w, x in dx.items():
+            for v in adj[w]:
+                ax[v] = ax.get(v, 0) + x
+        if any(ax.values()):
+            raise ArithmeticError("kernel vector fails A x = 0")
         support.update(dx)
-        vec = [_ZERO] * n
-        for j, x in dx.items():
-            vec[j] = Fraction(x, d)
-        vectors.append(tuple(vec))
-    return NullBasis(tuple(vectors), frozenset(support))
+        scaled.append(tuple(dx.items()))
+    return NullBasis(n, d, tuple(scaled), frozenset(support))

@@ -25,9 +25,10 @@ blossoms, so it is polynomial on every graph.  The search that finds no
 path also gives the EG set {v : nu(G - v) = nu(G)}: it is the set of
 outer vertices of that search, blossom vertices included, which is the
 Gallai-Edmonds set D(G) (Lovasz and Plummer, Matching Theory, 1986).
-eg_set reads it off the last search of its own growth, and _eg_set runs
-one search on a maximum matching its caller already has.  Whether some
-maximum matching of a tree misses v is the question v in eg_set(t).
+eg_set reads it off the last search of its own growth, and _grow, the
+unguarded twin of max_matching and eg_set, returns both the matching
+and that set.  Whether some maximum matching of a tree misses v is the
+question v in eg_set(t).
 
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.  Only the
@@ -272,12 +273,3 @@ def eg_set(g):
     """
     _guard(g, "eg_set")
     return _grow(g)[1]
-
-
-def _eg_set(g, matching):
-    """eg_set, given a maximum matching of g: one search on it."""
-    mate = [-1] * g.n
-    for u, v in matching.edges:
-        mate[u] = v
-        mate[v] = u
-    return _search(g, mate)

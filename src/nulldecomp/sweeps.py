@@ -11,22 +11,26 @@ unicyclic_corpus one at a time, so a sweep holds one graph and its
 checks, not the corpus, whatever the count.
 
 The checkers ask the oracles in the instance's own ids and do only the
-work their verdicts need.  alpha(G - S) is a search of g with S
-removed, not of a rebuilt G - S; a forest's searches share one build of
-its bitmasks, and its maximum matching serves the nu check and, by one
-more Edmonds search on it, the EG set.  A search's witness that checks
-out as a maximum independent set of the forest (independent, and of the
-oracle's size) settles later questions: a Core vertex in one fails core
-exclusion at once, an N-vertex in one needs no search of t - N[u], and
-one left out of one no search of t - u.  Witnesses are used only when
-the decomposition's alpha is the oracle's, so every verdict is the one
-the skipped searches would give.  A forest's S part (Supp and Core) and
-N part are read off one cut forest, the forest without the edges
-between them: one maximum matching of it restricts to a maximum
-matching of each component, and the parts must partition the vertices.
-The pendant tree of cycle vertex v is v's component of G - E(C), so one
-eg_set of that forest answers the type witness check for every cycle
-vertex.  No checker builds a relabelled subgraph.
+work their verdicts need.  Each reads the size guard once, in its first
+oracle call; every later oracle runs on a graph of the same n, so it is
+called through its unguarded twin (_max_independent_set on bitmasks
+already built, _grow for max_matching and eg_set).  alpha(G - S) is a
+search of g with S removed, not of a rebuilt G - S; a forest's searches
+share one build of its bitmasks, and one growth of its maximum matching
+serves the nu check and, off the last Edmonds search of that growth,
+the EG set.  A search's witness that checks out as a maximum
+independent set of the forest (independent, and of the oracle's size)
+settles later questions: a Core vertex in one fails core exclusion at
+once, an N-vertex in one needs no search of t - N[u], and one left out
+of one no search of t - u.  Witnesses are used only when the
+decomposition's alpha is the oracle's, so every verdict is the one the
+skipped searches would give.  A forest's S part (Supp and Core) and N
+part are read off one cut forest, the forest without the edges between
+them: one maximum matching of it restricts to a maximum matching of
+each component, and the parts must partition the vertices.  The pendant
+tree of cycle vertex v is v's component of G - E(C), so the EG set of
+that forest answers the type witness check for every cycle vertex.  No
+checker builds a relabelled subgraph.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
 from .linalg import null_basis
-from .oracles import _bitmasks, _eg_set, _max_independent_set
-from .oracles import eg_set, max_independent_set, max_matching
+from .oracles import _bitmasks, _grow, _max_independent_set, max_independent_set
 from .randgraphs import _trees, _unicyclic_graphs
 from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze
@@ -84,15 +87,20 @@ class SweepOutcome:
         return all(fails == 0 for _, fails in self.tallies.values())
 
 
+def _size(mate):
+    """The number of edges in the matching that the mate list holds."""
+    return (len(mate) - mate.count(-1)) // 2
+
+
 def _tree_checks(t, d, independent, matching):
     checks = {}
-    masks = _bitmasks(t)
+    masks = _bitmasks(t)  # the one read of the size guard
     oracle_alpha, found = _max_independent_set(masks)
-    maximum = max_matching(t)
+    mate, missable = _grow(t)
     checks["alpha formula vs oracle"] = d.alpha == oracle_alpha
-    checks["nu formula vs oracle"] = d.nu == maximum.size
-    checks["EG set equals support"] = _eg_set(t, maximum) == d.supp
-    basis = null_basis(t)  # after the oracles, so past their size guard
+    checks["nu formula vs oracle"] = d.nu == _size(mate)
+    checks["EG set equals support"] = missable == d.supp
+    basis = null_basis(t)  # after the guard
     checks["support equals kernel support"] = basis.support == d.supp
     checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
     checks["support is independent"] = edge_inside(t, d.supp) is None
@@ -150,10 +158,10 @@ def _tree_checks(t, d, independent, matching):
     ok = s_part.isdisjoint(n_part) and len(s_part) + len(n_part) == t.n
     if ok:
         cut = t.without_edges([(u, v) for u, v in t.edges if (u in s_part) != (v in s_part)])
-        covered = {v for edge in max_matching(cut).edges for v in edge}
+        mate, _ = _grow(cut)
         for comp in _components(cut):
             # An S component must not be fully covered, an N component must.
-            if all(v in covered for v in comp) == (comp[0] in s_part):
+            if all(mate[v] >= 0 for v in comp) == (comp[0] in s_part):
                 ok = False
                 break
     checks["S components singular, N components matched"] = ok
@@ -170,8 +178,8 @@ def check_tree_instance(t):
 
 def _unicyclic_checks(g, analysis):
     checks = {}
-    oracle_alpha, _ = max_independent_set(g)
-    oracle_nu = max_matching(g).size
+    oracle_alpha, _ = max_independent_set(g)  # the one read of the size guard
+    oracle_nu = _size(_grow(g)[0])
     direct = null_basis(g).nullity
     checks["alpha formula vs oracle"] = analysis.alpha == oracle_alpha
     checks["nu formula vs oracle"] = analysis.nu == oracle_nu
@@ -182,7 +190,7 @@ def _unicyclic_checks(g, analysis):
     fault = _certificate_fault(g, *certificates, analysis.alpha, analysis.nu)
     checks["certificates valid and sized"] = fault is None
 
-    missable = eg_set(g.without_edges(analysis.cycle.edges))
+    _, missable = _grow(g.without_edges(analysis.cycle.edges))
     if analysis.kind == "I":
         ok = analysis.witness not in missable
     else:

@@ -31,7 +31,6 @@ from nulldecomp import (
     random_unicyclic,
 )
 from nulldecomp.cli import main
-from nulldecomp.oracles import Matching
 from nulldecomp.sweeps import (
     TREE_INVARIANTS,
     UNICYCLIC_INVARIANTS,
@@ -230,7 +229,7 @@ class TestAnalyze:
 
     def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "nulldecomp.sweeps.max_matching", lambda g: Matching(frozenset())
+            "nulldecomp.sweeps._grow", lambda g: ([-1] * g.n, frozenset())
         )
         code, out, err = run(capsys, "analyze", "--verify", FIG1)
         assert code == 1 and not err
@@ -380,7 +379,7 @@ class TestVerify:
 
     def test_failed_check_prints_first_failing_graph(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "nulldecomp.sweeps.max_matching", lambda g: Matching(frozenset())
+            "nulldecomp.sweeps._grow", lambda g: ([-1] * g.n, frozenset())
         )
         code, out, _ = run(capsys, "verify", "--kind", "tree", "--count", "3")
         assert code == 1

@@ -117,6 +117,30 @@ def line_of(fn, text):
     return first + k
 
 
+def step_kinds(rows, ncols):
+    """(|previous pivot|, whether the pivot equals it) for each step that
+    _eliminate takes on the integer rows."""
+    step_end = line_of(_eliminate, "pivots.append(c)")
+    kinds = set()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == step_end:
+            f = frame.f_locals
+            kinds.add((abs(f["prev"]), f["same"]))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is _eliminate.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        _eliminate(sparse(rows), ncols)
+    finally:
+        sys.settrace(old)
+    return kinds
+
+
 def reference_kernel(g):
     """One vector per free column of reference_rref, unit there."""
     red, rank = reference_rref(adjacency_rows(g))
@@ -163,9 +187,14 @@ class TestEliminate:
         # A pivot row is negated to make the two equal, which leaves the
         # RREF as it is; the rows with a zero in the pivot column are then
         # not touched.  Both must still give the reference's RREF and
-        # kernel exactly, since the RREF is unique.
+        # kernel exactly, since the RREF is unique.  A step after a pivot
+        # of +-1 divides by nothing, any other with its remainder checked;
+        # cycles of length 2 mod 4 reach |d| = 4 (their determinant is
+        # -4) and K_n reaches n - 1, so both kinds of step run, with the
+        # pivot equal to the previous one and not.
         negation = line_of(_eliminate, "wr[j] = -wr[j]")
         negated = 0
+        kinds = set()
         rng = random.Random(19)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(40)]
         cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
@@ -173,11 +202,14 @@ class TestEliminate:
             random_simple_graph(rng.randrange(1, 31), rng.choice([0.05, 0.1, 0.3, 0.6]), rng)
             for _ in range(40)
         ]
+        cases += [cycle_graph(n) for n in range(3, 25)]
+        cases += [Graph(n, [(u, v) for v in range(n) for u in range(v)]) for n in range(2, 9)]
         for g in cases:
             rows = adjacency_rows(g)
             work = sparse(rows)
             if negation in lines_run(_eliminate, sparse(rows), g.n):
                 negated += 1
+            kinds |= step_kinds(rows, g.n)
             pivots, d = _eliminate(work, g.n)
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
@@ -186,6 +218,7 @@ class TestEliminate:
                 assert abs(d) == abs(reference_det(rows))
             assert null_basis(g).vectors == reference_kernel(g)
         assert negated > 0
+        assert {(1, True), (1, False), (2, True), (2, False), (4, False)} <= kinds
 
     def test_equal_pivot_steps_rewrite_only_the_pivot_rows_columns(self):
         # When a step's pivot equals the previous one, an entry x facing a
@@ -239,6 +272,57 @@ class TestEliminate:
         # most steps are such steps, and many rewrite some other row
         assert 2 * len(equal) > len(steps)
         assert sum(1 for _, rewritten in equal if rewritten) > 100
+
+    def test_a_corrupted_entry_fails_a_non_unit_division(self):
+        # A row whose k-th write is off by one stands for an arithmetic
+        # slip.  Some later division by a pivot other than +-1 must then
+        # leave a remainder and raise, both in steps whose pivot equals
+        # the previous one and in steps where it does not.
+        class Drifting(dict):
+            def __init__(self, entries, k):
+                super().__init__(entries)
+                self.left = k
+
+            def __setitem__(self, j, x):
+                self.left -= 1
+                if self.left == 0:
+                    x += 1 if x > 0 else -1
+                super().__setitem__(j, x)
+
+        raised_in = []
+
+        def local(frame, event, arg):
+            if event == "exception":
+                f = frame.f_locals
+                raised_in.append((abs(f["prev"]), f["same"]))
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is _eliminate.__code__ else None
+
+        rng = random.Random(37)
+        cases = [
+            adjacency_rows(Graph(n, [(u, v) for v in range(n) for u in range(v)]))
+            for n in range(3, 8)
+        ]
+        cases += [adjacency_rows(cycle_graph(n)) for n in (6, 10, 14)]
+        cases += [random_matrix(rng, rng.randrange(2, 6), rng.randrange(2, 7)) for _ in range(40)]
+        for rows in cases:
+            for i in range(len(rows)):
+                for k in range(1, 8):
+                    work = sparse(rows)
+                    work[i] = Drifting(work[i], k)
+                    old = sys.gettrace()
+                    sys.settrace(tracer)
+                    try:
+                        _eliminate(work, len(rows[0]))
+                    except ArithmeticError as exc:
+                        assert "lost exactness" in str(exc)
+                    finally:
+                        sys.settrace(old)
+        assert all(prev > 1 for prev, _ in raised_in)
+        assert sum(1 for _, same in raised_in if same) > 0
+        assert sum(1 for _, same in raised_in if not same) > 100
 
     def test_zero_and_identity(self):
         z = sparse([[0, 0], [0, 0]])
@@ -296,6 +380,50 @@ class TestKernel:
                         monkeypatch.undo()
                         tried += 1
         assert tried > 100
+
+    def test_kernel_check_reads_a_hub_once(self):
+        # The check scatters each nonzero of x into its neighbours' sums,
+        # so a row is read only for the support's own vertices.  The centre
+        # of a star is in no support: its neighbour set is read once, to
+        # build its row, however many vectors the kernel has.
+        reads = []
+
+        class Counted(frozenset):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        for n in (3, 10, 200):
+            g = Graph(n, [(0, i) for i in range(1, n)])
+            g._adj = tuple(Counted(nbrs) for nbrs in g._adj)
+            hub = g._adj[0]
+            reads.clear()
+            basis = null_basis(g)
+            assert basis.nullity == n - 2 and basis.support == frozenset(range(1, n))
+            assert sum(1 for nbrs in reads if nbrs is hub) == 1
+
+    def test_vectors_are_built_only_when_read(self, monkeypatch):
+        # null_basis keeps d x in integers; .vectors divides by d on each
+        # read, and a basis is hashable and equal to the same graph's.
+        built = []
+        real = linalg.Fraction
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "Fraction", counted)
+        rng = random.Random(43)
+        cases = [random_tree(rng.randrange(1, 20), rng) for _ in range(20)]
+        cases += [cycle_graph(n) for n in (4, 6, 8)]
+        for g in cases:
+            built.clear()
+            basis = null_basis(g)
+            assert not built
+            assert basis == null_basis(g) and hash(basis) == hash(null_basis(g))
+            assert basis.vectors == reference_kernel(g)
+            assert len(built) == sum(len(dx) for dx in basis.scaled)
+            assert all(x for dx in basis.scaled for _, x in dx)  # nonzeros only
 
     def test_canonical_unit_pattern(self):
         # Star with center 0: A x = 0 reads x1 + x2 + x3 = 0 and x0 = 0,

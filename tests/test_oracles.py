@@ -16,6 +16,7 @@ from nulldecomp import (
     max_matching,
     oracles,
     random_tree,
+    sweeps,
 )
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import (
@@ -292,8 +293,8 @@ class TestMaxMatching:
             eg_set(g)
 
     def test_tree_checks_grow_one_matching_per_graph(self, monkeypatch):
-        # t's matching serves the nu check and, by one more search on it,
-        # the EG-set check; the S/N check grows one more, of the cut forest.
+        # t's one growth serves the nu check and, off its last search, the
+        # EG-set check; the S/N check grows one more, of the cut forest.
         grown = _spy_grown_matchings(monkeypatch)
         finished = []
         real = oracles._search
@@ -315,8 +316,8 @@ class TestMaxMatching:
             assert all(check_tree_instance(t).values())
             assert len(grown) == len({id(h) for h in grown}) <= 2
             assert grown[0] is t
-            # On t: the search that ends its growth, then _eg_set's one search.
-            assert sum(1 for h in finished if h is t) == 2
+            # On t: only the search that ends its growth.
+            assert sum(1 for h in finished if h is t) == 1
 
     def test_unicyclic_checks_grow_one_matching_per_graph(self, monkeypatch):
         # One for g's nu check, one for the EG set of g minus its cycle edges.
@@ -333,8 +334,7 @@ class TestMaxMatching:
 
 def _spy_grown_matchings(monkeypatch):
     """The list of graphs whose maximum matching is grown from now on, one
-    entry per growth by max_matching or eg_set.  _eg_set, which searches a
-    matching it is handed, grows none."""
+    entry per growth by max_matching, eg_set or a sweep checker."""
     grown = []
     real = oracles._grow
 
@@ -343,6 +343,7 @@ def _spy_grown_matchings(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(oracles, "_grow", spying)
+    monkeypatch.setattr(sweeps, "_grow", spying)
     return grown
 
 
@@ -445,15 +446,14 @@ class TestEgSet:
             want = deletion_set(g)
             m = max_matching(g)
             assert eg_set(g) == want
-            assert oracles._eg_set(g, m) == want
             covered += sum(1 for edge in m.edges for v in edge if v in want)
         # Some vertices are in the set though the oracle's matching covers
         # them: only the search's blossoms and alternating paths put them in.
         assert covered > 0
 
     def test_one_matching_and_one_search(self, monkeypatch):
-        # eg_set grows one matching and reads its set off the last search;
-        # _eg_set makes one search, on the maximum matching it is handed.
+        # eg_set grows one matching and reads its set off the last search,
+        # the set that one search on a maximum matching gives.
         searches = []
         real = oracles._search
 
@@ -470,10 +470,8 @@ class TestEgSet:
             mate = [-1] * g.n
             for u, v in m.edges:
                 mate[u], mate[v] = v, u
+            want = oracles._search(g, mate)
             monkeypatch.setattr(oracles, "_search", spying)
-            searches.clear()
-            want = oracles._eg_set(g, m)
-            assert searches == [mate]
             searches.clear()
             assert eg_set(g) == want
             monkeypatch.undo()
