@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
 input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
 integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
-(wrong shape, no vertices, or past the size guard for oracle
-cross-checks: the graph under analyze --verify, --max-n under verify).
+(wrong shape, no vertices, past the size guard for oracle
+cross-checks: the graph under analyze --verify, --max-n under verify,
+or too large for the memory the process may use).
 main builds its argument parser once per process.  analyze walks the
 graph once for its shape and its cycle, and writes its report straight
 from the analysis, each list in one str.join, as the text
@@ -372,6 +373,9 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this process", file=sys.stderr)
+        return 3
     return code
 
 

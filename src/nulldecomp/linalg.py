@@ -36,24 +36,21 @@ adjacency matrices are +-1, where 1 / prev = prev and the step is
 x - f * prev * y with no division at all; every other division, by a
 pivot other than +-1, is still made with its remainder checked.
 
-A kernel vector x is kept as the integers d x on its nonzeros, and its
-dense Fraction tuple is built only when .vectors is read, so a basis
-takes memory in proportion to its nonzeros, not to nullity * n.  The
-A x = 0 check scatters: each nonzero x_w is added to (A x)_v for every
-neighbour v of w, and every sum must be 0.  That is the full product,
-since a row that meets no nonzero sums zeros, and it costs the degrees
-of the support, so a hub in no support is never read.  The adjacency
-rows of trees and unicyclic graphs start with a few entries each and
-stay sparse, and each step finds the rows holding its pivot column in a
-column index, so no step scans every row.
+A kernel vector x is kept as the integers d x on its nonzeros, and no
+dense vector is ever built, so a basis takes memory in proportion to
+its nonzeros, not to nullity * n.  The A x = 0 check scatters: each
+nonzero x_w is added to (A x)_v for every neighbour v of w, and every
+sum must be 0.  That is the full product, since a row that meets no
+nonzero sums zeros, and it costs the degrees of the support, so a hub
+in no support is never read.  The adjacency rows of trees and unicyclic
+graphs start with a few entries each and stay sparse, and each step
+finds the rows holding its pivot column in a column index, so no step
+scans every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,7 @@ class NullBasis:
     support holds the coordinates nonzero in some basis vector.
 
     scaled holds each vector x as d x on its nonzeros, a tuple of
-    (column, integer) pairs; .vectors divides them by d into dense
-    Fraction tuples of length n on each read.
+    (column, integer) pairs: x_j is the pair's integer divided by d.
     """
 
     n: int
@@ -74,16 +70,6 @@ class NullBasis:
     @property
     def nullity(self):
         return len(self.scaled)
-
-    @property
-    def vectors(self):
-        vectors = []
-        for dx in self.scaled:
-            vec = [_ZERO] * self.n
-            for j, x in dx:
-                vec[j] = Fraction(x, self.d)
-            vectors.append(tuple(vec))
-        return tuple(vectors)
 
 
 def _eliminate(work, cols):

@@ -113,17 +113,6 @@ def _kind(n, tree, extra):
     return _rooted(_closed_cycle(parent, *extra), (order, parent))[3].kind
 
 
-def random_simple_graph(n, p, rng):
-    """Erdos-Renyi G(n, p), for codec round-trips."""
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph(n, edges)
-
-
 def _trees(count, n_min, n_max, seed):
     """The graphs of tree_corpus, drawn one at a time."""
     rng = random.Random(seed)

@@ -304,6 +304,19 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze")
         assert code == 3
 
+    def test_out_of_memory_exits_3_with_one_line(self, capsys, monkeypatch):
+        # A hostile graph6 header can ask for more memory than the process
+        # may take; that is unsupported input, not a failed check.
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(nulldecomp.cli, "parse_graph6", exhausted)
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        code, out, err = run(capsys, "analyze", "--format", "g6")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_over_size_guard_exits_3(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("NULLDECOMP_MAX_N", raising=False)
         lines = "\n".join(f"{i} {i + 1}" for i in range(40))

@@ -25,7 +25,7 @@ def listed_unicyclic(n, rng):
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if not t.has_edge(u, v)
+        if v not in t.neighbors(u)
     ]
     extra = non_edges[rng.randrange(len(non_edges))]
     return Graph(n, list(t.edges) + [extra])

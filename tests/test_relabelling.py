@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nulldecomp import Graph, analyze, decompose, random_tree, random_unicyclic
-from nulldecomp.graphs import pendant_trees
+from refgraphs import pendant_tree
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -63,5 +63,5 @@ def test_unicyclic_counts_survive_the_relabelling(case):
         a.cycle.length,
     )
     assert set(b.cycle.vertices) == {p[v] for v in a.cycle.vertices}
-    moved = {p[t.root]: {p[v] for v in t.label_map} for t in pendant_trees(g, a.cycle)}
-    assert {t.root: set(t.label_map) for t in pendant_trees(h, b.cycle)} == moved
+    moved = {p[r]: {p[v] for v in pendant_tree(g, a.cycle, r)[1]} for r in a.cycle.vertices}
+    assert {r: set(pendant_tree(h, b.cycle, r)[1]) for r in b.cycle.vertices} == moved

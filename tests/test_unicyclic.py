@@ -31,9 +31,10 @@ from nulldecomp import (
     unicyclic_sweep,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import _components, connected_components, pendant_trees, remove_vertices
+from nulldecomp.graphs import _components
 from nulldecomp.sweeps import cycle_graph
 from nulldecomp.unicyclic import UnicyclicAnalysis, _part, _singularity
+from refgraphs import induced_by_edge_scan, pendant_tree, without_vertices
 
 
 def paw():
@@ -78,7 +79,7 @@ def all_unicyclic(n):
         t = prufer_tree(list(seq), n)
         for u, v in combinations(range(n), 2):
             edges = t.edges | {(u, v)}
-            if not t.has_edge(u, v) and edges not in seen:
+            if v not in t.neighbors(u) and edges not in seen:
                 seen.add(edges)
                 yield Graph(n, edges)
 
@@ -179,9 +180,11 @@ class TestClassify:
         for n in range(3, 8):
             for g in all_unicyclic(n):
                 want = TypeVerdict("II", None)
-                for pt in sorted(pendant_trees(g, find_cycle(g)), key=lambda p: p.root):
-                    if pt.root_local not in decompose(pt.tree).supp:
-                        want = TypeVerdict("I", pt.root)
+                cycle = find_cycle(g)
+                for root in sorted(cycle.vertices):
+                    tree, label_map = pendant_tree(g, cycle, root)
+                    if label_map.index(root) not in decompose(tree).supp:
+                        want = TypeVerdict("I", root)
                         break
                 assert classify_type(g) == want, g.edges
                 kinds.add(want.kind)
@@ -312,10 +315,10 @@ class TestCountsByWitness:
         a = analyze(g)
         u = next(i for i in range(g.n) if g.name_of(i) == "u")
         assert g.name_of(a.witness) == "v"
-        pt = next(p for p in pendant_trees(g, a.cycle) if p.root == u)
-        d_pt = decompose(pt.tree)
-        assert pt.root_local not in d_pt.supp  # u is matched in its pendant tree
-        d_rest = decompose(remove_vertices(g, pt.label_map)[0])
+        tree, label_map = pendant_tree(g, a.cycle, u)
+        d_pt = decompose(tree)
+        assert label_map.index(u) not in d_pt.supp  # u is matched in its pendant tree
+        d_rest = decompose(without_vertices(g, label_map)[0])
         assert d_pt.alpha + d_rest.alpha == a.alpha == 9
         assert d_pt.nu + d_rest.nu == a.nu == 4
 
@@ -396,7 +399,7 @@ class TestAnalyze:
             )
             seen = set()
             for u, v in a.matching:
-                assert g.has_edge(u, v)
+                assert v in g.neighbors(u)
                 assert u not in seen and v not in seen
                 seen.add(u)
                 seen.add(v)
@@ -431,11 +434,6 @@ class TestAnalyze:
         for name in ("decompose", "independent_set_certificate", "matching_certificate"):
             real = getattr(nulldecomp.trees, name)
             monkeypatch.setattr(nulldecomp.unicyclic, name, spy(name, real), raising=False)
-        monkeypatch.setattr(
-            nulldecomp.graphs,
-            "induced_subgraph",
-            spy("induced_subgraph", nulldecomp.graphs.induced_subgraph),
-        )
         fig6, fig4 = load_fixture("fig6"), load_fixture("fig4")
         for name in ("__init__", "_fill", "without_edges"):
             monkeypatch.setattr(Graph, name, spy(name, getattr(Graph, name)))
@@ -460,17 +458,18 @@ class TestAnalyze:
             a = analyze(g)
             kinds.add(a.kind)
             if a.kind == "I":
-                pt = next(p for p in pendant_trees(g, a.cycle) if p.root == a.witness)
-                rest, rest_map = remove_vertices(g, pt.label_map)
+                tree, tree_map = pendant_tree(g, a.cycle, a.witness)
+                rest, rest_map = without_vertices(g, tree_map)
                 want = [
-                    mapped(decompose(pt.tree), pt.label_map),
+                    mapped(decompose(tree), tree_map),
                     mapped(decompose(rest), rest_map),
                 ]
             else:
-                forest, fmap = remove_vertices(g, a.cycle.vertices)
+                forest, fmap = without_vertices(g, a.cycle.vertices)
+                pieces = [induced_by_edge_scan(forest, comp) for comp in _components(forest)]
                 want = [
                     mapped(decompose(comp), tuple(fmap[x] for x in cmap))
-                    for comp, cmap in connected_components(forest)
+                    for comp, cmap in pieces
                 ]
             got = [(p.vertices, p.supp, p.core, p.n_vertices) for p in a.parts]
             assert got == want, g.edges
