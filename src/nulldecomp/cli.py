@@ -17,13 +17,17 @@ cross-checks: the graph under analyze --verify, --max-n under verify,
 or too large for the memory the process may use).
 main builds its argument parser once per process.  analyze walks the
 graph once for its shape and its cycle, and writes its report straight
-from the analysis, each list in one str.join, as the text
-json.dumps(report, indent=2, sort_keys=True) would print.
+from the analysis, each list in one str.join and the parts piece by
+piece, as the text json.dumps(report, indent=2, sort_keys=True) would
+print.  It decodes a graph6 line only up to n + 1 edges, since it
+analyzes only m <= n, and keeps the cyclic collector paused from the
+read until the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -90,11 +94,14 @@ def _edges(name, pairs, indent):
 
 
 def _object(fields, indent):
-    """Key -> written value as pieces to join or write, keys sorted."""
+    """Key -> written value, or a list of the pieces of one, as pieces to
+    join or write, keys sorted."""
     inner = indent + "  "
     pieces = ["{"]
     for k, v in sorted(fields.items()):
-        pieces += (inner, _quote(k), ": ", v, ",")
+        pieces += (inner, _quote(k), ": ")
+        pieces += v if isinstance(v, list) else (v,)
+        pieces.append(",")
     pieces[-1] = indent + "}"
     return pieces
 
@@ -104,7 +111,7 @@ def _forest_fields(g, shape, d, independent, matching):
     return {
         "shape": _quote(shape.value),
         "vertex_count": repr(g.n),
-        "edge_count": repr(len(g.edges)),
+        "edge_count": repr(g.m),
         "nullity": repr(d.nullity),
         "singular": _BOOLS[d.nullity > 0],
         "alpha": repr(d.alpha),
@@ -119,7 +126,7 @@ def _forest_fields(g, shape, d, independent, matching):
 
 def _unicyclic_fields(g, shape, a):
     name = _name_table(g)
-    parts = []
+    parts = ["["]  # pieces, written as they are: parts can hold every vertex
     for p in a.parts:
         entry = {
             "kind": _quote(p.kind),
@@ -130,11 +137,12 @@ def _unicyclic_fields(g, shape, a):
         }
         if p.root is not None:
             entry["root"] = '"' + name(p.root) + '"'
-        parts.append("".join(_object(entry, "\n    ")))
+        parts += ("\n    ", *_object(entry, "\n    "), ",")
+    parts[-1] = "\n  ]"
     return {
         "shape": _quote(shape.value),
         "vertex_count": repr(g.n),
-        "edge_count": repr(len(g.edges)),
+        "edge_count": repr(g.m),
         "cycle": _strings(name, a.cycle.vertices, "\n  "),
         "type": _quote(a.kind),
         "witness": '"' + name(a.witness) + '"' if a.witness is not None else "null",
@@ -143,7 +151,7 @@ def _unicyclic_fields(g, shape, a):
         "nullity": repr(a.nullity),
         "alpha": repr(a.alpha),
         "nu": repr(a.nu),
-        "parts": "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]",
+        "parts": parts if a.parts else "[]",
         "independent_set": _strings(name, sorted(a.independent_set), "\n  "),
         "matching": _edges(name, a.matching, "\n  "),
     }
@@ -159,19 +167,40 @@ def _checked_size_limit():
         return None
 
 
+_UNSUPPORTED = "error: only forests and graphs with exactly one cycle are supported"
+
+
 def cmd_analyze(args):
+    """analyze, with the cyclic collector paused from before the parse
+    until the report is written.  At the vertex cap the parse and the
+    analysis build millions of tuples, lists and sets, none of them in a
+    reference cycle, which the collector would only rescan; it is left
+    enabled or disabled as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze_input(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze_input(args):
     if args.verify and _checked_size_limit() is None:
         return 2
     try:
-        text = _read_input(args.path)
-    except (OSError, UnicodeDecodeError) as exc:
+        # The text is dropped once parsed, not held through the analysis.
+        if args.format == "edges":
+            g = parse_edge_list(_read_input(args.path))
+        else:
+            # Only m <= n is analyzed, so the decode may stop past n edges.
+            g = parse_graph6(_read_input(args.path), _at_most_n_edges=True)
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        g = parse_edge_list(text) if args.format == "edges" else parse_graph6(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if g is None:
+        print(_UNSUPPORTED, file=sys.stderr)
+        return 3
 
     walk = _search(g)
     try:
@@ -180,10 +209,7 @@ def cmd_analyze(args):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if shape == Shape.OTHER:
-        print(
-            "error: only forests and graphs with exactly one cycle are supported",
-            file=sys.stderr,
-        )
+        print(_UNSUPPORTED, file=sys.stderr)
         return 3
 
     if shape in (Shape.TREE, Shape.FOREST):
@@ -205,7 +231,7 @@ def cmd_analyze(args):
             print(f"error: {exc}", file=sys.stderr)
             return 3
         verdicts = {k: _BOOLS[ok] for k, ok in checks.items()}
-        fields["verification"] = "".join(_object(verdicts, "\n  "))
+        fields["verification"] = _object(verdicts, "\n  ")
         if not all(checks.values()):
             code = 1
 

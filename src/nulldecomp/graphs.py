@@ -6,6 +6,16 @@ named in those ids; no subgraph is ever relabelled.  Optional display
 names ride along for fixtures whose vertices carry names like "v1" or
 "a".
 
+A Graph holds its edge count m and one tuple of neighbours per vertex,
+in the order the edges were given; its edge set is built on first read,
+and the analyses never read it.  Neighbour order steers the walk, the
+cycle's closing edge and the leaf pairing's stack, but no report
+depends on it: every reported list is sorted or canonical (the cycle's
+orientation, the smallest witness, the N-side holding the smallest
+vertex), and the vertices that one paired vertex pushes onto the leaf
+pairing's stack lie in different components of what remains, so their
+order cannot change the matching.
+
 _search is the one walk over a whole graph, and nothing keeps it: the
 components, the shape and the cycle are read off the walk a caller
 passes in or, through the public functions, off a fresh one; unicyclic
@@ -31,6 +41,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import isqrt
 
 from .errors import (
@@ -63,9 +74,13 @@ class Role(str, Enum):
 
 
 class Graph:
-    """Immutable simple undirected graph."""
+    """Immutable simple undirected graph with m edges.
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    edges is built on its first read and kept, which cannot go stale
+    since nothing changes a Graph.
+    """
+
+    __slots__ = ("n", "m", "labels", "_adj", "_edges")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
@@ -86,34 +101,45 @@ class Graph:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ValueError(f"got {len(labels)} labels for {n} vertices")
-        self._fill(n, pairs, seen, labels)
+        self._fill(n, pairs, labels)
 
     @classmethod
-    def _checked(cls, n, pairs, pair_set, labels=None):
+    def _checked(cls, n, pairs, labels=None):
         """The graph on edges its caller has already checked, built with
-        no check of its own: pairs lists distinct (u, v), u < v < n, and
-        pair_set is a set of the same pairs, added in the same order (the
-        parsers keep one for their duplicate check); labels is None or a
-        tuple of n names.  The result is Graph(n, pairs, labels), down to
-        the iteration order of edges and of every neighbor set."""
+        no check of its own: pairs lists distinct (u, v), u < v < n;
+        labels is None or a tuple of n names.  The result is
+        Graph(n, pairs, labels), down to the order of every neighbour
+        tuple."""
         g = object.__new__(cls)
-        g._fill(n, pairs, pair_set, labels)
+        g._fill(n, pairs, labels)
         return g
 
-    def _fill(self, n, pairs, pair_set, labels):
-        adj = [set() for _ in range(n)]
+    def _fill(self, n, pairs, labels):
+        adj = [[] for _ in range(n)]
         for u, v in pairs:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
+        # In place, so each list is freed as its tuple is made.
+        for v, nbrs in enumerate(adj):
+            adj[v] = tuple(nbrs)
         self.n = n
-        self.edges = frozenset(pair_set)
-        # A list, not a generator: tuple(<generator>) grows and resizes,
-        # which strands tuples in CPython's free lists and lifts peak RSS.
-        self._adj = tuple([frozenset(s) for s in adj])
+        self.m = len(pairs)
+        self._adj = tuple(adj)
+        self._edges = None
         self.labels = labels
 
+    @property
+    def edges(self):
+        """The edges as a frozenset of (u, v) with u < v."""
+        if self._edges is None:
+            self._edges = frozenset(
+                [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
+            )
+        return self._edges
+
     def neighbors(self, v):
-        """The neighbor set of v; an id outside 0..n-1 raises UnknownVertex."""
+        """The neighbours of v as a tuple, in the order their edges were
+        given; an id outside 0..n-1 raises UnknownVertex."""
         if not 0 <= v < self.n:
             raise UnknownVertex(f"vertex {v} outside 0..{self.n - 1}")
         return self._adj[v]
@@ -127,9 +153,9 @@ class Graph:
         """Copy with the given edges removed (vertex ids and labels unchanged).
 
         Edges may come in either endpoint order; one not in the graph
-        raises UnknownVertex.  Only the touched vertices' neighbor sets
-        are rebuilt, and nothing is re-validated, since deleting edges
-        keeps a valid graph valid.
+        raises UnknownVertex.  Only the touched vertices' neighbour
+        tuples are rebuilt, in their order, and nothing is re-validated,
+        since deleting edges keeps a valid graph valid.
         """
         gone = {}
         keys = set()
@@ -142,11 +168,12 @@ class Graph:
             gone.setdefault(v, set()).add(u)
         adj = list(self._adj)
         for v, ws in gone.items():
-            adj[v] = adj[v] - ws
+            adj[v] = tuple(w for w in adj[v] if w not in ws)
         out = object.__new__(Graph)
         out.n = self.n
-        out.edges = self.edges - keys
+        out.m = self.m - len(keys)
         out._adj = tuple(adj)
+        out._edges = None
         out.labels = self.labels
         return out
 
@@ -159,7 +186,7 @@ class Graph:
         return hash((self.n, self.edges, self.labels))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 @dataclass(frozen=True)
@@ -197,10 +224,12 @@ def _decimal(s):
     return int(s) if digits.isascii() and digits.isdigit() else None
 
 
-# The most vertices an edge list may declare.  Graph holds one neighbor
-# set per vertex, so a short "n=" line could otherwise ask for gigabytes;
-# at this cap a parse takes about 9 s and 0.7 GB (a random tree on 10^6
-# vertices: 8.7-9.9 s, 694 MB peak RSS, 2-core Xeon, Python 3.11).
+# The most vertices an edge list may declare.  Graph holds one neighbour
+# tuple per vertex, so a short "n=" line could otherwise ask for gigabytes;
+# at this cap a parse takes about 5 s and 0.3 GB (a random tree on 10^6
+# vertices: 4.8-5.0 s, 322 MB peak RSS, 2-core Xeon, Python 3.11), and
+# nulldecomp analyze, which pauses the cyclic collector, 11-13 s and
+# 448 MB on that tree and 12-18 s and 543 MB on a unicyclic graph.
 MAX_EDGE_LIST_N = 10**6
 
 
@@ -285,7 +314,7 @@ def parse_edge_list(text):
         raise MalformedLine(f"vertex {max_v} out of range for declared n={n}")
     if labels is not None and len(labels) != n:
         raise MalformedLine(f"labels= lists {len(labels)} names for {n} vertices")
-    return Graph._checked(n, edges, seen, labels)
+    return Graph._checked(n, edges, labels)
 
 
 def format_edge_list(g):
@@ -312,7 +341,7 @@ def format_edge_list(g):
 _SET_BITS = {chr(63 + v): tuple(b for b in range(6) if v >> 5 - b & 1) for v in range(64)}
 
 
-def parse_graph6(line):
+def parse_graph6(line, _at_most_n_edges=False):
     """Decode one graph in graph6 format.
 
     Accepts the optional ">>graph6<<" prefix and all three size headers
@@ -320,6 +349,11 @@ def parse_graph6(line):
     MalformedLine; bytes outside 63..126 raise BadChecksumChar; a payload
     shorter than n(n-1)/2 bits raises TruncatedPayload; set padding
     bits past n(n-1)/2 are ignored.
+
+    With _at_most_n_edges, for a caller that reads only graphs with
+    m <= n, a graph with more than n edges gives None.  The decode then
+    stops after n + 1 payload bytes that carry an edge: every such byte
+    carries at least one, and only the last byte can carry padding.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -354,13 +388,16 @@ def parse_graph6(line):
         raise MalformedLine(f"{got - need_bytes} trailing bytes after graph6 payload")
     # Payload bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i.
     edges = []
-    for m in re.finditer("[^?]", s[start:]):
+    marked = re.finditer("[^?]", s[start:])
+    for m in islice(marked, n + 1) if _at_most_n_edges else marked:
         for b in _SET_BITS[m.group()]:
             k = 6 * m.start() + b
             if k < need_bits:
                 j = (1 + isqrt(8 * k + 1)) // 2
                 edges.append((k - j * (j - 1) // 2, j))
-    return Graph._checked(n, edges, set(edges))
+    if _at_most_n_edges and len(edges) > n:
+        return None
+    return Graph._checked(n, edges)
 
 
 def _search(g):
@@ -421,7 +458,7 @@ def _shape(g, parent):
     """classify_shape, read off the parent list of g's walk."""
     if g.n == 0:
         raise EmptyGraph("cannot classify a graph with no vertices")
-    m = len(g.edges)
+    m = g.m
     comps = parent.count(-1)
     connected = comps == 1
     acyclic = m == g.n - comps
@@ -451,10 +488,12 @@ def find_cycle(g):
 
 def _cycle(g, parent):
     """find_cycle, read off the parent list of g's walk."""
-    if len(g.edges) != g.n or parent.count(-1) != 1:
+    if g.m != g.n or parent.count(-1) != 1:
         shape = _shape(g, parent).value if g.n else "empty"
         raise NotUnicyclic(f"graph is {shape}, expected exactly one cycle")
-    u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
+    u, v = next(
+        (u, v) for u, nbrs in enumerate(g._adj) for v in nbrs if parent[u] != v and parent[v] != u
+    )
     return _closed_cycle(parent, u, v)
 
 
@@ -519,12 +558,11 @@ def matching_defect(g, pairs):
     included) or shares a vertex with an earlier pair, or None when
     pairs is a matching of g."""
     n, adj = g.n, g._adj
-    seen = set()
+    seen = bytearray(n)
     for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n and v in adj[u]) or u in seen or v in seen:
+        if not (0 <= u < n and 0 <= v < n and v in adj[u]) or seen[u] or seen[v]:
             return (u, v)
-        seen.add(u)
-        seen.add(v)
+        seen[u] = seen[v] = 1
     return None
 
 

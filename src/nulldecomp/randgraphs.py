@@ -61,10 +61,10 @@ def random_tree(n, rng):
 
 def _candidate(n, rng):
     """(tree, pairs, (u, v)): a random tree's edges as _pruefer_edges
-    lists them, the same edges as a set of pairs a < b added in that
-    order, and a uniform non-edge u < v: the k-th of the n(n-1)/2 - (n-1)
-    non-edges in lexicographic order, found by walking the rows u, in
-    linear time, off the pair set and each row's count of tree edges."""
+    lists them, the same edges as a set of pairs a < b, and a uniform
+    non-edge u < v: the k-th of the n(n-1)/2 - (n-1) non-edges in
+    lexicographic order, found by walking the rows u, in linear time,
+    off the pair set and each row's count of tree edges."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least three vertices")
     tree = _pruefer_edges(n, rng)
@@ -89,13 +89,8 @@ def _candidate(n, rng):
 
 
 def _unicyclic(n, pairs, extra):
-    """The Graph of a candidate: the tree's pairs in the order of a
-    frozenset of them, which is how a Graph of the tree would list its
-    edges, then the non-edge, so every neighbour set iterates as in
-    Graph(n, list(tree.edges) + [extra])."""
-    edges = list(frozenset(pairs))
-    edges.append(extra)
-    return Graph._checked(n, edges, set(edges))
+    """The Graph of a candidate: the tree's pairs, then the non-edge."""
+    return Graph._checked(n, [*pairs, extra])
 
 
 def random_unicyclic(n, rng):

@@ -130,7 +130,7 @@ def _tree_checks(t, d, independent, matching):
         if c in fits:  # c fits into some maximum independent set
             ok = False
             break
-        forced, _ = _max_independent_set(masks, {c} | t.neighbors(c))
+        forced, _ = _max_independent_set(masks, {c, *t.neighbors(c)})
         if 1 + forced == d.alpha:
             ok = False
             break
@@ -145,7 +145,7 @@ def _tree_checks(t, d, independent, matching):
                 break
             note(found, (u,))
         if u not in fits:
-            closed = {u} | t.neighbors(u)
+            closed = {u, *t.neighbors(u)}
             with_u, found = _max_independent_set(masks, closed)
             if 1 + with_u != d.alpha:
                 ok = False

@@ -17,7 +17,7 @@ edges.  A graph with a cycle raises NotAForest, since the walk's roots
 count the components and a forest has exactly n - components edges;
 unicyclic.analyze passes its walk of a unicyclic graph from the cycle,
 re-rooted.  The leaf pairing behind matching_certificate runs on
-neighbour sets, and raises NotAForest when it cannot finish.
+neighbour tuples, and raises NotAForest when it cannot finish.
 
 _analyze is the forest's whole analysis from one walk, as
 unicyclic.analyze is a unicyclic graph's: the decomposition and both
@@ -33,6 +33,7 @@ sweeps, `analyze --verify` and the fixtures compare against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NotAForest
 from .graphs import _certificate_fault, _search
@@ -106,7 +107,8 @@ def _decomposition(order, parent, missable_children):
         if p >= 0:
             others = missable_children[p] - (not missable_children[v])
             free_up[v] = not others and not free_up[p]
-    supp = frozenset(v for v in range(n) if not missable_children[v] and not free_up[v])
+    # Read off order, not range(n), so the sets hold the ints the graph holds.
+    supp = frozenset([v for v in order if not missable_children[v] and not free_up[v]])
     core = set()
     for v in order:
         p = parent[v]
@@ -118,8 +120,7 @@ def _decomposition(order, parent, missable_children):
     core = frozenset(core)
     if core & supp:
         raise AssertionError("support touches itself: matching DP broken")
-    s_part = supp | core
-    n_part = frozenset(v for v in range(n) if v not in s_part)
+    n_part = frozenset([v for v in order if v not in supp and v not in core])
     if len(n_part) % 2:
         raise AssertionError("N-forest has odd order: matching DP broken")
     return NullDecomposition(
@@ -145,7 +146,7 @@ def decompose(t):
 def _decompose(t, walk):
     """decompose, over the given walk of t."""
     order, parent = walk
-    if len(t.edges) != t.n - parent.count(-1):
+    if t.m != t.n - parent.count(-1):
         raise NotAForest("decompose needs an acyclic graph")
     return _decomposition(order, parent, _missable_children(order, parent))
 
@@ -204,12 +205,11 @@ def _independent_set(supp, sides, avoid):
     avoid = frozenset(avoid)
     if avoid & supp:
         raise ValueError("cannot avoid a support vertex in a maximum independent set")
-    chosen = set(supp)
-    for first, second in sides:
-        chosen |= second if avoid & first else first
+    taken = [first if avoid.isdisjoint(first) else second for first, second in sides]
+    chosen = frozenset(chain(supp, *taken))
     if avoid & chosen:
         raise ValueError("cannot avoid both sides of an N-component")
-    return frozenset(chosen)
+    return chosen
 
 
 def independent_set_certificate(t, d, avoid=()):
@@ -227,13 +227,15 @@ def independent_set_certificate(t, d, avoid=()):
 
 
 def _leaf_pairing(nbrs):
-    """A maximum matching of the forest with neighbour sets nbrs, by
-    repeatedly pairing a leaf upward; see matching_certificate."""
+    """A maximum matching of the forest with neighbour tuples nbrs, by
+    repeatedly pairing a leaf upward; see matching_certificate.  The
+    vertices that pairing v with w pushes lie in different components
+    of what remains, so the order of nbrs cannot change the result."""
     n = len(nbrs)
     deg = [len(s) for s in nbrs]  # live neighbours of each live vertex
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] <= 1]
-    edges = set()
+    edges = []
     while stack:
         v = stack.pop()
         if not alive[v]:
@@ -245,7 +247,7 @@ def _leaf_pairing(nbrs):
             if alive[w]:
                 break
         alive[v] = alive[w] = False
-        edges.add((v, w) if v < w else (w, v))
+        edges.append((v, w) if v < w else (w, v))
         for x in nbrs[w]:
             if alive[x]:
                 deg[x] -= 1

@@ -32,9 +32,10 @@ root in the walk: its cycle vertex for type I, its attach vertex for
 type II.  Nullity, singularity, the independence number and the
 matching number compose over the parts, and analyze() returns explicit
 certificates built from the same forest; the leaf pairing runs on G's
-neighbour sets with the removed edges taken out.  Before it returns, it
-holds them to the certificate rule of graphs and to the sizes alpha and
-nu, and raises AssertionError naming the offending id, edge or pair.
+neighbour tuples with the removed edges filtered out.  Before it
+returns, it holds them to the certificate rule of graphs and to the
+sizes alpha and nu, and raises AssertionError naming the offending id,
+edge or pair.
 """
 
 from __future__ import annotations
@@ -212,8 +213,10 @@ def _analyze(g, walk):
     order, parent, missable, verdict = _rooted(cycle, walk)
     n, length = g.n, cycle.length
     hanging = order[length:]  # the vertices off the cycle, each after its parent
-    top = list(range(n))  # each vertex's root in the forest below
-    nbrs = list(g._adj)  # the forest's neighbour sets, as without_edges derives them
+    top = [-1] * n  # each vertex's root in the forest below
+    for c in cycle.vertices:
+        top[c] = c
+    nbrs = list(g._adj)  # the forest's neighbour tuples, as without_edges derives them
 
     if verdict.kind == "I":
         # f = G minus the two cycle edges at v: T_v rooted at v, and the
@@ -230,17 +233,17 @@ def _analyze(g, walk):
         _missable_children(path, hung, missable)
         f_order = (v, *path, *hanging)
         d = _decomposition(f_order, hung, missable)
-        pendant = frozenset(x for x in range(n) if top[x] == v)
+        pendant = frozenset([x for x in f_order if top[x] == v])
         parts = (
             _part("pendant", v, pendant, d),
-            _part("rest", None, frozenset(range(n)) - pendant, d),
+            _part("rest", None, [x for x in f_order if top[x] != v], d),
         )
         cycle_alpha = cycle_nu = cycle_nullity = 0
         sides = _n_component_sides(f_order, hung, d.n_forest_vertices)
         independent = _independent_set(d.supp, sides, (v,))
-        nbrs[v] = nbrs[v] - {a, b}
-        nbrs[a] = nbrs[a] - {v}
-        nbrs[b] = nbrs[b] - {v}
+        nbrs[v] = tuple(w for w in nbrs[v] if w != a and w != b)
+        nbrs[a] = tuple(w for w in nbrs[a] if w != v)
+        nbrs[b] = tuple(w for w in nbrs[b] if w != v)
         matching = _leaf_pairing(nbrs)
     else:
         # off = G minus every edge at a cycle vertex: the cycle vertices
@@ -252,6 +255,7 @@ def _analyze(g, walk):
             p = parent[x]
             if parent[p] < 0:
                 cut[x] = -1
+                top[x] = x
                 attach.append(x)
             else:
                 top[x] = top[p]
@@ -269,9 +273,10 @@ def _analyze(g, walk):
             _independent_set(d.supp, sides, attach) - set(cycle.vertices)
         )
         for c in cycle.vertices:
-            nbrs[c] = frozenset()
+            nbrs[c] = ()
         for w in attach:
-            nbrs[w] = nbrs[w] - {parent[w]}
+            p = parent[w]
+            nbrs[w] = tuple(x for x in nbrs[w] if x != p)
         matching = frozenset(cycle.edges[every_other]) | _leaf_pairing(nbrs)
 
     alpha = cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts)

@@ -47,7 +47,7 @@ def pendant_tree(g, cycle, root):
     forest = g.without_edges(cycle.edges)
     reached, todo = {root}, [root]
     while todo:
-        new = forest.neighbors(todo.pop()) - reached
+        new = set(forest.neighbors(todo.pop())) - reached
         reached |= new
         todo.extend(new)
     return induced_by_edge_scan(forest, reached)

@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, determinism."""
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -42,6 +43,25 @@ FIG3 = str(resources.files("nulldecomp.fixtures") / "fig3.edges")
 FIG1 = str(resources.files("nulldecomp.fixtures") / "fig1_T1.edges")
 FIG6 = str(resources.files("nulldecomp.fixtures") / "fig6.edges")
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def graph6_line(g):
+    """g in graph6, written from its definition: the size header, then bit
+    j(j-1)/2 + i for each edge (i, j), i < j, six bits a byte, plus 63."""
+    n = g.n
+    bits = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        bits[k // 6] |= 32 >> k % 6
+    head = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    return "".join(chr(63 + b) for b in [*head, *bits]) + "\n"
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def run(capsys, *argv):
@@ -299,6 +319,86 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--format", "g6")
         assert code == 3 and "one cycle" in err
 
+    def test_graph6_past_n_edges_exits_3_with_the_shape_line(self, capsys, monkeypatch):
+        # The decode stops past n edges; the error is the one a full
+        # decode's shape check gives.
+        bowtie = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        for line in ("C~\n", "D~{\n", graph6_line(bowtie)):
+            g = nulldecomp.graphs.parse_graph6(line)
+            assert g.m > g.n and classify_shape(g) == Shape.OTHER
+            monkeypatch.setattr("sys.stdin", io.StringIO(line))
+            code, out, err = run(capsys, "analyze", "--format", "g6")
+            assert (code, out) == (3, "")
+            assert err == "error: only forests and graphs with exactly one cycle are supported\n"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, text, want",
+        [
+            (["analyze"], "0 1\n1 2\n", 0),
+            (["analyze", "--format", "g6"], "Bw\n", 0),
+            (["analyze"], "0 0\n", 2),
+            (["analyze", "--format", "g6"], "C~\n", 3),
+            (["analyze"], "0 1\n1 2\n2 0\n0 3\n3 1\n", 3),
+        ],
+        ids=["tree", "cycle", "parse-error", "graph6-past-n-edges", "two-cycles"],
+    )
+    def test_leaves_the_collector_as_it_found_it(self, capsys, monkeypatch, enabled, argv, text, want):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        before = gc.isenabled()
+        set_collector(enabled)
+        try:
+            code, _, _ = run(capsys, *argv)
+            after = gc.isenabled()
+        finally:
+            set_collector(before)
+        assert (code, after) == (want, enabled)
+
+    def test_the_collector_is_paused_from_the_parse_to_the_report(self, monkeypatch):
+        seen = []
+
+        def spied(name, fn):
+            def spy(*args):
+                seen.append((name, gc.isenabled()))
+                return fn(*args)
+
+            return spy
+
+        class Out(io.StringIO):
+            def writelines(self, lines):
+                seen.append(("writelines", gc.isenabled()))
+                super().writelines(lines)
+
+        for name in ("parse_edge_list", "_analyze_unicyclic", "_unicyclic_fields"):
+            monkeypatch.setattr(nulldecomp.cli, name, spied(name, getattr(nulldecomp.cli, name)))
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 0\n2 3\n"))
+        monkeypatch.setattr("sys.stdout", Out())
+        assert gc.isenabled()
+        assert main(["analyze"]) == 0
+        assert gc.isenabled()
+        assert seen == [
+            ("parse_edge_list", False),
+            ("_analyze_unicyclic", False),
+            ("_unicyclic_fields", False),
+            ("writelines", False),
+        ]
+
+    @pytest.mark.parametrize("fmt", ["edges", "g6"])
+    def test_analyze_reads_the_edge_count_not_the_edge_set(self, capsys, monkeypatch, fmt):
+        def unread(g):
+            raise AssertionError("analyze read Graph.edges")
+
+        write = format_edge_list if fmt == "edges" else graph6_line
+        cases = [
+            (write(g), g.m)
+            for g in (random_tree(200, random.Random(5)), random_unicyclic(200, random.Random(5)))
+        ]
+        monkeypatch.setattr(nulldecomp.graphs.Graph, "edges", property(unread))
+        for text, m in cases:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, _ = run(capsys, "analyze", "--format", fmt)
+            assert code == 0 and json.loads(out)["edge_count"] == m
+
     def test_empty_graph_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("n=0\n"))
         code, _, err = run(capsys, "analyze")
@@ -307,7 +407,7 @@ class TestAnalyze:
     def test_out_of_memory_exits_3_with_one_line(self, capsys, monkeypatch):
         # A hostile graph6 header can ask for more memory than the process
         # may take; that is unsupported input, not a failed check.
-        def exhausted(text):
+        def exhausted(text, **budget):
             raise MemoryError
 
         monkeypatch.setattr(nulldecomp.cli, "parse_graph6", exhausted)

@@ -123,7 +123,7 @@ def is_ancestor(parent, a, v):
 
 def same_graph(got, want):
     """Equal, and equal in the iteration order of edges and of every
-    neighbor set, which the walk and the certificates follow."""
+    neighbour tuple, which the walk follows."""
     return (
         got == want
         and list(got.edges) == list(want.edges)
@@ -172,7 +172,8 @@ class TestGraph:
         g = Graph(4, [(0, 1), (2, 1), (2, 3)])
         assert g.n == 4
         assert g.edges == {(0, 1), (1, 2), (2, 3)}
-        assert g.neighbors(1) == {0, 2}
+        assert set(g.neighbors(1)) == {0, 2}
+        assert g.m == 3
 
     @pytest.mark.parametrize(
         "call",
@@ -192,6 +193,22 @@ class TestGraph:
         for h in (g, Graph(4, g.edges, labels="abcd")):
             with pytest.raises(UnknownVertex):
                 getattr(h, call[0])(*call[1:])
+
+    def test_edges_are_built_on_first_read_and_kept(self):
+        # Graph is immutable, so the set built on the first read cannot go
+        # stale; a copy without edges builds its own.
+        rng = random.Random(31)
+        for _ in range(100):
+            g = random_simple_graph(rng.randrange(0, 20), rng.random(), rng)
+            assert g._edges is None
+            h = parse_edge_list(format_edge_list(g))  # which reads g.edges
+            assert h._edges is None
+            for x in (g, h):
+                edges = x.edges
+                assert x.edges is edges and len(edges) == x.m
+                assert edges == {(u, v) for u in range(x.n) for v in x.neighbors(u) if u < v}
+            cut = g.without_edges(sorted(g.edges)[: g.m // 2])
+            assert cut._edges is None and cut.m == len(cut.edges) == g.m - g.m // 2
 
     def test_edges_normalized_to_sorted_pairs(self):
         g = Graph(3, [(2, 0)])
@@ -230,7 +247,14 @@ class TestGraph:
             got = g.without_edges(given)
             want = Graph(g.n, g.edges - set(removed), labels=g.labels)
             assert got == want
-            assert all(got.neighbors(v) == want.neighbors(v) for v in range(g.n))
+            assert got.m == len(want.edges)
+            assert all(set(got.neighbors(v)) == set(want.neighbors(v)) for v in range(g.n))
+            # Each neighbour tuple keeps its order, less the removed ends.
+            gone = set(removed)
+            assert all(
+                got.neighbors(v) == tuple(w for w in g.neighbors(v) if (min(v, w), max(v, w)) not in gone)
+                for v in range(g.n)
+            )
             assert (g.n, g.edges, g.labels, [g.neighbors(v) for v in range(g.n)]) == before
             assert g.without_edges([]) == g
             absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.neighbors(u)]
@@ -513,6 +537,48 @@ class TestParsersBuildTheCheckedGraph:
             # The payload lists pair (i, j), i < j, by j, then i.
             pairs = sorted(((min(e), max(e)) for e in h.edges), key=lambda e: e[::-1])
             assert same_graph(parse_graph6(line), Graph(n, pairs))
+
+
+class TestGraph6EdgeBudget:
+    """parse_graph6(line, _at_most_n_edges=True) gives None for a graph
+    with more than n edges, reading at most n + 1 payload bytes that carry
+    an edge, and otherwise the graph the plain parse gives."""
+
+    def test_none_past_n_edges_else_the_plain_parse(self):
+        rng = random.Random(53)
+        for trial in range(300):
+            n = rng.randrange(0, 16)
+            h = nx.gnm_random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=trial)
+            line = nx.to_graph6_bytes(h, header=False).decode()
+            got = parse_graph6(line, _at_most_n_edges=True)
+            if h.number_of_edges() > n:
+                assert got is None, line
+            else:
+                assert same_graph(got, parse_graph6(line)), line
+
+    def test_errors_come_before_the_budget(self):
+        # Every check reads the whole line before the decode starts.
+        for bad, error in [("C~~", MalformedLine), ("C~\x01", BadChecksumChar), ("D~", TruncatedPayload)]:
+            with pytest.raises(error):
+                parse_graph6(bad, _at_most_n_edges=True)
+
+    def test_the_decode_stops_after_n_plus_one_marked_bytes(self, monkeypatch):
+        read = []
+
+        class Counted(dict):
+            def __getitem__(self, ch):
+                read.append(ch)
+                return dict.__getitem__(self, ch)
+
+        monkeypatch.setattr(nulldecomp.graphs, "_SET_BITS", Counted(nulldecomp.graphs._SET_BITS))
+        n = 300
+        complete = "~" * ((n * (n - 1) // 2 + 5) // 6)
+        head = "".join(chr(63 + x) for x in (63, n >> 12, n >> 6 & 63, n & 63))
+        assert parse_graph6(head + complete, _at_most_n_edges=True) is None
+        assert len(read) == n + 1
+        read.clear()
+        assert parse_graph6(head + complete).m == n * (n - 1) // 2
+        assert len(read) == len(complete)
 
 
 class TestShapesAndComponents:

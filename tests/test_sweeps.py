@@ -150,7 +150,7 @@ def random_forest(n, rng):
 
 def reference_core_exclusion(t, d):
     for c in d.core:
-        forced, _ = max_independent_set(t, {c} | t.neighbors(c))
+        forced, _ = max_independent_set(t, {c} | set(t.neighbors(c)))
         if 1 + forced == d.alpha:  # c would fit into some maximum independent set
             return False
     return True
@@ -159,7 +159,7 @@ def reference_core_exclusion(t, d):
 def reference_n_vertex_flexibility(t, d):
     for u in d.n_forest_vertices:
         without, _ = max_independent_set(t, (u,))
-        with_u, _ = max_independent_set(t, {u} | t.neighbors(u))
+        with_u, _ = max_independent_set(t, {u} | set(t.neighbors(u)))
         if without != d.alpha or 1 + with_u != d.alpha:
             return False
     return True
