@@ -274,6 +274,8 @@ def unicyclic_sweep(count, n_min, n_max, seed):
 
 
 def cycle_graph(n):
+    if n < 3:
+        raise ValueError("cycles need at least three vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

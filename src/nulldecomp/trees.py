@@ -11,17 +11,23 @@ out by counting:
 
 Both are additive over components, so everything here accepts arbitrary
 forests, the empty graph included.  The DP, the Core and N-vertex
-reading and the N-component sides run over a given walk: an (order,
+reading and the independent set run over a given walk: an (order,
 parent) pair that roots the forest, whose parent edges are exactly its
 edges.  A graph with a cycle raises NotAForest, since the walk's roots
 count the components and a forest has exactly n - components edges;
-unicyclic.analyze passes its walk of a unicyclic graph from the cycle,
-re-rooted.  The leaf pairing behind matching_certificate runs on
-neighbour tuples, and raises NotAForest when it cannot finish.
+unicyclic.analyze passes the one spanning forest it cuts out of its
+walk of a unicyclic graph.  The leaf pairing behind
+matching_certificate runs on neighbour tuples, and raises NotAForest
+when it cannot finish.
 
-_analyze is the forest's whole analysis from one walk, as
-unicyclic.analyze is a unicyclic graph's: the decomposition and both
-certificates, held to the certificate rule of graphs before it returns.
+One rule builds every independent set: Supp plus, in each N-component,
+the side of its depth-parity colouring that holds the component's
+smallest vertex, or the other side when that one holds a vertex to
+avoid.  _analyze, independent_set_certificate and both unicyclic types
+take their sets from it.  _analyze is the forest's whole analysis from
+one walk, as unicyclic.analyze is a unicyclic graph's: the
+decomposition and both certificates, held to the certificate rule of
+graphs before it returns.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -89,14 +95,16 @@ def _missable_children(order, parent, counts=None):
 def _decomposition(order, parent, missable_children):
     """Null decomposition of the forest that (order, parent) roots.
 
-    order lists every vertex 0..n-1, each after its parent, and the
-    forest's edges are exactly the parent edges; missable_children is
-    the bottom-up count over it.  Top-down, free_up[c] says whether c's
-    parent p is missable in the forest with c's subtree cut off: p has
-    no missable child besides c and free_up[p] is false.  v is missable
-    in the whole forest, i.e. in Supp, iff it has no missable child and
-    free_up[v] is false.  Core is N(Supp), read off the parent edges,
-    the N-vertices are the rest, and the nullity is |Supp| - |Core|.
+    order lists the forest's vertices, each after its parent, and its
+    edges are exactly their parent edges.  parent may index vertices
+    that order leaves out, as the cycle of a type II unicyclic graph;
+    they fall in no part.  missable_children is the bottom-up count over
+    it.  Top-down, free_up[c] says whether c's parent p is missable in
+    the forest with c's subtree cut off: p has no missable child besides
+    c and free_up[p] is false.  v is missable in the whole forest, i.e.
+    in Supp, iff it has no missable child and free_up[v] is false.  Core
+    is N(Supp), read off the parent edges, the N-vertices are the rest,
+    and the nullity is |Supp| - |Core|.
     The structural facts the theory guarantees (Supp disjoint from Core,
     even N-part) are re-checked; a violation would mean a bug in the DP.
     """
@@ -157,7 +165,7 @@ def _analyze(t, walk):
     matching_certificate give them.  Raises AssertionError naming what
     breaks the certificate rule, which would mean a bug here."""
     d = _decompose(t, walk)
-    independent = _independent_set(d.supp, _n_component_sides(*walk, d.n_forest_vertices), ())
+    independent = _independent_set(*walk, d, ())
     matching = _leaf_pairing(t._adj)
     fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
     if fault is not None:
@@ -165,51 +173,56 @@ def _analyze(t, walk):
     return d, independent, matching
 
 
-def _n_component_sides(order, parent, n_part):
-    """Bipartition sides of each N-forest component, by smallest vertex.
+def _independent_set(order, parent, d, avoid):
+    """Supp plus one side of each N-component, keeping out avoid; see
+    independent_set_certificate.
 
-    (order, parent) roots the forest as for _decomposition, so the
-    N-forest's edges are the parent edges with both ends in n_part, and
-    each component is coloured by depth parity down them.  The side
-    holding the component's smallest vertex comes first.
+    (order, parent) roots the forest that d decomposes, as for
+    _decomposition, so each N-component's edges are the parent edges
+    with both ends in it.  One pass down them colours each component by
+    depth parity below its first vertex in order; a second pass takes
+    each component's side as that vertex comes up.
     """
+    supp, n_part = d.supp, d.n_forest_vertices
+    avoid = frozenset(avoid)
+    if avoid & supp:
+        raise ValueError("cannot avoid a support vertex in a maximum independent set")
     n = len(parent)
-    top = [0] * n  # the component's first vertex in order
-    odd = [False] * n
+    top = [-1] * n  # each N-vertex's component, named by its first vertex in order
+    odd = bytearray(n)  # depth parity below that first vertex
+    low = [n] * n  # at a component's first vertex: its smallest vertex
+    excess = [0] * n  # there: its odd side's size minus its even side's
     for v in order:
         if v in n_part:
             p = parent[v]
             if p in n_part:
-                top[v] = top[p]
+                t = top[v] = top[p]
                 odd[v] = not odd[p]
             else:
-                top[v] = v
-    sides = {}  # top -> (parity of the smallest vertex, first side, second side)
-    for v in sorted(n_part):
-        entry = sides.get(top[v])
-        if entry is None:
-            sides[top[v]] = (odd[v], [v], [])
-        else:
-            entry[1 if odd[v] == entry[0] else 2].append(v)
-    out = []
-    for _, first, second in sides.values():
-        if len(first) != len(second):
-            raise AssertionError("N-component bipartition sides differ in size")
-        out.append((frozenset(first), frozenset(second)))
-    return out
-
-
-def _independent_set(supp, sides, avoid):
-    """Supp plus one side of each N-component, keeping out avoid; see
-    independent_set_certificate."""
-    avoid = frozenset(avoid)
-    if avoid & supp:
-        raise ValueError("cannot avoid a support vertex in a maximum independent set")
-    taken = [first if avoid.isdisjoint(first) else second for first, second in sides]
-    chosen = frozenset(chain(supp, *taken))
-    if avoid & chosen:
-        raise ValueError("cannot avoid both sides of an N-component")
-    return chosen
+                t = top[v] = v
+            if v < low[t]:
+                low[t] = v
+            excess[t] += 1 if odd[v] else -1
+    hit = bytearray(n)  # bit 1 << parity for each side of a component that avoid hits
+    for v in avoid:
+        if v in n_part:
+            hit[top[v]] |= 1 << odd[v]
+    side = bytearray(n)  # the parity taken in each component
+    taken = []
+    for v in order:
+        t = top[v]
+        if t == v:
+            if excess[t]:
+                raise AssertionError("N-component bipartition sides differ in size")
+            s = odd[low[t]]
+            if hit[t] >> s & 1:
+                s ^= 1
+                if hit[t] >> s & 1:
+                    raise ValueError("cannot avoid both sides of an N-component")
+            side[t] = s
+        if t >= 0 and odd[v] == side[t]:
+            taken.append(v)
+    return frozenset(chain(supp, taken))
 
 
 def independent_set_certificate(t, d, avoid=()):
@@ -222,8 +235,7 @@ def independent_set_certificate(t, d, avoid=()):
     this needs them outside Supp, since Supp lies in every maximum
     independent set, and on one side of each N-component.
     """
-    order, parent = _search(t)
-    return _independent_set(d.supp, _n_component_sides(order, parent, d.n_forest_vertices), avoid)
+    return _independent_set(*_search(t), d, avoid)
 
 
 def _leaf_pairing(nbrs):

@@ -14,28 +14,32 @@ for each vertex, its children that are missable in their own subtrees;
 a cycle vertex is matched in its pendant tree iff that count is
 positive, which gives the type, and the witness is the smallest
 matched cycle vertex.  Swapping a few parent pointers then roots the
-spanning forest that the type calls for, and one top-down pass
-decomposes it:
+one spanning forest that the type calls for:
 
 - type I: f, G minus the two cycle edges at the witness v, which is the
-  pendant tree T_v and the rest R = G - V(T_v) side by side.  The cycle
-  path a ... b between v's cycle neighbours is hung under a, and only
-  that path needs counting again.
-- type II: off, G minus every edge at a cycle vertex, which is G - C
-  with the cycle vertices left isolated; each tree of G - C is rooted at
-  its attach vertex, the one vertex with a cycle neighbour.  A type II
-  graph behaves like the cycle plus G - C.
+  pendant tree T_v rooted at v and the rest R = G - V(T_v) rooted at a,
+  side by side.  The cycle path a ... b between v's cycle neighbours is
+  hung under a, and only that path needs counting again.  The set
+  avoids v.
+- type II: G - C, each tree rooted at its attach vertex, the one vertex
+  with a cycle neighbour; the set avoids the attach vertices.  A type II
+  graph behaves like the cycle plus G - C, so the cycle adds
+  floor(L/2) to alpha and to nu, every other cycle vertex to the set,
+  every other cycle edge to the matching, and 2 to the nullity when 4
+  divides L.
 
-No forest is copied and no Graph is built.  Each piece's part is the
-forest's decomposition restricted to the piece, read off each vertex's
-root in the walk: its cycle vertex for type I, its attach vertex for
-type II.  Nullity, singularity, the independence number and the
-matching number compose over the parts, and analyze() returns explicit
-certificates built from the same forest; the leaf pairing runs on G's
-neighbour tuples with the removed edges filtered out.  Before it
-returns, it holds them to the certificate rule of graphs and to the
-sizes alpha and nu, and raises AssertionError naming the offending id,
-edge or pair.
+After that one tail serves both types.  The ends of the removed edges
+keep only the forest's parent edges in their neighbour tuples, and the
+forest goes through trees' top-down pass, its one independent-set rule
+and the leaf pairing.  The parts are the forest's decomposition
+restricted to the vertices under each of its roots: the pendant tree
+and the rest for type I, and for type II the trees of G - C by smallest
+vertex.  No forest is copied and no Graph is built.  Nullity,
+singularity, the independence number and the matching number compose
+over the parts plus the cycle's terms.  Before analyze() returns its
+certificates, it holds them to the certificate rule of graphs and to
+the sizes alpha and nu, and raises AssertionError naming the offending
+id, edge or pair.
 """
 
 from __future__ import annotations
@@ -43,13 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import CycleInfo, _certificate_fault, _cycle, _search
-from .trees import (
-    _decomposition,
-    _independent_set,
-    _leaf_pairing,
-    _missable_children,
-    _n_component_sides,
-)
+from .trees import _decomposition, _independent_set, _leaf_pairing, _missable_children
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,8 @@ def _rooted(cycle, walk):
     vertices, the path outwards, then the rest in walk order.  A cycle
     vertex is matched in its pendant tree iff it has a child missable
     in its own subtree, and the witness is the smallest matched one.
-    Returns (order, parent, missable_children, verdict).
+    Returns (order, parent, missable_children, verdict); parent and the
+    counts are new lists, which _analyze edits into its forest's.
     """
     walk_order, parent = walk
     parent = list(parent)
@@ -211,73 +210,52 @@ def _analyze(g, walk):
     """analyze, over the given walk of g."""
     cycle = _cycle(g, walk[1])
     order, parent, missable, verdict = _rooted(cycle, walk)
-    n, length = g.n, cycle.length
-    hanging = order[length:]  # the vertices off the cycle, each after its parent
-    top = [-1] * n  # each vertex's root in the forest below
-    for c in cycle.vertices:
-        top[c] = c
-    nbrs = list(g._adj)  # the forest's neighbour tuples, as without_edges derives them
-
+    hanging = order[cycle.length :]  # the vertices off the cycle, each after its parent
     if verdict.kind == "I":
         # f = G minus the two cycle edges at v: T_v rooted at v, and the
         # rest rooted at a with the cycle path a ... b hung under it.
         v = verdict.witness
         i = cycle.vertices.index(v)
         path = cycle.vertices[i + 1 :] + cycle.vertices[:i]
-        a, b = path[0], path[-1]
-        for x in hanging:
-            top[x] = top[parent[x]]
-        hung = list(parent)
         for p, x in zip(path, path[1:]):
-            hung[x] = p
-        _missable_children(path, hung, missable)
-        f_order = (v, *path, *hanging)
-        d = _decomposition(f_order, hung, missable)
-        pendant = frozenset([x for x in f_order if top[x] == v])
-        parts = (
-            _part("pendant", v, pendant, d),
-            _part("rest", None, [x for x in f_order if top[x] != v], d),
-        )
+            parent[x] = p
+        _missable_children(path, parent, missable)
+        order = (v, *path, *hanging)
+        avoid, cut = (v,), (v, path[0], path[-1])
+        labels = {v: ("pendant", v), path[0]: ("rest", None)}
         cycle_alpha = cycle_nu = cycle_nullity = 0
-        sides = _n_component_sides(f_order, hung, d.n_forest_vertices)
-        independent = _independent_set(d.supp, sides, (v,))
-        nbrs[v] = tuple(w for w in nbrs[v] if w != a and w != b)
-        nbrs[a] = tuple(w for w in nbrs[a] if w != v)
-        nbrs[b] = tuple(w for w in nbrs[b] if w != v)
-        matching = _leaf_pairing(nbrs)
+        cycle_set = cycle_matching = frozenset()
     else:
-        # off = G minus every edge at a cycle vertex: the cycle vertices
-        # isolated, and each tree of G - C rooted at its attach vertex,
-        # the one vertex with a cycle neighbour.
-        cut = list(parent)
-        attach = []
-        for x in hanging:
-            p = parent[x]
-            if parent[p] < 0:
-                cut[x] = -1
-                top[x] = x
-                attach.append(x)
-            else:
-                top[x] = top[p]
-        d = _decomposition(order, cut, missable)
-        pieces = {}
-        for x in range(n):
-            if parent[x] >= 0:
-                pieces.setdefault(top[x], []).append(x)
-        parts = tuple(_part("component", parent[w], xs, d) for w, xs in pieces.items())
-        cycle_alpha = cycle_nu = length // 2
-        cycle_nullity = 2 if length % 4 == 0 else 0
-        every_other = slice(0, 2 * cycle_alpha, 2)
-        sides = _n_component_sides(order, cut, d.n_forest_vertices)
-        independent = frozenset(cycle.vertices[every_other]) | (
-            _independent_set(d.supp, sides, attach) - set(cycle.vertices)
-        )
-        for c in cycle.vertices:
-            nbrs[c] = ()
+        # G - C, each tree rooted at its attach vertex, the one vertex
+        # with a cycle neighbour; the cycle's own terms are added after.
+        avoid = attach = [x for x in hanging if parent[parent[x]] < 0]
+        labels = {w: ("component", parent[w]) for w in attach}
         for w in attach:
-            p = parent[w]
-            nbrs[w] = tuple(x for x in nbrs[w] if x != p)
-        matching = frozenset(cycle.edges[every_other]) | _leaf_pairing(nbrs)
+            parent[w] = -1
+        order, cut = hanging, (*cycle.vertices, *attach)
+        cycle_alpha = cycle_nu = cycle.length // 2
+        cycle_nullity = 2 if cycle.length % 4 == 0 else 0
+        every_other = slice(0, 2 * cycle_alpha, 2)
+        cycle_set = frozenset(cycle.vertices[every_other])
+        cycle_matching = frozenset(cycle.edges[every_other])
+
+    # The ends of the removed edges keep only the forest's parent edges.
+    nbrs = list(g._adj)
+    for x in cut:
+        nbrs[x] = tuple(w for w in nbrs[x] if parent[w] == x or parent[x] == w)
+    d = _decomposition(order, parent, missable)
+    independent = cycle_set | _independent_set(order, parent, d, avoid)
+    matching = cycle_matching | _leaf_pairing(nbrs)
+    pieces = {r: [] for r in labels}  # each root of the forest -> the vertices below it
+    piece = [None] * g.n
+    for x in order:
+        p = parent[x]
+        xs = piece[x] = pieces[x] if p < 0 else piece[p]
+        xs.append(x)
+    groups = pieces.items()
+    if verdict.kind == "II":
+        groups = sorted(groups, key=lambda group: min(group[1]))  # by smallest vertex
+    parts = tuple(_part(*labels[r], xs, d) for r, xs in groups)
 
     alpha = cycle_alpha + sum(len(p.supp) + len(p.n_vertices) // 2 for p in parts)
     nu = cycle_nu + sum(len(p.core) + len(p.n_vertices) // 2 for p in parts)

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from nulldecomp import (
     matching_certificate,
     random_tree,
     random_unicyclic,
+    unicyclic_corpus,
 )
 from nulldecomp.cli import main
 from nulldecomp.sweeps import (
@@ -779,3 +781,38 @@ class TestReportWriter:
             ("cycle", "II"),
         }
         assert seen["labeled"] >= 50 and seen["verified"] >= 100, seen
+
+
+# report_digest() before the unicyclic analysis read both types off one
+# spanning forest each.
+FROZEN_REPORT_DIGEST = "effba849fdc01f4f954f020e60c2642aaa3485a168ca57b98b5929c35a6a804d"
+
+
+def report_digest(capsys, monkeypatch):
+    """sha256 over the `nulldecomp analyze` stdout of 300 seeded forests
+    (every fourth tree loses up to three edges) and the 300 graphs of a
+    seeded unicyclic corpus (167 of type I, 133 of type II), each read as
+    an edge list."""
+    rng = random.Random(2819)
+    graphs = []
+    for i in range(300):
+        t = random_tree(rng.randrange(1, 60), rng)
+        if i % 4 == 3 and t.edges:
+            t = t.without_edges(rng.sample(sorted(t.edges), min(3, len(t.edges))))
+        graphs.append(t)
+    graphs += unicyclic_corpus(300, 3, 60, 2819)
+    h = hashlib.sha256()
+    for g in graphs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 0 and not err
+        h.update(out.encode())
+    return h.hexdigest()
+
+
+class TestFrozenReports:
+    def test_reports_are_those_of_the_frozen_corpus(self, capsys, monkeypatch):
+        # The whole report, not only the certificates: the parts with each
+        # piece's Supp, Core and N-vertices, the reason, the witness and
+        # the cycle, on every shape and both types.
+        assert report_digest(capsys, monkeypatch) == FROZEN_REPORT_DIGEST

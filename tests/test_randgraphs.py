@@ -16,6 +16,7 @@ from nulldecomp import (
     tree_corpus,
     unicyclic_corpus,
 )
+from nulldecomp.sweeps import cycle_graph, cycle_sweep
 
 
 def listed_unicyclic(n, rng):
@@ -91,3 +92,13 @@ def test_corpora_keep_their_graphs():
 def test_unicyclic_corpus_refuses_fewer_than_three_vertices():
     with pytest.raises(ValueError, match="at least three vertices"):
         unicyclic_corpus(1, 2, 5, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cycles_refuse_fewer_than_three_vertices(n):
+    # Not SelfLoop at n = 1 or DuplicateEdge at n = 2 from a graph they built.
+    with pytest.raises(ValueError, match="^cycles need at least three vertices$"):
+        cycle_graph(n)
+    with pytest.raises(ValueError, match="^cycles need at least three vertices$"):
+        cycle_sweep(n, 5)
+    assert cycle_graph(3).m == 3 and cycle_sweep(3, 5).ok

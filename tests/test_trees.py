@@ -11,6 +11,7 @@ import nulldecomp.unicyclic
 from nulldecomp import (
     Graph,
     NotAForest,
+    NullDecomposition,
     decompose,
     independent_set_certificate,
     matching_certificate,
@@ -269,7 +270,24 @@ def dfs_n_component_sides(t, d):
     return out
 
 
+def assert_takes_the_sides(f, walk, d):
+    """_independent_set over walk takes Supp plus the side of each
+    N-component that holds its smallest vertex, and the other side once
+    avoid holds that vertex, both as the search of f's neighbor sets
+    finds them.  Returns the number of N-components."""
+    sides = dfs_n_component_sides(f, d)
+    got = nulldecomp.trees._independent_set(*walk, d, ())
+    assert got == d.supp.union(*(first for first, _ in sides)), sorted(f.edges)
+    smallest = [min(first) for first, _ in sides]
+    got = nulldecomp.trees._independent_set(*walk, d, smallest)
+    assert got == d.supp.union(*(second for _, second in sides)), sorted(f.edges)
+    return len(sides)
+
+
 class TestNComponentSides:
+    """The N-component sides that _independent_set takes, against a
+    search of neighbor sets."""
+
     def test_parity_sides_equal_the_search_of_neighbor_sets(self):
         rng = random.Random(89)
         seen_components = 0
@@ -277,10 +295,7 @@ class TestNComponentSides:
             f = random_tree(rng.randrange(1, 50), rng)
             f = f.without_edges(rng.sample(sorted(f.edges), min(len(f.edges), rng.randrange(5))))
             d = decompose(f)
-            order, parent = nulldecomp.graphs._search(f)
-            got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
-            assert got == dfs_n_component_sides(f, d), sorted(f.edges)
-            seen_components += len(got)
+            seen_components += assert_takes_the_sides(f, nulldecomp.graphs._search(f), d)
         assert seen_components > 400
 
     def test_sides_of_a_walk_rooted_elsewhere(self):
@@ -296,11 +311,27 @@ class TestNComponentSides:
             c = nulldecomp.graphs._cycle(g, walk[1])
             order, parent = nulldecomp.unicyclic._rooted(c, walk)[:2]
             f = g.without_edges(c.edges)
-            d = decompose(f)
-            got = nulldecomp.trees._n_component_sides(order, parent, d.n_forest_vertices)
-            assert got == dfs_n_component_sides(f, d), sorted(g.edges)
+            assert_takes_the_sides(f, (order, parent), decompose(f))
             moved += list(parent) != list(nulldecomp.graphs._search(f)[1])
         assert moved > 50
+
+    def test_refuses_what_no_maximum_set_allows(self):
+        # P5: Supp {0, 2, 4}, Core {1, 3}, no N-vertices; two P2s: all
+        # N-vertices, sides {0} / {1} and {2} / {3}.
+        walk = nulldecomp.graphs._search(path_graph(5))
+        d = decompose(path_graph(5))
+        with pytest.raises(ValueError, match="cannot avoid a support vertex"):
+            nulldecomp.trees._independent_set(*walk, d, {2})
+        g = Graph(4, [(0, 1), (2, 3)])
+        walk, d = nulldecomp.graphs._search(g), decompose(g)
+        assert nulldecomp.trees._independent_set(*walk, d, {0, 3}) == {1, 2}
+        with pytest.raises(ValueError, match="cannot avoid both sides of an N-component"):
+            nulldecomp.trees._independent_set(*walk, d, {2, 3})
+        # An N-part no matching DP gives: P3 whole, sides {0, 2} / {1}.
+        walk = nulldecomp.graphs._search(path_graph(3))
+        uneven = NullDecomposition(frozenset(), frozenset(), frozenset({0, 1, 2}), 0)
+        with pytest.raises(AssertionError, match="N-component bipartition sides differ in size"):
+            nulldecomp.trees._independent_set(*walk, uneven, ())
 
 
 class TestMatchingCertificate:
@@ -386,7 +417,9 @@ class TestForestAnalysis:
 
     def test_a_set_with_an_edge_fails_the_certificate_rule(self, monkeypatch):
         monkeypatch.setattr(
-            nulldecomp.trees, "_independent_set", lambda supp, sides, avoid: frozenset({1, 2})
+            nulldecomp.trees,
+            "_independent_set",
+            lambda order, parent, d, avoid: frozenset({1, 2}),
         )
         with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
             self.analyze(path_graph(4))
@@ -398,7 +431,7 @@ class TestForestAnalysis:
         monkeypatch.setattr(
             nulldecomp.trees,
             "_independent_set",
-            lambda supp, sides, avoid: (build(supp, sides, avoid) - {0}) | {-1},
+            lambda order, parent, d, avoid: (build(order, parent, d, avoid) - {0}) | {-1},
         )
         only_the_id = r"id outside the graph -1, edge inside the set None,"
         with pytest.raises(AssertionError, match=only_the_id):

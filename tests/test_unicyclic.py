@@ -362,7 +362,7 @@ class TestAnalyze:
         monkeypatch.setattr(
             nulldecomp.unicyclic,
             "_independent_set",
-            lambda supp, sides, avoid: frozenset({1, 2}),
+            lambda order, parent, d, avoid: frozenset({1, 2}),
         )
         with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
             analyze(paw())
@@ -376,7 +376,9 @@ class TestAnalyze:
         monkeypatch.setattr(
             nulldecomp.unicyclic,
             "_independent_set",
-            lambda supp, sides, avoid: (build(supp, sides, avoid) - a.independent_set) | {-1},
+            lambda order, parent, d, avoid: (
+                build(order, parent, d, avoid) - a.independent_set
+            ) | {-1},
         )
         with pytest.raises(AssertionError, match=r"id outside the graph -1"):
             analyze(g)
