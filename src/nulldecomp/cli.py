@@ -15,13 +15,17 @@ all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify,
 or too large for the memory the process may use).
-main builds its argument parser once per process.  analyze walks the
+main builds its argument parser once per process.  Each subcommand
+imports what it runs, and nothing else: analyze loads errors, graphs,
+trees and unicyclic; --verify adds sweeps (with oracles, linalg and
+randgraphs), as verify does; fixtures adds fixtures.  analyze walks the
 graph once for its shape and its cycle, and writes its report straight
-from the analysis, each list in one str.join and the parts piece by
-piece, as the text json.dumps(report, indent=2, sort_keys=True) would
-print.  It decodes a graph6 line only up to n + 1 edges, since it
-analyzes only m <= n, and keeps the cyclic collector paused from the
-read until the report is written.
+from the analysis, each list of names in one str.join, the matching
+_CHUNK pairs at a time and the parts piece by piece, as the text
+json.dumps(report, indent=2, sort_keys=True) would print.  It decodes
+a graph6 line only up to n + 1 edges, since it analyzes only m <= n,
+and keeps the cyclic collector paused from the read until the report
+is written.
 """
 
 from __future__ import annotations
@@ -31,15 +35,11 @@ import gc
 import json
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 
 from .errors import EmptyGraph, ParseError, TooLarge
-from .fixtures import check_all
 from .graphs import Role, Shape, _decimal, _search, _shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
-from .oracles import size_limit
-from .sweeps import _tree_checks, _unicyclic_checks
-from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 from .trees import _analyze as _analyze_forest
 from .unicyclic import _analyze as _analyze_unicyclic
 
@@ -66,6 +66,7 @@ def _roles_from(pieces):
 # indent is the line break and indentation before the closing bracket.
 _quote = json.encoder.encode_basestring_ascii
 _BOOLS = {True: "true", False: "false"}
+_CHUNK = 4096
 
 
 def _name_table(g):
@@ -84,13 +85,21 @@ def _strings(name, ids, indent):
 
 
 def _edges(name, pairs, indent):
-    """The list of two-name lists, one per pair, in sorted order."""
+    """The list of two-name lists, one per pair, in sorted order, as
+    pieces of at most _CHUNK pairs: one join over every pair would hold
+    a new str per pair at once."""
     if not pairs:
         return "[]"
     inner, deep = indent + "  ", indent + "    "
     head, mid, tail = "[" + deep + '"', '",' + deep + '"', '"' + inner + "]"
-    body = ("," + inner).join([head + name(u) + mid + name(v) + tail for u, v in sorted(pairs)])
-    return "[" + inner + body + indent + "]"
+    sep = "," + inner
+    pairs = sorted(pairs)
+    pieces = ["[" + inner]
+    for i in range(0, len(pairs), _CHUNK):
+        chunk = pairs[i : i + _CHUNK]
+        pieces += (sep.join([head + name(u) + mid + name(v) + tail for u, v in chunk]), sep)
+    pieces[-1] = indent + "]"
+    return pieces
 
 
 def _object(fields, indent):
@@ -160,6 +169,8 @@ def _unicyclic_fields(g, shape, a):
 def _checked_size_limit():
     """The oracle size guard, or None after reporting a NULLDECOMP_MAX_N
     that is not an integer."""
+    from .oracles import size_limit
+
     try:
         return size_limit()
     except ValueError as exc:
@@ -212,21 +223,25 @@ def _analyze_input(args):
         print(_UNSUPPORTED, file=sys.stderr)
         return 3
 
-    if shape in (Shape.TREE, Shape.FOREST):
+    forest = shape in (Shape.TREE, Shape.FOREST)
+    if forest:
         analysis, independent, matching = _analyze_forest(g, walk)
         fields = _forest_fields(g, shape, analysis, independent, matching)
         pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
-        check = partial(_tree_checks, g, analysis, independent, matching)
     else:
         analysis = _analyze_unicyclic(g, walk)
         fields = _unicyclic_fields(g, shape, analysis)
         pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
-        check = partial(_unicyclic_checks, g, analysis)
 
     code = 0
     if args.verify:
+        from .sweeps import _tree_checks, _unicyclic_checks
+
         try:
-            checks = check()
+            if forest:
+                checks = _tree_checks(g, analysis, independent, matching)
+            else:
+                checks = _unicyclic_checks(g, analysis)
         except TooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -290,6 +305,8 @@ def cmd_verify(args):
         )
         return 3
 
+    from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
+
     if kind == "tree":
         outcome = tree_sweep(args.count, min_n, max_n, args.seed)
         print(f"{args.count} random trees, {min_n} <= n <= {max_n}, seed {args.seed}")
@@ -316,6 +333,8 @@ def cmd_verify(args):
 
 
 def cmd_fixtures(args):
+    from .fixtures import check_all
+
     failed = 0
     for rep in check_all():
         status = "ok" if rep.ok else "FAIL"

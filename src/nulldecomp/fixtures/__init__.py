@@ -13,7 +13,7 @@ the command line exposes it as `nulldecomp fixtures`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from ..graphs import Shape, _components, classify_shape, edge_inside, matching_defect
@@ -45,18 +45,11 @@ def load_fixture(name):
     return parse_edge_list(_read_text(exp[name]["file"]))
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    label: str
-    ok: bool
-    got: str
-    want: str
+CheckRow = namedtuple("CheckRow", "label ok got want")
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    fixture: str
-    rows: tuple
+class FixtureReport(namedtuple("FixtureReport", "fixture rows")):
+    __slots__ = ()
 
     @property
     def ok(self):

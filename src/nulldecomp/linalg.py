@@ -50,11 +50,10 @@ scans every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class NullBasis:
+class NullBasis(namedtuple("NullBasis", "n d scaled support")):
     """Canonical kernel basis: one vector per free column, unit there;
     support holds the coordinates nonzero in some basis vector.
 
@@ -62,10 +61,7 @@ class NullBasis:
     (column, integer) pairs: x_j is the pair's integer divided by d.
     """
 
-    n: int
-    d: int
-    scaled: tuple
-    support: frozenset
+    __slots__ = ()
 
     @property
     def nullity(self):

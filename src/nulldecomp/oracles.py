@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .errors import TooLarge, UnknownVertex
@@ -74,11 +74,10 @@ def _guard(g, op):
         )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "edges")):
     """A set of pairwise disjoint edges, stored as (u, v) tuples with u < v."""
 
-    edges: frozenset
+    __slots__ = ()
 
     @property
     def size(self):

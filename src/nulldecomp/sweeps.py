@@ -35,7 +35,7 @@ checker builds a relabelled subgraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
 from .linalg import null_basis
@@ -76,11 +76,14 @@ CYCLE_INVARIANTS = (
 )
 
 
-@dataclass
-class SweepOutcome:
-    tallies: dict
-    failures: dict
-    stats: dict = field(default_factory=dict)
+class SweepOutcome(namedtuple("SweepOutcome", "tallies failures stats")):
+    """Per invariant (passes, fails) and the first failing graph, and
+    counts the sweep keeps besides: a new empty dict when none is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, tallies, failures, stats=None):
+        return super().__new__(cls, tallies, failures, {} if stats is None else stats)
 
     @property
     def ok(self):
@@ -232,7 +235,9 @@ def check_cycle_instance(g):
     return checks
 
 
-def run_sweep(corpus, checker, invariant_names):
+def run_sweep(corpus, checker, invariant_names, stats=None):
+    """The outcome of checker on each graph of corpus; stats, which the
+    checker may fill as it goes, is handed on to the outcome."""
     tallies = {name: [0, 0] for name in invariant_names}
     failures = {}
     for g in corpus:
@@ -244,11 +249,7 @@ def run_sweep(corpus, checker, invariant_names):
             else:
                 row[1] += 1
                 failures.setdefault(name, g)
-    return SweepOutcome(
-        tallies={k: (p, f) for k, (p, f) in tallies.items()},
-        failures=failures,
-        stats={},
-    )
+    return SweepOutcome({k: (p, f) for k, (p, f) in tallies.items()}, failures, stats)
 
 
 def tree_sweep(count, n_min, n_max, seed):
@@ -268,9 +269,7 @@ def unicyclic_sweep(count, n_min, n_max, seed):
         return _unicyclic_checks(g, analysis)
 
     corpus = _unicyclic_graphs(count, n_min, n_max, seed)
-    outcome = run_sweep(corpus, checker, UNICYCLIC_INVARIANTS)
-    outcome.stats = stats
-    return outcome
+    return run_sweep(corpus, checker, UNICYCLIC_INVARIANTS, stats)
 
 
 def cycle_graph(n):

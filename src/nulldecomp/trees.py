@@ -38,15 +38,14 @@ sweeps, `analyze --verify` and the fixtures compare against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .errors import NotAForest
 from .graphs import _certificate_fault, _search
 
 
-@dataclass(frozen=True)
-class NullDecomposition:
+class NullDecomposition(namedtuple("NullDecomposition", "supp core n_forest_vertices nullity")):
     """Partition of a forest's vertices by kernel role.
 
     Supp together with Core always equals the closed neighborhood of
@@ -56,10 +55,7 @@ class NullDecomposition:
     fixtures check it against the exact kernel.
     """
 
-    supp: frozenset
-    core: frozenset
-    n_forest_vertices: frozenset
-    nullity: int
+    __slots__ = ()
 
     @property
     def alpha(self):

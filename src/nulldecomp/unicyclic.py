@@ -44,23 +44,20 @@ id, edge or pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .graphs import CycleInfo, _certificate_fault, _cycle, _search
+from .graphs import _certificate_fault, _cycle, _search
 from .trees import _decomposition, _independent_set, _leaf_pairing, _missable_children
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
+class TypeVerdict(namedtuple("TypeVerdict", "kind witness")):
     """kind is "I" or "II"; witness is the smallest matched cycle vertex
     for type I, None for type II."""
 
-    kind: str
-    witness: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PartAnalysis:
+class PartAnalysis(namedtuple("PartAnalysis", "kind root vertices supp core n_vertices")):
     """Null decomposition of one piece of the split, in the graph's ids.
 
     kind is "pendant" (the witness's tree, type I), "rest" (everything
@@ -69,28 +66,19 @@ class PartAnalysis:
     one.
     """
 
-    kind: str
-    root: object
-    vertices: frozenset
-    supp: frozenset
-    core: frozenset
-    n_vertices: frozenset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnicyclicAnalysis:
-    cycle: CycleInfo
-    kind: str
-    witness: object
-    pure_cycle: bool
-    singular: bool
-    singular_reason: str
-    nullity: int
-    alpha: int
-    nu: int
-    parts: tuple
-    independent_set: frozenset
-    matching: frozenset
+class UnicyclicAnalysis(
+    namedtuple(
+        "UnicyclicAnalysis",
+        "cycle kind witness pure_cycle singular singular_reason nullity alpha nu parts"
+        " independent_set matching",
+    )
+):
+    """The whole analysis of a unicyclic graph; cycle is its CycleInfo."""
+
+    __slots__ = ()
 
 
 def _rooted(cycle, walk):

@@ -9,7 +9,7 @@ reaches the checks only through sweeps, which holds each of them once.
 Every public top-level function or class is exported, used by some
 module of the package or named by the benchmark, so nothing is kept
 for the tests alone.  No module keeps state between calls in a module
-global.
+global, and none imports dataclasses.
 """
 
 import ast
@@ -90,6 +90,19 @@ def test_cli_reaches_the_checks_only_through_sweeps():
         assert source != "linalg" and name != "linalg", (source, name)
         assert source != "oracles" or name == "size_limit", (source, name)
         assert name != "oracles", (source, name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix()
+)
+def test_no_module_imports_dataclasses(path):
+    # A dataclass is built at import, which every command would pay for;
+    # the records are named tuples.
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "dataclasses", node.lineno
+        elif isinstance(node, ast.Import):
+            assert "dataclasses" not in {a.name for a in node.names}, node.lineno
 
 
 @pytest.mark.parametrize(

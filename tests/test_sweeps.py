@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -208,8 +207,7 @@ def moved(d, rng):
         v = rng.choice(sorted(src))
         src.remove(v)
         rng.choice([p for p in parts if p is not src]).add(v)
-    return replace(
-        d,
+    return d._replace(
         supp=frozenset(parts[0]),
         core=frozenset(parts[1]),
         n_forest_vertices=frozenset(parts[2]),
@@ -328,8 +326,8 @@ def test_s_and_n_parts_must_partition_the_vertices():
     # The cut forest holds each vertex once, so parts that overlap or
     # miss a vertex fail, where the reference may pass them.
     d = decompose(P4)  # every vertex an N-vertex
-    overlapping = replace(d, supp=frozenset({0}))
-    missing = replace(d, n_forest_vertices=frozenset({0, 1}))
+    overlapping = d._replace(supp=frozenset({0}))
+    missing = d._replace(n_forest_vertices=frozenset({0, 1}))
     name = "S components singular, N components matched"
     assert reference_s_and_n_parts(P4, overlapping)
     assert reference_s_and_n_parts(P4, missing)
@@ -342,7 +340,7 @@ def _corrupted_tree_checks(t, name, **fields):
     fields replaced, after checking that the true decomposition passes."""
     d = decompose(t)
     assert _tree_checks(t, d, frozenset(), frozenset())[name]
-    return _tree_checks(t, replace(d, **fields), frozenset(), frozenset())[name]
+    return _tree_checks(t, d._replace(**fields), frozenset(), frozenset())[name]
 
 
 def parts(supp, core, n):
@@ -409,15 +407,15 @@ def test_type_witness_fails_on_the_wrong_verdict(name):
     assert _unicyclic_checks(g, a)["type witness agrees with matching oracle"]
     if a.kind == "I":
         # type II needs every root missable, and the witness is not
-        wrong = [replace(a, kind="II")]
+        wrong = [a._replace(kind="II")]
         # any other cycle vertex missable in its pendant tree as witness
         wrong += [
-            replace(a, witness=v)
+            a._replace(witness=v)
             for v in a.cycle.vertices
             if v != a.witness and len(g.neighbors(v)) == 2
         ]
     else:
-        wrong = [replace(a, kind="I", witness=v) for v in a.cycle.vertices]
+        wrong = [a._replace(kind="I", witness=v) for v in a.cycle.vertices]
     assert wrong
     for bad in wrong:
         assert not _unicyclic_checks(g, bad)["type witness agrees with matching oracle"]
