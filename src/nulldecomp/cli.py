@@ -19,7 +19,8 @@ main builds its argument parser once per process.  Each subcommand
 imports what it runs, and nothing else: analyze loads errors, graphs,
 trees and unicyclic; --verify adds sweeps (with oracles, linalg and
 randgraphs), as verify does; fixtures adds fixtures.  analyze walks the
-graph once for its shape and its cycle, and writes its report straight
+graph once: the Graph keeps the walk that its shape reads, and the
+analysis reads the same one.  It writes its report straight
 from the analysis, each list of names in one str.join, the matching
 _CHUNK pairs at a time and the parts piece by piece, as the text
 json.dumps(report, indent=2, sort_keys=True) would print.  It decodes
@@ -38,10 +39,10 @@ import sys
 from functools import cache
 
 from .errors import EmptyGraph, ParseError, TooLarge
-from .graphs import Role, Shape, _decimal, _search, _shape, export_dot
+from .graphs import Role, Shape, _decimal, classify_shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
 from .trees import _analyze as _analyze_forest
-from .unicyclic import _analyze as _analyze_unicyclic
+from .unicyclic import analyze as _analyze_unicyclic
 
 
 def _read_input(path):
@@ -65,6 +66,10 @@ def _roles_from(pieces):
 # would, byte for byte, with no report dict and no pure-Python encoder.
 # indent is the line break and indentation before the closing bracket.
 _quote = json.encoder.encode_basestring_ascii
+# Keys are the report's field names and the check names, a fixed few, so
+# each is quoted once per process.  Labels and values are not cached:
+# there is no bound on them.
+_key = cache(_quote)
 _BOOLS = {True: "true", False: "false"}
 _CHUNK = 4096
 
@@ -108,7 +113,7 @@ def _object(fields, indent):
     inner = indent + "  "
     pieces = ["{"]
     for k, v in sorted(fields.items()):
-        pieces += (inner, _quote(k), ": ")
+        pieces += (inner, _key(k), ": ")
         pieces += v if isinstance(v, list) else (v,)
         pieces.append(",")
     pieces[-1] = indent + "}"
@@ -213,9 +218,8 @@ def _analyze_input(args):
         print(_UNSUPPORTED, file=sys.stderr)
         return 3
 
-    walk = _search(g)
     try:
-        shape = _shape(g, walk[1])
+        shape = classify_shape(g)
     except EmptyGraph as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -225,11 +229,11 @@ def _analyze_input(args):
 
     forest = shape in (Shape.TREE, Shape.FOREST)
     if forest:
-        analysis, independent, matching = _analyze_forest(g, walk)
+        analysis, independent, matching = _analyze_forest(g)
         fields = _forest_fields(g, shape, analysis, independent, matching)
         pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
     else:
-        analysis = _analyze_unicyclic(g, walk)
+        analysis = _analyze_unicyclic(g)
         fields = _unicyclic_fields(g, shape, analysis)
         pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
 

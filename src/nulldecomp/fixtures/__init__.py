@@ -13,8 +13,8 @@ the command line exposes it as `nulldecomp fixtures`.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
-from importlib import resources
 
 from ..graphs import Shape, _components, classify_shape, edge_inside, matching_defect
 from ..graphs import parse_edge_list
@@ -25,7 +25,10 @@ from ..unicyclic import analyze
 
 
 def _read_text(filename):
-    return (resources.files(__package__) / filename).read_text(encoding="utf-8")
+    """A bundled file, read from this package's directory with plain open:
+    importlib.resources would import tempfile and zipfile for it."""
+    with open(os.path.join(os.path.dirname(__file__), filename), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def expectations():

@@ -16,11 +16,11 @@ vertex), and the vertices that one paired vertex pushes onto the leaf
 pairing's stack lie in different components of what remains, so their
 order cannot change the matching.
 
-_search is the one walk over a whole graph, and nothing keeps it: the
-components, the shape and the cycle are read off the walk a caller
-passes in or, through the public functions, off a fresh one; unicyclic
-re-roots the same walk at the cycle to hang the pendant trees from
-their cycle vertices.
+_search is the one walk over a whole graph.  The Graph keeps it, built
+on the first call like its edge set, so the components, the shape, the
+cycle and every analysis of one Graph read the same walk, and it is
+freed with the Graph; unicyclic re-roots it at the cycle to hang the
+pendant trees from their cycle vertices.
 parse_graph6 reads the set bits of each payload byte other than "?"
 off a 64-entry table: its Python work is one step per edge.  Both
 parsers check each edge once and build the Graph with Graph._checked,
@@ -76,11 +76,12 @@ class Role(str, Enum):
 class Graph:
     """Immutable simple undirected graph with m edges.
 
-    edges is built on its first read and kept, which cannot go stale
-    since nothing changes a Graph.
+    edges is built on its first read and kept, and so is the walk that
+    _search builds in _walk; neither can go stale, since nothing changes
+    a Graph.
     """
 
-    __slots__ = ("n", "m", "labels", "_adj", "_edges")
+    __slots__ = ("n", "m", "labels", "_adj", "_edges", "_walk")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
@@ -126,6 +127,7 @@ class Graph:
         self.m = len(pairs)
         self._adj = tuple(adj)
         self._edges = None
+        self._walk = None
         self.labels = labels
 
     @property
@@ -174,6 +176,7 @@ class Graph:
         out.m = self.m - len(keys)
         out._adj = tuple(adj)
         out._edges = None
+        out._walk = None
         out.labels = self.labels
         return out
 
@@ -409,9 +412,11 @@ def _search(g):
     when it is claimed, so order lists each vertex after its parent and
     each component's vertices together; a root's parent is -1.  The walk
     checks nothing: its callers read the components, the number of roots
-    and the edges off the walk's tree from it.  It comes as tuples, so a
-    caller can hand it on unchanged.
+    and the edges off the walk's tree from it.  It comes as tuples, kept
+    in g._walk and returned unchanged by every later call on g.
     """
+    if g._walk is not None:
+        return g._walk
     n, adj = g.n, g._adj
     parent = [-1] * n
     seen = [False] * n
@@ -431,7 +436,8 @@ def _search(g):
         while r < n and seen[r]:
             r += 1
         if r == n:
-            return tuple(order), tuple(parent)
+            g._walk = tuple(order), tuple(parent)
+            return g._walk
         seen[r] = True
         claim(r)
         push(r)
@@ -450,15 +456,10 @@ def classify_shape(g):
     A connected acyclic graph is a tree; "forest" is reserved for the
     disconnected acyclic case.  Raises EmptyGraph on zero vertices.
     """
-    return _shape(g, _search(g)[1])
-
-
-def _shape(g, parent):
-    """classify_shape, read off the parent list of g's walk."""
     if g.n == 0:
         raise EmptyGraph("cannot classify a graph with no vertices")
     m = g.m
-    comps = parent.count(-1)
+    comps = _search(g)[1].count(-1)
     connected = comps == 1
     acyclic = m == g.n - comps
     if connected and acyclic:
@@ -482,13 +483,9 @@ def find_cycle(g):
     The orientation is canonical: start at the smallest cycle vertex,
     step first to the smaller of its two cycle neighbors.
     """
-    return _cycle(g, _search(g)[1])
-
-
-def _cycle(g, parent):
-    """find_cycle, read off the parent list of g's walk."""
+    parent = _search(g)[1]
     if g.m != g.n or parent.count(-1) != 1:
-        shape = _shape(g, parent).value if g.n else "empty"
+        shape = classify_shape(g).value if g.n else "empty"
         raise NotUnicyclic(f"graph is {shape}, expected exactly one cycle")
     u, v = next(
         (u, v) for u, nbrs in enumerate(g._adj) for v in nbrs if parent[u] != v and parent[v] != u

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, _certificate_fault, _components, _search, edge_inside
+from .graphs import Graph, _certificate_fault, _components, edge_inside
 from .linalg import null_basis
 from .oracles import _bitmasks, _grow, _max_independent_set, max_independent_set
 from .randgraphs import _trees, _unicyclic_graphs
@@ -176,7 +176,7 @@ def _tree_checks(t, d, independent, matching):
 
 
 def check_tree_instance(t):
-    return _tree_checks(t, *_analyze_forest(t, _search(t)))
+    return _tree_checks(t, *_analyze_forest(t))
 
 
 def _unicyclic_checks(g, analysis):

@@ -11,12 +11,13 @@ out by counting:
 
 Both are additive over components, so everything here accepts arbitrary
 forests, the empty graph included.  The DP, the Core and N-vertex
-reading and the independent set run over a given walk: an (order,
-parent) pair that roots the forest, whose parent edges are exactly its
-edges.  A graph with a cycle raises NotAForest, since the walk's roots
-count the components and a forest has exactly n - components edges;
+reading and the independent set run over an (order, parent) pair that
+roots the forest, whose parent edges are exactly its edges: the public
+functions take the Graph's own walk (graphs._search), and
 unicyclic.analyze passes the one spanning forest it cuts out of its
-walk of a unicyclic graph.  The leaf pairing behind
+walk of a unicyclic graph.  A graph with a cycle raises NotAForest,
+since the walk's roots count the components and a forest has exactly
+n - components edges.  The leaf pairing behind
 matching_certificate runs on neighbour tuples, and raises NotAForest
 when it cannot finish.
 
@@ -24,10 +25,10 @@ One rule builds every independent set: Supp plus, in each N-component,
 the side of its depth-parity colouring that holds the component's
 smallest vertex, or the other side when that one holds a vertex to
 avoid.  _analyze, independent_set_certificate and both unicyclic types
-take their sets from it.  _analyze is the forest's whole analysis from
-one walk, as unicyclic.analyze is a unicyclic graph's: the
-decomposition and both certificates, held to the certificate rule of
-graphs before it returns.
+take their sets from it.  _analyze is the forest's whole analysis, as
+unicyclic.analyze is a unicyclic graph's, both from the Graph's one
+walk: the decomposition and both certificates, held to the certificate
+rule of graphs before it returns.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -144,25 +145,20 @@ def decompose(t):
     elimination runs.  The sweeps, `analyze --verify` and the fixtures
     check Supp and the nullity against the exact kernel.
     """
-    return _decompose(t, _search(t))
-
-
-def _decompose(t, walk):
-    """decompose, over the given walk of t."""
-    order, parent = walk
+    order, parent = _search(t)
     if t.m != t.n - parent.count(-1):
         raise NotAForest("decompose needs an acyclic graph")
     return _decomposition(order, parent, _missable_children(order, parent))
 
 
-def _analyze(t, walk):
-    """(decomposition, independent set, matching) of the forest t, from
-    the given walk of it, as decompose, independent_set_certificate and
-    matching_certificate give them.  Raises AssertionError naming what
-    breaks the certificate rule, which would mean a bug here."""
-    d = _decompose(t, walk)
-    independent = _independent_set(*walk, d, ())
-    matching = _leaf_pairing(t._adj)
+def _analyze(t):
+    """(decomposition, independent set, matching) of the forest t, as
+    decompose, independent_set_certificate and matching_certificate give
+    them.  Raises AssertionError naming what breaks the certificate
+    rule, which would mean a bug here."""
+    d = decompose(t)
+    independent = independent_set_certificate(t, d)
+    matching = matching_certificate(t)
     fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
     if fault is not None:
         raise AssertionError(fault)

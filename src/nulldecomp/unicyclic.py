@@ -6,10 +6,10 @@ cycle vertex is matched inside its own pendant tree (saturated by every
 maximum matching of it), type II when every cycle vertex is mismatched.
 Pure cycles land in type II with nothing hanging off.
 
-Everything is read off the one walk of G (graphs._search) that found
-the cycle, re-rooted at the cycle: it lists the cycle vertices first,
-as roots, and hangs each pendant tree under its cycle vertex, in G's
-own vertex ids.  One bottom-up pass of the matching DP over it counts,
+Everything is read off the one walk of G that found the cycle
+(graphs._search, which G keeps), re-rooted at the cycle: it lists the
+cycle vertices first, as roots, and hangs each pendant tree under its
+cycle vertex, in G's own vertex ids.  One bottom-up pass of the matching DP over it counts,
 for each vertex, its children that are missable in their own subtrees;
 a cycle vertex is matched in its pendant tree iff that count is
 positive, which gives the type, and the witness is the smallest
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import _certificate_fault, _cycle, _search
+from .graphs import _certificate_fault, _search, find_cycle
 from .trees import _decomposition, _independent_set, _leaf_pairing, _missable_children
 
 
@@ -87,7 +87,7 @@ def _rooted(cycle, walk):
 
     walk roots a spanning tree of the graph, each vertex listed after
     its parent, and the one edge off that tree closes cycle, as
-    graphs._cycle reads it.  Off the cycle only the path from the walk's
+    find_cycle reads it.  Off the cycle only the path from the walk's
     root to the topmost cycle vertex points away from the cycle, so
     re-rooting keeps every other parent, gives the cycle vertices -1 and
     reverses that path: the one parent array of the forest G minus the
@@ -96,7 +96,7 @@ def _rooted(cycle, walk):
     vertex is matched in its pendant tree iff it has a child missable
     in its own subtree, and the witness is the smallest matched one.
     Returns (order, parent, missable_children, verdict); parent and the
-    counts are new lists, which _analyze edits into its forest's.
+    counts are new lists, which analyze edits into its forest's.
     """
     walk_order, parent = walk
     parent = list(parent)
@@ -123,8 +123,7 @@ def _rooted(cycle, walk):
 
 def classify_type(g):
     """Type I with its smallest matched witness, or type II."""
-    walk = _search(g)
-    return _rooted(_cycle(g, walk[1]), walk)[3]
+    return _rooted(find_cycle(g), _search(g))[3]
 
 
 def _part(kind, root, vertices, d):
@@ -181,23 +180,18 @@ def _singularity(g, cycle, verdict, parts):
 def analyze(g):
     """Full analysis of a unicyclic graph (pure cycles included).
 
-    Walks g once, finds the cycle on that walk and re-roots the walk
-    there, runs one matching DP over it, re-rooted again to the forest
-    the type calls for, and reads off the type, the composed nullity,
-    the combinatorial singularity verdict, alpha and nu by the closed
-    formulas, the null decomposition of every piece (in the graph's
-    vertex ids), and explicit certificates: an independent set of size
-    alpha and a matching of size nu, assembled from the same forest
-    exactly as the formulas compose and validated against the graph
-    before returning.
+    Reads the cycle off g's walk (graphs._search, which g keeps),
+    re-roots the walk there, runs one matching DP over it, re-rooted
+    again to the forest the type calls for, and reads off the type, the
+    composed nullity, the combinatorial singularity verdict, alpha and
+    nu by the closed formulas, the null decomposition of every piece (in
+    the graph's vertex ids), and explicit certificates: an independent
+    set of size alpha and a matching of size nu, assembled from the same
+    forest exactly as the formulas compose and validated against the
+    graph before returning.
     """
-    return _analyze(g, _search(g))
-
-
-def _analyze(g, walk):
-    """analyze, over the given walk of g."""
-    cycle = _cycle(g, walk[1])
-    order, parent, missable, verdict = _rooted(cycle, walk)
+    cycle = find_cycle(g)
+    order, parent, missable, verdict = _rooted(cycle, _search(g))
     hanging = order[cycle.length :]  # the vertices off the cycle, each after its parent
     if verdict.kind == "I":
         # f = G minus the two cycle edges at v: T_v rooted at v, and the

@@ -149,20 +149,22 @@ class TestAnalyze:
     def test_analyze_walks_each_graph_once(
         self, capsys, monkeypatch, tmp_path, edges, n, kind, walks
     ):
-        # One walk of G serves the shape, the cycle and, for a forest, the
-        # whole forest analysis; for a unicyclic graph the same walk,
-        # re-rooted at the cycle, serves the type, the DP of the forest
-        # either type splits off and its pieces.  No forest is walked.
-        # classify_type and unicyclic.analyze each walk G once too.
+        # One walk of G, kept by G, serves the shape, the cycle and, for a
+        # forest, the whole forest analysis; for a unicyclic graph the same
+        # walk, re-rooted at the cycle, serves the type, the DP of the
+        # forest either type splits off and its pieces.  No forest is
+        # walked.  A later classify_type or unicyclic.analyze of G reads
+        # G's walk; on an equal Graph each walks it once.
         searched = []
         search = nulldecomp.graphs._search
 
         def counted(g):
-            searched.append(g)
+            if g._walk is None:
+                searched.append(g)
             return search(g)
 
         # Wherever the name was imported.
-        for module in (nulldecomp.graphs, nulldecomp.cli, nulldecomp.trees, nulldecomp.unicyclic):
+        for module in (nulldecomp.graphs, nulldecomp.trees, nulldecomp.unicyclic):
             monkeypatch.setattr(module, "_search", counted)
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(Graph(n, edges)))
@@ -177,7 +179,10 @@ class TestAnalyze:
             for analysis in (nulldecomp.classify_type, nulldecomp.unicyclic.analyze):
                 searched.clear()
                 assert analysis(g).kind == kind
-                assert searched == [g]
+                assert searched == []
+                h = Graph(g.n, sorted(g.edges))
+                assert analysis(h).kind == kind
+                assert len(searched) == 1 and searched[0] is h
 
     def test_role_map_is_built_only_for_dot(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -210,12 +215,13 @@ class TestAnalyze:
     def test_verify_checks_the_analysis_it_printed(
         self, capsys, monkeypatch, path, unicyclic_analyses, forest_analyses
     ):
+        # Each analysis runs once, and the checks take the one printed: a
+        # forest's decomposition is the one its analysis makes.
         calls = []
         analyses = {
             "forest": nulldecomp.trees._analyze,
-            "unicyclic": nulldecomp.unicyclic._analyze,
+            "unicyclic": nulldecomp.unicyclic.analyze,
             "decompose": nulldecomp.trees.decompose,
-            "analyze": nulldecomp.unicyclic.analyze,
         }
         for kind, real in analyses.items():
 
@@ -224,7 +230,7 @@ class TestAnalyze:
                 return real(*args)
 
             # Wherever the function is held, under whatever name.
-            for module in (nulldecomp.cli, nulldecomp.sweeps, nulldecomp.unicyclic):
+            for module in (nulldecomp.cli, nulldecomp.sweeps, nulldecomp.trees):
                 for name, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, name, counted)
@@ -232,7 +238,7 @@ class TestAnalyze:
         assert code == 0 and all(json.loads(out)["verification"].values())
         assert calls.count("unicyclic") == unicyclic_analyses
         assert calls.count("forest") == forest_analyses
-        assert "decompose" not in calls and "analyze" not in calls
+        assert calls.count("decompose") == forest_analyses
 
     def test_forest_verify_builds_each_certificate_once(self, capsys, monkeypatch):
         # The forest analysis builds both; the checks take the printed ones.

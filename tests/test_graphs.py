@@ -13,6 +13,7 @@ from nulldecomp import (
     Graph,
     MalformedLine,
     BadChecksumChar,
+    NotAForest,
     NotUnicyclic,
     Role,
     SelfLoop,
@@ -20,10 +21,12 @@ from nulldecomp import (
     TruncatedPayload,
     UnknownVertex,
     classify_shape,
+    decompose,
     export_dot,
     find_cycle,
     format_edge_list,
     graphs,
+    independent_set_certificate,
     parse_edge_list,
     parse_graph6,
     random_tree,
@@ -729,29 +732,38 @@ class TestFindCycle:
 
 
 class TestWalkCache:
-    """graphs keeps no walk between calls: each public function walks the
-    graph it is given afresh, and each private twin reads the walk it is
-    handed."""
+    """Each Graph keeps its walk: _search builds it on the first call on
+    that Graph object and serves the same tuples after, so every public
+    function reads one walk.  An equal but separate Graph and a copy
+    without edges are walked anew."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
+        # The graphs whose walk is built, wherever _search was imported.
         seen = []
         search = graphs._search
 
         def counted(g):
-            seen.append(g)
+            if g._walk is None:
+                seen.append(g)
             return search(g)
 
-        monkeypatch.setattr(graphs, "_search", counted)
+        for module in (graphs, nulldecomp.trees, nulldecomp.unicyclic):
+            monkeypatch.setattr(module, "_search", counted)
         return seen
 
     def test_walks_a_graph_once_in_a_row(self, searches):
-        # One walk serves the shape and then the cycle, as in analyze.
+        # One walk serves the shape, the cycle and both analyses, as in
+        # nulldecomp analyze; a second call serves the same tuples.
         g = random_unicyclic(30, random.Random(2))
-        walk = graphs._search(g)
-        assert graphs._shape(g, walk[1]) == Shape.UNICYCLIC
-        assert graphs._cycle(g, walk[1]) == find_cycle(g)
-        assert searches == [g, g]  # the walk above and find_cycle's own
+        assert classify_shape(g) == Shape.UNICYCLIC
+        walk = g._walk
+        assert find_cycle(g) == find_cycle(Graph(g.n, sorted(g.edges)))
+        assert nulldecomp.unicyclic.analyze(g).cycle == find_cycle(g)
+        assert nulldecomp.unicyclic.classify_type(g).kind in ("I", "II")
+        assert graphs._search(g) is walk
+        # g's one walk, then the equal graph's
+        assert len(searches) == 2 and searches[0] is g and searches[1] is not g
 
     def test_an_equal_but_separate_graph_is_walked_anew(self, searches):
         g = random_tree(25, random.Random(3))
@@ -768,14 +780,17 @@ class TestWalkCache:
         assert classify_shape(cut) == Shape.TREE
         forest = cut.without_edges([(3, 4)])
         assert _components(forest) == [[0, 4, 5], [1, 2, 3]]
-        assert classify_shape(g) == Shape.CYCLE
-        assert len(searches) == 4
-        assert all(x is y for x, y in zip(searches, (g, cut, forest, g)))
+        assert classify_shape(g) == Shape.CYCLE  # served from g's walk
+        assert len(searches) == 3
+        assert all(x is y for x, y in zip(searches, (g, cut, forest)))
 
     def test_a_patched_walk_is_neither_cached_nor_served_from_the_cache(self, monkeypatch):
-        # While _search is patched, find_cycle reads the patched walk; once
-        # the patch is undone, nothing of that walk is served again.
+        # While _search is patched, find_cycle reads the patched walk and
+        # gives the cycle that walk closes; once the patch is undone,
+        # nothing of that walk is served again.
         g = random_unicyclic(20, random.Random(4))
+        _, parent = depth_first_walk(g)
+        u, v = next((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
         served = []
 
         def depth_first(h):
@@ -783,13 +798,58 @@ class TestWalkCache:
             return depth_first_walk(h)
 
         monkeypatch.setattr(graphs, "_search", depth_first)
-        assert find_cycle(g) == graphs._cycle(g, depth_first_walk(g)[1])
-        assert served == [g]
+        assert find_cycle(g) == graphs._closed_cycle(parent, u, v)
+        assert served == [g] and g._walk is None
         monkeypatch.undo()
         assert graphs._search(g) != depth_first_walk(g)
         assert classify_shape(g) == Shape.UNICYCLIC
         find_cycle(g)
         assert served == [g]
+
+    def test_every_public_function_reads_the_walk_any_other_left(self, searches):
+        # Each function gives on a Graph another one has walked what it
+        # gives on a fresh Graph with the same neighbour order (a copy
+        # without no edges), raising included; each Graph object is
+        # walked once, whatever reads it first.
+        def certificate(g):
+            return independent_set_certificate(g, decompose(g))
+
+        public = (
+            classify_shape,
+            find_cycle,
+            nulldecomp.unicyclic.classify_type,
+            nulldecomp.unicyclic.analyze,
+            decompose,
+            certificate,
+        )
+
+        def outcome(f, g):
+            try:
+                return f(g)
+            except (NotAForest, NotUnicyclic) as exc:
+                return type(exc)
+
+        rng = random.Random(8)
+        kinds = set()
+        for i in range(40):
+            n = rng.randrange(3, 25)
+            g = random_unicyclic(n, rng) if i % 2 else random_forest(n, rng)
+            want = [outcome(f, g.without_edges(())) for f in public]
+            kinds.add(want[0])
+            for first in public:
+                walked = g.without_edges(())
+                outcome(first, walked)
+                searches.clear()
+                assert [outcome(f, walked) for f in public] == want
+                assert searches == []
+            searches.clear()
+            equal = Graph(g.n, sorted(g.edges))
+            assert [outcome(f, equal) for f in public] == want
+            cut = g.without_edges([next(iter(g.edges))])
+            for f in public:
+                outcome(f, cut)
+            assert len(searches) == 2 and searches[0] is equal and searches[1] is cut
+        assert {Shape.TREE, Shape.FOREST, Shape.UNICYCLIC} <= kinds
 
     def test_analyze_is_served_only_walks_of_the_graph_it_passes(self, monkeypatch):
         # Every walk read during analyze or decompose is a walk of the very

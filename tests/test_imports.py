@@ -113,3 +113,11 @@ def test_dir_covers_all_and_the_submodules():
 def test_an_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nulldecomp.no_such_name
+
+
+def test_fixtures_reads_its_files_without_the_resource_reader():
+    # importlib.resources would import tempfile and zipfile to read a
+    # file that lies next to the package's __init__.py.
+    code, modules = modules_after_main("fixtures")
+    assert code == 0
+    assert not modules & {"importlib.resources", "tempfile", "zipfile"}

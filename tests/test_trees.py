@@ -307,8 +307,8 @@ class TestNComponentSides:
         moved = 0
         for _ in range(100):
             g = random_unicyclic(rng.randrange(3, 40), rng)
-            walk = nulldecomp.graphs._search(g)
-            c = nulldecomp.graphs._cycle(g, walk[1])
+            c = nulldecomp.graphs.find_cycle(g)
+            walk = nulldecomp.graphs._search(g)  # the walk g keeps, which found c
             order, parent = nulldecomp.unicyclic._rooted(c, walk)[:2]
             f = g.without_edges(c.edges)
             assert_takes_the_sides(f, (order, parent), decompose(f))
@@ -395,11 +395,12 @@ class TestMatchingCertificate:
 
 class TestForestAnalysis:
     """trees._analyze: the decomposition and both certificates of a forest
-    from one walk, held to the certificate rule before it returns."""
+    from the walk the forest keeps, held to the certificate rule before it
+    returns."""
 
     @staticmethod
     def analyze(t):
-        return nulldecomp.trees._analyze(t, nulldecomp.graphs._search(t))
+        return nulldecomp.trees._analyze(t)
 
     def test_gives_what_the_public_functions_give(self):
         rng = random.Random(83)

@@ -226,8 +226,8 @@ class TestRerooting:
     the one rooting of G minus the cycle edges at the cycle."""
 
     def check(self, g):
-        walk = nulldecomp.graphs._search(g)
-        cycle = nulldecomp.graphs._cycle(g, walk[1])
+        cycle = find_cycle(g)
+        walk = nulldecomp.graphs._search(g)  # the walk g keeps, which found the cycle
         order, parent = nulldecomp.unicyclic._rooted(cycle, walk)[:2]
         assert list(parent) == bfs_parents_from_the_cycle(g, cycle)
         assert tuple(order[: cycle.length]) == cycle.vertices
