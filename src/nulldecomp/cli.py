@@ -22,8 +22,11 @@ randgraphs), as verify does; fixtures adds fixtures.  analyze walks the
 graph once: the Graph keeps the walk that its shape reads, and the
 analysis reads the same one.  It writes its report straight
 from the analysis, each list of names in one str.join, the matching
-_CHUNK pairs at a time and the parts piece by piece, as the text
-json.dumps(report, indent=2, sort_keys=True) would print.  It decodes
+_CHUNK pairs at a time and each part in one str, as the text
+json.dumps(report, indent=2, sort_keys=True) would print.  Each list
+of a decomposition's ids comes in ascending order off its role array,
+read over every id for a forest and over a part's own ids for a part,
+and the role map behind --dot comes off the same array.  It decodes
 a graph6 line only up to n + 1 edges, since it analyzes only m <= n,
 and keeps the cyclic collector paused from the read until the report
 is written.
@@ -37,10 +40,12 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import compress
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .graphs import Role, Shape, _decimal, classify_shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
+from .trees import _C, _IS, _N, _S
 from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze as _analyze_unicyclic
 
@@ -52,23 +57,13 @@ def _read_input(path):
         return fh.read()
 
 
-def _roles_from(pieces):
-    """Vertex id -> Role over (supp, core, n_vertices) triples, in order."""
-    roles = {}
-    for supp, core, n_vertices in pieces:
-        roles.update(dict.fromkeys(supp, Role.SUPPORT))
-        roles.update(dict.fromkeys(core, Role.CORE))
-        roles.update(dict.fromkeys(n_vertices, Role.N_VERTEX))
-    return roles
-
-
 # The writers below print what json.dumps(report, indent=2, sort_keys=True)
 # would, byte for byte, with no report dict and no pure-Python encoder.
 # indent is the line break and indentation before the closing bracket.
 _quote = json.encoder.encode_basestring_ascii
-# Keys are the report's field names and the check names, a fixed few, so
-# each is quoted once per process.  Labels and values are not cached:
-# there is no bound on them.
+# Keys are the report's field names and the check names, a fixed few, as
+# are the part kinds, so each is quoted once per process.  Labels and
+# values are not cached: there is no bound on them.
 _key = cache(_quote)
 _BOOLS = {True: "true", False: "false"}
 _CHUNK = 4096
@@ -87,6 +82,11 @@ def _strings(name, ids, indent):
         return "[]"
     inner = indent + "  "
     return "[" + inner + '"' + ('",' + inner + '"').join(map(name, ids)) + '"' + indent + "]"
+
+
+def _having(role, ids, roles):
+    """The ids whose role, read in roles in the same order, is role."""
+    return list(compress(ids, roles.translate(_IS[role])))
 
 
 def _edges(name, pairs, indent):
@@ -130,9 +130,9 @@ def _forest_fields(g, shape, d, independent, matching):
         "singular": _BOOLS[d.nullity > 0],
         "alpha": repr(d.alpha),
         "nu": repr(d.nu),
-        "supp": _strings(name, sorted(d.supp), "\n  "),
-        "core": _strings(name, sorted(d.core), "\n  "),
-        "n_vertices": _strings(name, sorted(d.n_forest_vertices), "\n  "),
+        "supp": _strings(name, _having(_S, range(g.n), d.roles), "\n  "),
+        "core": _strings(name, _having(_C, range(g.n), d.roles), "\n  "),
+        "n_vertices": _strings(name, _having(_N, range(g.n), d.roles), "\n  "),
         "independent_set": _strings(name, sorted(independent), "\n  "),
         "matching": _edges(name, matching, "\n  "),
     }
@@ -142,16 +142,20 @@ def _unicyclic_fields(g, shape, a):
     name = _name_table(g)
     parts = ["["]  # pieces, written as they are: parts can hold every vertex
     for p in a.parts:
+        ids, roles = p._ids, p._local()
         entry = {
-            "kind": _quote(p.kind),
-            "vertices": _strings(name, sorted(p.vertices), "\n      "),
-            "supp": _strings(name, sorted(p.supp), "\n      "),
-            "core": _strings(name, sorted(p.core), "\n      "),
-            "n_vertices": _strings(name, sorted(p.n_vertices), "\n      "),
+            "kind": _key(p.kind),
+            "vertices": _strings(name, ids, "\n      "),
+            "supp": _strings(name, _having(_S, ids, roles), "\n      "),
+            "core": _strings(name, _having(_C, ids, roles), "\n      "),
+            "n_vertices": _strings(name, _having(_N, ids, roles), "\n      "),
         }
         if p.root is not None:
             entry["root"] = '"' + name(p.root) + '"'
-        parts += ("\n    ", *_object(entry, "\n    "), ",")
+        # A small part goes in one str: held until the write, its pieces
+        # would outweigh its text.
+        text = _object(entry, "\n    ")
+        parts += ("\n    ", *(["".join(text)] if len(ids) < _CHUNK else text), ",")
     parts[-1] = "\n  ]"
     return {
         "shape": _quote(shape.value),
@@ -182,6 +186,9 @@ def _checked_size_limit():
         print(f"error: {exc}", file=sys.stderr)
         return None
 
+
+# Role array byte -> the Role that export_dot draws.
+_DOT_ROLES = (Role.PLAIN, Role.SUPPORT, Role.CORE, Role.N_VERTEX)
 
 _UNSUPPORTED = "error: only forests and graphs with exactly one cycle are supported"
 
@@ -231,11 +238,12 @@ def _analyze_input(args):
     if forest:
         analysis, independent, matching = _analyze_forest(g)
         fields = _forest_fields(g, shape, analysis, independent, matching)
-        pieces = [(analysis.supp, analysis.core, analysis.n_forest_vertices)]
+        roles = analysis.roles
     else:
         analysis = _analyze_unicyclic(g)
         fields = _unicyclic_fields(g, shape, analysis)
-        pieces = [(p.supp, p.core, p.n_vertices) for p in analysis.parts]
+        # The parts share one role array; a pure cycle has no part and no role.
+        roles = analysis.parts[0].roles if analysis.parts else b""
 
     code = 0
     if args.verify:
@@ -257,7 +265,7 @@ def _analyze_input(args):
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_dot(g, _roles_from(pieces)))
+                fh.write(export_dot(g, dict(enumerate(map(_DOT_ROLES.__getitem__, roles)))))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

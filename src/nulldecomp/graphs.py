@@ -8,13 +8,12 @@ names ride along for fixtures whose vertices carry names like "v1" or
 
 A Graph holds its edge count m and one tuple of neighbours per vertex,
 in the order the edges were given; its edge set is built on first read,
-and the analyses never read it.  Neighbour order steers the walk, the
-cycle's closing edge and the leaf pairing's stack, but no report
-depends on it: every reported list is sorted or canonical (the cycle's
-orientation, the smallest witness, the N-side holding the smallest
-vertex), and the vertices that one paired vertex pushes onto the leaf
-pairing's stack lie in different components of what remains, so their
-order cannot change the matching.
+and the analyses never read it.  Neighbour order steers the walk and
+the cycle's closing edge, but no report depends on it: every reported
+list is sorted or canonical (the cycle's orientation, the smallest
+witness, the N-side holding the smallest vertex, each vertex matched
+to its smallest missable child), and a forest rooted at fixed vertices
+has one parent array, whatever order the walk claims its vertices in.
 
 _search is the one walk over a whole graph.  The Graph keeps it, built
 on the first call like its edge set, so the components, the shape, the
@@ -230,8 +229,8 @@ def _decimal(s):
 # tuple per vertex, so a short "n=" line could otherwise ask for gigabytes;
 # at this cap a parse takes about 5 s and 0.3 GB (a random tree on 10^6
 # vertices: 4.8-5.0 s, 322 MB peak RSS, 2-core Xeon, Python 3.11), and
-# nulldecomp analyze, which pauses the cyclic collector, 11-13 s and
-# 400 MB on that tree and 12-18 s and 506 MB on a unicyclic graph.
+# nulldecomp analyze, which pauses the cyclic collector, 8-10 s and
+# 360 MB on that tree and 8-11 s and 425 MB on a unicyclic graph.
 MAX_EDGE_LIST_N = 10**6
 
 

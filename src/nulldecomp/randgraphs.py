@@ -105,7 +105,7 @@ def _kind(n, tree, extra):
     for v, p in tree:
         parent[v] = p
     order = [n - 1, *(v for v, _ in reversed(tree))]
-    return _rooted(_closed_cycle(parent, *extra), (order, parent))[3].kind
+    return _rooted(_closed_cycle(parent, *extra), (order, parent))[-1].kind
 
 
 def _trees(count, n_min, n_max, seed):

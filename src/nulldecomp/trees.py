@@ -10,16 +10,22 @@ out by counting:
     nu(F)    = |Core| + |V(N-forest)| / 2
 
 Both are additive over components, so everything here accepts arbitrary
-forests, the empty graph included.  The DP, the Core and N-vertex
-reading and the independent set run over an (order, parent) pair that
-roots the forest, whose parent edges are exactly its edges: the public
-functions take the Graph's own walk (graphs._search), and
-unicyclic.analyze passes the one spanning forest it cuts out of its
-walk of a unicyclic graph.  A graph with a cycle raises NotAForest,
-since the walk's roots count the components and a forest has exactly
-n - components edges.  The leaf pairing behind
-matching_certificate runs on neighbour tuples, and raises NotAForest
-when it cannot finish.
+forests, the empty graph included.  Every forest is analysed in one
+bottom-up and one top-down pass over an (order, parent) pair that roots
+it, whose parent edges are exactly its edges: the public functions take
+the Graph's own walk (graphs._search), and unicyclic.analyze passes the
+one spanning forest it cuts out of its walk of a unicyclic graph.  A
+graph with a cycle raises NotAForest, since the walk's roots count the
+components and a forest has exactly n - components edges.
+
+The bottom-up pass counts each vertex's children that are missable in
+their own subtrees and keeps the smallest of them: pairing each vertex
+with that child is the greedy bottom-up matching of a rooted forest,
+which is maximum, and it does not depend on the order of the walk.  The
+top-down pass writes the decomposition as one role array, a byte per
+vertex of the graph (0 off the forest, then Supp, Core and N), and the
+records read their counts off it; their vertex sets are frozensets
+built on first read.
 
 One rule builds every independent set: Supp plus, in each N-component,
 the side of its depth-parity colouring that holds the component's
@@ -39,15 +45,57 @@ sweeps, `analyze --verify` and the fixtures compare against it.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
+from operator import attrgetter
 
 from .errors import NotAForest
 from .graphs import _certificate_fault, _search
 
+# The roles of a role array; 0 marks a vertex outside the forest.
+_S, _C, _N = 1, 2, 3
+# bytes.translate tables: _IS[r] maps role r to 1 and every other byte to
+# 0, and _IS[0] maps every role of a forest vertex to 1.
+_IS = tuple(bytes.maketrans(b"\1\2\3", m) for m in (b"\1\1\1", b"\1\0\0", b"\0\1\0", b"\0\0\1"))
 
-class NullDecomposition(namedtuple("NullDecomposition", "supp core n_forest_vertices nullity")):
-    """Partition of a forest's vertices by kernel role.
+
+class _OnRoles:
+    """A record read off a role array, shared and never copied, over the
+    vertices _ids lists in ascending order.  roles is that array: a byte
+    per vertex of the graph, 0 off the forest, 1 Supp, 2 Core, 3 N.  The
+    vertex sets by role are frozensets built on their first read and
+    then kept; records compare and hash by _key()."""
+
+    __slots__ = ("_roles", "_ids", "_supp", "_core", "_n")
+
+    roles = property(attrgetter("_roles"))
+
+    def _local(self):
+        """The roles of _ids, in order."""
+        return bytes(map(self._roles.__getitem__, self._ids))
+
+    def _kept(self, slot, role):
+        found = getattr(self, slot, None)  # a slot is unset until its first read
+        if found is None:
+            found = frozenset(compress(self._ids, self._local().translate(_IS[role])))
+            setattr(self, slot, found)
+        return found
+
+    supp = property(lambda self: self._kept("_supp", _S))
+    core = property(lambda self: self._kept("_core", _C))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class NullDecomposition(_OnRoles):
+    """Partition of a forest's vertices by kernel role, held as the
+    immutable role array (bytes) it is built from.
 
     Supp together with Core always equals the closed neighborhood of
     Supp; n_forest_vertices is the rest and has even cardinality.
@@ -56,37 +104,57 @@ class NullDecomposition(namedtuple("NullDecomposition", "supp core n_forest_vert
     fixtures check it against the exact kernel.
     """
 
-    __slots__ = ()
+    __slots__ = ("_counts",)
+
+    def __init__(self, roles):
+        self._roles, self._ids = roles, range(len(roles))
+        self._counts = roles.count(_S), roles.count(_C), roles.count(_N)
+
+    n_forest_vertices = property(lambda self: self._kept("_n", _N))
+    nullity = property(lambda self: self._counts[0] - self._counts[1])
 
     @property
     def alpha(self):
         """Independence number: |Supp| + |V(N-forest)| / 2."""
-        return len(self.supp) + len(self.n_forest_vertices) // 2
+        return self._counts[0] + self._counts[2] // 2
 
     @property
     def nu(self):
         """Matching number: |Core| + |V(N-forest)| / 2."""
-        return len(self.core) + len(self.n_forest_vertices) // 2
+        return self._counts[1] + self._counts[2] // 2
+
+    def _key(self):
+        return self._roles
 
 
-def _missable_children(order, parent, counts=None):
+def _missable_children(order, parent, counts=None, mate=None):
     """Bottom-up half of the matching DP over a rooted forest.
 
     order lists vertices each after its parent (parent[v] is -1 at a
     root); the pass runs over it backwards.  A vertex is missable in its
     own subtree iff none of its children is; counts[v] counts the
-    children that are.  Given counts, the pass goes on from them, so a
-    caller can hang more vertices under a finished forest and count
-    only those.
+    children that are, and mate[v] is the smallest of them, or
+    len(parent) when there is none.  Returns (counts, mate).  Given
+    both, the pass goes on from them, so a caller can hang more vertices
+    under a finished forest and count only those.
     """
     if counts is None:
-        counts = [0] * len(parent)
+        counts, mate = [0] * len(parent), [len(parent)] * len(parent)
     for v in reversed(order):
         if not counts[v]:
             p = parent[v]
             if p >= 0:
                 counts[p] += 1
-    return counts
+                if v < mate[p]:
+                    mate[p] = v
+    return counts, mate
+
+
+def _matching(mate):
+    """Each vertex paired with its smallest missable child, as pairs
+    (u, v) with u < v: a maximum matching of the forest mate is from."""
+    n = len(mate)
+    return frozenset([(p, c) if p < c else (c, p) for p, c in enumerate(mate) if c < n])
 
 
 def _decomposition(order, parent, missable_children):
@@ -95,70 +163,70 @@ def _decomposition(order, parent, missable_children):
     order lists the forest's vertices, each after its parent, and its
     edges are exactly their parent edges.  parent may index vertices
     that order leaves out, as the cycle of a type II unicyclic graph;
-    they fall in no part.  missable_children is the bottom-up count over
-    it.  Top-down, free_up[c] says whether c's parent p is missable in
-    the forest with c's subtree cut off: p has no missable child besides
-    c and free_up[p] is false.  v is missable in the whole forest, i.e.
-    in Supp, iff it has no missable child and free_up[v] is false.  Core
-    is N(Supp), read off the parent edges, the N-vertices are the rest,
-    and the nullity is |Supp| - |Core|.
-    The structural facts the theory guarantees (Supp disjoint from Core,
+    their role is 0.  missable_children is the bottom-up count over it.
+    Top-down, free_up[c] says whether c's parent p is missable in the
+    forest with c's subtree cut off: p has no missable child besides c
+    and free_up[p] is false.  v is missable in the whole forest, i.e. in
+    Supp, iff it has no missable child and free_up[v] is false.  Core is
+    N(Supp): a vertex is Core once its parent or a child is in Supp, and
+    N until then; the nullity is |Supp| - |Core|.
+    The structural facts the theory guarantees (no edge inside Supp,
     even N-part) are re-checked; a violation would mean a bug in the DP.
     """
-    n = len(parent)
-    free_up = [False] * n
+    free_up, roles = bytearray(len(parent)), bytearray(len(parent))
     for v in order:
         p = parent[v]
+        up = 0
         if p >= 0:
             others = missable_children[p] - (not missable_children[v])
             free_up[v] = not others and not free_up[p]
-    # Read off order, not range(n), so the sets hold the ints the graph holds.
-    supp = frozenset([v for v in order if not missable_children[v] and not free_up[v]])
-    core = set()
-    for v in order:
-        p = parent[v]
-        if v in supp:
+            up = roles[p]
+        if missable_children[v] or free_up[v]:
+            roles[v] = _C if up == _S else _N
+        elif up == _S:
+            raise AssertionError("support touches itself: matching DP broken")
+        else:
+            roles[v] = _S
             if p >= 0:
-                core.add(p)
-        elif p in supp:
-            core.add(v)
-    core = frozenset(core)
-    if core & supp:
-        raise AssertionError("support touches itself: matching DP broken")
-    n_part = frozenset([v for v in order if v not in supp and v not in core])
-    if len(n_part) % 2:
+                roles[p] = _C
+    d = NullDecomposition(bytes(roles))
+    if d._counts[2] % 2:
         raise AssertionError("N-forest has odd order: matching DP broken")
-    return NullDecomposition(
-        supp=supp,
-        core=core,
-        n_forest_vertices=n_part,
-        nullity=len(supp) - len(core),
-    )
+    return d
+
+
+def _rooted_forest(t, caller):
+    """(order, parent, counts, mate) of the forest t: its walk and the
+    bottom-up pass over it.  Raises NotAForest, naming caller, when t
+    has a cycle: t is a forest iff it has n - c edges, c being the
+    number of components the walk found, and then the walk's parent
+    edges are its edges."""
+    order, parent = _search(t)
+    if t.m != t.n - parent.count(-1):
+        raise NotAForest(f"{caller} needs an acyclic graph")
+    return (order, parent, *_missable_children(order, parent))
 
 
 def decompose(t):
     """Null decomposition of a forest; raises NotAForest on cycles.
 
-    Supp comes from the linear-time matching DP over one walk of t; t is
-    a forest iff it has n - c edges, c being the number of components
-    the walk found, and then the walk's parent edges are its edges.  No
+    Supp comes from the linear-time matching DP over one walk of t.  No
     elimination runs.  The sweeps, `analyze --verify` and the fixtures
     check Supp and the nullity against the exact kernel.
     """
-    order, parent = _search(t)
-    if t.m != t.n - parent.count(-1):
-        raise NotAForest("decompose needs an acyclic graph")
-    return _decomposition(order, parent, _missable_children(order, parent))
+    return _decomposition(*_rooted_forest(t, "decompose")[:3])
 
 
 def _analyze(t):
     """(decomposition, independent set, matching) of the forest t, as
     decompose, independent_set_certificate and matching_certificate give
-    them.  Raises AssertionError naming what breaks the certificate
-    rule, which would mean a bug here."""
-    d = decompose(t)
-    independent = independent_set_certificate(t, d)
-    matching = matching_certificate(t)
+    them, from one walk, one bottom-up and one top-down pass.  Raises
+    AssertionError naming what breaks the certificate rule, which would
+    mean a bug here."""
+    order, parent, counts, mate = _rooted_forest(t, "decompose")
+    d = _decomposition(order, parent, counts)
+    independent = _independent_set(order, parent, d, ())
+    matching = _matching(mate)
     fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
     if fault is not None:
         raise AssertionError(fault)
@@ -175,19 +243,15 @@ def _independent_set(order, parent, d, avoid):
     depth parity below its first vertex in order; a second pass takes
     each component's side as that vertex comes up.
     """
-    supp, n_part = d.supp, d.n_forest_vertices
-    avoid = frozenset(avoid)
-    if avoid & supp:
-        raise ValueError("cannot avoid a support vertex in a maximum independent set")
-    n = len(parent)
+    roles, n = d.roles, len(parent)
     top = [-1] * n  # each N-vertex's component, named by its first vertex in order
     odd = bytearray(n)  # depth parity below that first vertex
     low = [n] * n  # at a component's first vertex: its smallest vertex
     excess = [0] * n  # there: its odd side's size minus its even side's
     for v in order:
-        if v in n_part:
+        if roles[v] == _N:
             p = parent[v]
-            if p in n_part:
+            if p >= 0 and roles[p] == _N:
                 t = top[v] = top[p]
                 odd[v] = not odd[p]
             else:
@@ -197,7 +261,10 @@ def _independent_set(order, parent, d, avoid):
             excess[t] += 1 if odd[v] else -1
     hit = bytearray(n)  # bit 1 << parity for each side of a component that avoid hits
     for v in avoid:
-        if v in n_part:
+        role = roles[v] if 0 <= v < n else 0
+        if role == _S:
+            raise ValueError("cannot avoid a support vertex in a maximum independent set")
+        if role == _N:
             hit[top[v]] |= 1 << odd[v]
     side = bytearray(n)  # the parity taken in each component
     taken = []
@@ -214,7 +281,7 @@ def _independent_set(order, parent, d, avoid):
             side[t] = s
         if t >= 0 and odd[v] == side[t]:
             taken.append(v)
-    return frozenset(chain(supp, taken))
+    return frozenset(chain(compress(range(n), roles.translate(_IS[_S])), taken))
 
 
 def independent_set_certificate(t, d, avoid=()):
@@ -230,44 +297,8 @@ def independent_set_certificate(t, d, avoid=()):
     return _independent_set(*_search(t), d, avoid)
 
 
-def _leaf_pairing(nbrs):
-    """A maximum matching of the forest with neighbour tuples nbrs, by
-    repeatedly pairing a leaf upward; see matching_certificate.  The
-    vertices that pairing v with w pushes lie in different components
-    of what remains, so the order of nbrs cannot change the result."""
-    n = len(nbrs)
-    deg = [len(s) for s in nbrs]  # live neighbours of each live vertex
-    alive = [True] * n
-    stack = [v for v in range(n) if deg[v] <= 1]
-    edges = []
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        if deg[v] == 0:
-            alive[v] = False  # stays unmatched
-            continue
-        for w in nbrs[v]:
-            if alive[w]:
-                break
-        alive[v] = alive[w] = False
-        edges.append((v, w) if v < w else (w, v))
-        for x in nbrs[w]:
-            if alive[x]:
-                deg[x] -= 1
-                if deg[x] <= 1:
-                    stack.append(x)
-    if any(alive):
-        raise NotAForest("matching_certificate needs an acyclic graph")
-    return frozenset(edges)
-
-
 def matching_certificate(t):
-    """A maximum matching of a forest, by repeatedly pairing a leaf upward.
-
-    Cycle vertices keep degree 2 until one of them is paired with a
-    leaf, so on C_4 or a tree beside a triangle some outlive the pairing
-    and NotAForest is raised.  Once all are gone, the leaves' partners
-    cover every edge, one per pair, so the matching is maximum anyway.
-    """
-    return _leaf_pairing(t._adj)
+    """A maximum matching of a forest: each vertex of its walk paired with
+    its smallest child that some maximum matching of the child's subtree
+    misses, bottom-up.  Raises NotAForest on every graph with a cycle."""
+    return _matching(_rooted_forest(t, "matching_certificate")[3])

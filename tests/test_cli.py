@@ -34,6 +34,7 @@ from nulldecomp import (
     unicyclic_corpus,
 )
 from nulldecomp.cli import main
+from nulldecomp.graphs import Role, _certificate_fault
 from nulldecomp.sweeps import (
     TREE_INVARIANTS,
     UNICYCLIC_INVARIANTS,
@@ -185,20 +186,32 @@ class TestAnalyze:
                 assert len(searched) == 1 and searched[0] is h
 
     def test_role_map_is_built_only_for_dot(self, capsys, monkeypatch, tmp_path):
+        # The map comes off the role array the analysis wrote, and only
+        # for the DOT file: every vertex of the forest has its role, and
+        # a type II cycle vertex, which has none, is drawn plain.
         calls = []
-        roles_from = nulldecomp.cli._roles_from
+        export_dot = nulldecomp.cli.export_dot
 
-        def counted(pieces):
-            calls.append(pieces)
-            return roles_from(pieces)
+        def counted(g, roles):
+            calls.append(roles)
+            return export_dot(g, roles)
 
-        monkeypatch.setattr(nulldecomp.cli, "_roles_from", counted)
+        monkeypatch.setattr(nulldecomp.cli, "export_dot", counted)
         for path in (FIG1, FIG3):
             assert run(capsys, "analyze", path)[0] == 0
         assert calls == []
-        for path in (FIG1, FIG3):
-            assert run(capsys, "analyze", path, "--dot", str(tmp_path / "g.dot"))[0] == 0
-        assert len(calls) == 2
+        paths = (FIG1, FIG3, str(resources.files("nulldecomp.fixtures") / "fig4.edges"))
+        for path in paths:
+            code, out, _ = run(capsys, "analyze", path, "--dot", str(tmp_path / "g.dot"))
+            assert code == 0
+            report = json.loads(out)
+            pieces = report.get("parts", [report])
+            roles = {"supp": Role.SUPPORT, "core": Role.CORE, "n_vertices": Role.N_VERTEX}
+            want = {v: role for key, role in roles.items() for p in pieces for v in p[key]}
+            got = calls.pop()
+            g = nulldecomp.graphs.parse_edge_list(Path(path).read_text())
+            assert {g.name_of(v): r for v, r in got.items() if r != Role.PLAIN} == want
+        assert calls == []
 
     def test_forest_verify_checks_the_kernel(self, capsys):
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)
@@ -221,7 +234,7 @@ class TestAnalyze:
         analyses = {
             "forest": nulldecomp.trees._analyze,
             "unicyclic": nulldecomp.unicyclic.analyze,
-            "decompose": nulldecomp.trees.decompose,
+            "top-down pass": nulldecomp.trees._decomposition,
         }
         for kind, real in analyses.items():
 
@@ -238,12 +251,12 @@ class TestAnalyze:
         assert code == 0 and all(json.loads(out)["verification"].values())
         assert calls.count("unicyclic") == unicyclic_analyses
         assert calls.count("forest") == forest_analyses
-        assert calls.count("decompose") == forest_analyses
+        assert calls.count("top-down pass") == forest_analyses
 
     def test_forest_verify_builds_each_certificate_once(self, capsys, monkeypatch):
         # The forest analysis builds both; the checks take the printed ones.
         calls = []
-        for name in ("_independent_set", "_leaf_pairing"):
+        for name in ("_independent_set", "_matching"):
             real = getattr(nulldecomp.trees, name)
 
             def counted(*args, real=real):
@@ -253,7 +266,7 @@ class TestAnalyze:
             monkeypatch.setattr(nulldecomp.trees, name, counted)
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)
         assert code == 0 and all(json.loads(out)["verification"].values())
-        assert sorted(calls) == ["_independent_set", "_leaf_pairing"]
+        assert sorted(calls) == ["_independent_set", "_matching"]
 
     def test_failed_check_exits_1_with_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -789,16 +802,20 @@ class TestReportWriter:
         assert seen["labeled"] >= 50 and seen["verified"] >= 100, seen
 
 
-# report_digest() before the unicyclic analysis read both types off one
-# spanning forest each.
-FROZEN_REPORT_DIGEST = "effba849fdc01f4f954f020e60c2642aaa3485a168ca57b98b5929c35a6a804d"
+# report_digests() of frozen_corpus().  Without their "matching" key, the
+# reports are those from before the unicyclic analysis read both types
+# off one spanning forest each; the whole reports were frozen again when
+# the matching came off the matching DP.
+FROZEN_REPORT_DIGEST = "b87f9bb3346a4805e22945d90c7d3a5a42b80c98f8100f9fcf32a1e56c18b68e"
+FROZEN_REPORT_DIGEST_WITHOUT_MATCHING = (
+    "f46ce1fc46cb11b5575900c778c2129755cdd912b8cd58c0eccf5e0f2b8af0f1"
+)
 
 
-def report_digest(capsys, monkeypatch):
-    """sha256 over the `nulldecomp analyze` stdout of 300 seeded forests
-    (every fourth tree loses up to three edges) and the 300 graphs of a
-    seeded unicyclic corpus (167 of type I, 133 of type II), each read as
-    an edge list."""
+def frozen_corpus():
+    """300 seeded forests (every fourth tree loses up to three edges) and
+    the 300 graphs of a seeded unicyclic corpus (167 of type I, 133 of
+    type II)."""
     rng = random.Random(2819)
     graphs = []
     for i in range(300):
@@ -806,14 +823,29 @@ def report_digest(capsys, monkeypatch):
         if i % 4 == 3 and t.edges:
             t = t.without_edges(rng.sample(sorted(t.edges), min(3, len(t.edges))))
         graphs.append(t)
-    graphs += unicyclic_corpus(300, 3, 60, 2819)
-    h = hashlib.sha256()
-    for g in graphs:
+    return graphs + unicyclic_corpus(300, 3, 60, 2819)
+
+
+def frozen_reports(capsys, monkeypatch):
+    """(graph, its `nulldecomp analyze` stdout) for each graph of
+    frozen_corpus(), read as an edge list."""
+    for g in frozen_corpus():
         monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
         code, out, err = run(capsys, "analyze", "-")
         assert code == 0 and not err
-        h.update(out.encode())
-    return h.hexdigest()
+        yield g, out
+
+
+def report_digests(capsys, monkeypatch):
+    """sha256 over the reports of frozen_reports, and over the same
+    reports without their "matching" key, each dumped as analyze does."""
+    whole, rest = hashlib.sha256(), hashlib.sha256()
+    for _, out in frozen_reports(capsys, monkeypatch):
+        whole.update(out.encode())
+        report = json.loads(out)
+        del report["matching"]
+        rest.update(json.dumps(report, indent=2, sort_keys=True).encode())
+    return whole.hexdigest(), rest.hexdigest()
 
 
 class TestFrozenReports:
@@ -821,4 +853,16 @@ class TestFrozenReports:
         # The whole report, not only the certificates: the parts with each
         # piece's Supp, Core and N-vertices, the reason, the witness and
         # the cycle, on every shape and both types.
-        assert report_digest(capsys, monkeypatch) == FROZEN_REPORT_DIGEST
+        whole, rest = report_digests(capsys, monkeypatch)
+        assert rest == FROZEN_REPORT_DIGEST_WITHOUT_MATCHING
+        assert whole == FROZEN_REPORT_DIGEST
+
+    def test_every_matching_is_maximum(self, capsys, monkeypatch):
+        # The matching, the one field that moved, is a matching of the
+        # graph of size nu, next to an independent set of size alpha.
+        for g, out in frozen_reports(capsys, monkeypatch):
+            report = json.loads(out)
+            independent = {int(v) for v in report["independent_set"]}
+            matching = [(int(u), int(v)) for u, v in report["matching"]]
+            fault = _certificate_fault(g, independent, matching, report["alpha"], report["nu"])
+            assert fault is None, sorted(g.edges)

@@ -1,5 +1,9 @@
 """The result records: immutable named tuples that compare and hash by
-their fields, with their properties read off those fields."""
+their fields, with their properties read off those fields.  The two
+records on a role array (NullDecomposition, PartAnalysis) are not
+tuples: every public field is a read-only property, they compare and
+hash by their roles (and a part by its kind, root and ids), and their
+vertex sets are built on first read and kept."""
 
 import pytest
 
@@ -45,10 +49,29 @@ def records():
 
 
 RECORDS = records()
+TWINS = dict(zip(map(id, RECORDS), records()))  # each record built again
+ON_ROLES = {
+    NullDecomposition: ("roles", "supp", "core", "n_forest_vertices", "nullity", "alpha", "nu"),
+    PartAnalysis: ("kind", "root", "roles", "vertices", "supp", "core", "n_vertices"),
+}
 
 
 def name(record):
     return type(record).__name__
+
+
+def fields(record):
+    return ON_ROLES.get(type(record)) or record._fields
+
+
+def with_other_roles(record):
+    """The record with its smallest vertex given another role."""
+    roles = bytearray(record.roles)
+    v = min(record.vertices if type(record) is PartAnalysis else range(len(roles)))
+    roles[v] = roles[v] % 3 + 1
+    if type(record) is NullDecomposition:
+        return NullDecomposition(bytes(roles))
+    return PartAnalysis(record.kind, record.root, sorted(record.vertices), bytes(roles))
 
 
 def test_every_record_type_is_covered():
@@ -68,9 +91,9 @@ def test_every_record_type_is_covered():
 
 @pytest.mark.parametrize("record", RECORDS, ids=name)
 def test_a_record_is_immutable_and_holds_no_instance_dict(record):
-    field = record._fields[0]
-    with pytest.raises(AttributeError):
-        setattr(record, field, None)
+    for field in fields(record) if type(record) in ON_ROLES else fields(record)[:1]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.unknown = None
     assert not hasattr(record, "__dict__")
@@ -78,6 +101,15 @@ def test_a_record_is_immutable_and_holds_no_instance_dict(record):
 
 @pytest.mark.parametrize("record", RECORDS, ids=name)
 def test_a_record_compares_by_its_fields(record):
+    twin = TWINS[id(record)]
+    assert twin == record and twin is not record
+    assert all(getattr(twin, f) == getattr(record, f) for f in fields(record))
+    if type(record) in ON_ROLES:
+        # Not tuples: they do not unpack.
+        with pytest.raises(TypeError):
+            tuple(record)
+        assert with_other_roles(record) != record
+        return
     copy = type(record)(*record)
     assert copy == record and copy is not record
     # Records are tuples: they unpack, and equal the plain tuple of their fields.
@@ -90,8 +122,9 @@ def test_a_record_compares_by_its_fields(record):
     "record", [r for r in RECORDS if type(r) is not SweepOutcome], ids=name
 )
 def test_a_record_hashes_by_its_fields(record):
-    assert hash(type(record)(*record)) == hash(record)
-    assert len({record, type(record)(*record)}) == 1
+    twin = TWINS[id(record)]
+    assert hash(twin) == hash(record)
+    assert len({record, twin}) == 1
 
 
 def test_properties_read_the_fields():
@@ -99,11 +132,22 @@ def test_properties_read_the_fields():
     assert cycle == ((0, 1, 2, 3), 4)
     assert cycle.edges == ((0, 1), (1, 2), (2, 3), (0, 3))
     d = decompose(P3)
-    assert (d.alpha, d.nu) == (2, 1)
+    assert (d.alpha, d.nu, d.nullity) == (2, 1, 1)
+    assert d.roles == bytes([1, 2, 1])  # Supp, Core, Supp
+    assert (d.supp, d.core, d.n_forest_vertices) == ({0, 2}, {1}, set())
+    assert d.supp is d.supp  # built on first read and kept
     assert null_basis(P3).nullity == 1
     assert max_matching(P3).size == 1
     a = analyze(TAILED)
     assert (a.kind, a.witness, a.alpha, a.nu) == ("I", 0, 3, 2)
+    pendant, rest = a.parts
+    assert a.parts[0].roles is a.parts[1].roles  # one role array for the whole forest
+    assert (pendant.kind, pendant.root, pendant.vertices) == ("pendant", 0, {0, 4})
+    assert (pendant.supp, pendant.core, pendant.n_vertices) == (set(), set(), {0, 4})
+    assert (rest.kind, rest.root, rest.vertices, rest.supp, rest.core) == (
+        "rest", None, {1, 2, 3}, {1, 3}, {2}
+    )
+    assert rest.supp is rest.supp  # built on first read and kept
     assert SweepOutcome({"x": (5, 0)}, {}).ok
     assert not SweepOutcome({"x": (4, 1)}, {}).ok
     report = check_fixture("fig1_T1")

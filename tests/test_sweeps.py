@@ -8,11 +8,21 @@ import pytest
 
 import nulldecomp.trees
 
-from nulldecomp import Graph, SweepOutcome, analyze, decompose, graphs, random_tree, sweeps
+from nulldecomp import (
+    Graph,
+    NullDecomposition,
+    SweepOutcome,
+    analyze,
+    decompose,
+    graphs,
+    random_tree,
+    sweeps,
+)
 from nulldecomp.fixtures import load_fixture
 from nulldecomp.graphs import _certificate_fault, _components
 from nulldecomp.oracles import _max_independent_set, max_independent_set, max_matching
 from nulldecomp.randgraphs import random_unicyclic
+from nulldecomp.trees import _C, _N, _S
 from nulldecomp.sweeps import (
     CYCLE_INVARIANTS,
     TREE_INVARIANTS,
@@ -198,6 +208,28 @@ def shifted_alpha(d, by):
     )
 
 
+def with_roles(n, supp=(), core=(), rest=()):
+    """The decomposition whose role array gives the listed vertices of an
+    n-vertex forest their roles, and every other vertex none."""
+    roles = bytearray(n)
+    for role, ids in ((_S, supp), (_C, core), (_N, rest)):
+        for v in ids:
+            roles[v] = role
+    return NullDecomposition(bytes(roles))
+
+
+def replaced(d, **sets):
+    """d with the given sets replaced, where they may overlap, which no
+    role array can hold: alpha and nu follow the sets, and the nullity
+    stays d's."""
+    sets = {"supp": d.supp, "core": d.core, "n_forest_vertices": d.n_forest_vertices, **sets}
+    sets = {k: frozenset(v) for k, v in sets.items()}
+    half = len(sets["n_forest_vertices"]) // 2
+    return SimpleNamespace(
+        **sets, nullity=d.nullity, alpha=len(sets["supp"]) + half, nu=len(sets["core"]) + half
+    )
+
+
 def moved(d, rng):
     """d with one to three vertices moved between Supp, Core and N; the
     three parts still partition the vertices, and alpha and nu follow."""
@@ -207,11 +239,7 @@ def moved(d, rng):
         v = rng.choice(sorted(src))
         src.remove(v)
         rng.choice([p for p in parts if p is not src]).add(v)
-    return d._replace(
-        supp=frozenset(parts[0]),
-        core=frozenset(parts[1]),
-        n_forest_vertices=frozenset(parts[2]),
-    )
+    return with_roles(len(d.roles), *parts)
 
 
 def _cases(seed):
@@ -328,8 +356,8 @@ def test_s_and_n_parts_must_partition_the_vertices():
     # The cut forest holds each vertex once, so parts that overlap or
     # miss a vertex fail, where the reference may pass them.
     d = decompose(P4)  # every vertex an N-vertex
-    overlapping = d._replace(supp=frozenset({0}))
-    missing = d._replace(n_forest_vertices=frozenset({0, 1}))
+    overlapping = replaced(d, supp={0})
+    missing = with_roles(4, rest={0, 1})
     name = "S components singular, N components matched"
     assert reference_s_and_n_parts(P4, overlapping)
     assert reference_s_and_n_parts(P4, missing)
@@ -337,57 +365,45 @@ def test_s_and_n_parts_must_partition_the_vertices():
     assert not _tree_checks(P4, missing, frozenset(), frozenset())[name]
 
 
-def _corrupted_tree_checks(t, name, **fields):
-    """The verdict on invariant name for t's decomposition with the given
-    fields replaced, after checking that the true decomposition passes."""
+def _corrupted_tree_checks(t, name, corrupt):
+    """The verdict on invariant name for corrupt(d), d being t's
+    decomposition, after checking that d itself passes."""
     d = decompose(t)
     assert _tree_checks(t, d, frozenset(), frozenset())[name]
-    return _tree_checks(t, d._replace(**fields), frozenset(), frozenset())[name]
-
-
-def parts(supp, core, n):
-    """Replacement Supp, Core and N fields for a decomposition."""
-    return {
-        "supp": frozenset(supp),
-        "core": frozenset(core),
-        "n_forest_vertices": frozenset(n),
-    }
+    return _tree_checks(t, corrupt(d), frozenset(), frozenset())[name]
 
 
 P3 = Graph(3, [(0, 1), (1, 2)])  # Supp {0, 2}, Core {1}
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])  # every vertex an N-vertex
+P3_AND_P2 = Graph(5, [(0, 1), (1, 2), (3, 4)])  # Supp {0, 2}, Core {1}, N {3, 4}
 
 
 @pytest.mark.parametrize("t", [P3, P4])
 def test_core_exclusion_fails_on_a_core_vertex_in_some_maximum_independent_set(t):
-    # vertex 0 is in Supp of P3 and an N-vertex of P4
-    assert not _corrupted_tree_checks(t, "core exclusion", core=frozenset({0}))
+    # vertex 0 is in Supp of P3 and an N-vertex of P4, and stays there
+    assert not _corrupted_tree_checks(t, "core exclusion", lambda d: replaced(d, core={0}))
 
 
 @pytest.mark.parametrize("moved", [1, 0])  # a Core vertex, a Supp vertex
 def test_n_vertex_flexibility_fails_on_a_vertex_that_is_not_flexible(moved):
-    n_part = frozenset({moved})
-    assert not _corrupted_tree_checks(P3, "N-vertex flexibility", n_forest_vertices=n_part)
+    def corrupt(d):
+        return replaced(d, n_forest_vertices={moved})
+
+    assert not _corrupted_tree_checks(P3, "N-vertex flexibility", corrupt)
 
 
 @pytest.mark.parametrize(
-    "t, fields",
+    "t, corrupt",
     [
-        (P4, {"supp": frozenset({0}), "core": frozenset({1})}),  # S part has a perfect matching
-        (  # odd N part
-            P3,
-            {"supp": frozenset(), "core": frozenset(), "n_forest_vertices": frozenset({0, 1, 2})},
-        ),
+        (P4, lambda d: replaced(d, supp={0}, core={1})),  # S part has a perfect matching
+        (P3, lambda d: with_roles(3, rest={0, 1, 2})),  # odd N part
         # the first S component is singular, the second is not
-        (
-            Graph(5, [(0, 1), (1, 2), (3, 4)]),
-            {"supp": frozenset({0, 2, 3}), "core": frozenset({1, 4})},
-        ),
-        # the same two S faults with the parts partitioning the vertices
-        (P4, parts(supp={0}, core={1}, n={2, 3})),
-        (Graph(5, [(0, 1), (1, 2), (3, 4)]), parts(supp={0, 2, 3}, core={1, 4}, n=())),
+        (P3_AND_P2, lambda d: replaced(d, supp={0, 2, 3}, core={1, 4})),
+        # the same two S faults with the roles partitioning the vertices
+        (P4, lambda d: with_roles(4, supp={0}, core={1}, rest={2, 3})),
+        (P3_AND_P2, lambda d: with_roles(5, supp={0, 2, 3}, core={1, 4})),
         # singular S component, but an unmatched N component beside it
-        (Graph(4, [(0, 1), (1, 2)]), parts(supp={0, 2}, core={1}, n={3})),
+        (Graph(4, [(0, 1), (1, 2)]), lambda d: with_roles(4, supp={0, 2}, core={1}, rest={3})),
     ],
     ids=[
         "perfect-s-component",
@@ -398,8 +414,8 @@ def test_n_vertex_flexibility_fails_on_a_vertex_that_is_not_flexible(moved):
         "unmatched-n-component",
     ],
 )
-def test_s_and_n_components_fail_on_the_wrong_matching(t, fields):
-    assert not _corrupted_tree_checks(t, "S components singular, N components matched", **fields)
+def test_s_and_n_components_fail_on_the_wrong_matching(t, corrupt):
+    assert not _corrupted_tree_checks(t, "S components singular, N components matched", corrupt)
 
 
 @pytest.mark.parametrize("name", ["fig6", "fig4"])

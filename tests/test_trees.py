@@ -329,7 +329,8 @@ class TestNComponentSides:
             nulldecomp.trees._independent_set(*walk, d, {2, 3})
         # An N-part no matching DP gives: P3 whole, sides {0, 2} / {1}.
         walk = nulldecomp.graphs._search(path_graph(3))
-        uneven = NullDecomposition(frozenset(), frozenset(), frozenset({0, 1, 2}), 0)
+        uneven = NullDecomposition(bytes([nulldecomp.trees._N] * 3))
+        assert uneven.n_forest_vertices == {0, 1, 2} and not uneven.supp | uneven.core
         with pytest.raises(AssertionError, match="N-component bipartition sides differ in size"):
             nulldecomp.trees._independent_set(*walk, uneven, ())
 
@@ -357,6 +358,8 @@ class TestMatchingCertificate:
             matching_certificate(cycle_graph(4))
 
     def test_checks_acyclicity_in_its_own_pairing(self, monkeypatch):
+        # The pairs come off the matching DP over the walk, so the walk's
+        # root count decides acyclicity, once per graph.
         calls = []
         walk = nulldecomp.trees._search
 
@@ -371,13 +374,14 @@ class TestMatchingCertificate:
             matching_certificate(cycle_graph(4))
         with pytest.raises(NotAForest):  # a tree beside a triangle
             matching_certificate(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]))
-        assert calls == []
+        assert calls == [t.n, 4, 6]
 
     def test_maximum_whenever_the_pairing_finishes_on_a_cycle(self):
-        # Pairing a cycle vertex with a leaf opens the cycle, and the leaves'
-        # partners then cover every edge: the triangle with a pendant edge.
+        # The pairing runs on forests only: every graph with a cycle is
+        # refused, the triangle with a pendant edge included.
         paw = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-        assert matching_certificate(paw) == {(0, 3), (1, 2)}
+        with pytest.raises(NotAForest, match="matching_certificate needs an acyclic graph"):
+            matching_certificate(paw)
         rng = random.Random(61)
         outcomes = set()
         for _ in range(200):
@@ -390,7 +394,15 @@ class TestMatchingCertificate:
             outcomes.add("finished")
             assert matching_defect(g, m) is None
             assert len(m) == max_matching(g).size
-        assert outcomes == {"raised", "finished"}
+        assert outcomes == {"raised"}
+
+    def test_pairs_each_vertex_with_its_smallest_missable_child(self):
+        # A star's centre has every leaf as a missable child and takes the
+        # smallest; the walk order of the leaves does not matter.
+        for leaves in ([3, 1, 2], [2, 3, 1]):
+            assert matching_certificate(Graph(4, [(0, v) for v in leaves])) == {(0, 1)}
+        # P4 rooted at 0: 3 is missable below 2, so 2 takes it and 1 takes 0.
+        assert matching_certificate(path_graph(4)) == {(0, 1), (2, 3)}
 
 
 class TestForestAnalysis:
@@ -440,16 +452,12 @@ class TestForestAnalysis:
 
     def test_a_matching_with_a_bad_pair_fails_the_certificate_rule(self, monkeypatch):
         # 0-3 is no edge of the path; 1-2 is, and shares no vertex with it.
-        monkeypatch.setattr(
-            nulldecomp.trees, "_leaf_pairing", lambda nbrs: frozenset({(0, 3), (1, 2)})
-        )
+        monkeypatch.setattr(nulldecomp.trees, "_matching", lambda mate: frozenset({(0, 3), (1, 2)}))
         with pytest.raises(AssertionError, match=r"bad matching pair \(0, 3\)"):
             self.analyze(path_graph(4))
 
     def test_analyze_and_the_sweeps_hold_forests_to_the_rule(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            nulldecomp.trees, "_leaf_pairing", lambda nbrs: frozenset({(0, 3), (1, 2)})
-        )
+        monkeypatch.setattr(nulldecomp.trees, "_matching", lambda mate: frozenset({(0, 3), (1, 2)}))
         path = tmp_path / "p4.edges"
         path.write_text("0 1\n1 2\n2 3\n")
         with pytest.raises(AssertionError, match=r"bad matching pair \(0, 3\)"):
