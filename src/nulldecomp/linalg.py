@@ -34,7 +34,12 @@ facing y in the pivot row is (x * prev - f * y) / prev = x - f * y /
 prev, for f the row's entry in the pivot column.  Most pivots of
 adjacency matrices are +-1, where 1 / prev = prev and the step is
 x - f * prev * y with no division at all; every other division, by a
-pivot other than +-1, is still made with its remainder checked.
+pivot other than +-1, is still made with its remainder checked.  That
+unit step, the common one, has a loop of its own over a snapshot of the
+rows holding the pivot column and of the pivot row's entries, and a row
+joins a column's index only when its entry there is new.  The pivot row
+is the holder with the least index at or past the current row, found
+by a plain scan, and it moves only when it is not there already.
 
 A kernel vector x is kept as the integers d x on its nonzeros, and no
 dense vector is ever built, so a basis takes memory in proportion to
@@ -92,13 +97,19 @@ def _eliminate(work, cols):
         if r == rows:
             break
         holders = holding[c]
-        p = min((at[o] for o in holders if at[o] >= r), default=None)
-        if p is None:
+        p = rows
+        for o in holders:
+            i = at[o]
+            if r <= i < p:
+                p = i
+        if p == rows:
             continue
-        work[r], work[p] = work[p], work[r]
-        lr, lp = label[p], label[r]
-        label[r], label[p] = lr, lp
-        at[lr], at[lp] = r, p
+        lr = label[p]
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            lp = label[r]
+            label[r], label[p] = lr, lp
+            at[lr], at[lp] = r, p
         wr = work[r]
         piv = wr[c]
         if piv == -prev:
@@ -108,48 +119,60 @@ def _eliminate(work, cols):
                 wr[j] = -wr[j]
             piv = prev
         same = piv == prev
-        if same:
-            # An entry x facing a zero of the pivot row then updates to
+        if same and (prev == 1 or prev == -1):
+            # An entry x facing a zero of the pivot row updates to
             # x * piv / prev = x, so only the rows holding column c
-            # change, and in them only the pivot row's columns.
-            targets = [o for o in holders if o != lr]
-        else:
-            # Every other row changes, even with a zero in column c, or
-            # later divisions break.
-            targets = [o for o in range(rows) if o != lr]
-        unit = same and (prev == 1 or prev == -1)
-        for o in targets:
-            wi = work[at[o]]
-            f = wi.get(c, 0)
-            if unit:
-                # (x * prev - f * y) / prev = x - f * y / prev, and
-                # 1 / prev = prev: no division.
-                fp = f * prev
-                for j, y in wr.items():
-                    q = wi.get(j, 0) - fp * y
+            # change, and in them only the pivot row's columns; and
+            # (x * prev - f * y) / prev = x - f * y / prev with
+            # 1 / prev = prev: no division.  The rows lose column c as
+            # they go, so the loop runs over a snapshot of its holders.
+            entries = list(wr.items())
+            for o in list(holders):
+                if o == lr:
+                    continue
+                wi = work[at[o]]
+                fp = wi[c] * prev
+                for j, y in entries:
+                    x = wi.get(j)
+                    if x is None:
+                        wi[j] = -fp * y
+                        holding[j].add(o)
+                        continue
+                    q = x - fp * y
                     if q:
                         wi[j] = q
-                        holding[j].add(o)
                     else:
                         del wi[j]
                         holding[j].remove(o)
-                continue
+        else:
             if same:
-                touched = wr
-            elif f:
-                touched = wi.keys() | wr.keys()  # a column empty in both stays empty
+                # Only the rows holding column c change, as above.
+                targets = [o for o in holders if o != lr]
             else:
-                touched = list(wi)
-            for j in touched:
-                q, rem = divmod(wi.get(j, 0) * piv - f * wr.get(j, 0), prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                if q:
-                    wi[j] = q
-                    holding[j].add(o)
+                # Every other row changes, even with a zero in column c,
+                # or later divisions break.
+                targets = [o for o in range(rows) if o != lr]
+            for o in targets:
+                wi = work[at[o]]
+                f = wi.get(c, 0)
+                if same:
+                    touched = wr
+                elif f:
+                    touched = wi.keys() | wr.keys()  # a column empty in both stays empty
                 else:
-                    del wi[j]
-                    holding[j].remove(o)
+                    touched = list(wi)
+                for j in touched:
+                    x = wi.get(j, 0)
+                    q, rem = divmod(x * piv - f * wr.get(j, 0), prev)
+                    if rem:
+                        raise ArithmeticError("fraction-free elimination lost exactness")
+                    if q:
+                        wi[j] = q
+                        if not x:
+                            holding[j].add(o)
+                    else:
+                        del wi[j]
+                        holding[j].remove(o)
         pivots.append(c)
         prev = piv
         r += 1

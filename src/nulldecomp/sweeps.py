@@ -18,11 +18,18 @@ already built, _grow for max_matching and eg_set).  alpha(G - S) is a
 search of g with S removed, not of a rebuilt G - S; a forest's searches
 share one build of its bitmasks, and one growth of its maximum matching
 serves the nu check and, off the last Edmonds search of that growth,
-the EG set.  A search's witness that checks out as a maximum
-independent set of the forest (independent, and of the oracle's size)
-settles later questions: a Core vertex in one fails core exclusion at
-once, an N-vertex in one needs no search of t - N[u], and one left out
-of one no search of t - u.  Witnesses are used only when the
+the EG set.  A set that checks out as a maximum independent set of the
+forest (its ids vertices of t, no edge inside, and of the oracle's size)
+is a witness and settles later questions: a Core vertex in one fails
+core exclusion at once, an N-vertex in one needs no search of t - N[u],
+and one left out of one no search of t - u.  The witnesses are the
+first search's, the analysis's own independent set and its other
+N-sides (Supp with the rest of the N-vertices), and those of the
+searches the N-vertex loop still runs.  When the analysis is right its
+two sets put every N-vertex in one and out of the other, so past the
+first search only each Core vertex is searched (McConnell, Mehlhorn,
+Naeher and Schweitzer's certifying algorithms: two checked sets prove
+what the per-vertex searches would).  Witnesses are used only when the
 decomposition's alpha is the oracle's, so every verdict is the one the
 skipped searches would give.  A forest's S part (Supp and Core) and N
 part are read off one cut forest, the forest without the edges between
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, _certificate_fault, _components, edge_inside
+from .graphs import Graph, _certificate_fault, _components, edge_inside, foreign_id
 from .linalg import null_basis
 from .oracles import _bitmasks, _grow, _max_independent_set, max_independent_set
 from .randgraphs import _trees, _unicyclic_graphs
@@ -113,20 +120,26 @@ def _tree_checks(t, d, independent, matching):
     fits, avoidable = set(), set()
     everyone = frozenset(range(t.n))
 
-    def note(found, removed, put_back=frozenset()):
-        """Add the oracle's witness for t - removed, with put_back added,
-        to fits and avoidable if it is a maximum independent set of t."""
+    def note(found, removed=(), put_back=frozenset()):
+        """Add found, a witness for t - removed, with put_back added, to
+        fits and avoidable if it is a maximum independent set of t."""
         s = found | put_back
         if (
             d.alpha == oracle_alpha
             and len(s) == oracle_alpha
             and found.isdisjoint(removed)
+            and foreign_id(t, s) is None
             and edge_inside(t, s) is None
         ):
             fits.update(s)
             avoidable.update(everyone - s)
 
-    note(found, ())
+    note(found)
+    # The analysis's certificate and its other N-sides: when both are
+    # maximum independent sets, every N-vertex is in one and out of the
+    # other, and the N-vertex loop runs no search.
+    note(independent)
+    note(d.supp | (d.n_forest_vertices - independent))
 
     ok = True
     for c in d.core:

@@ -1,5 +1,7 @@
 """Exact fraction-free elimination, kernels, and adjacency nullity."""
 
+import functools
+import hashlib
 import inspect
 import random
 import sys
@@ -27,11 +29,12 @@ def reference_rref(rows):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        rows[r] = [x / inv if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                # a zero of the pivot row leaves the entry as it is
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         r += 1
     return rows, r
 
@@ -100,14 +103,28 @@ def apply(g, vec):
     )
 
 
-def lines_run(fn, *args):
-    """The source lines of fn that a call fn(*args) executes."""
-    code = fn.__code__
-    hit = set()
+@functools.cache
+def line_of(fn, text):
+    """The line number of the one source line of fn that contains text."""
+    lines, first = inspect.getsourcelines(fn)
+    (k,) = [k for k, line in enumerate(lines) if text in line]
+    return first + k
+
+
+def traced_eliminate(work, ncols):
+    """_eliminate(work, ncols) under one trace: its (pivots, d), the
+    source lines it runs, and (|previous pivot|, whether the pivot equals
+    it) for each step it takes."""
+    code = _eliminate.__code__
+    step_end = line_of(_eliminate, "pivots.append(c)")
+    hit, kinds = set(), set()
 
     def local(frame, event, arg):
         if event == "line":
             hit.add(frame.f_lineno)
+            if frame.f_lineno == step_end:
+                f = frame.f_locals
+                kinds.add((abs(f["prev"]), f["same"]))
         return local
 
     def tracer(frame, event, arg):
@@ -116,46 +133,16 @@ def lines_run(fn, *args):
     old = sys.gettrace()
     sys.settrace(tracer)
     try:
-        fn(*args)
+        result = _eliminate(work, ncols)
     finally:
         sys.settrace(old)
-    return hit
+    return result, hit, kinds
 
 
-def line_of(fn, text):
-    """The line number of the one source line of fn that contains text."""
-    lines, first = inspect.getsourcelines(fn)
-    (k,) = [k for k, line in enumerate(lines) if text in line]
-    return first + k
-
-
-def step_kinds(rows, ncols):
-    """(|previous pivot|, whether the pivot equals it) for each step that
-    _eliminate takes on the integer rows."""
-    step_end = line_of(_eliminate, "pivots.append(c)")
-    kinds = set()
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == step_end:
-            f = frame.f_locals
-            kinds.add((abs(f["prev"]), f["same"]))
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code is _eliminate.__code__ else None
-
-    old = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        _eliminate(sparse(rows), ncols)
-    finally:
-        sys.settrace(old)
-    return kinds
-
-
-def reference_kernel(g):
-    """One vector per free column of reference_rref, unit there."""
-    red, rank = reference_rref(adjacency_rows(g))
+def reference_kernel(g, reduced=None):
+    """One vector per free column of reference_rref, unit there; reduced
+    is that RREF and rank of A(g) when the caller has it already."""
+    red, rank = reduced or reference_rref(adjacency_rows(g))
     pivots = reference_pivots(red, rank)
     vectors = []
     for f in range(g.n):
@@ -219,16 +206,16 @@ class TestEliminate:
         for g in cases:
             rows = adjacency_rows(g)
             work = sparse(rows)
-            if negation in lines_run(_eliminate, sparse(rows), g.n):
+            (pivots, d), hit, steps = traced_eliminate(work, g.n)
+            if negation in hit:
                 negated += 1
-            kinds |= step_kinds(rows, g.n)
-            pivots, d = _eliminate(work, g.n)
+            kinds |= steps
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
             assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
             if want_rank == g.n:
                 assert abs(d) == abs(reference_det(rows))
-            assert dense_vectors(null_basis(g)) == reference_kernel(g)
+            assert dense_vectors(null_basis(g)) == reference_kernel(g, (want_rows, want_rank))
         assert negated > 0
         assert {(1, True), (1, False), (2, True), (2, False), (4, False)} <= kinds
 
@@ -426,6 +413,27 @@ class TestKernel:
             assert dense_vectors(basis) == reference_kernel(g)
             assert type(basis.d) is int
             assert all(type(x) is int and x for dx in basis.scaled for _, x in dx)
+
+    def test_basis_integers_are_pinned(self):
+        # The dense vectors leave d and the scale of each stored integer
+        # free; this pins them as well: n, d, every vector's (column,
+        # integer) pairs in their order, and the support, over 320 seeded
+        # trees, forests, unicyclic graphs, cycles and complete graphs.
+        rng = random.Random(41)
+        cases = [random_tree(rng.randrange(1, 41), rng) for _ in range(100)]
+        for _ in range(80):
+            t = random_tree(rng.randrange(2, 41), rng)
+            cases.append(t.without_edges(rng.sample(sorted(t.edges), len(t.edges) // 4)))
+        cases += [random_unicyclic(rng.randrange(3, 41), rng) for _ in range(100)]
+        cases += [cycle_graph(n) for n in range(3, 31)]
+        cases += [Graph(n, [(u, v) for v in range(n) for u in range(v)]) for n in range(1, 13)]
+        digest = hashlib.sha256()
+        for g in cases:
+            b = null_basis(g)
+            digest.update(repr((b.n, b.d, b.scaled, sorted(b.support))).encode())
+        assert digest.hexdigest() == (
+            "3f5259ff3f1f1ec6dd1c4a2a5871719c4ad274f639ef8ac67313068c8596a491"
+        )
 
     def test_canonical_unit_pattern(self):
         # Star with center 0: A x = 0 reads x1 + x2 + x3 = 0 and x0 = 0,

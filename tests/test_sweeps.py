@@ -23,6 +23,7 @@ from nulldecomp.graphs import _certificate_fault, _components
 from nulldecomp.oracles import _max_independent_set, max_independent_set, max_matching
 from nulldecomp.randgraphs import random_unicyclic
 from nulldecomp.trees import _C, _N, _S
+from nulldecomp.trees import _analyze as _analyze_forest
 from nulldecomp.sweeps import (
     CYCLE_INVARIANTS,
     TREE_INVARIANTS,
@@ -299,6 +300,9 @@ def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
 
 
 def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
+    # The analysis's certificate and its other N-sides put every N-vertex
+    # in one maximum independent set and out of another, so past the
+    # first search only each Core vertex is searched.
     calls = []
 
     def counted(adj, removed=()):
@@ -307,18 +311,46 @@ def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_max_independent_set", counted)
     rng = random.Random(97)
-    total = reference = 0
     for i in range(200):
         n = rng.randrange(1, 31)
         t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
         d = decompose(t)
         calls.clear()
         assert check_tree_instance(t)["N-vertex flexibility"]
-        assert len(calls) <= 1 + len(d.core) + len(d.n_forest_vertices)
-        total += len(calls)
-        reference += 1 + len(d.core) + 2 * len(d.n_forest_vertices)
-    # most N-vertices need no search at all
-    assert 2 * total < reference
+        assert len(calls) == 1 + len(d.core)
+
+
+def _corrupted_certificate(t, d, independent, how):
+    """independent, the certificate of t's analysis, broken the way how
+    names.  v is its smallest vertex that d, which may itself be
+    corrupted, calls an N-vertex (else its smallest), and u is v's
+    smallest neighbour; all but one-short and empty keep the size."""
+    v = min(independent & d.n_forest_vertices or independent)
+    u = min(t.neighbors(v), default=v)
+    rest = independent - {v}
+    if how == "foreign-id":  # no edge inside, which edge_inside alone lets through
+        return rest | {t.n}
+    if how == "edge-inside":  # v and u both in
+        return independent - {min(rest, default=v)} | {u}
+    if how == "one-short":
+        return rest
+    if how == "moved":  # v gives its place to u, on the other side
+        return rest | {u}
+    return frozenset()
+
+
+@pytest.mark.parametrize("how", ["foreign-id", "edge-inside", "one-short", "moved", "empty"])
+def test_tree_checks_distrust_a_bad_certificate(how):
+    # The certificates steer which searches run, so a set that is not a
+    # maximum independent set of t must never be taken for one: with the
+    # certificate broken, and its other N-sides read off it, every
+    # verdict is still the reference's.
+    for t, d in _cases(103)[::2]:
+        independent = _analyze_forest(t)[1]
+        bad = _corrupted_certificate(t, d, independent, how)
+        checks = _tree_checks(t, d, bad, frozenset())
+        for name, reference in REFERENCES.items():
+            assert checks[name] == reference(t, d), (name, t.edges, d)
 
 
 def test_tree_checks_build_the_bitmasks_once(monkeypatch):
