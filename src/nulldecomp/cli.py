@@ -14,16 +14,18 @@ integer, the --dot file cannot be written, or stdout was closed before
 all output was written (as by `| head`), 3 the input is unsupported
 (wrong shape, no vertices, past the size guard for oracle
 cross-checks: the graph under analyze --verify, --max-n under verify,
-or too large for the memory the process may use).
+or too large for the memory the process may use).  analyze prints
+nothing before its checks and its --dot file are done, so an exit of 2
+or 3 after the output began leaves a truncated report.
 main builds its argument parser once per process.  Each subcommand
 imports what it runs, and nothing else: analyze loads errors, graphs,
 trees and unicyclic; --verify adds sweeps (with oracles, linalg and
 randgraphs), as verify does; fixtures adds fixtures.  analyze walks the
 graph once: the Graph keeps the walk that its shape reads, and the
-analysis reads the same one.  It writes its report straight
-from the analysis, each list of names in one str.join, the matching
-_CHUNK pairs at a time and each part in one str, as the text
-json.dumps(report, indent=2, sort_keys=True) would print.  Each list
+analysis reads the same one.  Its report, the text json.dumps(report,
+indent=2, sort_keys=True) would print, is one stream of pieces made
+from the analysis as it is written: each list of names in one str.join,
+the matching _CHUNK pairs at a time, each part in one str.  Each list
 of a decomposition's ids comes in ascending order off its role array,
 read over every id for a forest and over a part's own ids for a part,
 and the role map behind --dot comes off the same array.  It decodes
@@ -61,10 +63,6 @@ def _read_input(path):
 # would, byte for byte, with no report dict and no pure-Python encoder.
 # indent is the line break and indentation before the closing bracket.
 _quote = json.encoder.encode_basestring_ascii
-# Keys are the report's field names and the check names, a fixed few, as
-# are the part kinds, so each is quoted once per process.  Labels and
-# values are not cached: there is no bound on them.
-_key = cache(_quote)
 _BOOLS = {True: "true", False: "false"}
 _CHUNK = 4096
 
@@ -84,40 +82,39 @@ def _strings(name, ids, indent):
     return "[" + inner + '"' + ('",' + inner + '"').join(map(name, ids)) + '"' + indent + "]"
 
 
-def _having(role, ids, roles):
-    """The ids whose role, read in roles in the same order, is role."""
-    return list(compress(ids, roles.translate(_IS[role])))
+def _role_fields(name, ids, roles, indent):
+    """The supp, core and n_vertices fields of ids, their roles in roles."""
+    return {
+        key: _strings(name, list(compress(ids, roles.translate(_IS[role]))), indent)
+        for key, role in (("supp", _S), ("core", _C), ("n_vertices", _N))
+    }
 
 
 def _edges(name, pairs, indent):
     """The list of two-name lists, one per pair, in sorted order, as
     pieces of at most _CHUNK pairs: one join over every pair would hold
     a new str per pair at once."""
-    if not pairs:
-        return "[]"
     inner, deep = indent + "  ", indent + "    "
     head, mid, tail = "[" + deep + '"', '",' + deep + '"', '"' + inner + "]"
     sep = "," + inner
     pairs = sorted(pairs)
-    pieces = ["[" + inner]
+    lead = "[" + inner
     for i in range(0, len(pairs), _CHUNK):
-        chunk = pairs[i : i + _CHUNK]
-        pieces += (sep.join([head + name(u) + mid + name(v) + tail for u, v in chunk]), sep)
-    pieces[-1] = indent + "]"
-    return pieces
+        yield lead
+        yield sep.join([head + name(u) + mid + name(v) + tail for u, v in pairs[i : i + _CHUNK]])
+        lead = sep
+    yield indent + "]" if pairs else "[]"
 
 
 def _object(fields, indent):
-    """Key -> written value, or a list of the pieces of one, as pieces to
-    join or write, keys sorted."""
-    inner = indent + "  "
-    pieces = ["{"]
+    """The pieces of the object of fields, keys sorted.  A value is its
+    written text or an iterable of the pieces of it."""
+    lead, inner = "{", indent + "  "
     for k, v in sorted(fields.items()):
-        pieces += (inner, _key(k), ": ")
-        pieces += v if isinstance(v, list) else (v,)
-        pieces.append(",")
-    pieces[-1] = indent + "}"
-    return pieces
+        yield lead + inner + _quote(k) + ": "
+        yield from (v,) if isinstance(v, str) else v
+        lead = ","
+    yield indent + "}"
 
 
 def _forest_fields(g, shape, d, independent, matching):
@@ -130,33 +127,33 @@ def _forest_fields(g, shape, d, independent, matching):
         "singular": _BOOLS[d.nullity > 0],
         "alpha": repr(d.alpha),
         "nu": repr(d.nu),
-        "supp": _strings(name, _having(_S, range(g.n), d.roles), "\n  "),
-        "core": _strings(name, _having(_C, range(g.n), d.roles), "\n  "),
-        "n_vertices": _strings(name, _having(_N, range(g.n), d.roles), "\n  "),
+        **_role_fields(name, range(g.n), d.roles, "\n  "),
         "independent_set": _strings(name, sorted(independent), "\n  "),
         "matching": _edges(name, matching, "\n  "),
     }
 
 
+def _part_fields(name, p):
+    ids, indent = p._ids, "\n      "
+    fields = _role_fields(name, ids, p._local(), indent)
+    fields.update(kind=_quote(p.kind), vertices=_strings(name, ids, indent))
+    if p.root is not None:
+        fields["root"] = '"' + name(p.root) + '"'
+    return fields
+
+
+def _parts(name, parts):
+    """The list of the parts, each part's text in one str as it is made."""
+    lead = "[\n    "
+    for p in parts:
+        # The fields are freed once joined: a part can hold most of the graph.
+        yield "".join([lead, *_object(_part_fields(name, p), "\n    ")])
+        lead = ",\n    "
+    yield "\n  ]" if parts else "[]"
+
+
 def _unicyclic_fields(g, shape, a):
     name = _name_table(g)
-    parts = ["["]  # pieces, written as they are: parts can hold every vertex
-    for p in a.parts:
-        ids, roles = p._ids, p._local()
-        entry = {
-            "kind": _key(p.kind),
-            "vertices": _strings(name, ids, "\n      "),
-            "supp": _strings(name, _having(_S, ids, roles), "\n      "),
-            "core": _strings(name, _having(_C, ids, roles), "\n      "),
-            "n_vertices": _strings(name, _having(_N, ids, roles), "\n      "),
-        }
-        if p.root is not None:
-            entry["root"] = '"' + name(p.root) + '"'
-        # A small part goes in one str: held until the write, its pieces
-        # would outweigh its text.
-        text = _object(entry, "\n    ")
-        parts += ("\n    ", *(["".join(text)] if len(ids) < _CHUNK else text), ",")
-    parts[-1] = "\n  ]"
     return {
         "shape": _quote(shape.value),
         "vertex_count": repr(g.n),
@@ -169,7 +166,7 @@ def _unicyclic_fields(g, shape, a):
         "nullity": repr(a.nullity),
         "alpha": repr(a.alpha),
         "nu": repr(a.nu),
-        "parts": parts if a.parts else "[]",
+        "parts": _parts(name, a.parts),
         "independent_set": _strings(name, sorted(a.independent_set), "\n  "),
         "matching": _edges(name, a.matching, "\n  "),
     }
@@ -270,7 +267,9 @@ def _analyze_input(args):
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    sys.stdout.writelines(_object(fields, "\n") + ["\n"])
+    del g  # the report, made as it is written, reads nothing of the graph
+    sys.stdout.writelines(_object(fields, "\n"))
+    sys.stdout.write("\n")
     return code
 
 

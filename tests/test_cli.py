@@ -438,6 +438,28 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_out_of_memory_mid_report_exits_3_after_a_prefix(self, capsys, monkeypatch):
+        # The report is written as it is made, so memory that runs out
+        # past its first piece leaves the part already written.
+        _, full, _ = run(capsys, "analyze", FIG3)
+
+        class Out(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise MemoryError
+                return super().write(text)
+
+        stub = Out()
+        monkeypatch.setattr("sys.stdout", stub)
+        code, _, err = run(capsys, "analyze", FIG3)
+        assert code == 3 and stub.writes == 2
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert stub.getvalue() and full.startswith(stub.getvalue())
+
     def test_verify_over_size_guard_exits_3(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("NULLDECOMP_MAX_N", raising=False)
         lines = "\n".join(f"{i} {i + 1}" for i in range(40))
@@ -721,7 +743,14 @@ AWKWARD_NAMES = [
 def generated_graphs():
     """(graph, description) for random trees, forests and unicyclic graphs,
     and pure cycles, with n from 1 to 200; every fifth graph with at
-    least as many vertices as AWKWARD_NAMES carries them as labels."""
+    least as many vertices as AWKWARD_NAMES carries them as labels.  Then
+    graphs past the writer's 4,096-pair matching chunks and 4,096-id
+    parts: the paths P_8192 and P_8194 (4,096 and 4,097 matching pairs),
+    the pendant paths graph with k = 4,097 (a k-cycle with a two-vertex
+    path hung at each cycle vertex: type II, 4,097 parts, 6,145 pairs),
+    and a type I graph whose "rest" part holds 5,002 ids (a triangle
+    0 1 2 with the leaf 3 at 0, the witness, and a 5,000-vertex path
+    hung at 1)."""
     rng = random.Random(4021)
 
     def size(lo):
@@ -764,6 +793,14 @@ def generated_graphs():
             rng.shuffle(names)
             g = Graph(g.n, g.edges, labels=names)
         out.append((g, f"graph {i}: {kind}, n={g.n}, labeled={g.labels is not None}"))
+    for n in (8192, 8194):
+        out.append((Graph(n, [(i, i + 1) for i in range(n - 1)]), f"path, n={n}"))
+    k = 4097
+    hung = [(i, (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)]
+    hung += [(k + i, 2 * k + i) for i in range(k)]
+    out.append((Graph(3 * k, hung), f"pendant paths, k={k}"))
+    long_rest = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)] + [(i, i + 1) for i in range(4, 5003)]
+    out.append((Graph(5004, long_rest), "type I unicyclic with a 5002-id rest part"))
     return out
 
 
@@ -781,7 +818,7 @@ class TestReportWriter:
 
     def test_equals_json_dumps_of_the_reference_on_generated_graphs(self, capsys, tmp_path):
         path = tmp_path / "g.edges"
-        seen = {"types": set(), "labeled": 0, "verified": 0}
+        seen = {"types": set(), "labeled": 0, "verified": 0, "pairs": 0, "parts": 0, "ids": 0}
         for g, description in generated_graphs():
             path.write_text(format_edge_list(g), encoding="utf-8")
             verify = g.n <= 30
@@ -792,6 +829,10 @@ class TestReportWriter:
             seen["types"].add((report["shape"], report.get("type")))
             seen["labeled"] += g.labels is not None
             seen["verified"] += verify
+            parts = report.get("parts", [])
+            seen["pairs"] = max(seen["pairs"], len(report["matching"]))
+            seen["parts"] = max(seen["parts"], len(parts))
+            seen["ids"] = max([seen["ids"], *(len(p["vertices"]) for p in parts)])
         assert seen["types"] == {
             ("tree", None),
             ("forest", None),
@@ -800,6 +841,7 @@ class TestReportWriter:
             ("cycle", "II"),
         }
         assert seen["labeled"] >= 50 and seen["verified"] >= 100, seen
+        assert min(seen["pairs"], seen["parts"], seen["ids"]) > nulldecomp.cli._CHUNK, seen
 
 
 # report_digests() of frozen_corpus().  Without their "matching" key, the
