@@ -22,16 +22,18 @@ imports what it runs, and nothing else: analyze loads errors, graphs,
 trees and unicyclic; --verify adds sweeps (with oracles, linalg and
 randgraphs), as verify does; fixtures adds fixtures.  analyze walks the
 graph once: the Graph keeps the walk that its shape reads, and the
-analysis reads the same one.  Its report, the text json.dumps(report,
+analysis reads the same one.  It branches on the shape once, to pick
+the analysis, its report fields, the records that hold its roles (the
+decomposition of a forest, the parts of a unicyclic graph) and the
+checker --verify runs.  Its report, the text json.dumps(report,
 indent=2, sort_keys=True) would print, is one stream of pieces made
 from the analysis as it is written: each list of names in one str.join,
-the matching _CHUNK pairs at a time, each part in one str.  Each list
-of a decomposition's ids comes in ascending order off its role array,
-read over every id for a forest and over a part's own ids for a part,
-and the role map behind --dot comes off the same array.  It decodes
-a graph6 line only up to n + 1 edges, since it analyzes only m <= n,
-and keeps the cyclic collector paused from the read until the report
-is written.
+the matching _CHUNK pairs at a time, each part in one str.  The lists of
+Supp, Core and N ids, and the role map behind --dot, are read through
+the records of trees, in ascending order, one read of a record's roles
+for each; a vertex of no record is drawn plain.  It decodes a graph6
+line only up to n + 1 edges, since it analyzes only m <= n, and keeps
+the cyclic collector paused from the read until the report is written.
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import compress
 
 from .errors import EmptyGraph, ParseError, TooLarge
 from .graphs import Role, Shape, _decimal, classify_shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
-from .trees import _C, _IS, _N, _S
 from .trees import _analyze as _analyze_forest
 from .unicyclic import analyze as _analyze_unicyclic
 
@@ -82,11 +82,12 @@ def _strings(name, ids, indent):
     return "[" + inner + '"' + ('",' + inner + '"').join(map(name, ids)) + '"' + indent + "]"
 
 
-def _role_fields(name, ids, roles, indent):
-    """The supp, core and n_vertices fields of ids, their roles in roles."""
+def _role_fields(name, record, indent):
+    """The supp, core and n_vertices fields of record, a decomposition or
+    a part, from one read of its roles."""
     return {
-        key: _strings(name, list(compress(ids, roles.translate(_IS[role]))), indent)
-        for key, role in (("supp", _S), ("core", _C), ("n_vertices", _N))
+        key: _strings(name, list(ids), indent)
+        for key, ids in zip(("supp", "core", "n_vertices"), record._by_role())
     }
 
 
@@ -127,16 +128,15 @@ def _forest_fields(g, shape, d, independent, matching):
         "singular": _BOOLS[d.nullity > 0],
         "alpha": repr(d.alpha),
         "nu": repr(d.nu),
-        **_role_fields(name, range(g.n), d.roles, "\n  "),
+        **_role_fields(name, d, "\n  "),
         "independent_set": _strings(name, sorted(independent), "\n  "),
         "matching": _edges(name, matching, "\n  "),
     }
 
 
 def _part_fields(name, p):
-    ids, indent = p._ids, "\n      "
-    fields = _role_fields(name, ids, p._local(), indent)
-    fields.update(kind=_quote(p.kind), vertices=_strings(name, ids, indent))
+    fields = _role_fields(name, p, "\n      ")
+    fields.update(kind=_quote(p.kind), vertices=_strings(name, p._ids, "\n      "))
     if p.root is not None:
         fields["root"] = '"' + name(p.root) + '"'
     return fields
@@ -184,9 +184,6 @@ def _checked_size_limit():
         return None
 
 
-# Role array byte -> the Role that export_dot draws.
-_DOT_ROLES = (Role.PLAIN, Role.SUPPORT, Role.CORE, Role.N_VERTEX)
-
 _UNSUPPORTED = "error: only forests and graphs with exactly one cycle are supported"
 
 
@@ -199,78 +196,68 @@ def cmd_analyze(args):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _analyze_input(args)
+        if args.verify and _checked_size_limit() is None:
+            return 2
+        try:
+            # The text is dropped once parsed, not held through the analysis.
+            if args.format == "edges":
+                g = parse_edge_list(_read_input(args.path))
+            else:
+                # Only m <= n is analyzed, so the decode may stop past n edges.
+                g = parse_graph6(_read_input(args.path), _at_most_n_edges=True)
+            shape = classify_shape(g) if g is not None else Shape.OTHER
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except EmptyGraph as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        # The one branch on the shape: the analysis, its report fields,
+        # the records that hold its roles, and the checker for --verify.
+        if shape in (Shape.TREE, Shape.FOREST):
+            analysis = _analyze_forest(g)
+            fields = _forest_fields(g, shape, *analysis)
+            records, checker = analysis[:1], "_tree_checks"
+        elif shape != Shape.OTHER:
+            analysis = _analyze_unicyclic(g)
+            fields = _unicyclic_fields(g, shape, analysis)
+            records, checker = analysis.parts, "_unicyclic_checks"
+        else:
+            print(_UNSUPPORTED, file=sys.stderr)
+            return 3
+
+        code = 0
+        if args.verify:
+            from . import sweeps
+
+            try:
+                checks = getattr(sweeps, checker)(g, analysis)
+            except TooLarge as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
+            verdicts = {k: _BOOLS[ok] for k, ok in checks.items()}
+            fields["verification"] = _object(verdicts, "\n  ")
+            if not all(checks.values()):
+                code = 1
+
+        if args.dot is not None:
+            # A vertex of no record, as a cycle vertex of type II, is drawn plain.
+            drawn = (Role.SUPPORT, Role.CORE, Role.N_VERTEX)
+            roles = {v: r for rec in records for r, ids in zip(drawn, rec._by_role()) for v in ids}
+            try:
+                with open(args.dot, "w", encoding="utf-8") as fh:
+                    fh.write(export_dot(g, roles))
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+
+        del g  # the report, made as it is written, reads nothing of the graph
+        sys.stdout.writelines(_object(fields, "\n"))
+        sys.stdout.write("\n")
+        return code
     finally:
         if enabled:
             gc.enable()
-
-
-def _analyze_input(args):
-    if args.verify and _checked_size_limit() is None:
-        return 2
-    try:
-        # The text is dropped once parsed, not held through the analysis.
-        if args.format == "edges":
-            g = parse_edge_list(_read_input(args.path))
-        else:
-            # Only m <= n is analyzed, so the decode may stop past n edges.
-            g = parse_graph6(_read_input(args.path), _at_most_n_edges=True)
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if g is None:
-        print(_UNSUPPORTED, file=sys.stderr)
-        return 3
-
-    try:
-        shape = classify_shape(g)
-    except EmptyGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if shape == Shape.OTHER:
-        print(_UNSUPPORTED, file=sys.stderr)
-        return 3
-
-    forest = shape in (Shape.TREE, Shape.FOREST)
-    if forest:
-        analysis, independent, matching = _analyze_forest(g)
-        fields = _forest_fields(g, shape, analysis, independent, matching)
-        roles = analysis.roles
-    else:
-        analysis = _analyze_unicyclic(g)
-        fields = _unicyclic_fields(g, shape, analysis)
-        # The parts share one role array; a pure cycle has no part and no role.
-        roles = analysis.parts[0].roles if analysis.parts else b""
-
-    code = 0
-    if args.verify:
-        from .sweeps import _tree_checks, _unicyclic_checks
-
-        try:
-            if forest:
-                checks = _tree_checks(g, analysis, independent, matching)
-            else:
-                checks = _unicyclic_checks(g, analysis)
-        except TooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        verdicts = {k: _BOOLS[ok] for k, ok in checks.items()}
-        fields["verification"] = _object(verdicts, "\n  ")
-        if not all(checks.values()):
-            code = 1
-
-    if args.dot is not None:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_dot(g, dict(enumerate(map(_DOT_ROLES.__getitem__, roles)))))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    del g  # the report, made as it is written, reads nothing of the graph
-    sys.stdout.writelines(_object(fields, "\n"))
-    sys.stdout.write("\n")
-    return code
 
 
 def _int_arg(text):

@@ -1,9 +1,10 @@
 """Random-sweep invariant checks shared by the CLI and the test suite.
 
 Each checker takes one instance and returns {invariant name: bool}.
-_tree_checks and _unicyclic_checks also take its analysis (and, for a
-forest, its two certificates), which `analyze --verify` passes in; the
-check_*_instance wrappers compute them, a forest's by trees._analyze.
+_tree_checks and _unicyclic_checks also take its analysis, which
+`analyze --verify` passes in: for a forest the (decomposition,
+independent set, matching) that trees._analyze returns, for a unicyclic
+graph its UnicyclicAnalysis.  The check_*_instance wrappers compute it.
 run_sweep aggregates tallies and keeps the first offending graph per
 invariant so failures can be echoed as edge lists and reproduced.  The
 sweeps hand it randgraphs' seeded stream, the graphs of tree_corpus or
@@ -102,7 +103,8 @@ def _size(mate):
     return (len(mate) - mate.count(-1)) // 2
 
 
-def _tree_checks(t, d, independent, matching):
+def _tree_checks(t, analysis):
+    d, independent, matching = analysis
     checks = {}
     masks = _bitmasks(t)  # the one read of the size guard
     oracle_alpha, found = _max_independent_set(masks)
@@ -189,7 +191,7 @@ def _tree_checks(t, d, independent, matching):
 
 
 def check_tree_instance(t):
-    return _tree_checks(t, *_analyze_forest(t))
+    return _tree_checks(t, _analyze_forest(t))
 
 
 def _unicyclic_checks(g, analysis):

@@ -23,9 +23,13 @@ their own subtrees and keeps the smallest of them: pairing each vertex
 with that child is the greedy bottom-up matching of a rooted forest,
 which is maximum, and it does not depend on the order of the walk.  The
 top-down pass writes the decomposition as one role array, a byte per
-vertex of the graph (0 off the forest, then Supp, Core and N), and the
-records read their counts off it; their vertex sets are frozensets
-built on first read.
+vertex of the graph (0 off the forest, then Supp, Core and N).  Past
+the passes here that write it and walk it, only the records on it
+(NullDecomposition, unicyclic's PartAnalysis) read its bytes:
+_OnRoles._by_role lists a record's ids of each role in ascending order,
+from one read of its roles, and the records' vertex sets by role
+(frozensets built on first read), cli's report fields and its DOT map
+all come from it.
 
 One rule builds every independent set: Supp plus, in each N-component,
 the side of its depth-parity colouring that holds the component's
@@ -53,30 +57,37 @@ from .graphs import _certificate_fault, _search
 
 # The roles of a role array; 0 marks a vertex outside the forest.
 _S, _C, _N = 1, 2, 3
-# bytes.translate tables: _IS[r] maps role r to 1 and every other byte to
-# 0, and _IS[0] maps every role of a forest vertex to 1.
-_IS = tuple(bytes.maketrans(b"\1\2\3", m) for m in (b"\1\1\1", b"\1\0\0", b"\0\1\0", b"\0\0\1"))
+# bytes.translate tables, one per role in the order Supp, Core, N: each
+# maps its role to 1 and every other byte to 0.
+_IS = tuple(bytes.maketrans(b"\1\2\3", m) for m in (b"\1\0\0", b"\0\1\0", b"\0\0\1"))
 
 
 class _OnRoles:
     """A record read off a role array, shared and never copied, over the
     vertices _ids lists in ascending order.  roles is that array: a byte
-    per vertex of the graph, 0 off the forest, 1 Supp, 2 Core, 3 N.  The
-    vertex sets by role are frozensets built on their first read and
-    then kept; records compare and hash by _key()."""
+    per vertex of the graph, 0 off the forest, 1 Supp, 2 Core, 3 N.
+    Outside this module its bytes are decoded only by _by_role, and the
+    vertex sets by role are frozensets built from it on their first read
+    and then kept.  Records compare and hash by _key()."""
 
     __slots__ = ("_roles", "_ids", "_supp", "_core", "_n")
 
     roles = property(attrgetter("_roles"))
+    # The roles of _ids, in order: a copy made one id at a time, which a
+    # record over every id of its array overrides with the array itself.
+    _local = property(lambda self: bytes(map(self._roles.__getitem__, self._ids)))
 
-    def _local(self):
-        """The roles of _ids, in order."""
-        return bytes(map(self._roles.__getitem__, self._ids))
+    def _by_role(self):
+        """The record's Supp, Core and N ids, each an iterator in
+        ascending order, from one read of its roles."""
+        local = self._local
+        return [compress(self._ids, local.translate(table)) for table in _IS]
 
     def _kept(self, slot, role):
+        """The frozenset of the ids of role, or of every id for role 0."""
         found = getattr(self, slot, None)  # a slot is unset until its first read
         if found is None:
-            found = frozenset(compress(self._ids, self._local().translate(_IS[role])))
+            found = frozenset(self._by_role()[role - 1] if role else self._ids)
             setattr(self, slot, found)
         return found
 
@@ -122,6 +133,8 @@ class NullDecomposition(_OnRoles):
     def nu(self):
         """Matching number: |Core| + |V(N-forest)| / 2."""
         return self._counts[1] + self._counts[2] // 2
+
+    _local = _OnRoles.roles  # _ids is every id of the array
 
     def _key(self):
         return self._roles
@@ -195,16 +208,15 @@ def _decomposition(order, parent, missable_children):
     return d
 
 
-def _rooted_forest(t, caller):
-    """(order, parent, counts, mate) of the forest t: its walk and the
-    bottom-up pass over it.  Raises NotAForest, naming caller, when t
-    has a cycle: t is a forest iff it has n - c edges, c being the
-    number of components the walk found, and then the walk's parent
-    edges are its edges."""
+def _forest_walk(t, caller):
+    """The walk (order, parent) of the forest t.  Raises NotAForest,
+    naming caller, when t has a cycle: t is a forest iff it has n - c
+    edges, c being the number of components the walk found, and then
+    the walk's parent edges are its edges."""
     order, parent = _search(t)
     if t.m != t.n - parent.count(-1):
         raise NotAForest(f"{caller} needs an acyclic graph")
-    return (order, parent, *_missable_children(order, parent))
+    return order, parent
 
 
 def decompose(t):
@@ -214,7 +226,8 @@ def decompose(t):
     elimination runs.  The sweeps, `analyze --verify` and the fixtures
     check Supp and the nullity against the exact kernel.
     """
-    return _decomposition(*_rooted_forest(t, "decompose")[:3])
+    order, parent = _forest_walk(t, "decompose")
+    return _decomposition(order, parent, _missable_children(order, parent)[0])
 
 
 def _analyze(t):
@@ -223,7 +236,8 @@ def _analyze(t):
     them, from one walk, one bottom-up and one top-down pass.  Raises
     AssertionError naming what breaks the certificate rule, which would
     mean a bug here."""
-    order, parent, counts, mate = _rooted_forest(t, "decompose")
+    order, parent = _forest_walk(t, "decompose")
+    counts, mate = _missable_children(order, parent)
     d = _decomposition(order, parent, counts)
     independent = _independent_set(order, parent, d, ())
     matching = _matching(mate)
@@ -281,7 +295,7 @@ def _independent_set(order, parent, d, avoid):
             side[t] = s
         if t >= 0 and odd[v] == side[t]:
             taken.append(v)
-    return frozenset(chain(compress(range(n), roles.translate(_IS[_S])), taken))
+    return frozenset(chain(d._by_role()[0], taken))
 
 
 def independent_set_certificate(t, d, avoid=()):
@@ -292,13 +306,18 @@ def independent_set_certificate(t, d, avoid=()):
     component's smallest vertex, or the other one when that side holds a
     vertex of avoid.  The vertices in avoid are kept out of the result;
     this needs them outside Supp, since Supp lies in every maximum
-    independent set, and on one side of each N-component.
+    independent set, and on one side of each N-component.  Raises
+    NotAForest on a graph with a cycle and ValueError when d has a role
+    for other than t's n vertices.
     """
-    return _independent_set(*_search(t), d, avoid)
+    walk = _forest_walk(t, "independent_set_certificate")
+    if len(d.roles) != t.n:
+        raise ValueError(f"the decomposition has {len(d.roles)} vertices, the forest {t.n}")
+    return _independent_set(*walk, d, avoid)
 
 
 def matching_certificate(t):
     """A maximum matching of a forest: each vertex of its walk paired with
     its smallest child that some maximum matching of the child's subtree
     misses, bottom-up.  Raises NotAForest on every graph with a cycle."""
-    return _matching(_rooted_forest(t, "matching_certificate")[3])
+    return _matching(_missable_children(*_forest_walk(t, "matching_certificate"))[1])

@@ -51,7 +51,7 @@ from collections import namedtuple
 from operator import attrgetter
 
 from .graphs import _certificate_fault, _search, find_cycle
-from .trees import _N, _S, _OnRoles, _decomposition, _independent_set, _matching
+from .trees import _N, _OnRoles, _decomposition, _independent_set, _matching
 from .trees import _missable_children
 
 
@@ -84,7 +84,7 @@ class PartAnalysis(_OnRoles):
     n_vertices = property(lambda self: self._kept("_n", _N))
 
     def _key(self):
-        return self._kind, self._root, tuple(self._ids), self._local()
+        return self._kind, self._root, tuple(self._ids), self._local
 
 
 class UnicyclicAnalysis(
@@ -244,8 +244,8 @@ def analyze(g):
         groups = sorted(groups, key=lambda group: group[1][0])  # by smallest vertex
     parts = tuple(PartAnalysis(*labels[r], ids, d.roles) for r, ids in groups)
 
-    pendant = parts[0]._local().count(_S) if verdict.kind == "I" else 0
-    singular, reason = _singularity(g, cycle, verdict, pendant, d.roles.count(_S))
+    pendant = len(list(parts[0]._by_role()[0])) if verdict.kind == "I" else 0
+    singular, reason = _singularity(g, cycle, verdict, pendant, d._counts[0])
     alpha, nu = cycle_alpha + d.alpha, cycle_nu + d.nu
     fault = _certificate_fault(g, independent, matching, alpha, nu)
     if fault is not None:

@@ -213,6 +213,20 @@ class TestAnalyze:
             assert {g.name_of(v): r for v, r in got.items() if r != Role.PLAIN} == want
         assert calls == []
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_dot_draws_a_pure_cycle_plain(self, capsys, tmp_path, n):
+        # A pure cycle has no part, so no vertex has a role to draw.
+        path = tmp_path / "c.edges"
+        path.write_text(format_edge_list(Graph(n, [(i, (i + 1) % n) for i in range(n)])))
+        target = tmp_path / "c.dot"
+        code, out, err = run(capsys, "analyze", str(path), "--dot", str(target))
+        assert code == 0 and not err
+        assert (0, out, "") == run(capsys, "analyze", str(path))
+        assert json.loads(out)["parts"] == []
+        nodes = [line for line in target.read_text().splitlines() if line.endswith("];")]
+        assert nodes[0] == "  node [shape=circle];"
+        assert nodes[1:] == [f'  {v} [label="{v}"];' for v in range(n)]
+
     def test_forest_verify_checks_the_kernel(self, capsys):
         code, out, _ = run(capsys, "analyze", "--verify", FIG1)
         assert code == 0
@@ -722,7 +736,7 @@ def reference_report(g, verify):
         matching = matching_certificate(g)
         report = _forest_report(g, shape, d, independent, matching)
         if verify:
-            report["verification"] = _tree_checks(g, d, independent, matching)
+            report["verification"] = _tree_checks(g, (d, independent, matching))
     else:
         a = analyze(g)
         report = _unicyclic_report(g, shape, a)

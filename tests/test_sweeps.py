@@ -260,7 +260,7 @@ def _cases(seed):
 def test_tree_checks_equal_the_per_vertex_reference():
     seen = {name: set() for name in REFERENCES}
     for t, d in _cases(83):
-        checks = _tree_checks(t, d, frozenset(), frozenset())
+        checks = _tree_checks(t, (d, frozenset(), frozenset()))
         for name, reference in REFERENCES.items():
             want = reference(t, d)
             assert checks[name] == want, (name, t.edges, d)
@@ -294,7 +294,7 @@ def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
 
     monkeypatch.setattr(sweeps, "_max_independent_set", lying)
     for t, d in _cases(89)[::2]:
-        checks = _tree_checks(t, d, frozenset(), frozenset())
+        checks = _tree_checks(t, (d, frozenset(), frozenset()))
         for name, reference in REFERENCES.items():
             assert checks[name] == reference(t, d), (name, t.edges, d)
 
@@ -348,7 +348,7 @@ def test_tree_checks_distrust_a_bad_certificate(how):
     for t, d in _cases(103)[::2]:
         independent = _analyze_forest(t)[1]
         bad = _corrupted_certificate(t, d, independent, how)
-        checks = _tree_checks(t, d, bad, frozenset())
+        checks = _tree_checks(t, (d, bad, frozenset()))
         for name, reference in REFERENCES.items():
             assert checks[name] == reference(t, d), (name, t.edges, d)
 
@@ -393,16 +393,16 @@ def test_s_and_n_parts_must_partition_the_vertices():
     name = "S components singular, N components matched"
     assert reference_s_and_n_parts(P4, overlapping)
     assert reference_s_and_n_parts(P4, missing)
-    assert not _tree_checks(P4, overlapping, frozenset(), frozenset())[name]
-    assert not _tree_checks(P4, missing, frozenset(), frozenset())[name]
+    assert not _tree_checks(P4, (overlapping, frozenset(), frozenset()))[name]
+    assert not _tree_checks(P4, (missing, frozenset(), frozenset()))[name]
 
 
 def _corrupted_tree_checks(t, name, corrupt):
     """The verdict on invariant name for corrupt(d), d being t's
     decomposition, after checking that d itself passes."""
     d = decompose(t)
-    assert _tree_checks(t, d, frozenset(), frozenset())[name]
-    return _tree_checks(t, corrupt(d), frozenset(), frozenset())[name]
+    assert _tree_checks(t, (d, frozenset(), frozenset()))[name]
+    return _tree_checks(t, (corrupt(d), frozenset(), frozenset()))[name]
 
 
 P3 = Graph(3, [(0, 1), (1, 2)])  # Supp {0, 2}, Core {1}

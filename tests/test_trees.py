@@ -245,6 +245,21 @@ class TestIndependentSetCertificate:
         d = decompose(t)
         assert d.supp <= independent_set_certificate(t, d)
 
+    # The decomposition of P_4 (every vertex an N-vertex) handed a graph
+    # it does not decompose.
+    P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_a_graph_with_a_cycle_is_refused(self):
+        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(NotAForest, match="independent_set_certificate needs an acyclic graph"):
+            independent_set_certificate(c4, decompose(self.P4))
+
+    @pytest.mark.parametrize("n", [6, 3])  # more vertices than the roles, and fewer
+    def test_a_decomposition_of_another_order_is_refused(self, n):
+        path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(ValueError, match=f"decomposition has 4 vertices, the forest {n}"):
+            independent_set_certificate(path, decompose(self.P4))
+
 
 def dfs_n_component_sides(t, d):
     """Bipartition sides of each N-forest component by a search of t's
