@@ -27,12 +27,18 @@ and one left out of one no search of t - u.  The witnesses are the
 first search's, the analysis's own independent set and its other
 N-sides (Supp with the rest of the N-vertices), and those of the
 searches the N-vertex loop still runs.  When the analysis is right its
-two sets put every N-vertex in one and out of the other, so past the
-first search only each Core vertex is searched (McConnell, Mehlhorn,
-Naeher and Schweitzer's certifying algorithms: two checked sets prove
-what the per-vertex searches would).  Witnesses are used only when the
-decomposition's alpha is the oracle's, so every verdict is the one the
-skipped searches would give.  A forest's S part (Supp and Core) and N
+two sets put every N-vertex in one and out of the other, so the
+N-vertex loop runs no search (McConnell, Mehlhorn, Naeher and
+Schweitzer's certifying algorithms: two checked sets prove what the
+per-vertex searches would).  Core exclusion rests on the EG set of the
+same growth, the set that "EG set equals support" reads: for s in it,
+nu(t - s) = nu(t), so by Koenig's theorem (alpha = n - nu on a forest)
+alpha(t - s) = alpha(t) - 1 and s lies in every maximum independent
+set; a Core vertex next to s lies in none.  A Core vertex is still
+searched when it has no neighbour in the EG set, so a correct analysis
+costs one search in all.  Witnesses and the EG set are used only when
+the decomposition's alpha is the oracle's, so every verdict is the one
+the skipped searches would give.  A forest's S part (Supp and Core) and N
 part are read off one cut forest, the forest without the edges between
 them: one maximum matching of it restricts to a maximum matching of
 each component, and the parts must partition the vertices.  The pendant
@@ -143,11 +149,16 @@ def _tree_checks(t, analysis):
     note(independent)
     note(d.supp | (d.n_forest_vertices - independent))
 
+    # Every vertex of the EG set lies in every maximum independent set of
+    # a forest, so a Core vertex next to one lies in none.
+    in_every = missable if d.alpha == oracle_alpha else frozenset()
     ok = True
     for c in d.core:
         if c in fits:  # c fits into some maximum independent set
             ok = False
             break
+        if not in_every.isdisjoint(t.neighbors(c)):
+            continue
         forced, _ = _max_independent_set(masks, {c, *t.neighbors(c)})
         if 1 + forced == d.alpha:
             ok = False

@@ -57,6 +57,7 @@ from .graphs import _certificate_fault, _search
 
 # The roles of a role array; 0 marks a vertex outside the forest.
 _S, _C, _N = 1, 2, 3
+_ROLE_NAMES = ("no part", "Supp", "Core", "N")
 # bytes.translate tables, one per role in the order Supp, Core, N: each
 # maps its role to 1 and every other byte to 0.
 _IS = tuple(bytes.maketrans(b"\1\2\3", m) for m in (b"\1\0\0", b"\0\1\0", b"\0\0\1"))
@@ -307,12 +308,20 @@ def independent_set_certificate(t, d, avoid=()):
     vertex of avoid.  The vertices in avoid are kept out of the result;
     this needs them outside Supp, since Supp lies in every maximum
     independent set, and on one side of each N-component.  Raises
-    NotAForest on a graph with a cycle and ValueError when d has a role
-    for other than t's n vertices.
+    NotAForest on a graph with a cycle, and ValueError when d has a role
+    for other than t's n vertices or is not t's decomposition, which one
+    run of the matching DP over the walk tells.
     """
     walk = _forest_walk(t, "independent_set_certificate")
     if len(d.roles) != t.n:
         raise ValueError(f"the decomposition has {len(d.roles)} vertices, the forest {t.n}")
+    own = _decomposition(*walk, _missable_children(*walk)[0]).roles
+    if d.roles != own:
+        v = next(v for v, (a, b) in enumerate(zip(d.roles, own)) if a != b)
+        raise ValueError(
+            f"the decomposition is of another forest: it puts vertex {v} in"
+            f" {_ROLE_NAMES[d.roles[v]]}, this forest's in {_ROLE_NAMES[own[v]]}"
+        )
     return _independent_set(*walk, d, avoid)
 
 

@@ -299,10 +299,9 @@ def test_tree_checks_distrust_a_bad_witness(monkeypatch, bad):
             assert checks[name] == reference(t, d), (name, t.edges, d)
 
 
-def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
-    # The analysis's certificate and its other N-sides put every N-vertex
-    # in one maximum independent set and out of another, so past the
-    # first search only each Core vertex is searched.
+def _counted_searches(monkeypatch):
+    """The removed sets of every independence search _tree_checks runs
+    from here on, in order."""
     calls = []
 
     def counted(adj, removed=()):
@@ -310,14 +309,45 @@ def test_tree_checks_search_at_most_once_per_core_and_n_vertex(monkeypatch):
         return _max_independent_set(adj, removed)
 
     monkeypatch.setattr(sweeps, "_max_independent_set", counted)
+    return calls
+
+
+def test_tree_checks_search_once_per_correct_forest(monkeypatch):
+    # The analysis's certificate and its other N-sides put every N-vertex
+    # in one maximum independent set and out of another, and every Core
+    # vertex has a neighbour in the EG set, which lies in every maximum
+    # independent set: past the first search nothing is searched.
+    calls = _counted_searches(monkeypatch)
     rng = random.Random(97)
     for i in range(200):
         n = rng.randrange(1, 31)
         t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
-        d = decompose(t)
         calls.clear()
-        assert check_tree_instance(t)["N-vertex flexibility"]
-        assert len(calls) == 1 + len(d.core)
+        assert all(check_tree_instance(t).values())
+        assert calls == [()]
+
+
+def test_tree_checks_search_core_vertices_when_alpha_is_wrong(monkeypatch):
+    # With the claimed alpha off, neither the witnesses nor the EG set
+    # settle a Core vertex, so the core loop searches, and every verdict
+    # is still the reference's.
+    calls = _counted_searches(monkeypatch)
+    rng = random.Random(107)
+    searched = 0
+    for i in range(60):
+        n = rng.randrange(2, 31)
+        t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
+        d = decompose(t)
+        if not d.core:
+            continue
+        wrong = shifted_alpha(d, -1)
+        calls.clear()
+        checks = _tree_checks(t, (wrong, frozenset(), frozenset()))
+        assert any({c, *t.neighbors(c)} in calls for c in d.core)
+        searched += 1
+        for name, reference in REFERENCES.items():
+            assert checks[name] == reference(t, wrong), (name, t.edges)
+    assert searched > 20
 
 
 def _corrupted_certificate(t, d, independent, how):

@@ -260,6 +260,15 @@ class TestIndependentSetCertificate:
         with pytest.raises(ValueError, match=f"decomposition has 4 vertices, the forest {n}"):
             independent_set_certificate(path, decompose(self.P4))
 
+    def test_a_decomposition_of_another_forest_of_the_order_is_refused(self):
+        # The star's one component has sides of 1 and 3 vertices, which
+        # an all-N decomposition cannot split evenly: the mismatch is the
+        # caller's, not the DP's.
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        message = "of another forest: it puts vertex 0 in N, this forest's in Core"
+        with pytest.raises(ValueError, match=message):
+            independent_set_certificate(star, decompose(self.P4))
+
 
 def dfs_n_component_sides(t, d):
     """Bipartition sides of each N-forest component by a search of t's
