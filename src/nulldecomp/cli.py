@@ -28,12 +28,14 @@ decomposition of a forest, the parts of a unicyclic graph) and the
 checker --verify runs.  Its report, the text json.dumps(report,
 indent=2, sort_keys=True) would print, is one stream of pieces made
 from the analysis as it is written: each list of names in one str.join,
-the matching _CHUNK pairs at a time, each part in one str.  The lists of
-Supp, Core and N ids, and the role map behind --dot, are read through
-the records of trees, in ascending order, one read of a record's roles
-for each; a vertex of no record is drawn plain.  It decodes a graph6
-line only up to n + 1 edges, since it analyzes only m <= n, and keeps
-the cyclic collector paused from the read until the report is written.
+the matching _CHUNK pairs at a time, each part in one str from one
+template whose keys are already in sorted order.  The lists of Supp,
+Core and N ids, and the role map behind --dot, are read through the
+records of trees, in ascending order, off the roles each record took
+once when it was made; a vertex of no record is drawn plain.  It
+decodes a graph6 line only up to n + 1 edges, since it analyzes only
+m <= n, and keeps the cyclic collector paused from the read until the
+report is written.
 """
 
 from __future__ import annotations
@@ -82,13 +84,10 @@ def _strings(name, ids, indent):
     return "[" + inner + '"' + ('",' + inner + '"').join(map(name, ids)) + '"' + indent + "]"
 
 
-def _role_fields(name, record, indent):
-    """The supp, core and n_vertices fields of record, a decomposition or
-    a part, from one read of its roles."""
-    return {
-        key: _strings(name, list(ids), indent)
-        for key, ids in zip(("supp", "core", "n_vertices"), record._by_role())
-    }
+def _role_lists(name, record, indent):
+    """The lists of the Supp, Core and N ids of record, a decomposition
+    or a part."""
+    return [_strings(name, list(ids), indent) for ids in record._by_role()]
 
 
 def _edges(name, pairs, indent):
@@ -128,26 +127,26 @@ def _forest_fields(g, shape, d, independent, matching):
         "singular": _BOOLS[d.nullity > 0],
         "alpha": repr(d.alpha),
         "nu": repr(d.nu),
-        **_role_fields(name, d, "\n  "),
+        **dict(zip(("supp", "core", "n_vertices"), _role_lists(name, d, "\n  "))),
         "independent_set": _strings(name, sorted(independent), "\n  "),
         "matching": _edges(name, matching, "\n  "),
     }
 
 
-def _part_fields(name, p):
-    fields = _role_fields(name, p, "\n      ")
-    fields.update(kind=_quote(p.kind), vertices=_strings(name, p._ids, "\n      "))
-    if p.root is not None:
-        fields["root"] = '"' + name(p.root) + '"'
-    return fields
-
-
 def _parts(name, parts):
-    """The list of the parts, each part's text in one str as it is made."""
-    lead = "[\n    "
+    """The list of the parts, each part's text in one str as it is made,
+    from one template with its keys in sorted order."""
+    lead, inner = "[\n    ", "\n      "
     for p in parts:
-        # The fields are freed once joined: a part can hold most of the graph.
-        yield "".join([lead, *_object(_part_fields(name, p), "\n    ")])
+        # One str per part, not one for the whole list: a part can hold
+        # most of the graph, and the parts are written as they are made.
+        supp, core, n_vertices = _role_lists(name, p, inner)
+        root = "" if p.root is None else f'{inner}"root": "{name(p.root)}",'
+        yield (
+            f'{lead}{{{inner}"core": {core},{inner}"kind": {_quote(p.kind)},'
+            f'{inner}"n_vertices": {n_vertices},{root}{inner}"supp": {supp},'
+            f'{inner}"vertices": {_strings(name, p._ids, inner)}\n    }}'
+        )
         lead = ",\n    "
     yield "\n  ]" if parts else "[]"
 

@@ -25,11 +25,12 @@ which is maximum, and it does not depend on the order of the walk.  The
 top-down pass writes the decomposition as one role array, a byte per
 vertex of the graph (0 off the forest, then Supp, Core and N).  Past
 the passes here that write it and walk it, only the records on it
-(NullDecomposition, unicyclic's PartAnalysis) read its bytes:
-_OnRoles._by_role lists a record's ids of each role in ascending order,
-from one read of its roles, and the records' vertex sets by role
-(frozensets built on first read), cli's report fields and its DOT map
-all come from it.
+(NullDecomposition, unicyclic's PartAnalysis) read its bytes.  Each
+record holds the roles of its own ids, read once when it is made (the
+array itself for a decomposition), and _OnRoles._by_role lists its ids
+of each role in ascending order from them: the records' vertex sets by
+role (frozensets built on first read), cli's report fields and its DOT
+map all come from it.
 
 One rule builds every independent set: Supp plus, in each N-component,
 the side of its depth-parity colouring that holds the component's
@@ -64,25 +65,23 @@ _IS = tuple(bytes.maketrans(b"\1\2\3", m) for m in (b"\1\0\0", b"\0\1\0", b"\0\0
 
 
 class _OnRoles:
-    """A record read off a role array, shared and never copied, over the
-    vertices _ids lists in ascending order.  roles is that array: a byte
+    """A record read off a role array, shared by every record on it, over
+    the vertices _ids lists in ascending order.  roles is that array: a byte
     per vertex of the graph, 0 off the forest, 1 Supp, 2 Core, 3 N.
-    Outside this module its bytes are decoded only by _by_role, and the
-    vertex sets by role are frozensets built from it on their first read
-    and then kept.  Records compare and hash by _key()."""
+    _local holds the roles of _ids, in order, set once when the record
+    is made: the array itself for a record over every id of it, else one
+    copy.  Outside this module the bytes are decoded only by _by_role,
+    and the vertex sets by role are frozensets built from it on their
+    first read and then kept.  Records compare and hash by _key()."""
 
-    __slots__ = ("_roles", "_ids", "_supp", "_core", "_n")
+    __slots__ = ("_roles", "_ids", "_local", "_supp", "_core", "_n")
 
     roles = property(attrgetter("_roles"))
-    # The roles of _ids, in order: a copy made one id at a time, which a
-    # record over every id of its array overrides with the array itself.
-    _local = property(lambda self: bytes(map(self._roles.__getitem__, self._ids)))
 
     def _by_role(self):
         """The record's Supp, Core and N ids, each an iterator in
-        ascending order, from one read of its roles."""
-        local = self._local
-        return [compress(self._ids, local.translate(table)) for table in _IS]
+        ascending order."""
+        return [compress(self._ids, self._local.translate(table)) for table in _IS]
 
     def _kept(self, slot, role):
         """The frozenset of the ids of role, or of every id for role 0."""
@@ -119,7 +118,7 @@ class NullDecomposition(_OnRoles):
     __slots__ = ("_counts",)
 
     def __init__(self, roles):
-        self._roles, self._ids = roles, range(len(roles))
+        self._roles, self._ids, self._local = roles, range(len(roles)), roles
         self._counts = roles.count(_S), roles.count(_C), roles.count(_N)
 
     n_forest_vertices = property(lambda self: self._kept("_n", _N))
@@ -134,8 +133,6 @@ class NullDecomposition(_OnRoles):
     def nu(self):
         """Matching number: |Core| + |V(N-forest)| / 2."""
         return self._counts[1] + self._counts[2] // 2
-
-    _local = _OnRoles.roles  # _ids is every id of the array
 
     def _key(self):
         return self._roles

@@ -34,24 +34,26 @@ top-down pass, which writes its role array, and through its one
 independent-set rule; its matching pairs each vertex with its mate.
 One pass down the forest gives each vertex its part, named by the
 forest root above it, and one pass over the ids lists each part's
-vertices in ascending order: the pendant tree and the rest for type I,
-and for type II the trees of G - C by smallest vertex.  A part holds
-those ids and the forest's shared role array; its vertex sets are built
-only when read.  No forest is copied and no Graph is built.  Nullity,
-singularity, the independence number and the matching number are read
-off the role counts plus the cycle's terms.  Before analyze() returns
-its certificates, it holds them to the certificate rule of graphs and
-to the sizes alpha and nu, and raises AssertionError naming the
-offending id, edge or pair.
+vertices in ascending order, in one array('i') per part: the pendant
+tree and the rest for type I, and for type II the trees of G - C by
+smallest vertex.  A part holds those ids, the forest's shared role
+array and one copy of its own ids' roles, made with the part; its
+vertex sets are built only when read.  No forest is copied and no Graph
+is built.  Nullity, singularity, the independence number and the
+matching number are read off the role counts plus the cycle's terms.
+Before analyze() returns its certificates, it holds them to the
+certificate rule of graphs and to the sizes alpha and nu, and raises
+AssertionError naming the offending id, edge or pair.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from operator import attrgetter
 
 from .graphs import _certificate_fault, _search, find_cycle
-from .trees import _N, _OnRoles, _decomposition, _independent_set, _matching
+from .trees import _N, _S, _OnRoles, _decomposition, _independent_set, _matching
 from .trees import _missable_children
 
 
@@ -69,14 +71,16 @@ class PartAnalysis(_OnRoles):
     else, type I) or "component" (one tree of G minus the cycle, type
     II).  root is the cycle vertex the piece hangs from, when there is
     one.  The piece is its ascending ids read against the role array of
-    the forest it lies in; vertices, supp, core and n_vertices are
-    frozensets built on first read.
+    the forest it lies in, whose bytes at those ids it copies once;
+    vertices, supp, core and n_vertices are frozensets built on first
+    read.
     """
 
     __slots__ = ("_kind", "_root", "_vertices")
 
     def __init__(self, kind, root, ids, roles):
         self._kind, self._root, self._ids, self._roles = kind, root, ids, roles
+        self._local = bytes(map(roles.__getitem__, ids))
 
     kind = property(attrgetter("_kind"))
     root = property(attrgetter("_root"))
@@ -232,19 +236,19 @@ def analyze(g):
     d = _decomposition(order, parent, counts)
     independent = cycle_set | _independent_set(order, parent, d, avoid)
     matching = cycle_matching | _matching(mate)
-    pieces = {r: [] for r in labels}  # each root of the forest -> the ids below it
+    pieces = {r: array("i") for r in labels}  # each root of the forest -> the ids below it
     piece = [None] * g.n
     for x in order:
         piece[x] = pieces[x] if parent[x] < 0 else piece[parent[x]]
     for x, ids in enumerate(piece):
         if ids is not None:
             ids.append(x)
-    groups = pieces.items()
+    roots = pieces  # the roots alone: a sorted list of pairs would live as long as analyze
     if verdict.kind == "II":
-        groups = sorted(groups, key=lambda group: group[1][0])  # by smallest vertex
-    parts = tuple(PartAnalysis(*labels[r], ids, d.roles) for r, ids in groups)
+        roots = sorted(pieces, key=lambda r: pieces[r][0])  # by smallest vertex
+    parts = tuple(PartAnalysis(*labels[r], pieces[r], d.roles) for r in roots)
 
-    pendant = len(list(parts[0]._by_role()[0])) if verdict.kind == "I" else 0
+    pendant = parts[0]._local.count(_S) if verdict.kind == "I" else 0
     singular, reason = _singularity(g, cycle, verdict, pendant, d._counts[0])
     alpha, nu = cycle_alpha + d.alpha, cycle_nu + d.nu
     fault = _certificate_fault(g, independent, matching, alpha, nu)

@@ -156,6 +156,21 @@ def test_properties_read_the_fields():
     assert not failed.ok
 
 
+# C3 with a two-vertex path hung at each cycle vertex: type II, one
+# component part per cycle vertex.
+PENDANT_PATHS = Graph(9, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)])
+
+
+@pytest.mark.parametrize("g", [TAILED, PENDANT_PATHS], ids=["type-I", "type-II"])
+def test_a_part_over_a_list_of_its_ids_equals_the_analysis_part(g):
+    for part in analyze(g).parts:
+        rebuilt = PartAnalysis(part.kind, part.root, sorted(part.vertices), part.roles)
+        assert rebuilt == part and hash(rebuilt) == hash(part)
+        assert (rebuilt.supp, rebuilt.core, rebuilt.n_vertices) == (
+            part.supp, part.core, part.n_vertices
+        )
+
+
 def test_sweep_outcomes_share_no_stats_dict():
     first, second = SweepOutcome({}, {}), SweepOutcome({}, {})
     assert first.stats == {} and first.stats is not second.stats
