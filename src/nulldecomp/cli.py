@@ -10,11 +10,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
 input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
-integer, the --dot file cannot be written, or stdout was closed before
-all output was written (as by `| head`), 3 the input is unsupported
-(wrong shape, no vertices, past the size guard for oracle
-cross-checks: the graph under analyze --verify, --max-n under verify,
-or too large for the memory the process may use).  analyze prints
+integer (under analyze --verify, verify or fixtures), the --dot file
+cannot be written, or stdout was closed before all output was written
+(as by `| head`), 3 the input is unsupported (wrong shape, no vertices,
+past the size guard for oracle cross-checks: the graph under analyze
+--verify, --max-n under verify, a bundled example under fixtures, or
+too large for the memory the process may use).  analyze prints
 nothing before its checks and its --dot file are done, so an exit of 2
 or 3 after the output began leaves a truncated report.
 main builds its argument parser once per process.  Each subcommand
@@ -330,10 +331,17 @@ def cmd_verify(args):
 
 
 def cmd_fixtures(args):
+    if _checked_size_limit() is None:
+        return 2
     from .fixtures import check_all
 
+    try:
+        reports = check_all()
+    except TooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     failed = 0
-    for rep in check_all():
+    for rep in reports:
         status = "ok" if rep.ok else "FAIL"
         print(f"{rep.fixture}: {len(rep.rows)} checks, {status}")
         if args.verbose or not rep.ok:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from itertools import combinations
 
 from ..graphs import Shape, _components, classify_shape, edge_inside, matching_defect
 from ..graphs import parse_edge_list
 from ..linalg import null_basis
-from ..oracles import eg_set
+from ..oracles import eg_set, max_independent_set
 from ..trees import decompose
 from ..unicyclic import analyze
 
@@ -64,34 +65,10 @@ def _names(g, ids):
 
 
 def _all_max_independent_sets(g):
-    """Every maximum independent set, by exhaustion.  Tiny graphs only."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    best_size = 0
-    out = []
-    for mask in range(1 << g.n):
-        m = mask
-        independent = True
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if adj[v] & mask:
-                independent = False
-                break
-        if not independent:
-            continue
-        size = mask.bit_count()
-        if size > best_size:
-            best_size = size
-            out = [mask]
-        elif size == best_size:
-            out.append(mask)
-    return [
-        frozenset(v for v in range(g.n) if (mask >> v) & 1) for mask in out
-    ]
+    """Every maximum independent set: the alpha-subsets with no edge
+    inside, alpha from the oracle.  Tiny graphs only."""
+    alpha, _ = max_independent_set(g)
+    return [s for s in combinations(range(g.n), alpha) if edge_inside(g, s) is None]
 
 
 def _matching_rows(g, row, pairs, want_size, label):

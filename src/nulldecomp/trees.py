@@ -36,10 +36,14 @@ One rule builds every independent set: Supp plus, in each N-component,
 the side of its depth-parity colouring that holds the component's
 smallest vertex, or the other side when that one holds a vertex to
 avoid.  _analyze, independent_set_certificate and both unicyclic types
-take their sets from it.  _analyze is the forest's whole analysis, as
-unicyclic.analyze is a unicyclic graph's, both from the Graph's one
-walk: the decomposition and both certificates, held to the certificate
-rule of graphs before it returns.
+take their sets from it.  One certified tail, _certified, ends every
+analysis on the formula path: _analyze, the forest's whole analysis,
+and unicyclic.analyze, a unicyclic graph's, both from the Graph's one
+walk, hand it their rooted forest and its bottom-up count, and it
+makes the decomposition and both certificates and holds them to the
+certificate rule of graphs before they are returned.  A type II cycle
+joins the forest's own arrays, its pairs in mate and its vertices as
+the set's extra ids, so the tail builds one frozenset of each.
 
 For a forest, Supp is exactly the set of vertices that some maximum
 matching misses, so it is found by a linear-time matching DP with no
@@ -231,23 +235,33 @@ def decompose(t):
 def _analyze(t):
     """(decomposition, independent set, matching) of the forest t, as
     decompose, independent_set_certificate and matching_certificate give
-    them, from one walk, one bottom-up and one top-down pass.  Raises
-    AssertionError naming what breaks the certificate rule, which would
-    mean a bug here."""
+    them, from one walk, one bottom-up and one top-down pass."""
     order, parent = _forest_walk(t, "decompose")
     counts, mate = _missable_children(order, parent)
+    return _certified(t, order, parent, counts, mate, (), ())
+
+
+def _certified(g, order, parent, counts, mate, avoid, extra):
+    """(decomposition, independent set, matching) of g, read off the
+    forest that (order, parent) roots and its bottom-up count (counts,
+    mate).  The set keeps out avoid and takes the ids of extra too; the
+    matching pairs each vertex with its mate.  g may be more than the
+    forest: extra lists vertices off it for the set, and mate holds as
+    many pairs off it, each adding one to alpha and to nu, as a type II
+    cycle does.  Raises AssertionError naming what breaks the
+    certificate rule of graphs, which would mean a bug here."""
     d = _decomposition(order, parent, counts)
-    independent = _independent_set(order, parent, d, ())
+    independent = _independent_set(order, parent, d, avoid, extra)
     matching = _matching(mate)
-    fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
+    fault = _certificate_fault(g, independent, matching, d.alpha + len(extra), d.nu + len(extra))
     if fault is not None:
         raise AssertionError(fault)
     return d, independent, matching
 
 
-def _independent_set(order, parent, d, avoid):
-    """Supp plus one side of each N-component, keeping out avoid; see
-    independent_set_certificate.
+def _independent_set(order, parent, d, avoid, extra=()):
+    """Supp plus one side of each N-component, keeping out avoid, and
+    the ids of extra, in one frozenset; see independent_set_certificate.
 
     (order, parent) roots the forest that d decomposes, as for
     _decomposition, so each N-component's edges are the parent edges
@@ -293,7 +307,7 @@ def _independent_set(order, parent, d, avoid):
             side[t] = s
         if t >= 0 and odd[v] == side[t]:
             taken.append(v)
-    return frozenset(chain(d._by_role()[0], taken))
+    return frozenset(chain(d._by_role()[0], taken, extra))
 
 
 def independent_set_certificate(t, d, avoid=()):

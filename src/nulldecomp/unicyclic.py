@@ -25,25 +25,26 @@ roots the one spanning forest that the type calls for:
 - type II: G - C, each tree rooted at its attach vertex, the one vertex
   with a cycle neighbour; the set avoids the attach vertices.  A type II
   graph behaves like the cycle plus G - C, so the cycle adds
-  floor(L/2) to alpha and to nu, every other cycle vertex to the set,
-  every other cycle edge to the matching, and 2 to the nullity when 4
-  divides L.
+  floor(L/2) to alpha and to nu, and 2 to the nullity when 4 divides L.
+  Its terms enter the forest's own arrays: no cycle vertex has a mate,
+  so every other cycle edge is written into mate, and every other cycle
+  vertex is passed on as the set's extra ids.
 
-After that one tail serves both types.  The forest goes through trees'
-top-down pass, which writes its role array, and through its one
-independent-set rule; its matching pairs each vertex with its mate.
-One pass down the forest gives each vertex its part, named by the
-forest root above it, and one pass over the ids lists each part's
-vertices in ascending order, in one array('i') per part: the pendant
-tree and the rest for type I, and for type II the trees of G - C by
-smallest vertex.  A part holds those ids, the forest's shared role
-array and one copy of its own ids' roles, made with the part; its
-vertex sets are built only when read.  No forest is copied and no Graph
-is built.  Nullity, singularity, the independence number and the
-matching number are read off the role counts plus the cycle's terms.
-Before analyze() returns its certificates, it holds them to the
-certificate rule of graphs and to the sizes alpha and nu, and raises
-AssertionError naming the offending id, edge or pair.
+After that the one certified tail of trees (_certified) serves both
+types: the top-down pass writes the forest's role array, the one
+independent-set rule builds the set, with the extra ids, in one
+frozenset, the matching pairs each vertex with its mate, and both are
+held to the certificate rule of graphs and to the sizes alpha and nu
+before analyze() goes on; a break raises AssertionError naming the
+offending id, edge or pair.  One pass down the forest gives each vertex
+its part, named by the forest root above it, and one pass over the ids
+lists each part's vertices in ascending order, in one array('i') per
+part: the pendant tree and the rest for type I, and for type II the
+trees of G - C by smallest vertex.  A part holds those ids, the forest's
+shared role array and one copy of its own ids' roles, made with the
+part; its vertex sets are built only when read.  No forest is copied and
+no Graph is built.  Nullity, singularity, the independence number and
+the matching number are read off the role counts plus the cycle's terms.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from array import array
 from collections import namedtuple
 from operator import attrgetter
 
-from .graphs import _certificate_fault, _search, find_cycle
-from .trees import _N, _S, _OnRoles, _decomposition, _independent_set, _matching
-from .trees import _missable_children
+from .graphs import _search, find_cycle
+from .trees import _N, _S, _OnRoles, _certified, _missable_children
 
 
 class TypeVerdict(namedtuple("TypeVerdict", "kind witness")):
@@ -205,6 +205,7 @@ def analyze(g):
     cycle = find_cycle(g)
     order, parent, counts, mate, verdict = _rooted(cycle, _search(g))
     hanging = order[cycle.length :]  # the vertices off the cycle, each after its parent
+    half = cycle_nullity = 0  # the cycle's own terms, which only type II has
     if verdict.kind == "I":
         # f = G minus the two cycle edges at v: T_v rooted at v, and the
         # rest rooted at a with the cycle path a ... b hung under it.
@@ -216,26 +217,23 @@ def analyze(g):
         _missable_children(path, parent, counts, mate)
         order, avoid = (v, *path, *hanging), (v,)
         labels = {v: ("pendant", v), path[0]: ("rest", None)}
-        cycle_alpha = cycle_nu = cycle_nullity = 0
-        cycle_set = cycle_matching = frozenset()
     else:
         # G - C, each tree rooted at its attach vertex, the one vertex
-        # with a cycle neighbour; the cycle's own terms are added after.
-        # No cycle vertex has a missable child, so none has a mate.
+        # with a cycle neighbour.  No cycle vertex has a missable child,
+        # so none has a mate, and every other cycle edge is written into
+        # mate as a pair of the matching.
         avoid = attach = [x for x in hanging if parent[parent[x]] < 0]
         labels = {w: ("component", parent[w]) for w in attach}
         for w in attach:
             parent[w] = -1
         order = hanging
-        cycle_alpha = cycle_nu = cycle.length // 2
+        half = cycle.length // 2
         cycle_nullity = 2 if cycle.length % 4 == 0 else 0
-        every_other = slice(0, 2 * cycle_alpha, 2)
-        cycle_set = frozenset(cycle.vertices[every_other])
-        cycle_matching = frozenset(cycle.edges[every_other])
+        for i in range(0, 2 * half, 2):
+            mate[cycle.vertices[i]] = cycle.vertices[i + 1]
 
-    d = _decomposition(order, parent, counts)
-    independent = cycle_set | _independent_set(order, parent, d, avoid)
-    matching = cycle_matching | _matching(mate)
+    extra = cycle.vertices[: 2 * half : 2]  # every other cycle vertex, for the set
+    d, independent, matching = _certified(g, order, parent, counts, mate, avoid, extra)
     pieces = {r: array("i") for r in labels}  # each root of the forest -> the ids below it
     piece = [None] * g.n
     for x in order:
@@ -250,10 +248,6 @@ def analyze(g):
 
     pendant = parts[0]._local.count(_S) if verdict.kind == "I" else 0
     singular, reason = _singularity(g, cycle, verdict, pendant, d._counts[0])
-    alpha, nu = cycle_alpha + d.alpha, cycle_nu + d.nu
-    fault = _certificate_fault(g, independent, matching, alpha, nu)
-    if fault is not None:
-        raise AssertionError(fault)
     return UnicyclicAnalysis(
         cycle=cycle,
         kind=verdict.kind,
@@ -262,8 +256,8 @@ def analyze(g):
         singular=singular,
         singular_reason=reason,
         nullity=cycle_nullity + d.nullity,
-        alpha=alpha,
-        nu=nu,
+        alpha=half + d.alpha,
+        nu=half + d.nu,
         parts=parts,
         independent_set=independent,
         matching=matching,

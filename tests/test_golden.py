@@ -70,6 +70,8 @@ def _cases():
         # one digit past int()'s default limit: named by length, not echoed
         "verify_long_numeral": (["verify", "--kind", "tree", "--count", "9" * 4301], None, None, 2),
         "verify_long_size_guard": (["verify", "--kind", "tree"], None, "9" * 4301, 2),
+        "fixtures_bad_size_guard": (["fixtures"], None, "abc", 2),
+        "fixtures_past_guard": (["fixtures"], None, "3", 3),
     }
     cases.update((f"error.{k}", v) for k, v in errors.items())
     return cases

@@ -456,7 +456,7 @@ class TestForestAnalysis:
         monkeypatch.setattr(
             nulldecomp.trees,
             "_independent_set",
-            lambda order, parent, d, avoid: frozenset({1, 2}),
+            lambda order, parent, d, avoid, extra=(): frozenset({1, 2}),
         )
         with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
             self.analyze(path_graph(4))
@@ -468,7 +468,9 @@ class TestForestAnalysis:
         monkeypatch.setattr(
             nulldecomp.trees,
             "_independent_set",
-            lambda order, parent, d, avoid: (build(order, parent, d, avoid) - {0}) | {-1},
+            lambda order, parent, d, avoid, extra=(): (
+                build(order, parent, d, avoid, extra) - {0}
+            ) | {-1},
         )
         only_the_id = r"id outside the graph -1, edge inside the set None,"
         with pytest.raises(AssertionError, match=only_the_id):

@@ -385,11 +385,11 @@ class TestAnalyze:
         assert covered == set(range(g.n)) - set(a.cycle.vertices)
 
     def test_a_set_with_an_edge_fails_the_certificate_rule(self, monkeypatch):
-        # paw is type I, so its set comes straight from the set builder.
+        # The set builder makes the whole set, a type II cycle's ids included.
         monkeypatch.setattr(
-            nulldecomp.unicyclic,
+            nulldecomp.trees,
             "_independent_set",
-            lambda order, parent, d, avoid: frozenset({1, 2}),
+            lambda order, parent, d, avoid, extra=(): frozenset({1, 2}),
         )
         with pytest.raises(AssertionError, match=r"edge inside the set \(1, 2\)"):
             analyze(paw())
@@ -399,16 +399,38 @@ class TestAnalyze:
         # -1 would index the last vertex's neighbours; it is no vertex.
         g = graph()
         a = analyze(g)
-        build = nulldecomp.unicyclic._independent_set
+        build = nulldecomp.trees._independent_set
         monkeypatch.setattr(
-            nulldecomp.unicyclic,
+            nulldecomp.trees,
             "_independent_set",
-            lambda order, parent, d, avoid: (
-                build(order, parent, d, avoid) - a.independent_set
+            lambda order, parent, d, avoid, extra=(): (
+                build(order, parent, d, avoid, extra) - a.independent_set
             ) | {-1},
         )
         with pytest.raises(AssertionError, match=r"id outside the graph -1"):
             analyze(g)
+
+    @pytest.mark.parametrize("graph", [paw, square_with_tail], ids=["type I", "type II"])
+    def test_returns_the_certificates_the_tail_built(self, monkeypatch, graph):
+        # The set and the matching are the very objects the builders made:
+        # a type II cycle's terms enter them as they are built, and nothing
+        # copies either one after.
+        built = {}
+        for name in ("_independent_set", "_matching"):
+            real = getattr(nulldecomp.trees, name)
+
+            def kept(*args, name=name, real=real):
+                built[name] = real(*args)
+                return built[name]
+
+            # Wherever the builder is held, under whatever name.
+            for module in (nulldecomp.trees, nulldecomp.unicyclic):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, kept)
+        a = analyze(graph())
+        assert a.independent_set is built["_independent_set"]
+        assert a.matching is built["_matching"]
 
     def test_pure_cycle(self):
         a = analyze(cycle_graph(8))
@@ -455,9 +477,9 @@ class TestAnalyze:
             nulldecomp.linalg, "_eliminate", spy("eliminate", nulldecomp.linalg._eliminate)
         )
         monkeypatch.setattr(
-            nulldecomp.unicyclic,
+            nulldecomp.trees,
             "_decomposition",
-            spy("top-down pass", nulldecomp.unicyclic._decomposition),
+            spy("top-down pass", nulldecomp.trees._decomposition),
         )
         # The public forest helpers, should analyze ever call them again.
         for name in ("decompose", "independent_set_certificate", "matching_certificate"):
