@@ -26,6 +26,7 @@ _EXPORTS = {
     "cli": (),
     "errors": (
         "BadChecksumChar",
+        "BadSizeGuard",
         "DuplicateEdge",
         "EmptyGraph",
         "MalformedLine",

@@ -11,13 +11,15 @@ Subcommands:
 Exit codes: 0 success, 1 a verification or fixture check failed, 2 the
 input is not UTF-8 or did not parse, NULLDECOMP_MAX_N is not an
 integer (under analyze --verify, verify or fixtures), the --dot file
-cannot be written, or stdout was closed before all output was written
-(as by `| head`), 3 the input is unsupported (wrong shape, no vertices,
-past the size guard for oracle cross-checks: the graph under analyze
---verify, --max-n under verify, a bundled example under fixtures, or
-too large for the memory the process may use).  analyze prints
-nothing before its checks and its --dot file are done, so an exit of 2
-or 3 after the output began leaves a truncated report.
+cannot be written, or stdout could not be written (a closed pipe, as
+by `| head`, or a full disk), 3 the input is unsupported (wrong shape,
+no vertices, past the size guard for oracle cross-checks: the graph
+under analyze --verify, --max-n under verify, a bundled example under
+fixtures, or too large for the memory the process may use).  The
+subcommands raise, and main alone turns an error into its exit code
+and its one line on stderr.  analyze prints nothing before its checks
+and its --dot file are done, so an exit of 2 or 3 after the output
+began leaves a truncated report.
 main builds its argument parser once per process.  Each subcommand
 imports what it runs, and nothing else: analyze loads errors, graphs,
 trees and unicyclic; --verify adds sweeps (with oracles, linalg and
@@ -48,7 +50,7 @@ import os
 import sys
 from functools import cache
 
-from .errors import EmptyGraph, ParseError, TooLarge
+from .errors import BadSizeGuard, EmptyGraph, ParseError, TooLarge
 from .graphs import Role, Shape, _decimal, classify_shape, export_dot
 from .graphs import format_edge_list, parse_edge_list, parse_graph6
 from .trees import _analyze as _analyze_forest
@@ -118,20 +120,27 @@ def _object(fields, indent):
     yield indent + "}"
 
 
-def _forest_fields(g, shape, d, independent, matching):
+def _shared_fields(g, shape, a, singular, independent, matching):
+    """The vertex-name table and the fields of both report shapes; a is
+    the decomposition of a forest or the analysis of a unicyclic graph."""
     name = _name_table(g)
-    return {
+    return name, {
         "shape": _quote(shape.value),
         "vertex_count": repr(g.n),
         "edge_count": repr(g.m),
-        "nullity": repr(d.nullity),
-        "singular": _BOOLS[d.nullity > 0],
-        "alpha": repr(d.alpha),
-        "nu": repr(d.nu),
-        **dict(zip(("supp", "core", "n_vertices"), _role_lists(name, d, "\n  "))),
+        "nullity": repr(a.nullity),
+        "singular": _BOOLS[singular],
+        "alpha": repr(a.alpha),
+        "nu": repr(a.nu),
         "independent_set": _strings(name, sorted(independent), "\n  "),
         "matching": _edges(name, matching, "\n  "),
     }
+
+
+def _forest_fields(g, shape, d, independent, matching):
+    name, fields = _shared_fields(g, shape, d, d.nullity > 0, independent, matching)
+    fields.update(zip(("supp", "core", "n_vertices"), _role_lists(name, d, "\n  ")))
+    return fields
 
 
 def _parts(name, parts):
@@ -153,35 +162,15 @@ def _parts(name, parts):
 
 
 def _unicyclic_fields(g, shape, a):
-    name = _name_table(g)
-    return {
-        "shape": _quote(shape.value),
-        "vertex_count": repr(g.n),
-        "edge_count": repr(g.m),
-        "cycle": _strings(name, a.cycle.vertices, "\n  "),
-        "type": _quote(a.kind),
-        "witness": '"' + name(a.witness) + '"' if a.witness is not None else "null",
-        "singular": _BOOLS[a.singular],
-        "singular_reason": _quote(a.singular_reason),
-        "nullity": repr(a.nullity),
-        "alpha": repr(a.alpha),
-        "nu": repr(a.nu),
-        "parts": _parts(name, a.parts),
-        "independent_set": _strings(name, sorted(a.independent_set), "\n  "),
-        "matching": _edges(name, a.matching, "\n  "),
-    }
-
-
-def _checked_size_limit():
-    """The oracle size guard, or None after reporting a NULLDECOMP_MAX_N
-    that is not an integer."""
-    from .oracles import size_limit
-
-    try:
-        return size_limit()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    name, fields = _shared_fields(g, shape, a, a.singular, a.independent_set, a.matching)
+    fields.update(
+        cycle=_strings(name, a.cycle.vertices, "\n  "),
+        type=_quote(a.kind),
+        witness='"' + name(a.witness) + '"' if a.witness is not None else "null",
+        singular_reason=_quote(a.singular_reason),
+        parts=_parts(name, a.parts),
+    )
+    return fields
 
 
 _UNSUPPORTED = "error: only forests and graphs with exactly one cycle are supported"
@@ -196,22 +185,17 @@ def cmd_analyze(args):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.verify and _checked_size_limit() is None:
-            return 2
-        try:
-            # The text is dropped once parsed, not held through the analysis.
-            if args.format == "edges":
-                g = parse_edge_list(_read_input(args.path))
-            else:
-                # Only m <= n is analyzed, so the decode may stop past n edges.
-                g = parse_graph6(_read_input(args.path), _at_most_n_edges=True)
-            shape = classify_shape(g) if g is not None else Shape.OTHER
-        except (OSError, UnicodeDecodeError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except EmptyGraph as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        if args.verify:
+            from .oracles import size_limit
+
+            size_limit()  # a bad NULLDECOMP_MAX_N is reported before the read
+        # The text is dropped once parsed, not held through the analysis.
+        if args.format == "edges":
+            g = parse_edge_list(_read_input(args.path))
+        else:
+            # Only m <= n is analyzed, so the decode may stop past n edges.
+            g = parse_graph6(_read_input(args.path), _at_most_n_edges=True)
+        shape = classify_shape(g) if g is not None else Shape.OTHER
         # The one branch on the shape: the analysis, its report fields,
         # the records that hold its roles, and the checker for --verify.
         if shape in (Shape.TREE, Shape.FOREST):
@@ -230,11 +214,7 @@ def cmd_analyze(args):
         if args.verify:
             from . import sweeps
 
-            try:
-                checks = getattr(sweeps, checker)(g, analysis)
-            except TooLarge as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
+            checks = getattr(sweeps, checker)(g, analysis)
             verdicts = {k: _BOOLS[ok] for k, ok in checks.items()}
             fields["verification"] = _object(verdicts, "\n  ")
             if not all(checks.values()):
@@ -244,12 +224,8 @@ def cmd_analyze(args):
             # A vertex of no record, as a cycle vertex of type II, is drawn plain.
             drawn = (Role.SUPPORT, Role.CORE, Role.N_VERTEX)
             roles = {v: r for rec in records for r, ids in zip(drawn, rec._by_role()) for v in ids}
-            try:
-                with open(args.dot, "w", encoding="utf-8") as fh:
-                    fh.write(export_dot(g, roles))
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(export_dot(g, roles))
 
         del g  # the report, made as it is written, reads nothing of the graph
         sys.stdout.writelines(_object(fields, "\n"))
@@ -292,16 +268,13 @@ def cmd_verify(args):
         parser.error("--max-n must be at least --min-n")
     if args.count < 1:
         parser.error("--count must be positive")
-    limit = _checked_size_limit()
-    if limit is None:
-        return 2
+    from .oracles import size_limit
+
+    limit = size_limit()
     if max_n > limit:
-        print(
-            f"error: verify refuses --max-n {max_n} > {limit}; "
-            "set NULLDECOMP_MAX_N to override",
-            file=sys.stderr,
+        raise TooLarge(
+            f"verify refuses --max-n {max_n} > {limit}; set NULLDECOMP_MAX_N to override"
         )
-        return 3
 
     from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 
@@ -331,17 +304,13 @@ def cmd_verify(args):
 
 
 def cmd_fixtures(args):
-    if _checked_size_limit() is None:
-        return 2
+    from .oracles import size_limit
+
+    size_limit()  # a bad NULLDECOMP_MAX_N is reported before any check
     from .fixtures import check_all
 
-    try:
-        reports = check_all()
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     failed = 0
-    for rep in reports:
+    for rep in check_all():
         status = "ok" if rep.ok else "FAIL"
         print(f"{rep.fixture}: {len(rep.rows)} checks, {status}")
         if args.verbose or not rep.ok:
@@ -390,6 +359,7 @@ def build_parser():
         metavar="FILE",
         help="also write a DOT rendering with decomposition roles",
     )
+    p_an.set_defaults(run=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="random sweeps of the invariant checks")
     p_ver.add_argument("--kind", choices=("tree", "unicyclic", "cycle"), required=True)
@@ -397,32 +367,43 @@ def build_parser():
     p_ver.add_argument("--min-n", type=_int_arg, default=None, dest="min_n")
     p_ver.add_argument("--max-n", type=_int_arg, default=None, dest="max_n")
     p_ver.add_argument("--seed", type=_int_arg, default=0)
-    p_ver.set_defaults(parser=p_ver)
+    p_ver.set_defaults(parser=p_ver, run=cmd_verify)
 
     p_fix = sub.add_parser("fixtures", help="recheck the bundled examples")
     p_fix.add_argument("--verbose", action="store_true", help="print every check row")
+    p_fix.set_defaults(run=cmd_fixtures)
 
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _unblock_stdout():
+    """If stdout cannot take what it still buffers, send that to devnull,
+    so the interpreter's final flush cannot fail and print a second error."""
     try:
-        if args.command == "analyze":
-            code = cmd_analyze(args)
-        elif args.command == "verify":
-            code = cmd_verify(args)
-        else:
-            code = cmd_fixtures(args)
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def main(argv=None):
+    """Run one subcommand; the one place an error becomes an exit code and
+    one line on stderr."""
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.run(args)
         # A reader that left early shows up here, not in the exit flush.
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # Whatever is still buffered goes to devnull, so the interpreter's
-        # final flush cannot fail and print a second error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _unblock_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError, ParseError, BadSizeGuard) as exc:
+        _unblock_stdout()  # stdout may be what failed, as on a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (EmptyGraph, TooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except MemoryError:
         print("error: out of memory: the input is too large for this process", file=sys.stderr)
         return 3

@@ -47,3 +47,7 @@ class NotAForest(NullDecompError):
 
 class TooLarge(NullDecompError):
     """Instance exceeds the brute-force size guard (see NULLDECOMP_MAX_N)."""
+
+
+class BadSizeGuard(NullDecompError, ValueError):
+    """NULLDECOMP_MAX_N is set to something other than an integer."""

@@ -226,11 +226,9 @@ def _decimal(s):
 
 
 # The most vertices an edge list may declare.  Graph holds one neighbour
-# tuple per vertex, so a short "n=" line could otherwise ask for gigabytes;
-# at this cap a parse takes about 5 s and 0.3 GB (a random tree on 10^6
-# vertices: 4.8-5.0 s, 322 MB peak RSS, 2-core Xeon, Python 3.11), and
-# nulldecomp analyze, which pauses the cyclic collector, 8-10 s and
-# 360 MB on that tree and 8-11 s and 425 MB on a unicyclic graph.
+# tuple per vertex, so a short "n=" line could otherwise ask for gigabytes.
+# CI's "analyze at n = 10^6" step runs nulldecomp analyze at this cap and
+# prints its wall time and peak RSS on every run.
 MAX_EDGE_LIST_N = 10**6
 
 

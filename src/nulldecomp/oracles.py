@@ -33,6 +33,8 @@ question v in eg_set(t).
 Everything here is desk-scale.  Instances above the size guard raise
 TooLarge; set NULLDECOMP_MAX_N to lift the default of 32.  Only the
 independence search is exponential; the guard covers the matchings too.
+A NULLDECOMP_MAX_N that is not an integer raises BadSizeGuard, which is
+both a ValueError and a NullDecompError, on every read of the guard.
 """
 
 from __future__ import annotations
@@ -42,27 +44,28 @@ import sys
 from collections import namedtuple
 from itertools import compress
 
-from .errors import TooLarge, UnknownVertex
+from .errors import BadSizeGuard, TooLarge, UnknownVertex
 from .graphs import _decimal
 
 _DEFAULT_MAX_N = 32
 
 
 def size_limit():
-    """The size guard; raises ValueError when NULLDECOMP_MAX_N is not an
-    integer, or is a numeral too long for int(), which is not echoed."""
+    """The size guard; raises BadSizeGuard, a ValueError, when
+    NULLDECOMP_MAX_N is not an integer, or is a numeral too long for
+    int(), which is not echoed."""
     raw = os.environ.get("NULLDECOMP_MAX_N")
     if raw is None:
         return _DEFAULT_MAX_N
     try:
         limit = _decimal(raw)
     except ValueError:
-        raise ValueError(
+        raise BadSizeGuard(
             "NULLDECOMP_MAX_N is a numeral longer than "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
     if limit is None:
-        raise ValueError(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}")
+        raise BadSizeGuard(f"NULLDECOMP_MAX_N must be an integer, got {raw!r}")
     return limit
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, determinism."""
 
 import argparse
+import errno
 import gc
 import hashlib
 import io
@@ -21,7 +22,9 @@ import nulldecomp.sweeps
 import nulldecomp.trees
 import nulldecomp.unicyclic
 from nulldecomp import (
+    BadSizeGuard,
     Graph,
+    NullDecompError,
     Shape,
     analyze,
     classify_shape,
@@ -35,6 +38,7 @@ from nulldecomp import (
 )
 from nulldecomp.cli import main
 from nulldecomp.graphs import Role, _certificate_fault
+from nulldecomp.oracles import size_limit
 from nulldecomp.sweeps import (
     TREE_INVARIANTS,
     UNICYCLIC_INVARIANTS,
@@ -665,6 +669,65 @@ class TestFixturesCommand:
         code, out, _ = run(capsys, "fixtures", "--verbose")
         assert code == 0
         assert "[ok] alpha" in out
+
+
+COMMANDS = [
+    ["analyze", FIG1],
+    ["verify", "--kind", "cycle", "--max-n", "5"],
+    ["fixtures"],
+]
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_full_disk_on_stdout_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("sys.stdout", FullDisk())
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_full_disk_in_a_process_exits_2_without_a_second_error(self, argv):
+        # Block-buffered stdout, as on a plain run: the interpreter's final
+        # flush must find nothing left to write.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(nulldecomp.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nulldecomp.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_a_bad_size_guard_is_reported_before_a_missing_input(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
+        code, out, err = run(capsys, "analyze", "--verify", "no/such/file.edges")
+        assert code == 2 and out == ""
+        assert err == "error: NULLDECOMP_MAX_N must be an integer, got 'abc'\n"
+
+    def test_a_bad_size_guard_is_a_value_error_and_a_package_error(self, monkeypatch):
+        assert issubclass(BadSizeGuard, ValueError)
+        assert issubclass(BadSizeGuard, NullDecompError)
+        assert nulldecomp.BadSizeGuard is nulldecomp.errors.BadSizeGuard
+        monkeypatch.setenv("NULLDECOMP_MAX_N", "abc")
+        with pytest.raises(BadSizeGuard):
+            size_limit()
 
 
 # The report as a dict, built the way cli built it before it wrote the
