@@ -5,6 +5,8 @@ _tree_checks and _unicyclic_checks also take its analysis, which
 `analyze --verify` passes in: for a forest the (decomposition,
 independent set, matching) that trees._analyze returns, for a unicyclic
 graph its UnicyclicAnalysis.  The check_*_instance wrappers compute it.
+An analysis that names an id or an edge outside the instance fails the
+checks that read it; no checker raises on one.
 run_sweep aggregates tallies and keeps the first offending graph per
 invariant so failures can be echoed as edge lists and reproduced.  The
 sweeps hand it randgraphs' seeded stream, the graphs of tree_corpus or
@@ -39,19 +41,30 @@ searched when it has no neighbour in the EG set, so a correct analysis
 costs one search in all.  Witnesses and the EG set are used only when
 the decomposition's alpha is the oracle's, so every verdict is the one
 the skipped searches would give.  A forest's S part (Supp and Core) and N
-part are read off one cut forest, the forest without the edges between
-them: one maximum matching of it restricts to a maximum matching of
-each component, and the parts must partition the vertices.  The pendant
-tree of cycle vertex v is v's component of G - E(C), so the EG set of
-that forest answers the type witness check for every cycle vertex.  No
-checker builds a relabelled subgraph.
+part must partition its vertices, and the cut forest, the forest
+without the edges between them, must have singular components in S and
+perfectly matched ones in N.  By the Gallai-Edmonds structure theorem
+(Lovasz and Plummer, Matching Theory, 1986) every maximum matching of
+a forest pairs vertices only inside D u A, which is Supp u Core, or
+inside C, the N-vertices.  So when the parts are right, the matching
+of the nu check lies in the cut forest, and since nu(cut) <= nu(t) it
+is a maximum matching of the cut and of each of its components.  The
+components are read off t's own walk: a vertex starts one at a root or
+below a parent of the other part, and a component is perfectly matched
+when the matching misses none of its vertices.  Only a matching that
+pairs an S vertex with an N vertex, which right parts never give, sends
+the check to grow a matching on the cut forest itself, so no verdict
+rests on the parts being right.  The pendant tree of cycle vertex v is
+v's component of G - E(C), so the EG set of that forest answers the
+type witness check for every cycle vertex.  No checker builds a
+relabelled subgraph.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, _certificate_fault, _components, edge_inside, foreign_id
+from .graphs import Graph, _certificate_fault, _search, edge_inside, foreign_id
 from .linalg import null_basis
 from .oracles import _bitmasks, _grow, _max_independent_set, max_independent_set
 from .randgraphs import _trees, _unicyclic_graphs
@@ -111,6 +124,7 @@ def _size(mate):
 
 def _tree_checks(t, analysis):
     d, independent, matching = analysis
+    n = t.n
     checks = {}
     masks = _bitmasks(t)  # the one read of the size guard
     oracle_alpha, found = _max_independent_set(masks)
@@ -126,7 +140,7 @@ def _tree_checks(t, analysis):
     # fits: vertices in some maximum independent set of t seen so far;
     # avoidable: vertices that some such set leaves out.
     fits, avoidable = set(), set()
-    everyone = frozenset(range(t.n))
+    everyone = frozenset(range(n))
 
     def note(found, removed=(), put_back=frozenset()):
         """Add found, a witness for t - removed, with put_back added, to
@@ -154,7 +168,8 @@ def _tree_checks(t, analysis):
     in_every = missable if d.alpha == oracle_alpha else frozenset()
     ok = True
     for c in d.core:
-        if c in fits:  # c fits into some maximum independent set
+        # c is no vertex of t, or fits into some maximum independent set
+        if not 0 <= c < n or c in fits:
             ok = False
             break
         if not in_every.isdisjoint(t.neighbors(c)):
@@ -167,6 +182,9 @@ def _tree_checks(t, analysis):
 
     ok = True
     for u in d.n_forest_vertices:
+        if not 0 <= u < n:
+            ok = False
+            break
         if u not in avoidable:
             without, found = _max_independent_set(masks, (u,))
             if without != d.alpha:
@@ -184,18 +202,41 @@ def _tree_checks(t, analysis):
 
     s_part = d.supp | d.core
     n_part = d.n_forest_vertices
-    ok = s_part.isdisjoint(n_part) and len(s_part) + len(n_part) == t.n
+    ok = (
+        s_part.isdisjoint(n_part)
+        and len(s_part) + len(n_part) == n
+        and foreign_id(t, s_part) is None
+        and foreign_id(t, n_part) is None
+    )
     if ok:
-        cut = t.without_edges([(u, v) for u, v in t.edges if (u in s_part) != (v in s_part)])
-        mate, _ = _grow(cut)
-        for comp in _components(cut):
-            # An S component must not be fully covered, an N component must.
-            if all(mate[v] >= 0 for v in comp) == (comp[0] in s_part):
-                ok = False
-                break
+        in_s = bytearray(n)
+        for v in s_part:
+            in_s[v] = 1
+        if any(m >= 0 and in_s[v] != in_s[m] for v, m in enumerate(mate)):
+            # t's matching crosses the parts, so it may not be the cut's
+            # maximum matching: grow that on the cut forest itself.
+            cut = t.without_edges([(u, v) for u, v in t.edges if in_s[u] != in_s[v]])
+            mate, _ = _grow(cut)
+        # A cut component starts where the walk enters its part: at a root
+        # or below a parent of the other part.
+        order, parent = _search(t)
+        top = [0] * n
+        tops = []
+        missed = bytearray(n)
+        for v in order:
+            p = parent[v]
+            if p < 0 or in_s[p] != in_s[v]:
+                top[v] = v
+                tops.append(v)
+            else:
+                top[v] = top[p]
+            if mate[v] < 0:
+                missed[top[v]] = 1
+        # An S component must not be fully covered, an N component must.
+        ok = all(missed[r] == in_s[r] for r in tops)
     checks["S components singular, N components matched"] = ok
 
-    checks["alpha + nu = n"] = d.alpha + d.nu == t.n
+    checks["alpha + nu = n"] = d.alpha + d.nu == n
     fault = _certificate_fault(t, independent, matching, d.alpha, d.nu)
     checks["certificates valid and sized"] = fault is None
     return checks
@@ -219,20 +260,25 @@ def _unicyclic_checks(g, analysis):
     fault = _certificate_fault(g, *certificates, analysis.alpha, analysis.nu)
     checks["certificates valid and sized"] = fault is None
 
-    _, missable = _grow(g.without_edges(analysis.cycle.edges))
-    if analysis.kind == "I":
-        ok = analysis.witness not in missable
-    else:
-        ok = all(v in missable for v in analysis.cycle.vertices)
+    # A cycle whose edges are all g's is g's one cycle; any other fails
+    # every check that reads it.
+    cycle = analysis.cycle
+    ok = on_g = g.edges.issuperset(cycle.edges)
+    if ok:
+        _, missable = _grow(g.without_edges(cycle.edges))
+        if analysis.kind == "I":
+            ok = analysis.witness in cycle.vertices and analysis.witness not in missable
+        else:
+            ok = all(v in missable for v in cycle.vertices)
     checks["type witness agrees with matching oracle"] = ok
 
-    ok = True
-    if analysis.kind == "II":
+    ok = on_g or analysis.kind != "II"
+    if on_g and analysis.kind == "II":
         component_supp = set()
         for part in analysis.parts:
             component_supp |= part.supp
-        on_cycle = set(analysis.cycle.vertices)
-        for v in analysis.cycle.vertices:
+        on_cycle = set(cycle.vertices)
+        for v in cycle.vertices:
             for u in g.neighbors(v):
                 if u not in on_cycle and u in component_supp:
                     ok = False

@@ -19,7 +19,7 @@ from nulldecomp import (
     sweeps,
 )
 from nulldecomp.fixtures import load_fixture
-from nulldecomp.graphs import _certificate_fault, _components
+from nulldecomp.graphs import CycleInfo, _certificate_fault, _components
 from nulldecomp.oracles import _max_independent_set, max_independent_set, max_matching
 from nulldecomp.randgraphs import random_unicyclic
 from nulldecomp.trees import _C, _N, _S
@@ -385,11 +385,13 @@ def test_tree_checks_distrust_a_bad_certificate(how):
 
 def test_tree_checks_build_the_bitmasks_once(monkeypatch):
     # Every independence search of one instance runs on one build of t's
-    # bitmasks, and the forest analysis walks t once; the S/N check walks
-    # the cut forest, a graph of its own.  A walk is counted when it is
-    # built, not each time the Graph that keeps it serves it.
-    builds, walked = [], []
-    bitmasks, search = sweeps._bitmasks, graphs._search
+    # bitmasks, the forest analysis walks t once, and the S/N check reads
+    # the cut forest off that walk and t's own maximum matching: one
+    # matching growth, and no cut forest is built or walked.  A walk is
+    # counted when it is built, not each time the Graph that keeps it
+    # serves it.
+    builds, walked, grown = [], [], []
+    bitmasks, search, grow = sweeps._bitmasks, graphs._search, sweeps._grow
 
     def counted_bitmasks(g):
         builds.append(g)
@@ -400,8 +402,13 @@ def test_tree_checks_build_the_bitmasks_once(monkeypatch):
             walked.append(g)
         return search(g)
 
+    def counted_grow(g):
+        grown.append(g)
+        return grow(g)
+
     monkeypatch.setattr(sweeps, "_bitmasks", counted_bitmasks)
-    for module in (graphs, nulldecomp.trees):
+    monkeypatch.setattr(sweeps, "_grow", counted_grow)
+    for module in (graphs, nulldecomp.trees, sweeps):
         monkeypatch.setattr(module, "_search", counted_search)
     rng = random.Random(101)
     for i in range(60):
@@ -409,9 +416,11 @@ def test_tree_checks_build_the_bitmasks_once(monkeypatch):
         t = random_tree(n, rng) if i % 2 else random_forest(n, rng)
         builds.clear()
         walked.clear()
+        grown.clear()
         assert all(check_tree_instance(t).values())
         assert len(builds) == 1 and builds[0] is t
-        assert [g is t for g in walked] == [True, False]
+        assert [g is t for g in walked] == [True]
+        assert [g is t for g in grown] == [True]
 
 
 def test_s_and_n_parts_must_partition_the_vertices():
@@ -425,6 +434,67 @@ def test_s_and_n_parts_must_partition_the_vertices():
     assert reference_s_and_n_parts(P4, missing)
     assert not _tree_checks(P4, (overlapping, frozenset(), frozenset()))[name]
     assert not _tree_checks(P4, (missing, frozenset(), frozenset()))[name]
+
+
+def test_s_and_n_parts_must_name_vertices_of_the_forest():
+    # An id outside 0..n-1 is no vertex, so parts that name one fail,
+    # even when their sizes add up to n.  -1 must not stand for vertex 2,
+    # which would make the S part all of P3, one singular component.
+    name = "S components singular, N components matched"
+    for stray in (-1, 3):
+        d = replaced(decompose(P3), supp={0, stray})
+        assert not _tree_checks(P3, (d, frozenset(), frozenset()))[name]
+
+
+def test_s_and_n_parts_grow_the_cut_matching_when_t_s_crosses_them():
+    # t's maximum matching pairs 0 (S) with 1 (N), so it says nothing of
+    # the cut forest's: the S component {0} is singular and the N path
+    # 1-2-3-4 is perfectly matched, but t's matching misses 4.
+    t = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    d = with_roles(5, supp={0}, rest={1, 2, 3, 4})
+    assert sweeps._grow(t)[0] == [1, 0, 3, 2, -1]
+    assert reference_s_and_n_parts(t, d)
+    assert _tree_checks(t, (d, frozenset(), frozenset()))[
+        "S components singular, N components matched"
+    ]
+
+
+def test_tree_checks_give_verdicts_on_an_analysis_of_a_larger_forest():
+    # The analysis names ids 8..11 of a 12-vertex tree: every check that
+    # reads a vertex of it fails, and none raises.
+    t = random_tree(8, random.Random(3))
+    checks = _tree_checks(t, _analyze_forest(random_tree(12, random.Random(4))))
+    assert set(checks) == set(TREE_INVARIANTS)
+    for name in (
+        "core exclusion",
+        "N-vertex flexibility",
+        "S components singular, N components matched",
+        "certificates valid and sized",
+    ):
+        assert not checks[name], name
+
+
+@pytest.mark.parametrize("cycle", [(0, 1, 3), (0, 1, 9), (-1, 1, 2)])
+def test_unicyclic_checks_give_verdicts_on_a_cycle_outside_the_graph(cycle):
+    # The triangle 0-1-2 with the path 2-3-4 hung on it, type II; a cycle
+    # with an edge or an id outside it fails the checks that read it.
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    a = analyze(g)
+    assert a.kind == "II" and all(_unicyclic_checks(g, a).values())
+    checks = _unicyclic_checks(g, a._replace(cycle=CycleInfo(cycle, 3)))
+    assert not checks["type witness agrees with matching oracle"]
+    assert not checks["cycle neighbors avoid component support"]
+
+
+def test_type_witness_fails_off_the_cycle():
+    # fig6 is type I; a witness that is no cycle vertex, or no vertex,
+    # names no cycle vertex that every maximum matching covers.
+    g = load_fixture("fig6")
+    a = analyze(g)
+    assert a.kind == "I"
+    name = "type witness agrees with matching oracle"
+    for v in (*(v for v in range(g.n) if v not in a.cycle.vertices), g.n, -1):
+        assert not _unicyclic_checks(g, a._replace(witness=v))[name], v
 
 
 def _corrupted_tree_checks(t, name, corrupt):
