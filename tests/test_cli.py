@@ -133,9 +133,9 @@ class TestAnalyze:
         calls = []
         eliminate = nulldecomp.linalg._eliminate
 
-        def counted(work, cols):
+        def counted(work, holding):
             calls.append(len(work))
-            return eliminate(work, cols)
+            return eliminate(work, holding)
 
         monkeypatch.setattr(nulldecomp.linalg, "_eliminate", counted)
         code, _, _ = run(capsys, "analyze", FIG1)

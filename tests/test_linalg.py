@@ -1,4 +1,4 @@
-"""Exact fraction-free elimination, kernels, and adjacency nullity."""
+"""Exact two-sweep elimination, kernels, and adjacency nullity."""
 
 import functools
 import hashlib
@@ -44,33 +44,51 @@ def reference_pivots(reduced, rank):
     return [next(j for j, x in enumerate(row) if x) for row in reduced[:rank]]
 
 
-def reference_det(rows):
-    """The determinant of a square matrix, by plain elimination over Fraction."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(len(rows)):
-        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for i in range(c + 1, len(rows)):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def sparse(rows):
     """Integer rows as the {column: nonzero entry} dicts _eliminate takes."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def dense(work, ncols):
-    """The rows of sparse() back as lists, checking that no zero is stored."""
-    assert all(x for row in work for x in row.values())
-    return [[row.get(j, 0) for j in range(ncols)] for row in work]
+def holding_of(work, ncols):
+    """The column index _eliminate takes: the rows with an entry in each column."""
+    return [{i for i, row in enumerate(work) if j in row} for j in range(ncols)]
+
+
+def eliminate(work, ncols, on_line=None):
+    """_eliminate on work, with on_line(frame) called at each of its lines
+    when given: its pivot columns, its rows as dense rows with their
+    pivot 1 (then zero rows, as many as work has past the rank) and
+    whole.  Checks that a reduced row stores no zero and only free
+    columns past its pivot, and that whole rows hold ints only."""
+    holding = holding_of(work, ncols)
+    if on_line is None:
+        reduced, whole = _eliminate(work, holding)
+    else:
+
+        def local(frame, event, arg):
+            if event == "line":
+                on_line(frame)
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is _eliminate.__code__ else None
+
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            reduced, whole = _eliminate(work, holding)
+        finally:
+            sys.settrace(old)
+    assert len(reduced) == ncols
+    pivots = [c for c, row in enumerate(reduced) if row is not None]
+    rows = []
+    for c in pivots:
+        row = reduced[c]
+        assert all(row.values()) and all(j > c and reduced[j] is None for j in row)
+        assert not whole or all(type(x) is int for x in row.values())
+        rows.append([1 if j == c else row.get(j, 0) for j in range(ncols)])
+    rows += [[0] * ncols for _ in range(len(work) - len(pivots))]
+    return pivots, rows, whole
 
 
 def random_matrix(rng, nrows, ncols):
@@ -111,32 +129,24 @@ def line_of(fn, text):
     return first + k
 
 
-def traced_eliminate(work, ncols):
-    """_eliminate(work, ncols) under one trace: its (pivots, d), the
-    source lines it runs, and (|previous pivot|, whether the pivot equals
-    it) for each step it takes."""
-    code = _eliminate.__code__
-    step_end = line_of(_eliminate, "pivots.append(c)")
-    hit, kinds = set(), set()
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
-    def local(frame, event, arg):
-        if event == "line":
-            hit.add(frame.f_lineno)
-            if frame.f_lineno == step_end:
-                f = frame.f_locals
-                kinds.add((abs(f["prev"]), f["same"]))
-        return local
 
-    def tracer(frame, event, arg):
-        return local if frame.f_code is code else None
+def pendant_paths(k):
+    """A k-cycle with a two-vertex path hung at each cycle vertex."""
+    return Graph(
+        3 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)]
+        + [(k + i, 2 * k + i) for i in range(k)],
+    )
 
-    old = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        result = _eliminate(work, ncols)
-    finally:
-        sys.settrace(old)
-    return result, hit, kinds
+
+def fraction_route(g):
+    """Whether _eliminate takes A(g) out of the integers."""
+    work = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
+    return not _eliminate(work, [set(row) for row in work])[1]
 
 
 def reference_kernel(g, reduced=None):
@@ -159,6 +169,7 @@ def reference_kernel(g, reduced=None):
 class TestEliminate:
     def test_matches_plain_gauss_jordan_on_random_matrices(self):
         rng = random.Random(17)
+        routes = set()
         for _ in range(200):
             nrows = rng.randrange(1, 8)
             ncols = rng.randrange(1, 10)
@@ -167,33 +178,22 @@ class TestEliminate:
                 # plant a dependent row so rank deficiency shows up often
                 k = rng.randrange(1, nrows)
                 rows[k] = [x * 3 for x in rows[0]]
-            work = sparse(rows)
-            pivots, d = _eliminate(work, ncols)
-            reduced = dense(work, ncols)
+            pivots, reduced, whole = eliminate(sparse(rows), ncols)
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
-            assert [[Fraction(x, d) for x in row] for row in reduced] == want_rows
-            if nrows == ncols == want_rank:
-                # d is the last Bareiss pivot: the determinant, up to the
-                # sign of the row swaps.
-                assert abs(d) == abs(reference_det(rows))
-            for i, pc in enumerate(pivots):
-                assert reduced[i][pc] == d
-                assert all(x == 0 for x in reduced[i][:pc])
+            assert reduced == want_rows
+            routes.add(whole)
+        assert routes == {True, False}
 
     def test_matches_plain_gauss_jordan_on_adjacency_matrices(self):
-        # On these matrices a pivot is mostly the previous one up to sign.
-        # A pivot row is negated to make the two equal, which leaves the
-        # RREF as it is; the rows with a zero in the pivot column are then
-        # not touched.  Both must still give the reference's RREF and
-        # kernel exactly, since the RREF is unique.  A step after a pivot
-        # of +-1 divides by nothing, any other with its remainder checked;
-        # cycles of length 2 mod 4 reach |d| = 4 (their determinant is
-        # -4) and K_n reaches n - 1, so both kinds of step run, with the
-        # pivot equal to the previous one and not.
-        negation = line_of(_eliminate, "wr[j] = -wr[j]")
-        negated = 0
-        kinds = set()
+        # The RREF is unique, so whichever holder each step takes as its
+        # pivot row, the sweeps must give the reference's RREF and kernel
+        # exactly.  A pivot of -1 negates its row and one of 2 (cycles
+        # not of length 0 mod 4) or more (K_n) turns it into Fractions;
+        # both run here, and most graphs stay in integers.
+        negation = line_of(_eliminate, "wp[j] = -wp[j]")
+        division = line_of(_eliminate, "whole = False")
+        negated = divided = 0
         rng = random.Random(19)
         cases = [random_tree(rng.randrange(1, 31), rng) for _ in range(40)]
         cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(40)]
@@ -205,26 +205,25 @@ class TestEliminate:
         cases += [Graph(n, [(u, v) for v in range(n) for u in range(v)]) for n in range(2, 9)]
         for g in cases:
             rows = adjacency_rows(g)
-            work = sparse(rows)
-            (pivots, d), hit, steps = traced_eliminate(work, g.n)
-            if negation in hit:
-                negated += 1
-            kinds |= steps
+            hit = set()
+            pivots, reduced, whole = eliminate(
+                sparse(rows), g.n, lambda frame: hit.add(frame.f_lineno)
+            )
+            negated += negation in hit
+            divided += division in hit
+            assert whole == (division not in hit)
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
-            assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
-            if want_rank == g.n:
-                assert abs(d) == abs(reference_det(rows))
+            assert reduced == want_rows
             assert dense_vectors(null_basis(g)) == reference_kernel(g, (want_rows, want_rank))
-        assert negated > 0
-        assert {(1, True), (1, False), (2, True), (2, False), (4, False)} <= kinds
+        assert negated > 0 and 0 < divided < len(cases) // 2
 
-    def test_equal_pivot_steps_rewrite_only_the_pivot_rows_columns(self):
-        # When a step's pivot equals the previous one, an entry x facing a
-        # zero of the pivot row updates to x * piv / prev = x, so the step
-        # must write no entry outside the pivot row's columns.  Rows log
-        # their writes; a tracer closes each step at its last line, where
-        # piv, prev and the pivot row wr are still the step's own.
+    def test_a_forward_step_writes_only_the_rows_holding_its_column(self):
+        # A forward step takes a shortest row among those not yet pivot
+        # rows that hold its column, and writes only to those rows, and
+        # in each only at the pivot row's columns.  Rows log their writes;
+        # a tracer closes each step at its last line, and the test keeps
+        # its own copy of which columns each row held when the step began.
         writes = []
 
         class Logged(dict):
@@ -236,102 +235,124 @@ class TestEliminate:
                 writes.append((self, j))
                 super().__delitem__(j)
 
-        step_end = line_of(_eliminate, "pivots.append(c)")
-        steps = []
+            def pop(self, j):
+                writes.append((self, j))
+                return super().pop(j)
 
-        def local(frame, event, arg):
-            if event == "line" and frame.f_lineno == step_end:
-                f = frame.f_locals
-                wr = f["wr"]
-                rewritten = {j for row, j in writes if row is not wr}
-                steps.append((f["piv"] == f["prev"], set(wr), rewritten))
-                writes.clear()
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code is _eliminate.__code__ else None
-
+        step_end = line_of(_eliminate, "holders.clear()")
+        steps = 0
+        other_rows = 0
         rng = random.Random(23)
         cases = [random_tree(rng.randrange(2, 31), rng) for _ in range(30)]
         cases += [random_unicyclic(rng.randrange(3, 31), rng) for _ in range(30)]
+        cases += [cycle_graph(n) for n in (6, 10, 11)]
         for g in cases:
             rows = adjacency_rows(g)
             work = [Logged(row) for row in sparse(rows)]
-            old = sys.gettrace()
-            sys.settrace(tracer)
-            try:
-                pivots, d = _eliminate(work, g.n)
-            finally:
-                sys.settrace(old)
+            label = {id(row): i for i, row in enumerate(work)}
+            held = [set(row) for row in work]
+            done = set()
+            writes.clear()  # the last graph's backward sweep
+
+            def on_line(frame):
+                nonlocal steps, other_rows, held
+                if frame.f_lineno != step_end:
+                    return
+                c, p = frame.f_locals["c"], frame.f_locals["p"]
+                holders = {i for i in range(g.n) if c in held[i] and i not in done}
+                assert p in holders
+                assert len(held[p]) == min(len(held[i]) for i in holders)
+                written = {}
+                for row, j in writes:
+                    written.setdefault(label[id(row)], set()).add(j)
+                assert set(written) <= holders
+                assert all(cols <= held[p] for cols in written.values())
+                steps += 1
+                other_rows += bool(set(written) - {p})
+                writes.clear()
+                done.add(p)
+                held = [set(row) for row in work]
+
+            pivots, reduced, _ = eliminate(work, g.n, on_line)
             want_rows, want_rank = reference_rref(rows)
             assert pivots == reference_pivots(want_rows, want_rank)
-            assert [[Fraction(x, d) for x in row] for row in dense(work, g.n)] == want_rows
-        equal = [(cols, rewritten) for same, cols, rewritten in steps if same]
-        assert all(rewritten <= cols for cols, rewritten in equal)
-        # most steps are such steps, and many rewrite some other row
-        assert 2 * len(equal) > len(steps)
-        assert sum(1 for _, rewritten in equal if rewritten) > 100
+            assert reduced == want_rows
+        # the contract held on each step, and most steps cleared some other row
+        assert steps > 800 and 2 * other_rows > steps
 
-    def test_a_corrupted_entry_fails_a_non_unit_division(self):
-        # A row whose k-th write is off by one stands for an arithmetic
-        # slip.  Some later division by a pivot other than +-1 must then
-        # leave a remainder and raise, both in steps whose pivot equals
-        # the previous one and in steps where it does not.
+    def test_a_corrupted_fraction_fails_the_kernel_check(self, monkeypatch):
+        # A row whose k-th Fraction write is 1/2 further from 0 stands
+        # for a slip on the Fraction route.  A x = 0 must then catch every
+        # wrong vector: null_basis raises or returns the clean basis,
+        # unless the slip lifts the rank and a kernel vector goes missing,
+        # which no check of the returned vectors can see.
         class Drifting(dict):
             def __init__(self, entries, k):
                 super().__init__(entries)
                 self.left = k
 
             def __setitem__(self, j, x):
-                self.left -= 1
-                if self.left == 0:
-                    x += 1 if x > 0 else -1
+                if type(x) is Fraction:
+                    self.left -= 1
+                    if self.left == 0:
+                        x += Fraction(1 if x > 0 else -1, 2)
                 super().__setitem__(j, x)
 
-        raised_in = []
-
-        def local(frame, event, arg):
-            if event == "exception":
-                f = frame.f_locals
-                raised_in.append((abs(f["prev"]), f["same"]))
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code is _eliminate.__code__ else None
-
         rng = random.Random(37)
-        cases = [
-            adjacency_rows(Graph(n, [(u, v) for v in range(n) for u in range(v)]))
-            for n in range(3, 8)
-        ]
-        cases += [adjacency_rows(cycle_graph(n)) for n in (6, 10, 14)]
-        cases += [random_matrix(rng, rng.randrange(2, 6), rng.randrange(2, 7)) for _ in range(40)]
-        for rows in cases:
-            for i in range(len(rows)):
+        cases = [Graph(n, [(u, v) for v in range(n) for u in range(v)]) for n in range(3, 9)]
+        cases += [cycle_graph(n) for n in (6, 10, 14)]
+        while len(cases) < 60:
+            g = random_simple_graph(rng.randrange(4, 16), rng.choice([0.2, 0.3, 0.5]), rng)
+            if fraction_route(g):
+                cases.append(g)
+        raised = lost = 0
+        for g in cases:
+            clean = null_basis(g)
+            for i in range(g.n):
                 for k in range(1, 8):
-                    work = sparse(rows)
-                    work[i] = Drifting(work[i], k)
-                    old = sys.gettrace()
-                    sys.settrace(tracer)
+
+                    def drifting(work, holding, i=i, k=k):
+                        work[i] = Drifting(work[i], k)
+                        return _eliminate(work, holding)
+
+                    monkeypatch.setattr(linalg, "_eliminate", drifting)
                     try:
-                        _eliminate(work, len(rows[0]))
+                        basis = null_basis(g)
                     except ArithmeticError as exc:
-                        assert "lost exactness" in str(exc)
-                    finally:
-                        sys.settrace(old)
-        assert all(prev > 1 for prev, _ in raised_in)
-        assert sum(1 for _, same in raised_in if same) > 0
-        assert sum(1 for _, same in raised_in if not same) > 100
+                        assert "A x = 0" in str(exc)
+                        raised += 1
+                    else:
+                        assert basis == clean or basis.nullity < clean.nullity
+                        lost += basis != clean
+                    monkeypatch.undo()
+        assert raised > 30 and lost < raised
+
+    def test_sweeps_write_linearly_on_paths_cycles_and_pendant_paths(self):
+        # A first-holder pivot leaves an entry of every processed row in
+        # the front column, so its writes grow as n^2 on these graphs.
+        # The shortest holder keeps them within a few per vertex.
+        writes = 0
+
+        class Counted(dict):
+            def __setitem__(self, j, x):
+                nonlocal writes
+                writes += 1
+                super().__setitem__(j, x)
+
+        for g in (path_graph(3000), cycle_graph(3000), cycle_graph(3002), pendant_paths(1000)):
+            writes = 0
+            work = [Counted(dict.fromkeys(g.neighbors(v), 1)) for v in range(g.n)]
+            _eliminate(work, [set(row) for row in work])
+            assert writes < 3 * g.n, g
 
     def test_zero_and_identity(self):
         z = sparse([[0, 0], [0, 0]])
-        assert _eliminate(z, 2) == ([], 1) and dense(z, 2) == [[0, 0], [0, 0]]
-        i3 = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert _eliminate(i3, 3) == ([0, 1, 2], 1)
-        assert dense(i3, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert eliminate(z, 2) == ([], [[0, 0], [0, 0]], True)
+        i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert eliminate(sparse(i3), 3) == ([0, 1, 2], i3, True)
 
     def test_empty_matrix(self):
-        assert _eliminate([], 0) == ([], 1)
+        assert _eliminate([], []) == ([], True)
 
 
 class TestKernel:
@@ -357,20 +378,22 @@ class TestKernel:
         tried = 0
         for g in cases:
             work = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
-            pivots, _ = _eliminate(work, g.n)
-            free = [f for f in range(g.n) if f not in pivots]
-            for i in range(len(pivots)):
+            reduced, _ = _eliminate(work, [set(row) for row in work])
+            pivots = [c for c, row in enumerate(reduced) if row is not None]
+            free = [f for f, row in enumerate(reduced) if row is None]
+            for pc in pivots:
                 for f in free:
                     for corrupt in ("add", "drop"):
-                        if corrupt == "drop" and f not in work[i]:
+                        if corrupt == "drop" and f not in reduced[pc]:
                             continue
 
-                        def corrupted(rows, cols, i=i, f=f, corrupt=corrupt):
-                            out = _eliminate(rows, cols)
+                        def corrupted(rows, holding, pc=pc, f=f, corrupt=corrupt):
+                            out = _eliminate(rows, holding)
+                            row = out[0][pc]
                             if corrupt == "drop":
-                                del rows[i][f]
+                                del row[f]
                             else:
-                                rows[i][f] = rows[i].get(f, 0) + 1
+                                row[f] = row.get(f, 0) + 1
                             return out
 
                         monkeypatch.setattr(linalg, "_eliminate", corrupted)
@@ -415,10 +438,10 @@ class TestKernel:
             assert all(type(x) is int and x for dx in basis.scaled for _, x in dx)
 
     def test_basis_integers_are_pinned(self):
-        # The dense vectors leave d and the scale of each stored integer
-        # free; this pins them as well: n, d, every vector's (column,
-        # integer) pairs in their order, and the support, over 320 seeded
-        # trees, forests, unicyclic graphs, cycles and complete graphs.
+        # Pins the basis itself, as dense Fraction vectors, with n and the
+        # support, over 320 seeded trees, forests, unicyclic graphs, cycles
+        # and complete graphs; d and the stored integers may scale it, but
+        # they are ints.
         rng = random.Random(41)
         cases = [random_tree(rng.randrange(1, 41), rng) for _ in range(100)]
         for _ in range(80):
@@ -430,10 +453,29 @@ class TestKernel:
         digest = hashlib.sha256()
         for g in cases:
             b = null_basis(g)
-            digest.update(repr((b.n, b.d, b.scaled, sorted(b.support))).encode())
+            assert type(b.d) is int
+            assert all(type(x) is int and x for dx in b.scaled for _, x in dx)
+            digest.update(repr((b.n, dense_vectors(b), sorted(b.support))).encode())
         assert digest.hexdigest() == (
-            "3f5259ff3f1f1ec6dd1c4a2a5871719c4ad274f639ef8ac67313068c8596a491"
+            "0b67f2f28cd3ae67b59e4bca1215036783b4d1288726d4168e25462652f414d9"
         )
+
+    def test_equals_the_reference_on_paths_cycles_pendant_paths_and_dense_graphs(self):
+        # The long paths and cycles are where the pivot rule matters, and
+        # the G(n, p) draws are kept only when some d != 1, so the
+        # Fraction route's lcm scaling is checked as well.
+        cases = [path_graph(n) for n in range(1, 41)]
+        cases += [cycle_graph(n) for n in range(3, 41)]
+        cases += [pendant_paths(k) for k in range(3, 14)]
+        rng = random.Random(47)
+        scaled = 0
+        while scaled < 15:
+            g = random_simple_graph(rng.randrange(4, 21), rng.choice([0.2, 0.4, 0.6]), rng)
+            if null_basis(g).d != 1:
+                cases.append(g)
+                scaled += 1
+        for g in cases:
+            assert dense_vectors(null_basis(g)) == reference_kernel(g)
 
     def test_canonical_unit_pattern(self):
         # Star with center 0: A x = 0 reads x1 + x2 + x3 = 0 and x0 = 0,
