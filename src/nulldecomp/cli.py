@@ -266,7 +266,12 @@ def cmd_verify(args):
         parser.error(f"--min-n must be at least {_SWEEP_FLOORS[kind]} for {kind}")
     if max_n < min_n:
         parser.error("--max-n must be at least --min-n")
-    if args.count < 1:
+    # The cycles C_n are one fixed list: no count or seed picks them.
+    if kind == "cycle" and (args.count is not None or args.seed is not None):
+        parser.error("--count and --seed apply to the random kinds, not to cycle")
+    count = 200 if args.count is None else args.count
+    seed = 0 if args.seed is None else args.seed
+    if count < 1:
         parser.error("--count must be positive")
     from .oracles import size_limit
 
@@ -278,18 +283,14 @@ def cmd_verify(args):
 
     from .sweeps import cycle_sweep, tree_sweep, unicyclic_sweep
 
-    if kind == "tree":
-        outcome = tree_sweep(args.count, min_n, max_n, args.seed)
-        print(f"{args.count} random trees, {min_n} <= n <= {max_n}, seed {args.seed}")
-    elif kind == "unicyclic":
-        outcome = unicyclic_sweep(args.count, min_n, max_n, args.seed)
-        print(
-            f"{args.count} random unicyclic graphs, {min_n} <= n <= {max_n}, "
-            f"seed {args.seed}"
-        )
-    else:
+    if kind == "cycle":
         outcome = cycle_sweep(min_n, max_n)
         print(f"cycles C_n, {min_n} <= n <= {max_n}")
+    else:
+        sweep = tree_sweep if kind == "tree" else unicyclic_sweep
+        outcome = sweep(count, min_n, max_n, seed)
+        noun = "trees" if kind == "tree" else "unicyclic graphs"
+        print(f"{count} random {noun}, {min_n} <= n <= {max_n}, seed {seed}")
 
     for name, (passed, failed) in outcome.tallies.items():
         print(f"  {name}: {passed} pass, {failed} fail")
@@ -363,10 +364,10 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="random sweeps of the invariant checks")
     p_ver.add_argument("--kind", choices=("tree", "unicyclic", "cycle"), required=True)
-    p_ver.add_argument("--count", type=_int_arg, default=200, help="instances (default 200)")
+    p_ver.add_argument("--count", type=_int_arg, help="instances (default 200; not for cycle)")
     p_ver.add_argument("--min-n", type=_int_arg, default=None, dest="min_n")
     p_ver.add_argument("--max-n", type=_int_arg, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=_int_arg, default=0)
+    p_ver.add_argument("--seed", type=_int_arg, help="stream seed (default 0; not for cycle)")
     p_ver.set_defaults(parser=p_ver, run=cmd_verify)
 
     p_fix = sub.add_parser("fixtures", help="recheck the bundled examples")

@@ -6,7 +6,9 @@ zero-versus-nonzero question.  The formula path never comes here: the
 sweeps, `analyze --verify` and the fixtures compare its Supp and
 nullity with the kernel.  null_basis is the one route to it: callers
 read .nullity and .support, and it checks A x = 0 for every vector
-before returning.
+before returning.  That check shows each vector is in the kernel, not
+that the basis is complete; the callers' nullity comparison with the
+matching DP or the cycle law is what sees a short basis.
 
 Elimination is Gauss-Jordan in two sweeps over sparse rows.  The
 forward sweep goes through the columns in order.  For each, among the
@@ -149,7 +151,10 @@ def null_basis(g):
     ordered by free column.  Each is formed as d x in integers, on its
     nonzeros only, and checked against A x = 0 by scattering each
     nonzero into the rows of its neighbours; a nonzero sum raises
-    ArithmeticError.
+    ArithmeticError.  That check proves each vector lies in the kernel,
+    not that none is missing: a basis one vector short passes it, and
+    only a comparison of the nullity with another route, as the sweeps
+    make, catches that.
     """
     n, adj = g.n, g._adj
     work = [dict.fromkeys(nbrs, 1) for nbrs in adj]

@@ -27,13 +27,13 @@ is a witness and settles later questions: a Core vertex in one fails
 core exclusion at once, an N-vertex in one needs no search of t - N[u],
 and one left out of one no search of t - u.  The witnesses are the
 first search's, the analysis's own independent set and its other
-N-sides (Supp with the rest of the N-vertices), and those of the
-searches the N-vertex loop still runs.  When the analysis is right its
-two sets put every N-vertex in one and out of the other, so the
-N-vertex loop runs no search (McConnell, Mehlhorn, Naeher and
-Schweitzer's certifying algorithms: two checked sets prove what the
-per-vertex searches would).  Core exclusion rests on the EG set of the
-same growth, the set that "EG set equals support" reads: for s in it,
+N-sides (Supp with the rest of the N-vertices), all three known
+before the loops.  When the analysis is right its two sets put every
+N-vertex in one and out of the other, so the N-vertex loop runs no
+search (McConnell, Mehlhorn, Naeher and Schweitzer's certifying
+algorithms: two checked sets prove what the per-vertex searches
+would).  Core exclusion rests on the EG set of the same growth, the
+set that "EG set equals support" reads: for s in it,
 nu(t - s) = nu(t), so by Koenig's theorem (alpha = n - nu on a forest)
 alpha(t - s) = alpha(t) - 1 and s lies in every maximum independent
 set; a Core vertex next to s lies in none.  A Core vertex is still
@@ -137,35 +137,23 @@ def _tree_checks(t, analysis):
     checks["nullity equals kernel nullity"] = basis.nullity == d.nullity
     checks["support is independent"] = edge_inside(t, d.supp) is None
 
-    # fits: vertices in some maximum independent set of t seen so far;
-    # avoidable: vertices that some such set leaves out.
-    fits, avoidable = set(), set()
-    everyone = frozenset(range(n))
+    # fits: vertices in some witness, a maximum independent set of t;
+    # avoidable: vertices that some witness leaves out.  The witnesses are
+    # the first search's set, the analysis's certificate and its other
+    # N-sides: when the last two are right, every N-vertex is in one and
+    # out of the other, and the N-vertex loop runs no search.  in_every:
+    # the EG set, which lies in every maximum independent set of a
+    # forest, so a Core vertex next to one lies in none.  All three rest
+    # on the decomposition's alpha being the oracle's.
+    fits, avoidable, in_every = set(), set(), frozenset()
+    if d.alpha == oracle_alpha:
+        everyone = frozenset(range(n))
+        for s in (found, independent, d.supp | (d.n_forest_vertices - independent)):
+            if len(s) == oracle_alpha and foreign_id(t, s) is None and edge_inside(t, s) is None:
+                fits.update(s)
+                avoidable.update(everyone - s)
+        in_every = missable
 
-    def note(found, removed=(), put_back=frozenset()):
-        """Add found, a witness for t - removed, with put_back added, to
-        fits and avoidable if it is a maximum independent set of t."""
-        s = found | put_back
-        if (
-            d.alpha == oracle_alpha
-            and len(s) == oracle_alpha
-            and found.isdisjoint(removed)
-            and foreign_id(t, s) is None
-            and edge_inside(t, s) is None
-        ):
-            fits.update(s)
-            avoidable.update(everyone - s)
-
-    note(found)
-    # The analysis's certificate and its other N-sides: when both are
-    # maximum independent sets, every N-vertex is in one and out of the
-    # other, and the N-vertex loop runs no search.
-    note(independent)
-    note(d.supp | (d.n_forest_vertices - independent))
-
-    # Every vertex of the EG set lies in every maximum independent set of
-    # a forest, so a Core vertex next to one lies in none.
-    in_every = missable if d.alpha == oracle_alpha else frozenset()
     ok = True
     for c in d.core:
         # c is no vertex of t, or fits into some maximum independent set
@@ -186,18 +174,15 @@ def _tree_checks(t, analysis):
             ok = False
             break
         if u not in avoidable:
-            without, found = _max_independent_set(masks, (u,))
+            without, _ = _max_independent_set(masks, (u,))
             if without != d.alpha:
                 ok = False
                 break
-            note(found, (u,))
         if u not in fits:
-            closed = {u, *t.neighbors(u)}
-            with_u, found = _max_independent_set(masks, closed)
+            with_u, _ = _max_independent_set(masks, {u, *t.neighbors(u)})
             if 1 + with_u != d.alpha:
                 ok = False
                 break
-            note(found, closed, frozenset((u,)))
     checks["N-vertex flexibility"] = ok
 
     s_part = d.supp | d.core

@@ -153,39 +153,37 @@ def _singularity(g, cycle, verdict, pendant_supp, supp):
     """Verdict and reason from |Supp| of the pendant tree at the witness
     (type I) and of the whole forest.
 
-    A forest has a perfect matching exactly when its Supp is empty.
-    Type I pieces are the pendant tree at the witness and the rest;
-    type II pieces are the trees off the cycle.
+    The graph is singular iff one of its type's two pieces fails: for
+    type I the pendant tree at the witness or the rest has no perfect
+    matching, for type II a tree off the cycle has none or 4 divides the
+    cycle length.  A forest has a perfect matching exactly when its Supp
+    is empty.  The reason names every failing piece, or says none fails.
     """
     if verdict.kind == "I":
         name = g.name_of(verdict.witness)
-        pm_pendant, pm_rest = not pendant_supp, pendant_supp == supp
-        if pm_pendant and pm_rest:
-            return False, (
-                f"type I at witness {name}: the pendant tree and the rest both "
-                "have perfect matchings"
-            )
-        missing = []
-        if not pm_pendant:
-            missing.append(f"the pendant tree at {name} has no perfect matching")
-        if not pm_rest:
-            missing.append(
-                f"the rest after removing the pendant tree at {name} has no perfect matching"
-            )
-        return True, "type I: " + "; ".join(missing)
-    pm_forest = not supp
-    div4 = cycle.length % 4 == 0
-    if pm_forest and not div4:
-        return False, (
-            "type II: every tree off the cycle has a perfect matching and "
-            f"the cycle length {cycle.length} is not divisible by 4"
+        tree = f"the pendant tree at {name}"
+        pieces = (
+            (pendant_supp, f"{tree} has no perfect matching"),
+            (pendant_supp != supp, f"the rest after removing {tree} has no perfect matching"),
         )
-    reasons = []
-    if not pm_forest:
-        reasons.append("a tree off the cycle has no perfect matching")
-    if div4:
-        reasons.append(f"the cycle length {cycle.length} is divisible by 4")
-    return True, "type II: " + "; ".join(reasons)
+        sound = (
+            f"type I at witness {name}: the pendant tree and the rest both have "
+            "perfect matchings"
+        )
+    else:
+        length = cycle.length
+        pieces = (
+            (supp, "a tree off the cycle has no perfect matching"),
+            (length % 4 == 0, f"the cycle length {length} is divisible by 4"),
+        )
+        sound = (
+            "type II: every tree off the cycle has a perfect matching and "
+            f"the cycle length {length} is not divisible by 4"
+        )
+    failing = [text for fault, text in pieces if fault]
+    if not failing:
+        return False, sound
+    return True, f"type {verdict.kind}: " + "; ".join(failing)
 
 
 def analyze(g):

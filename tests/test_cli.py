@@ -536,9 +536,9 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["tree", "unicyclic", "cycle"])
     def test_past_size_guard_exits_3(self, capsys, monkeypatch, kind):
         monkeypatch.delenv("NULLDECOMP_MAX_N", raising=False)
+        count = [] if kind == "cycle" else ["--count", "1"]  # cycle takes no --count
         code, out, err = run(
-            capsys, "verify", "--kind", kind, "--min-n", "40", "--max-n", "40",
-            "--count", "1",
+            capsys, "verify", "--kind", kind, "--min-n", "40", "--max-n", "40", *count
         )
         assert code == 3 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -587,6 +587,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("usage: nulldecomp verify ")
         assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+    def test_cycle_refuses_a_seed(self, capsys):
+        # The cycles C_n are one fixed list, so a seed would be ignored;
+        # error.verify_cycle_count in test_golden refuses --count.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kind", "cycle", "--seed", "9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nulldecomp verify ")
+        assert err.endswith("error: --count and --seed apply to the random kinds, not to cycle\n")
+        assert err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "kind,first", [("tree", "trees, 2"), ("unicyclic", "unicyclic graphs, 6")]
+    )
+    def test_random_kinds_default_to_200_graphs_at_seed_0(self, capsys, kind, first):
+        code, out, _ = run(capsys, "verify", "--kind", kind, "--max-n", "7")
+        assert code == 0
+        assert out.startswith(f"200 random {first} <= n <= 7, seed 0\n")
 
     def test_negative_seed_is_an_integer(self, capsys):
         code, out, _ = run(capsys, "verify", "--kind", "tree", "--count", "2", "--seed", "-3")
@@ -796,7 +815,7 @@ def reference_report(g, verify):
     shape = classify_shape(g)
     if shape in (Shape.TREE, Shape.FOREST):
         d = decompose(g)
-        independent = independent_set_certificate(g, d)
+        independent = independent_set_certificate(g)
         matching = matching_certificate(g)
         report = _forest_report(g, shape, d, independent, matching)
         if verify:

@@ -67,6 +67,7 @@ def _cases():
         "verify_past_guard": (["verify", "--kind", "tree", "--max-n", "40"], None, None, 3),
         "verify_bad_range": (["verify", "--kind", "unicyclic", "--min-n", "2"], None, None, 2),
         "verify_bad_int": (["verify", "--kind", "tree", "--min-n", "1_0"], None, None, 2),
+        "verify_cycle_count": (["verify", "--kind", "cycle", "--count", "3"], None, None, 2),
         # one digit past int()'s default limit: named by length, not echoed
         "verify_long_numeral": (["verify", "--kind", "tree", "--count", "9" * 4301], None, None, 2),
         "verify_long_size_guard": (["verify", "--kind", "tree"], None, "9" * 4301, 2),

@@ -811,16 +811,13 @@ class TestWalkCache:
         # gives on a fresh Graph with the same neighbour order (a copy
         # without no edges), raising included; each Graph object is
         # walked once, whatever reads it first.
-        def certificate(g):
-            return independent_set_certificate(g, decompose(g))
-
         public = (
             classify_shape,
             find_cycle,
             nulldecomp.unicyclic.classify_type,
             nulldecomp.unicyclic.analyze,
             decompose,
-            certificate,
+            independent_set_certificate,
         )
 
         def outcome(f, g):

@@ -11,6 +11,7 @@ import nulldecomp.trees
 from nulldecomp import (
     Graph,
     NullDecomposition,
+    PartAnalysis,
     SweepOutcome,
     analyze,
     decompose,
@@ -484,6 +485,23 @@ def test_unicyclic_checks_give_verdicts_on_a_cycle_outside_the_graph(cycle):
     checks = _unicyclic_checks(g, a._replace(cycle=CycleInfo(cycle, 3)))
     assert not checks["type witness agrees with matching oracle"]
     assert not checks["cycle neighbors avoid component support"]
+
+
+def test_cycle_neighbors_fail_next_to_a_component_support_vertex():
+    # The same type II graph; its one tree off the cycle, {3, 4}, hangs
+    # from cycle vertex 2 at the attach vertex 3.  A part that puts 3 in
+    # Supp (as test_records.with_other_roles does) fails this check alone.
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    a = analyze(g)
+    (part,) = a.parts
+    assert (part.kind, part.root, part.vertices, part.supp) == ("component", 2, {3, 4}, set())
+    roles = bytearray(part.roles)
+    roles[3] = _S
+    bad = PartAnalysis(part.kind, part.root, [3, 4], bytes(roles))
+    checks = _unicyclic_checks(g, a._replace(parts=(bad,)))
+    assert list(checks) == list(UNICYCLIC_INVARIANTS)
+    assert not checks.pop("cycle neighbors avoid component support")
+    assert all(checks.values())
 
 
 def test_type_witness_fails_off_the_cycle():

@@ -212,7 +212,7 @@ class TestIndependentSetCertificate:
         for _ in range(50):
             t = random_tree(rng.randrange(1, 16), rng)
             d = decompose(t)
-            chosen = independent_set_certificate(t, d)
+            chosen = independent_set_certificate(t)
             assert len(chosen) == d.alpha
             assert not any(u in chosen and v in chosen for u, v in t.edges)
 
@@ -224,50 +224,37 @@ class TestIndependentSetCertificate:
             for v in range(t.n):
                 if v in d.supp:
                     with pytest.raises(ValueError):
-                        independent_set_certificate(t, d, avoid={v})
+                        independent_set_certificate(t, avoid={v})
                 else:
-                    chosen = independent_set_certificate(t, d, avoid={v})
+                    chosen = independent_set_certificate(t, avoid={v})
                     assert v not in chosen
                     assert len(chosen) == d.alpha
 
     def test_avoid_takes_a_collection(self):
         # two P4 components, all N-vertices; sides {0, 2} / {1, 3} and {4, 6} / {5, 7}
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        d = decompose(g)
-        assert independent_set_certificate(g, d) == {0, 2, 4, 6}
-        assert independent_set_certificate(g, d, avoid=[2, 4]) == {1, 3, 5, 7}
-        assert independent_set_certificate(g, d, avoid={7}) == {0, 2, 4, 6}
+        assert independent_set_certificate(g) == {0, 2, 4, 6}
+        assert independent_set_certificate(g, avoid=[2, 4]) == {1, 3, 5, 7}
+        assert independent_set_certificate(g, avoid={7}) == {0, 2, 4, 6}
         with pytest.raises(ValueError):
-            independent_set_certificate(g, d, avoid={0, 3})  # both sides of one component
+            independent_set_certificate(g, avoid={0, 3})  # both sides of one component
 
     def test_support_always_included(self):
         t = load_fixture("fig1_T1")
         d = decompose(t)
-        assert d.supp <= independent_set_certificate(t, d)
-
-    # The decomposition of P_4 (every vertex an N-vertex) handed a graph
-    # it does not decompose.
-    P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert d.supp <= independent_set_certificate(t)
 
     def test_a_graph_with_a_cycle_is_refused(self):
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(NotAForest, match="independent_set_certificate needs an acyclic graph"):
-            independent_set_certificate(c4, decompose(self.P4))
+            independent_set_certificate(c4)
 
-    @pytest.mark.parametrize("n", [6, 3])  # more vertices than the roles, and fewer
-    def test_a_decomposition_of_another_order_is_refused(self, n):
-        path = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        with pytest.raises(ValueError, match=f"decomposition has 4 vertices, the forest {n}"):
-            independent_set_certificate(path, decompose(self.P4))
-
-    def test_a_decomposition_of_another_forest_of_the_order_is_refused(self):
-        # The star's one component has sides of 1 and 3 vertices, which
-        # an all-N decomposition cannot split evenly: the mismatch is the
-        # caller's, not the DP's.
-        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        message = "of another forest: it puts vertex 0 in N, this forest's in Core"
-        with pytest.raises(ValueError, match=message):
-            independent_set_certificate(star, decompose(self.P4))
+    def test_a_decomposition_is_no_argument(self):
+        # avoid is keyword-only, so a call that still hands over the
+        # forest's decomposition fails instead of reading it as avoid.
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(TypeError):
+            independent_set_certificate(p4, decompose(p4))
 
 
 def dfs_n_component_sides(t, d):
@@ -445,7 +432,7 @@ class TestForestAnalysis:
             t = t.without_edges(rng.sample(sorted(t.edges), min(len(t.edges), rng.randrange(4))))
             d, independent, matching = self.analyze(t)
             assert d == decompose(t)
-            assert independent == independent_set_certificate(t, d)
+            assert independent == independent_set_certificate(t)
             assert matching == matching_certificate(t)
 
     def test_rejects_cycles(self):

@@ -126,7 +126,7 @@ def reference_analyze(g):
         pendant, rest = (a, b) if v in a else (b, a)
         parts = (reference_part("pendant", v, pendant, d), reference_part("rest", None, rest, d))
         cycle_alpha = cycle_nu = cycle_nullity = 0
-        independent = independent_set_certificate(f, d, avoid={v})
+        independent = independent_set_certificate(f, avoid={v})
         matching = matching_certificate(f)
     else:
         parts = tuple(
@@ -138,7 +138,7 @@ def reference_analyze(g):
         cycle_nullity = 2 if cycle.length % 4 == 0 else 0
         every_other = slice(0, 2 * cycle_alpha, 2)
         independent = frozenset(cycle.vertices[every_other]) | (
-            independent_set_certificate(off, d_off, avoid=attach) - on
+            independent_set_certificate(off, avoid=attach) - on
         )
         matching = frozenset(cycle.edges[every_other]) | matching_certificate(off)
     supp = [len(supp) for _, _, _, supp, _, _ in parts]
@@ -319,6 +319,50 @@ class TestSingularity:
         a = analyze(load_fixture("fig7"))
         assert a.singular
         assert "no perfect matching" in a.singular_reason
+
+    @pytest.mark.parametrize("labels,name", [(None, "0"), ("uvwx", "u")])
+    @pytest.mark.parametrize(
+        "pendant_supp,supp,singular,reason",
+        [
+            (0, 0, False, "type I at witness {0}: the pendant tree and the rest both have"
+             " perfect matchings"),
+            (1, 1, True, "type I: the pendant tree at {0} has no perfect matching"),
+            (0, 1, True, "type I: the rest after removing the pendant tree at {0} has no"
+             " perfect matching"),
+            (1, 2, True, "type I: the pendant tree at {0} has no perfect matching; the rest"
+             " after removing the pendant tree at {0} has no perfect matching"),
+        ],
+        ids=["none", "pendant", "rest", "both"],
+    )
+    def test_type1_reason_for_each_failing_piece(
+        self, labels, name, pendant_supp, supp, singular, reason
+    ):
+        # The paw's witness is 0, named by its label when it has one.
+        g = Graph(4, paw().edges, labels)
+        verdict = classify_type(g)
+        assert verdict == ("I", 0)
+        got = _singularity(g, find_cycle(g), verdict, pendant_supp, supp)
+        assert got == (singular, reason.format(name))
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize(
+        "length,supp,singular,reason",
+        [
+            (6, 0, False, "type II: every tree off the cycle has a perfect matching and the"
+             " cycle length 6 is not divisible by 4"),
+            (6, 1, True, "type II: a tree off the cycle has no perfect matching"),
+            (8, 0, True, "type II: the cycle length 8 is divisible by 4"),
+            (8, 2, True, "type II: a tree off the cycle has no perfect matching; the cycle"
+             " length 8 is divisible by 4"),
+        ],
+        ids=["none", "forest", "cycle", "both"],
+    )
+    def test_type2_reason_for_each_failing_piece(self, labelled, length, supp, singular, reason):
+        labels = [f"c{i}" for i in range(length)] if labelled else None
+        g = Graph(length, cycle_graph(length).edges, labels)
+        verdict = classify_type(g)
+        assert verdict == ("II", None)
+        assert _singularity(g, find_cycle(g), verdict, 0, supp) == (singular, reason)
 
     def test_agrees_with_kernel_exhaustively_small(self):
         kinds = set()
@@ -594,9 +638,8 @@ def witness_digests():
         t = random_tree(rng.randrange(1, 60), rng)
         if i % 4 == 3 and t.edges:
             t = t.without_edges(rng.sample(sorted(t.edges), min(3, len(t.edges))))
-        d = decompose(t)
         pairs.update(repr(sorted(matching_certificate(t))).encode())
-        sets.update(repr(sorted(independent_set_certificate(t, d))).encode())
+        sets.update(repr(sorted(independent_set_certificate(t))).encode())
     for _ in range(1000):
         a = analyze(random_unicyclic(rng.randrange(3, 60), rng))
         pairs.update(repr(sorted(a.matching)).encode())
